@@ -7,10 +7,14 @@ distributional layer carries outcome maps: per-target-variable matrices from
 the joint outcomes of that variable's preimage block, or one global matrix
 from full source outcomes to full target outcomes.
 
-Rows of the node map that are omitted leave the node unmapped; one-hot rows
-make the map deterministic at that node.  Outcome rows that are omitted (or
-written all-zero) leave that outcome unmapped, which makes the induced
-pushforward partial.
+Rows keep their weights as written, but every verdict and computation reads
+a row only through its support (`support`: the entries weighing more than
+`TOL`), so an explicit zero entry means the same as an omitted one.  A node
+row that is omitted leaves the node unmapped; a row with one supported entry
+makes the map deterministic at that node.  An outcome row that is omitted or
+all-zero leaves that outcome unmapped, which makes the induced pushforward
+partial.  Row totals and negative weights are checked by
+`validate_abstraction`, not by the audits.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     TOL,
@@ -40,13 +44,34 @@ class Direction(enum.Enum):
 
 GLOBAL = "*"  # target marker for a whole-model outcome map
 
+K = TypeVar("K")
+
+
+def support(row: Mapping[K, float]) -> dict[K, float]:
+    """The entries of a stochastic row whose weight is above `TOL`."""
+    return {k: w for k, w in row.items() if w > TOL}
+
+
+class _Rows:
+    """The support reading shared by node maps and outcome maps."""
+
+    rows: Mapping
+
+    def supported_rows(self) -> dict:
+        """Each mapped row (one with a nonempty support), cut to its support."""
+        return {key: s for key, row in self.rows.items() if (s := support(row))}
+
+    def is_deterministic(self) -> bool:
+        """Every mapped row has exactly one supported entry."""
+        return all(len(s) == 1 for s in self.supported_rows().values())
+
 
 @dataclass
-class StructuralMap:
+class StructuralMap(_Rows):
     """The node layer plus an optional morphism layer.
 
     `rows[u][x]` is the weight with which source node u maps onto target
-    node x; only nonzero weights are stored, and a present row sums to one.
+    node x; a present row sums to one, and only its support is read.
     `edge_map` sends source morphisms to target morphisms and may be
     partial; `None` means no morphism layer was declared at all.
     `pairing` optionally records which target node is the nominal
@@ -63,33 +88,28 @@ class StructuralMap:
         """Source nodes with a declared row, i.e. the domain of definition."""
         return tuple(self.rows)
 
-    def is_deterministic(self) -> bool:
-        return all(
-            len(row) == 1 and abs(next(iter(row.values())) - 1.0) <= TOL
-            for row in self.rows.values()
-        )
-
     def image_of(self, node: str) -> str:
         """The unique image of a deterministically mapped node."""
         row = self.rows.get(node)
         if row is None:
             raise ModelError(f"node {node!r} is unmapped")
-        if len(row) != 1:
+        s = support(row)
+        if len(s) != 1:
             raise ModelError(f"node {node!r} maps stochastically")
-        return next(iter(row))
+        return next(iter(s))
 
     def image(self) -> tuple[str, ...]:
-        """Target nodes receiving nonzero weight, in first-seen order."""
+        """Target nodes in the support of some row, in first-seen order."""
         seen: list[str] = []
-        for row in self.rows.values():
-            for x, w in row.items():
-                if w > 0.0 and x not in seen:
+        for s in self.supported_rows().values():
+            for x in s:
+                if x not in seen:
                     seen.append(x)
         return tuple(seen)
 
 
 @dataclass
-class OutcomeMap:
+class OutcomeMap(_Rows):
     """One distributional matrix.
 
     For a per-variable map, `target` names a target variable and `sources`
@@ -107,19 +127,6 @@ class OutcomeMap:
     @property
     def is_global(self) -> bool:
         return self.target == GLOBAL
-
-    def is_deterministic(self) -> bool:
-        return all(
-            len(row) == 1 and abs(next(iter(row.values())) - 1.0) <= TOL
-            for row in self.rows.values()
-            if sum(row.values()) > TOL
-        )
-
-    def mapped_rows(self) -> dict[tuple, dict[tuple, float]]:
-        """Rows that actually carry mass (all-zero rows count as unmapped)."""
-        return {
-            key: row for key, row in self.rows.items() if sum(row.values()) > TOL
-        }
 
 
 @dataclass
@@ -160,12 +167,12 @@ def preimage(abstraction: Abstraction, source_model: Scm, target_node: str) -> t
     Only defined for deterministic node maps; the result follows the source
     model's canonical variable order.
     """
-    if not abstraction.structure.is_deterministic():
+    sm = abstraction.structure
+    if not sm.is_deterministic():
         raise ModelError("preimage requires a deterministic node map")
-    rows = abstraction.structure.rows
     return tuple(
         v for v in source_model.variable_names
-        if v in rows and next(iter(rows[v])) == target_node
+        if v in sm.rows and sm.image_of(v) == target_node
     )
 
 
@@ -299,6 +306,30 @@ def validate_abstraction(
 # Pushforward
 # ---------------------------------------------------------------------------
 
+def _row_product(
+    mass: float,
+    tables: Sequence[Mapping[tuple, Mapping[tuple, float]]],
+    keys: Sequence[tuple],
+) -> dict[tuple, float]:
+    """`mass` times the outer product of the rows `keys` pick from `tables`.
+
+    The tables hold supported rows (see `_Rows.supported_rows`); a result key
+    joins one row value per table.  A key with no row in its table is
+    unmapped, and then all the mass is lost: the result is empty.
+    """
+    partial: dict[tuple, float] = {(): mass}
+    for table, key in zip(tables, keys):
+        row = table.get(key)
+        if row is None:
+            return {}
+        nxt: dict[tuple, float] = {}
+        for prefix, m in partial.items():
+            for val, w in row.items():
+                nxt[prefix + val] = nxt.get(prefix + val, 0.0) + m * w
+        partial = nxt
+    return partial
+
+
 def pushforward(
     abstraction: Abstraction,
     dist: Distribution,
@@ -324,53 +355,26 @@ def pushforward(
 
     out_scope = target.variable_names
     out_domains = tuple(v.domain for v in target.variables)
-    probs: dict[tuple, float] = {}
-
     gom = abstraction.global_outcome_map
     if gom is not None:
-        rows = gom.mapped_rows()
-        for outcome, p in dist.probs.items():
-            if p == 0.0:
-                continue
-            row = rows.get(outcome)
-            if row is None:
-                continue  # unmapped outcome: mass is lost
-            for tgt_outcome, w in row.items():
-                if w == 0.0:
-                    continue
-                probs[tgt_outcome] = probs.get(tgt_outcome, 0.0) + p * w
+        maps = [gom]
     else:
-        maps: list[OutcomeMap] = []
+        maps = []
         for name in out_scope:
             om = abstraction.outcome_map_for(name)
             if om is None:
                 raise ModelError(f"no outcome map for target variable {name}")
             maps.append(om)
-        src_index = {name: i for i, name in enumerate(source.variable_names)}
-        picks = [tuple(src_index[s] for s in om.sources) for om in maps]
-        for outcome, p in dist.probs.items():
-            if p == 0.0:
-                continue
-            partial: dict[tuple, float] = {(): p}
-            dead = False
-            for om, idxs in zip(maps, picks):
-                key = tuple(outcome[i] for i in idxs)
-                row = om.rows.get(key)
-                if row is None or sum(row.values()) <= TOL:
-                    dead = True
-                    break
-                nxt: dict[tuple, float] = {}
-                for prefix, mass in partial.items():
-                    for val, w in row.items():
-                        if w == 0.0:
-                            continue
-                        k = prefix + val
-                        nxt[k] = nxt.get(k, 0.0) + mass * w
-                partial = nxt
-            if dead:
-                continue
-            for k, mass in partial.items():
-                probs[k] = probs.get(k, 0.0) + mass
+    tables = [om.supported_rows() for om in maps]
+    src_index = {name: i for i, name in enumerate(source.variable_names)}
+    picks = [tuple(src_index[s] for s in om.sources) for om in maps]
+    probs: dict[tuple, float] = {}
+    for outcome, p in dist.probs.items():
+        if p == 0.0:
+            continue
+        keys = [tuple(outcome[i] for i in idxs) for idxs in picks]
+        for k, mass in _row_product(p, tables, keys).items():
+            probs[k] = probs.get(k, 0.0) + mass
 
     total = sum(probs.values())
     if abs(total - dist.total) > TOL:
@@ -412,18 +416,15 @@ def compose_abstractions(
         raise ModelError("cannot compose abstractions running opposite ways")
 
     rows: dict[str, dict[str, float]] = {}
-    for u, row in first.structure.rows.items():
+    mid_rows = second.structure.supported_rows()
+    for u, row in first.structure.supported_rows().items():
+        if any(m not in mid_rows for m in row):
+            continue
         out: dict[str, float] = {}
-        defined = True
         for m, w in row.items():
-            mid_row = second.structure.rows.get(m)
-            if mid_row is None:
-                defined = False
-                break
-            for x, w2 in mid_row.items():
+            for x, w2 in mid_rows[m].items():
                 out[x] = out.get(x, 0.0) + w * w2
-        if defined and out:
-            rows[u] = out
+        rows[u] = out
 
     edge_map: dict[Morphism, Morphism] | None = None
     if first.structure.edge_map is not None and second.structure.edge_map is not None:
@@ -470,33 +471,15 @@ def compose_abstractions(
             offsets = []
             for leg in legs:
                 offsets.append(tuple(srcs.index(s) for s in leg.sources))  # type: ignore[union-attr]
+            tables = [leg.supported_rows() for leg in legs]  # type: ignore[union-attr]
+            upper_rows = [om2.supported_rows()]
             out_rows: dict[tuple, dict[tuple, float]] = {}
             for key in block_domain(lower, srcs):
-                partial: dict[tuple, float] = {(): 1.0}
-                dead = False
-                for leg, idxs in zip(legs, offsets):
-                    row = leg.rows.get(tuple(key[i] for i in idxs))  # type: ignore[union-attr]
-                    if row is None or sum(row.values()) <= TOL:
-                        dead = True
-                        break
-                    nxt: dict[tuple, float] = {}
-                    for prefix, mass in partial.items():
-                        for val, w in row.items():
-                            if w == 0.0:
-                                continue
-                            nxt[prefix + val] = nxt.get(prefix + val, 0.0) + mass * w
-                    partial = nxt
-                if dead:
-                    continue
+                keys = [tuple(key[i] for i in idxs) for idxs in offsets]
                 out: dict[tuple, float] = {}
-                for mid_key, mass in partial.items():
-                    row2 = om2.rows.get(mid_key)
-                    if row2 is None or sum(row2.values()) <= TOL:
-                        continue
-                    for val, w in row2.items():
-                        if w == 0.0:
-                            continue
-                        out[val] = out.get(val, 0.0) + mass * w
+                for mid_key, mass in _row_product(1.0, tables, keys).items():
+                    for val, w in _row_product(mass, upper_rows, [mid_key]).items():
+                        out[val] = out.get(val, 0.0) + w
                 if out:
                     out_rows[key] = out
             composed.outcome_maps.append(

@@ -21,11 +21,10 @@ reading (see taxonomy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional
 
-from .abstraction import Abstraction, Direction, OutcomeMap, block_domain
-from .errors import TOL
+from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap, block_domain
 from .freecat import Morphism, compose, hom_set, identity
 from .scm import Scm, underlying_graph
 
@@ -46,49 +45,84 @@ def _fmt(verdict: Verdict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Node layer
+# Node and outcome layers: maps of sets
 # ---------------------------------------------------------------------------
 
 @dataclass
-class NodeAudit:
+class MapAudit:
+    """The set-map verdicts of a node map or of one outcome map."""
+
     functional: bool
     deterministic: bool
     surjective: bool
     injective: Verdict
     bijective: Verdict
 
-    def to_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "deterministic": self.deterministic,
-            "surjective": self.surjective,
-            "injective": self.injective,
-            "bijective": self.bijective,
-        }
+    @classmethod
+    def of(
+        cls,
+        m: StructuralMap | OutcomeMap,
+        domain: Iterable,
+        codomain: Iterable,
+        **extra,
+    ) -> "MapAudit":
+        """Audit `m` (a node or outcome map) as a map from `domain` to `codomain`.
+
+        Every verdict reads the supports of the mapped rows: a key is mapped
+        when its row has a nonempty support, and the image is the union of
+        the supports.
+        """
+        rows = m.supported_rows()
+        functional = all(key in rows for key in domain)
+        deterministic = m.is_deterministic()
+        hit = {val for s in rows.values() for val in s}
+        surjective = set(codomain) <= hit
+        injective: Verdict = None
+        if deterministic:
+            images = [next(iter(s)) for s in rows.values()]
+            injective = len(set(images)) == len(images)
+        return cls(
+            functional=functional,
+            deterministic=deterministic,
+            surjective=surjective,
+            injective=injective,
+            bijective=tri_and(surjective, injective) if functional else False,
+            **extra,
+        )
 
 
-def audit_node_map(abstraction: Abstraction, source: Scm, target: Scm) -> NodeAudit:
-    sm = abstraction.structure
-    functional = set(sm.mapped) == set(source.variable_names)
-    deterministic = sm.is_deterministic()
-    surjective = set(sm.image()) == set(target.variable_names)
-    injective: Verdict
-    if not deterministic:
-        injective = None
-    else:
-        images = [sm.image_of(u) for u in sm.mapped]
-        injective = len(set(images)) == len(images)
-    bijective: Verdict
-    if not functional:
-        bijective = False
-    else:
-        bijective = tri_and(surjective, injective)
-    return NodeAudit(
-        functional=functional,
-        deterministic=deterministic,
-        surjective=surjective,
-        injective=injective,
-        bijective=bijective,
+@dataclass
+class OutcomeAudit(MapAudit):
+    target: str
+
+
+def audit_node_map(abstraction: Abstraction, source: Scm, target: Scm) -> MapAudit:
+    return MapAudit.of(
+        abstraction.structure, source.variable_names, target.variable_names
+    )
+
+
+def audit_outcome_map(om: OutcomeMap, source: Scm, target: Scm) -> OutcomeAudit:
+    tgt_scope = target.variable_names if om.is_global else (om.target,)
+    return OutcomeAudit.of(
+        om,
+        block_domain(source, om.sources),
+        block_domain(target, tgt_scope),
+        target=om.target,
+    )
+
+
+def summarize_outcomes(audits: list[OutcomeAudit]) -> OutcomeAudit | None:
+    """Conjunction of the per-map verdicts (None when no layer is present)."""
+    if not audits:
+        return None
+    return OutcomeAudit(
+        target="(all)",
+        functional=all(a.functional for a in audits),
+        deterministic=all(a.deterministic for a in audits),
+        surjective=all(a.surjective for a in audits),
+        injective=tri_and(*(a.injective for a in audits)),
+        bijective=tri_and(*(a.bijective for a in audits)),
     )
 
 
@@ -104,16 +138,6 @@ class FunctorAudit:
     faithful: Verdict
     faithful_parallel: Verdict
     fully_faithful: Verdict
-
-    def to_dict(self) -> dict:
-        return {
-            "declared": self.declared,
-            "functorial": self.functorial,
-            "full": self.full,
-            "faithful": self.faithful,
-            "faithful_parallel": self.faithful_parallel,
-            "fully_faithful": self.fully_faithful,
-        }
 
 
 def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> FunctorAudit:
@@ -215,80 +239,6 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
 
 
 # ---------------------------------------------------------------------------
-# Distributional layer
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OutcomeAudit:
-    target: str
-    functional: bool
-    deterministic: bool
-    surjective: bool
-    injective: Verdict
-    bijective: Verdict
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "functional": self.functional,
-            "deterministic": self.deterministic,
-            "surjective": self.surjective,
-            "injective": self.injective,
-            "bijective": self.bijective,
-        }
-
-
-def audit_outcome_map(om: OutcomeMap, source: Scm, target: Scm) -> OutcomeAudit:
-    universe = block_domain(source, om.sources)
-    tgt_scope = target.variable_names if om.is_global else (om.target,)
-    tgt_universe = block_domain(target, tgt_scope)
-    rows = om.mapped_rows()
-
-    functional = all(key in rows for key in universe)
-    deterministic = om.is_deterministic()
-    hit = {
-        val
-        for row in rows.values()
-        for val, w in row.items()
-        if w > TOL
-    }
-    surjective = set(tgt_universe) <= hit
-    injective: Verdict
-    if not deterministic:
-        injective = None
-    else:
-        images = [next(iter(row)) for row in rows.values()]
-        injective = len(set(images)) == len(images)
-    bijective: Verdict
-    if not functional:
-        bijective = False
-    else:
-        bijective = tri_and(surjective, injective)
-    return OutcomeAudit(
-        target=om.target,
-        functional=functional,
-        deterministic=deterministic,
-        surjective=surjective,
-        injective=injective,
-        bijective=bijective,
-    )
-
-
-def summarize_outcomes(audits: list[OutcomeAudit]) -> OutcomeAudit | None:
-    """Conjunction of the per-map verdicts (None when no layer is present)."""
-    if not audits:
-        return None
-    return OutcomeAudit(
-        target="(all)",
-        functional=all(a.functional for a in audits),
-        deterministic=all(a.deterministic for a in audits),
-        surjective=all(a.surjective for a in audits),
-        injective=tri_and(*(a.injective for a in audits)),
-        bijective=tri_and(*(a.bijective for a in audits)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Modalities and derived invertibility
 # ---------------------------------------------------------------------------
 
@@ -296,12 +246,6 @@ def summarize_outcomes(audits: list[OutcomeAudit]) -> OutcomeAudit | None:
 class ModalityAudit:
     non_deterministic: bool
     macro_to_micro: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "non_deterministic": self.non_deterministic,
-            "macro_to_micro": self.macro_to_micro,
-        }
 
 
 def audit_modalities(abstraction: Abstraction) -> ModalityAudit:
@@ -322,16 +266,8 @@ class InvertibilityAudit:
     perfect_edge: Verdict
     set_edge: Verdict
 
-    def to_dict(self) -> dict:
-        return {
-            "perfect_node": self.perfect_node,
-            "set_node": self.set_node,
-            "perfect_edge": self.perfect_edge,
-            "set_edge": self.set_edge,
-        }
 
-
-def derive_invertibility(node: NodeAudit, functor: FunctorAudit) -> InvertibilityAudit:
+def derive_invertibility(node: MapAudit, functor: FunctorAudit) -> InvertibilityAudit:
     return InvertibilityAudit(
         perfect_node=node.bijective,
         set_node=node.surjective,
@@ -344,10 +280,14 @@ def derive_invertibility(node: NodeAudit, functor: FunctorAudit) -> Invertibilit
 # Whole-abstraction profile
 # ---------------------------------------------------------------------------
 
+_MAP_VERDICTS = ("functional", "deterministic", "surjective", "injective", "bijective")
+_FUNCTOR_VERDICTS = ("functorial", "full", "faithful", "faithful_parallel", "fully_faithful")
+
+
 @dataclass
 class PropertyProfile:
     abstraction: str
-    node: NodeAudit
+    node: MapAudit
     functor: FunctorAudit
     outcomes: list[OutcomeAudit]
     outcome_summary: OutcomeAudit | None
@@ -356,75 +296,37 @@ class PropertyProfile:
 
     def flat(self) -> dict[str, Verdict]:
         """Every verdict under one addressable name (for --require lookups)."""
-        out: dict[str, Verdict] = {
-            "functional": self.node.functional,
-            "deterministic": self.node.deterministic,
-            "surjective": self.node.surjective,
-            "injective": self.node.injective,
-            "bijective": self.node.bijective,
-            "functorial": self.functor.functorial,
-            "full": self.functor.full,
-            "faithful": self.functor.faithful,
-            "faithful-parallel": self.functor.faithful_parallel,
-            "fully-faithful": self.functor.fully_faithful,
+        s = self.outcome_summary
+        return {
+            **{key: getattr(self.node, key) for key in _MAP_VERDICTS},
+            **{
+                key.replace("_", "-"): getattr(self.functor, key)
+                for key in _FUNCTOR_VERDICTS
+            },
             "non-deterministic": self.modalities.non_deterministic,
             "macro-to-micro": self.modalities.macro_to_micro,
             "perfect-node-invertible": self.invertibility.perfect_node,
             "set-node-invertible": self.invertibility.set_node,
             "perfect-edge-invertible": self.invertibility.perfect_edge,
             "set-edge-invertible": self.invertibility.set_edge,
+            **{
+                f"outcome-{key}": None if s is None else getattr(s, key)
+                for key in _MAP_VERDICTS
+            },
         }
-        if self.outcome_summary is not None:
-            s = self.outcome_summary
-            out.update(
-                {
-                    "outcome-functional": s.functional,
-                    "outcome-deterministic": s.deterministic,
-                    "outcome-surjective": s.surjective,
-                    "outcome-injective": s.injective,
-                    "outcome-bijective": s.bijective,
-                }
-            )
-        else:
-            out.update(
-                {
-                    "outcome-functional": None,
-                    "outcome-deterministic": None,
-                    "outcome-surjective": None,
-                    "outcome-injective": None,
-                    "outcome-bijective": None,
-                }
-            )
-        return out
 
     def to_dict(self) -> dict:
-        return {
-            "abstraction": self.abstraction,
-            "node": self.node.to_dict(),
-            "functor": self.functor.to_dict(),
-            "outcomes": [a.to_dict() for a in self.outcomes],
-            "outcome_summary": (
-                self.outcome_summary.to_dict() if self.outcome_summary else None
-            ),
-            "modalities": self.modalities.to_dict(),
-            "invertibility": self.invertibility.to_dict(),
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [f"audit of {self.abstraction}"]
         lines.append("  node layer:")
-        for key in ("functional", "deterministic", "surjective", "injective", "bijective"):
+        for key in _MAP_VERDICTS:
             lines.append(f"    {key:<18} {_fmt(getattr(self.node, key))}")
         lines.append("  morphism layer:")
         if not self.functor.declared:
             lines.append("    (no edge map declared)")
-        for key in (
-            "functorial",
-            "full",
-            "faithful",
-            "faithful_parallel",
-            "fully_faithful",
-        ):
+        for key in _FUNCTOR_VERDICTS:
             label = key.replace("_", "-")
             lines.append(f"    {label:<18} {_fmt(getattr(self.functor, key))}")
         lines.append("  outcome layer:")
@@ -434,7 +336,7 @@ class PropertyProfile:
             [self.outcome_summary] if self.outcome_summary and len(self.outcomes) > 1 else []
         ):
             lines.append(f"    map onto {a.target}:")
-            for key in ("functional", "deterministic", "surjective", "injective", "bijective"):
+            for key in _MAP_VERDICTS:
                 lines.append(f"      {key:<16} {_fmt(getattr(a, key))}")
         lines.append("  modalities:")
         lines.append(f"    non-deterministic  {_fmt(self.modalities.non_deterministic)}")

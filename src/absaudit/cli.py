@@ -69,6 +69,20 @@ def _pick_abstraction(doc: Document, name: str | None):
     return next(iter(doc.abstractions.values()))
 
 
+def _valid_abstraction(args):
+    """The chosen abstraction and its two models, or None if it is invalid.
+
+    The validation issues of an invalid abstraction go to stderr.
+    """
+    doc = _load(args.files)
+    abstraction = _pick_abstraction(doc, args.abs)
+    source, target = doc.resolve(abstraction)
+    report = validate_abstraction(abstraction, source, target)
+    for issue in report.issues:
+        print(f"[{issue.code}] {issue.message}", file=sys.stderr)
+    return (abstraction, source, target) if report.ok else None
+
+
 def _parse_do(items: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for item in items:
@@ -200,14 +214,10 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    doc = _load(args.files)
-    abstraction = _pick_abstraction(doc, args.abs)
-    source, target = doc.resolve(abstraction)
-    report = validate_abstraction(abstraction, source, target)
-    if not report.ok:
-        for issue in report.issues:
-            print(f"[{issue.code}] {issue.message}", file=sys.stderr)
+    loaded = _valid_abstraction(args)
+    if loaded is None:
         return FAIL
+    abstraction, source, target = loaded
     profile = audit_abstraction(abstraction, source, target)
     if args.format == "json":
         print(json.dumps(profile.to_dict(), sort_keys=True))
@@ -233,9 +243,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    doc = _load(args.files)
-    abstraction = _pick_abstraction(doc, args.abs)
-    source, target = doc.resolve(abstraction)
+    loaded = _valid_abstraction(args)
+    if loaded is None:
+        return FAIL
+    abstraction, source, target = loaded
     labels = taxonomy.detect_types(abstraction, source, target)
     if args.format == "json":
         print(json.dumps(labels, sort_keys=True))
@@ -291,14 +302,10 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_push(args) -> int:
-    doc = _load(args.files)
-    abstraction = _pick_abstraction(doc, args.abs)
-    source, target = doc.resolve(abstraction)
-    report = validate_abstraction(abstraction, source, target)
-    if not report.ok:
-        for issue in report.issues:
-            print(f"[{issue.code}] {issue.message}", file=sys.stderr)
+    loaded = _valid_abstraction(args)
+    if loaded is None:
         return FAIL
+    abstraction, source, target = loaded
     model = source
     if args.do:
         model = intervene(model, _parse_do(args.do))

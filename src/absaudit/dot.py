@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .abstraction import Abstraction
+from .abstraction import Abstraction, support
 from .scm import Scm, underlying_graph
 
 
@@ -39,7 +39,7 @@ def abstraction_dot(abstraction: Abstraction, source: Scm, target: Scm) -> str:
             lines.append(f"    {_q(tag + ':' + u)} -> {_q(tag + ':' + v)};")
         lines.append("  }")
     for u, row in abstraction.structure.rows.items():
-        for x, w in row.items():
+        for x, w in support(row).items():
             attrs = ["style=dotted", "constraint=false"]
             if abs(w - 1.0) > 1e-12:
                 attrs.append(f"label={_q(repr(float(w)))}")

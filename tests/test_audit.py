@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+import importlib.resources
 
-from absaudit.abstraction import Direction, OutcomeMap
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from absaudit.abstraction import (
+    Direction,
+    OutcomeMap,
+    block_domain,
+    pushforward,
+    validate_abstraction,
+)
 from absaudit.audit import (
     audit_abstraction,
     audit_functor,
@@ -13,6 +22,10 @@ from absaudit.audit import (
     summarize_outcomes,
     tri_and,
 )
+from absaudit.errors import AbsauditError
+from absaudit.scm import joint_distribution
+from absaudit.taxonomy import detect_types
+from absaudit.textfmt import emit_document, parse_document
 
 from helpers import M, abstraction, chain, det_outcomes, model, xor, BIN, U2
 
@@ -300,3 +313,89 @@ def test_profile_modalities(micro, macro):
     q = audit_abstraction(b, macro, micro)
     assert q.modalities.macro_to_micro
     assert not q.modalities.non_deterministic
+
+
+# ---------------------------------------------------------------------------
+# Support rule: an explicit zero entry means the same as an omitted one
+# ---------------------------------------------------------------------------
+
+DATA = importlib.resources.files("absaudit") / "data"
+SHIPPED = {
+    f"{sub}/{entry.name}": entry.read_text()
+    for sub in ("figures", "witnesses/structural", "witnesses/distributional")
+    for entry in sorted((DATA / sub).iterdir(), key=lambda e: e.name)
+    if entry.name.endswith(".abs")
+}
+
+
+def _zero_entries() -> list[tuple]:
+    """Every (file, abstraction, layer, row key, value) a zero entry can name.
+
+    The layer is None for the node map, else an index into the outcome maps;
+    the value is a target node or outcome that the row does not list yet.
+    """
+    edits = []
+    for rel, text in SHIPPED.items():
+        doc = parse_document(text)
+        for name, a in doc.abstractions.items():
+            _, target = doc.resolve(a)
+            layers = [(None, a.structure.rows, target.variable_names)]
+            for i, om in enumerate(a.outcome_maps):
+                scope = target.variable_names if om.is_global else (om.target,)
+                layers.append((i, om.rows, block_domain(target, scope)))
+            for layer, rows, values in layers:
+                for key, row in rows.items():
+                    edits.extend(
+                        (rel, name, layer, key, val) for val in values if val not in row
+                    )
+    return edits
+
+
+def _layer(doc, name, layer):
+    a = doc.abstractions[name]
+    return a.structure if layer is None else a.outcome_maps[layer]
+
+
+def _verdicts(doc, name):
+    a = doc.abstractions[name]
+    source, target = doc.resolve(a)
+    pushed = None
+    if a.outcome_maps:
+        try:
+            pushed = pushforward(
+                a, joint_distribution(source), source, target, renormalize=True
+            ).probs
+        except AbsauditError as exc:
+            pushed = repr(exc)
+    return (
+        validate_abstraction(a, source, target).ok,
+        audit_abstraction(a, source, target).to_dict(),
+        detect_types(a, source, target),
+        pushed,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(edit=st.sampled_from(_zero_entries()), first=st.booleans())
+@example(
+    edit=("witnesses/structural/identity.abs", "witness_identity", None, "A", "Y"),
+    first=False,
+)
+@example(
+    edit=(
+        "witnesses/distributional/identity-or-permutation.abs",
+        "witness_identity_or_permutation", 0, ("0",), ("0",),
+    ),
+    first=True,
+)
+def test_zero_entry_keeps_every_verdict(edit, first):
+    rel, name, layer, key, val = edit
+    doc = parse_document(SHIPPED[rel])
+    before = _verdicts(doc, name)
+    rows = _layer(doc, name, layer).rows
+    rows[key] = {val: 0.0, **rows[key]} if first else {**rows[key], val: 0.0}
+    assert _verdicts(doc, name) == before
+    # The zero entry is kept as written, and the edited file round-trips.
+    text = emit_document(doc)
+    assert _layer(parse_document(text), name, layer).rows[key] == rows[key]
+    assert emit_document(parse_document(text)) == text

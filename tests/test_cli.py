@@ -174,6 +174,16 @@ def test_dist_validates_first(tmp_path, capsys):
     assert "[dist-total]" in capsys.readouterr().err
 
 
+def test_classify_validates_first(tmp_path, capsys):
+    identity = DATA / "witnesses" / "structural" / "identity.abs"
+    p = tmp_path / "half.abs"
+    p.write_text(identity.read_text().replace("    A : X 1.0\n", "    A : X 0.5\n"))
+    assert main(["classify", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert "[map-row-total]" in captured.err
+    assert captured.out == ""
+
+
 def test_dist_capacity(monkeypatch, capsys):
     monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "2")
     assert main(["dist", CHAIN]) == 3
