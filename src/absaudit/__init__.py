@@ -38,7 +38,7 @@ from .errors import (
     RenormalizationRequiredError,
     TOL,
 )
-from .freecat import Morphism, all_morphisms, compose, generators, hom_set, identity
+from .freecat import Morphism, all_morphisms, compose, generators, hom_set, identity, path_counts
 from .scm import (
     Dag,
     Distribution,
@@ -119,6 +119,7 @@ __all__ = [
     "mechanism_kernel",
     "parse_document",
     "parse_path",
+    "path_counts",
     "preimage",
     "pushforward",
     "shipped_table",

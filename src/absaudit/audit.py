@@ -17,16 +17,24 @@ several identities onto the same target identity fails it while passing the
 hom-set-wise one.  ``fully_faithful`` combines fullness with the pooled
 reading; the admissibility matrices combine fullness with the hom-set-wise
 reading (see taxonomy).
+
+The functor audit counts hom-sets with ``freecat.path_counts`` and lists
+none.  The layer is total when its distinct keys that are source paths
+between mapped nodes are as many as those paths, and full when the distinct
+images that are target paths between image nodes are as many as those.
+Composites split only at mapped nodes, so composition is checked as
+``F(m) == F(prefix) ∘ F(suffix)`` with each declared path ``m`` cut at its
+last mapped inner node; by induction on their number, every other cut holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap, block_domain
-from .freecat import Morphism, compose, hom_set, identity
-from .scm import Scm, underlying_graph
+from .freecat import Morphism, compose, identity, is_path, path_counts
+from .scm import Dag, Scm, underlying_graph
 
 Verdict = Optional[bool]
 
@@ -132,25 +140,26 @@ def summarize_outcomes(audits: list[OutcomeAudit]) -> OutcomeAudit | None:
 
 @dataclass
 class FunctorAudit:
+    """The morphism-layer verdicts; all None when no functor is defined."""
+
     declared: bool
-    functorial: Verdict
-    full: Verdict
-    faithful: Verdict
-    faithful_parallel: Verdict
-    fully_faithful: Verdict
+    functorial: Verdict = None
+    full: Verdict = None
+    faithful: Verdict = None
+    faithful_parallel: Verdict = None
+    fully_faithful: Verdict = None
+
+
+def _hom_total(dag: Dag, nodes: Collection[str]) -> int:
+    """The number of morphisms from one of `nodes` to another."""
+    counts = [path_counts(dag, s) for s in nodes]
+    return sum(c[t] for c in counts for t in nodes)
 
 
 def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> FunctorAudit:
     sm = abstraction.structure
     if sm.edge_map is None or not sm.is_deterministic():
-        return FunctorAudit(
-            declared=sm.edge_map is not None,
-            functorial=None,
-            full=None,
-            faithful=None,
-            faithful_parallel=None,
-            fully_faithful=None,
-        )
+        return FunctorAudit(declared=sm.edge_map is not None)
 
     src_dag = underlying_graph(source)
     tgt_dag = underlying_graph(target)
@@ -158,75 +167,38 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
     pi = {u: sm.image_of(u) for u in mapped}
     edge_map = sm.edge_map
 
-    # Every morphism between mapped nodes (it may pass through unmapped
-    # ones) belongs to the audited subcategory.
-    domain: list[Morphism] = []
-    for u in mapped:
-        for v in mapped:
-            domain.extend(hom_set(src_dag, u, v))
-
-    functorial: Verdict = True
-    for m in domain:
-        if m not in edge_map:
-            functorial = False
-            break
-    if functorial:
-        for m, n in edge_map.items():
-            if m.source not in pi or m.target not in pi:
-                functorial = False
-                break
-            if n.source != pi[m.source] or n.target != pi[m.target]:
-                functorial = False
-                break
-        else:
-            for u in mapped:
-                if edge_map.get(identity(u)) != identity(pi[u]):
-                    functorial = False
-                    break
-    if functorial:
-        for m in domain:
-            for n in domain:
-                if m.target != n.source:
-                    continue
-                whole = compose(m, n)
-                if whole in edge_map and edge_map[whole] != compose(
-                    edge_map[m], edge_map[n]
-                ):
-                    functorial = False
-                    break
-            if not functorial:
-                break
-
     # Coverage and collision verdicts are computed over the declared
     # entries whose endpoints are mapped, independently of totality.
-    entries = [
-        (m, n)
-        for m, n in edge_map.items()
-        if m.source in pi and m.target in pi
-    ]
+    entries = [(m, n) for m, n in edge_map.items() if m.source in pi and m.target in pi]
+    # The declared morphisms of the audited subcategory: source paths
+    # between mapped nodes, which may pass through unmapped ones.
+    domain = [m for m, _ in entries if is_path(src_dag, m.nodes)]
+    functorial = (
+        len(entries) == len(edge_map)
+        and all(n.source == pi[m.source] and n.target == pi[m.target] for m, n in entries)
+        and all(edge_map.get(identity(u)) == identity(pi[u]) for u in mapped)
+        and len(domain) == _hom_total(src_dag, mapped)
+        and all(
+            edge_map[m] == compose(
+                edge_map[Morphism(m.nodes[: i + 1])], edge_map[Morphism(m.nodes[i:])]
+            )
+            for m in domain
+            if (i := max((j for j in range(1, m.length) if m.nodes[j] in pi), default=0))
+        )
+    )
 
-    image_nodes = sorted(set(pi.values()))
-    full: Verdict = True
-    for s in image_nodes:
-        for t in image_nodes:
-            targets = set(hom_set(tgt_dag, s, t))
-            hit = {n for m, n in entries if pi[m.source] == s and pi[m.target] == t}
-            if not targets <= hit:
-                full = False
-
-    faithful: Verdict = True
-    for s in image_nodes:
-        for t in image_nodes:
-            group = [n for m, n in entries if pi[m.source] == s and pi[m.target] == t]
-            if len(set(group)) != len(group):
-                faithful = False
-
-    faithful_parallel: Verdict = True
-    for u in mapped:
-        for v in mapped:
-            group = [n for m, n in entries if m.source == u and m.target == v]
-            if len(set(group)) != len(group):
-                faithful_parallel = False
+    by_image: dict[tuple[str, str], list[Morphism]] = {}
+    by_source: dict[tuple[str, str], list[Morphism]] = {}
+    for m, n in entries:
+        by_image.setdefault((pi[m.source], pi[m.target]), []).append(n)
+        by_source.setdefault((m.source, m.target), []).append(n)
+    hit = {
+        n for (s, t), images in by_image.items() for n in images
+        if (n.source, n.target) == (s, t) and is_path(tgt_dag, n.nodes)
+    }
+    full = len(hit) == _hom_total(tgt_dag, set(pi.values()))
+    faithful = all(len(set(g)) == len(g) for g in by_image.values())
+    faithful_parallel = all(len(set(g)) == len(g) for g in by_source.values())
 
     return FunctorAudit(
         declared=True,

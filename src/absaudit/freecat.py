@@ -5,13 +5,17 @@ visited nodes.  A length-one tuple ``(n,)`` is the identity on ``n``; the
 tuple ``(a, b, c)`` is the composite of generator edges ``a->b`` and
 ``b->c``.  Composition is path concatenation with the shared endpoint
 written once.  Because the graph is acyclic, every hom-set is finite.
+
+Only ``hom_set`` and ``all_morphisms`` list paths, and only they are
+capped.  The audits need hom-set sizes alone, which ``path_counts`` gives
+for every target of one source in a single pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DEFAULT_HOM_CAP, CapacityError, ModelError, enum_cap
 from .scm import Dag
@@ -67,9 +71,22 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
 
 def is_path(dag: Dag, nodes: Sequence[str]) -> bool:
     """True when the node sequence is a morphism of the free category."""
-    if not nodes or any(n not in dag.nodes for n in nodes):
+    if not nodes or not dag.node_set.issuperset(nodes):
         return False
-    return all(dag.has_edge(u, v) for u, v in zip(nodes, nodes[1:]))
+    return dag.edge_set.issuperset(zip(nodes, nodes[1:]))
+
+
+def path_counts(dag: Dag, source: str) -> dict[str, int]:
+    """The number of morphisms from `source` to each node: one pass in
+    topological order adds each node's count to its successors'."""
+    if source not in dag.node_set:
+        raise ModelError(f"unknown node {source!r}")
+    counts = dict.fromkeys(dag.nodes, 0)
+    counts[source] = 1
+    for u in dag.topological_order:
+        for v in dag.successors(u):
+            counts[v] += counts[u]
+    return counts
 
 
 def hom_set(dag: Dag, source: str, target: str, cap: int | None = None) -> tuple[Morphism, ...]:
@@ -77,28 +94,26 @@ def hom_set(dag: Dag, source: str, target: str, cap: int | None = None) -> tuple
 
     The identity is included when source == target.  Raises CapacityError
     when the hom-set exceeds the enumeration cap (default 10^5,
-    env-overridable).
+    env-overridable).  The hom-set is counted before it is listed, and the
+    walk enters only nodes that reach `target`, so the cap bounds the work.
     """
-    if source not in dag.nodes:
+    if source not in dag.node_set:
         raise ModelError(f"unknown node {source!r}")
-    if target not in dag.nodes:
-        raise ModelError(f"unknown node {target!r}")
+    opposite = Dag(dag.nodes, tuple((v, u) for u, v in dag.edges))
+    to_target = path_counts(opposite, target)
     limit = cap if cap is not None else enum_cap(DEFAULT_HOM_CAP)
+    if to_target[source] > limit:
+        raise CapacityError(
+            f"hom-set from {source} to {target} exceeds the enumeration cap of {limit}"
+        )
     found: list[tuple[str, ...]] = []
-
-    def walk(path: tuple[str, ...]) -> None:
-        here = path[-1]
-        if here == target:
+    stack = [(source,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == target:
             found.append(path)
-            if len(found) > limit:
-                raise CapacityError(
-                    f"hom-set from {source} to {target} exceeds the "
-                    f"enumeration cap of {limit}"
-                )
-        for nxt in dag.successors(here):
-            walk(path + (nxt,))
-
-    walk((source,))
+        else:
+            stack.extend(path + (v,) for v in dag.successors(path[-1]) if to_target[v])
     return tuple(Morphism(p) for p in sorted(found))
 
 
@@ -106,18 +121,13 @@ def all_morphisms(dag: Dag, cap: int | None = None) -> tuple[Morphism, ...]:
     """Every morphism of the free category, ordered by (source, target) pair.
 
     Pairs follow the node declaration order; within a pair the hom-set order
-    is lexicographic.  A shared cap applies to the total count.
+    is lexicographic.  The cap applies to the total count, taken first.
     """
     limit = cap if cap is not None else enum_cap(DEFAULT_HOM_CAP)
-    out: list[Morphism] = []
-    for source, target in itertools.product(dag.nodes, dag.nodes):
-        for m in hom_set(dag, source, target, cap=limit):
-            out.append(m)
-            if len(out) > limit:
-                raise CapacityError(
-                    f"the free category has more than {limit} morphisms"
-                )
-    return tuple(out)
+    if sum(sum(path_counts(dag, s).values()) for s in dag.nodes) > limit:
+        raise CapacityError(f"the free category has more than {limit} morphisms")
+    pairs = itertools.product(dag.nodes, dag.nodes)
+    return tuple(m for s, t in pairs for m in hom_set(dag, s, t, cap=limit))
 
 
 def generators(dag: Dag) -> tuple[Morphism, ...]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -92,19 +93,58 @@ class Scm:
 
 @dataclass(frozen=True)
 class Dag:
-    """A directed acyclic graph with a fixed node order."""
+    """A directed acyclic graph with a fixed node order; lookups are cached."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def node_set(self) -> frozenset[str]:
+        return frozenset(self.nodes)
+
+    @cached_property
+    def edge_set(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.edges)
+
+    @cached_property
+    def _successors(self) -> dict[str, tuple[str, ...]]:
+        """Successors along the edges whose endpoints are both nodes."""
+        out: dict[str, list[str]] = {}
+        for u, v in self.edges:
+            if u in self.node_set and v in self.node_set:
+                out.setdefault(u, []).append(v)
+        return {u: tuple(vs) for u, vs in out.items()}
+
+    @cached_property
+    def topological_order(self) -> tuple[str, ...]:
+        """The nodes layer by layer, each layer sorted; ModelError on a cycle."""
+        waiting = dict.fromkeys(self.nodes, 0)
+        for vs in self._successors.values():
+            for v in vs:
+                waiting[v] += 1
+        order: list[str] = []
+        layer = sorted(n for n, k in waiting.items() if k == 0)
+        while layer:
+            order += layer
+            ready = []
+            for u in layer:
+                for v in self.successors(u):
+                    waiting[v] -= 1
+                    if waiting[v] == 0:
+                        ready.append(v)
+            layer = sorted(ready)
+        if len(order) < len(waiting):
+            raise ModelError("the graph has a cycle")
+        return tuple(order)
+
     def successors(self, node: str) -> tuple[str, ...]:
-        return tuple(v for (u, v) in self.edges if u == node)
+        return self._successors.get(node, ())
 
     def predecessors(self, node: str) -> tuple[str, ...]:
         return tuple(u for (u, v) in self.edges if v == node)
 
     def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self.edges
+        return (u, v) in self.edge_set
 
 
 @dataclass(frozen=True)
@@ -224,7 +264,9 @@ def validate_scm(model: Scm) -> ValidationReport:
                 f"{v.name} must have exactly one attached exogenous variable",
             )
 
-    if _toposort(model) is None:
+    try:
+        topological_order(model)
+    except ModelError:
         report.add("cyclic", "the parent relation has a cycle")
 
     # Mechanism totality: exactly one row per (parent values, exo value).
@@ -270,24 +312,11 @@ def validate_scm(model: Scm) -> ValidationReport:
     return report
 
 
-def _toposort(model: Scm) -> list[str] | None:
-    order: list[str] = []
-    pending = {v.name: set(v.parents) for v in model.variables}
-    while pending:
-        ready = sorted(n for n, ps in pending.items() if not (ps & set(pending)))
-        if not ready:
-            return None
-        for n in ready:
-            order.append(n)
-            del pending[n]
-    return order
-
-
 def topological_order(model: Scm) -> tuple[str, ...]:
-    order = _toposort(model)
-    if order is None:
-        raise ModelError(f"model {model.name!r} is cyclic")
-    return tuple(order)
+    try:
+        return underlying_graph(model).topological_order
+    except ModelError:
+        raise ModelError(f"model {model.name!r} is cyclic") from None
 
 
 # ---------------------------------------------------------------------------

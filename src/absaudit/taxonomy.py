@@ -22,6 +22,9 @@ Enforcement conventions (how verdicts become matrix cells):
 * the reversal column is moot for property rows on the structural table and
   inadmissible on the distributional one (the layers treat a reversed map
   differently, and both tables keep their own convention).
+
+Type detection reads the node and outcome audits and `freecat.path_counts`
+only: it runs no functor audit and lists no path.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from functools import lru_cache
 from importlib import resources
 
 from .abstraction import Abstraction, Direction
-from .audit import PropertyProfile, audit_abstraction
+from .audit import PropertyProfile, audit_abstraction, audit_node_map
+from .audit import audit_outcome_map, summarize_outcomes
 from .errors import ModelError, ParseError
-from .freecat import hom_set
+from .freecat import path_counts
 from .scm import Scm, underlying_graph
 from .textfmt import Document, parse_document
 
@@ -399,8 +403,7 @@ def detect_types(
     and, in effect, a causal reversal); the result lists every match, for
     each layer separately.
     """
-    profile = audit_abstraction(abstraction, source, target)
-    node = profile.node
+    node = audit_node_map(abstraction, source, target)
     sm = abstraction.structure
     forward = abstraction.direction is Direction.MICRO_TO_MACRO
     structural: list[str] = []
@@ -411,29 +414,22 @@ def detect_types(
 
     src_dag = underlying_graph(source)
     tgt_dag = underlying_graph(target)
-    pi = (
-        {u: sm.image_of(u) for u in sm.mapped}
-        if node.deterministic
-        else {}
-    )
-
-    def hom_sizes_differ(bigger: str) -> bool:
-        for u in sm.mapped:
-            for v in sm.mapped:
-                n_src = len(hom_set(src_dag, u, v))
-                n_tgt = len(hom_set(tgt_dag, pi[u], pi[v]))
-                if bigger == "source" and n_src > n_tgt >= 1:
-                    return True
-                if bigger == "target" and n_tgt > n_src >= 1:
-                    return True
-        return False
 
     if forward and node.deterministic:
+        pi = {u: sm.image_of(u) for u in sm.mapped}
+        tgt_counts = {x: path_counts(tgt_dag, x) for x in set(pi.values())}
+        # Hom-set sizes (source, target) for a bijection; along/against each edge.
+        src_counts = {u: path_counts(src_dag, u) for u in sm.mapped} if node.bijective else {}
+        hom_sizes = [(c[v], tgt_counts[pi[u]][pi[v]]) for u, c in src_counts.items() for v in pi]
+        arrows = [
+            (tgt_counts[pi[u]][pi[v]], tgt_counts[pi[v]][pi[u]])
+            for u, v in src_dag.edges if u in pi and v in pi
+        ]
         if node.bijective is True and pairing is not None:
             respects = all(pi.get(u) == pairing.get(u) for u in sm.mapped)
             mapped_edges = {(pi[u], pi[v]) for (u, v) in src_dag.edges}
             edge_bijection = (
-                mapped_edges == set(tgt_dag.edges)
+                mapped_edges == tgt_dag.edge_set
                 and len(src_dag.edges) == len(tgt_dag.edges)
             )
             if respects and edge_bijection:
@@ -444,25 +440,15 @@ def detect_types(
             structural.append(StructuralType.NODE_COARSENING.value)
         if node.functional and node.injective is True and not node.surjective:
             structural.append(StructuralType.NODE_EMBEDDING.value)
-        if node.bijective is True and hom_sizes_differ("source"):
+        if any(n_src > n_tgt >= 1 for n_src, n_tgt in hom_sizes):
             structural.append(StructuralType.EDGE_COARSENING.value)
-        if node.bijective is True and hom_sizes_differ("target"):
+        if any(n_tgt > n_src >= 1 for n_src, n_tgt in hom_sizes):
             structural.append(StructuralType.EDGE_EMBEDDING.value)
         if not node.functional:
             structural.append(StructuralType.NODE_DROPPING.value)
-        dropped = reversed_edge = False
-        for u, v in src_dag.edges:
-            if u not in pi or v not in pi:
-                continue
-            fwd = len(hom_set(tgt_dag, pi[u], pi[v]))
-            bwd = len(hom_set(tgt_dag, pi[v], pi[u]))
-            if fwd == 0 and bwd == 0:
-                dropped = True
-            if fwd == 0 and bwd > 0:
-                reversed_edge = True
-        if dropped:
+        if any(fwd == 0 and bwd == 0 for fwd, bwd in arrows):
             structural.append(StructuralType.EDGE_DROPPING.value)
-        if reversed_edge:
+        if any(fwd == 0 and bwd > 0 for fwd, bwd in arrows):
             structural.append(StructuralType.CAUSAL_REVERSAL.value)
     if forward and not node.deterministic:
         structural.append(StructuralType.CAUSAL_SPLITTING.value)
@@ -470,7 +456,9 @@ def detect_types(
         structural.append(StructuralType.ABSTRACTION_REVERSAL.value)
 
     distributional: list[str] = []
-    s = profile.outcome_summary
+    s = summarize_outcomes(
+        [audit_outcome_map(om, source, target) for om in abstraction.outcome_maps]
+    )
     if s is not None:
         if forward:
             if s.deterministic:

@@ -61,6 +61,70 @@ def path_count(adj: Mapping[str, Sequence[str]], src: str, dst: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Morphism-layer verdicts by listing the domain and comparing all pairs
+# ---------------------------------------------------------------------------
+
+def functor_verdicts(
+    src_adj: Mapping[str, Sequence[str]],
+    tgt_adj: Mapping[str, Sequence[str]],
+    pi: Mapping[str, str],
+    edges: Mapping[tuple[str, ...], tuple[str, ...]],
+) -> dict[str, bool]:
+    """Functorial, full, faithful and faithful-parallel, by definition.
+
+    `pi` sends each mapped source node to its image and `edges` sends
+    source node tuples to target node tuples; a key need not be a path.
+    The domain is every source path between mapped nodes, listed.  The
+    layer is functorial when the domain is covered, every entry joins the
+    images of its endpoints, identities go to identities and every
+    composable pair of domain paths composes.  Full, faithful and
+    faithful-parallel scan the entries between mapped nodes once per
+    ordered pair of image nodes, or of mapped nodes.
+    """
+    mapped = [u for u in src_adj if u in pi]
+    domain = [p for u in mapped for v in mapped for p in all_paths(src_adj, u, v)]
+    functorial = (
+        all(p in edges for p in domain)
+        and all(
+            m[0] in pi and m[-1] in pi and n[0] == pi[m[0]] and n[-1] == pi[m[-1]]
+            for m, n in edges.items()
+        )
+        and all(edges.get((u,)) == (pi[u],) for u in mapped)
+        and all(
+            edges[p + q[1:]] == edges[p] + edges[q][1:]
+            for p in domain
+            for q in domain
+            if p[-1] == q[0]
+        )
+    )
+    entries = [(m, n) for m, n in edges.items() if m[0] in pi and m[-1] in pi]
+    images = sorted(set(pi.values()))
+
+    def hit(s: str, t: str) -> list[tuple[str, ...]]:
+        return [n for m, n in entries if pi[m[0]] == s and pi[m[-1]] == t]
+
+    def spanned(u: str, v: str) -> list[tuple[str, ...]]:
+        return [n for m, n in entries if m[0] == u and m[-1] == v]
+
+    return {
+        "functorial": functorial,
+        "full": all(
+            set(all_paths(tgt_adj, s, t)) <= set(hit(s, t))
+            for s in images
+            for t in images
+        ),
+        "faithful": all(
+            len(set(hit(s, t))) == len(hit(s, t)) for s in images for t in images
+        ),
+        "faithful_parallel": all(
+            len(set(spanned(u, v))) == len(spanned(u, v))
+            for u in mapped
+            for v in mapped
+        ),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Joint distribution by exhaustive exogenous enumeration (plain-data SCM)
 # ---------------------------------------------------------------------------
 # A "plain SCM" here is a dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,7 +28,19 @@ from absaudit.scm import joint_distribution
 from absaudit.taxonomy import detect_types
 from absaudit.textfmt import emit_document, parse_document
 
-from helpers import M, abstraction, chain, det_outcomes, model, xor, BIN, U2
+from helpers import (
+    BIN,
+    M,
+    U2,
+    abstraction,
+    chain,
+    dag_model,
+    det_outcomes,
+    model,
+    random_dag,
+    xor,
+)
+from oracles import all_paths, functor_verdicts
 
 
 @pytest.fixture
@@ -229,6 +242,89 @@ def test_functor_non_full(micro):
     assert f.functorial is True
     assert f.full is False  # the direct macro edge S'->C' is never hit
     assert f.fully_faithful is False
+
+
+# Identity and coarsening maps of random DAGs with a full edge map, then
+# mutated, against the all-pairs definition in `oracles.functor_verdicts`.
+MUTATIONS = ("drop", "reroute", "break", "merge", "non-path")
+
+
+def _full_edge_map(src_adj, coarse):
+    """A node map (identity, or merging n0,n1 / n2,n3 / ...), the target DAG
+    it induces, and the functor sending each path to its image path."""
+    pi = {u: f"t{int(u[1:]) // 2}" if coarse else f"t{u[1:]}" for u in src_adj}
+    tgt_adj = {x: [] for x in dict.fromkeys(pi.values())}
+    for u, vs in src_adj.items():
+        for v in vs:
+            if pi[u] != pi[v] and pi[v] not in tgt_adj[pi[u]]:
+                tgt_adj[pi[u]].append(pi[v])
+    edges = {}
+    for u in src_adj:
+        for v in src_adj:
+            for path in all_paths(src_adj, u, v):
+                image = [pi[path[0]]]
+                for w in path[1:]:
+                    if pi[w] != image[-1]:
+                        image.append(pi[w])
+                edges[path] = tuple(image)
+    return pi, tgt_adj, edges
+
+
+def _mutate(rng, edges, kind, src_adj, tgt_adj):
+    keys = sorted(edges)
+    images = sorted({p for s in tgt_adj for t in tgt_adj for p in all_paths(tgt_adj, s, t)})
+    if not keys and kind != "non-path":
+        return
+    if kind == "drop":
+        del edges[rng.choice(keys)]
+    elif kind == "reroute":  # to another path, or to a loop that is no path
+        key = rng.choice(keys)
+        loops = [(x, x) for x in tgt_adj]
+        edges[key] = rng.choice([p for p in images + loops if p != edges[key]])
+    elif kind == "break":  # another path with the same ends: only composition fails
+        rivals = [
+            (k, p)
+            for k in keys
+            if len(k) > 2
+            for p in all_paths(tgt_adj, edges[k][0], edges[k][-1])
+            if p != edges[k]
+        ]
+        if rivals:
+            key, image = rng.choice(rivals)
+            edges[key] = image
+    elif kind == "merge":
+        a, b = rng.choice(keys), rng.choice(keys)
+        edges[a] = edges[b]
+    else:
+        u, v = rng.choice(list(src_adj)), rng.choice(list(src_adj) + ["ghost"])
+        if v not in src_adj.get(u, ()):
+            edges[(u, v)] = rng.choice(images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**30),
+    n=st.integers(min_value=1, max_value=6),
+    coarse=st.booleans(),
+    mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+)
+@example(seed=4, n=4, coarse=False, mutations=["break"])
+def test_functor_audit_matches_all_pairs_definition(seed, n, coarse, mutations):
+    rng = random.Random(seed)
+    src_adj = random_dag(rng, n)
+    pi, tgt_adj, edges = _full_edge_map(src_adj, coarse)
+    for kind in mutations:
+        _mutate(rng, edges, kind, src_adj, tgt_adj)
+    src, tgt = dag_model(src_adj), dag_model(tgt_adj)
+    a = abstraction(
+        "a", src, tgt, pi, edges={M(*m): M(*img) for m, img in edges.items()}
+    )
+    f = audit_functor(a, src, tgt)
+    want = functor_verdicts(src_adj, tgt_adj, pi, edges)
+    got = {key: getattr(f, key) for key in want}
+    assert got == want
+    if not mutations:  # a functor, and an isomorphism unless it coarsens
+        assert want["functorial"] and (coarse or all(want.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ CONFOUNDED = str(DATA / "models" / "confounded_micro.scm")
 FIG3A = str(DATA / "figures" / "fig3a.abs")
 FIG9B = str(DATA / "figures" / "fig9b.abs")
 COARSEN = str(DATA / "witnesses" / "structural" / "node-coarsening.abs")
+EDGE_COARSEN = str(DATA / "witnesses" / "structural" / "edge-coarsening.abs")
 DROPPING = str(DATA / "witnesses" / "distributional" / "outcome-dropping.abs")
 
 BAD_SCM = """\
@@ -109,6 +110,56 @@ def test_graph_hom(capsys):
 def test_graph_hom_json(capsys):
     assert main(["--format", "json", "graph", CHAIN, "--hom", "S", "C"]) == 0
     assert json.loads(capsys.readouterr().out) == ["S^T^C"]
+
+
+def test_graph_hom_on_a_long_chain(tmp_path, capsys):
+    # One value per variable and per noise term keeps the file small.
+    names = [f"X{i}" for i in range(1200)]
+    lines = ["absaudit-format 1", "", "scm long {"]
+    for i, name in enumerate(names):
+        parents = f" parents {names[i - 1]}" if i else ""
+        lines.append(f"  var {name} : 0{parents}")
+        lines.append(f"  exo U_{name} : 0 for {name}")
+    lines.append(f"  dist {' '.join(f'U_{n}' for n in names)} {{")
+    lines.append(f"    {' '.join('0' for _ in names)} : 1.0")
+    lines.append("  }")
+    for i, name in enumerate(names):
+        lines += [f"  mech {name} {{", f"    {'0 ' if i else ''}0 : 0", "  }"]
+    lines.append("}")
+    p = tmp_path / "long.scm"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["graph", str(p), "--hom", "X0", "X1199"]) == 0
+    assert "hom(X0, X1199) in long: 1 morphism(s)" in capsys.readouterr().out
+
+
+def test_graph_hom_on_a_cyclic_model(tmp_path, capsys):
+    p = tmp_path / "cyclic.scm"
+    p.write_text(
+        "absaudit-format 1\n\nscm c {\n"
+        "  var A : 0 parents B\n  var B : 0 parents A\n"
+        "  exo U_A : 0 for A\n  exo U_B : 0 for B\n"
+        "  dist U_A U_B {\n    0 0 : 1.0\n  }\n"
+        "  mech A {\n    0 0 : 0\n  }\n  mech B {\n    0 0 : 0\n  }\n}\n"
+    )
+    assert main(["graph", str(p), "--hom", "A", "B"]) == 1
+    assert capsys.readouterr().err == "error: the graph has a cycle\n"
+
+
+def test_graph_hom_capacity_exit(monkeypatch, capsys):
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "1")
+    assert main(["graph", EDGE_COARSEN, "--model", "w3direct_micro",
+                 "--hom", "A", "C"]) == 3
+    assert capsys.readouterr().err.startswith("capacity: ")
+
+
+@pytest.mark.parametrize("command", ["audit", "classify"])
+def test_audit_and_classify_ignore_the_enumeration_cap(monkeypatch, capsys, command):
+    # Both count paths; neither lists a hom-set, so no cap applies.
+    assert main(["--format", "json", command, EDGE_COARSEN]) == 0
+    uncapped = capsys.readouterr().out
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "1")
+    assert main(["--format", "json", command, EDGE_COARSEN]) == 0
+    assert capsys.readouterr().out == uncapped
 
 
 def test_graph_abs_requires_dot(capsys):

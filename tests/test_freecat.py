@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from absaudit.freecat import (
     hom_set,
     identity,
     is_path,
+    path_counts,
 )
 from absaudit.scm import Dag, underlying_graph
 
@@ -116,6 +118,27 @@ def test_hom_set_env_cap(monkeypatch):
         hom_set(DIAMOND, "A", "D")
 
 
+def test_empty_hom_set_walks_only_nodes_that_reach_the_target():
+    # 2^38 paths leave X1 in a 40-node complete DAG, and none returns to X0.
+    nodes = tuple(f"X{i}" for i in range(40))
+    dag = Dag(nodes=nodes, edges=tuple(itertools.combinations(nodes, 2)))
+    assert hom_set(dag, "X1", "X0") == ()
+    assert path_counts(dag, "X0")["X39"] == 2 ** 38
+
+
+def test_path_counts_unknown_node():
+    with pytest.raises(ModelError, match="unknown node"):
+        path_counts(DIAMOND, "Q")
+
+
+def test_cycle_is_a_model_error():
+    loop = Dag(nodes=("A", "B"), edges=(("A", "B"), ("B", "A")))
+    with pytest.raises(ModelError, match="cycle"):
+        hom_set(loop, "A", "B")
+    with pytest.raises(ModelError, match="cycle"):
+        path_counts(loop, "A")
+
+
 def test_is_path():
     assert is_path(DIAMOND, ("A", "B", "D"))
     assert is_path(DIAMOND, ("A",))
@@ -154,6 +177,8 @@ def test_hom_set_matches_oracle_on_random_dags():
                 want = tuple(sorted(all_paths(adj, src, dst)))
                 assert got == want
                 assert len(got) == path_count(adj, src, dst)
+            counts = path_counts(dag, src)
+            assert counts == {dst: path_count(adj, src, dst) for dst in nodes}
 
 
 @settings(max_examples=60, deadline=None)
