@@ -170,9 +170,10 @@ def preimage(abstraction: Abstraction, source_model: Scm, target_node: str) -> t
     sm = abstraction.structure
     if not sm.is_deterministic():
         raise ModelError("preimage requires a deterministic node map")
+    rows = sm.supported_rows()
     return tuple(
         v for v in source_model.variable_names
-        if v in sm.rows and sm.image_of(v) == target_node
+        if v in rows and sm.image_of(v) == target_node
     )
 
 

@@ -163,7 +163,8 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
 
     src_dag = underlying_graph(source)
     tgt_dag = underlying_graph(target)
-    mapped = [u for u in source.variable_names if u in sm.rows]
+    rows = sm.supported_rows()
+    mapped = [u for u in source.variable_names if u in rows]
     pi = {u: sm.image_of(u) for u in mapped}
     edge_map = sm.edge_map
 

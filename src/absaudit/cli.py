@@ -19,15 +19,14 @@ from .errors import (
     CapacityError,
     ModelError,
     ParseError,
-    RenormalizationRequiredError,
 )
 from .freecat import hom_set
 from .scm import (
     Distribution,
-    Scm,
     intervene,
     joint_distribution,
     marginal,
+    row_major,
     underlying_graph,
     validate_scm,
 )
@@ -43,30 +42,18 @@ def _load(paths: list[str]) -> Document:
     return doc
 
 
-def _pick_model(doc: Document, name: str | None) -> Scm:
+def _pick(loaded: dict, name: str | None, kind: str, flag: str):
+    """The object called `name`, or the only one loaded when `name` is None."""
     if name is not None:
-        if name not in doc.models:
-            raise ModelError(f"no model named {name!r} in the given files")
-        return doc.models[name]
-    if len(doc.models) != 1:
+        if name not in loaded:
+            raise ModelError(f"no {kind} named {name!r} in the given files")
+        return loaded[name]
+    if len(loaded) != 1:
         raise ModelError(
-            "several models loaded; choose one with --model "
-            f"({', '.join(doc.models) or 'none found'})"
+            f"several {kind}s loaded; choose one with {flag} "
+            f"({', '.join(loaded) or 'none found'})"
         )
-    return next(iter(doc.models.values()))
-
-
-def _pick_abstraction(doc: Document, name: str | None):
-    if name is not None:
-        if name not in doc.abstractions:
-            raise ModelError(f"no abstraction named {name!r} in the given files")
-        return doc.abstractions[name]
-    if len(doc.abstractions) != 1:
-        raise ModelError(
-            "several abstractions loaded; choose one with --abs "
-            f"({', '.join(doc.abstractions) or 'none found'})"
-        )
-    return next(iter(doc.abstractions.values()))
+    return next(iter(loaded.values()))
 
 
 def _valid_abstraction(args):
@@ -75,7 +62,7 @@ def _valid_abstraction(args):
     The validation issues of an invalid abstraction go to stderr.
     """
     doc = _load(args.files)
-    abstraction = _pick_abstraction(doc, args.abs)
+    abstraction = _pick(doc.abstractions, args.abs, "abstraction", "--abs")
     source, target = doc.resolve(abstraction)
     report = validate_abstraction(abstraction, source, target)
     for issue in report.issues:
@@ -94,14 +81,11 @@ def _parse_do(items: list[str]) -> dict[str, str]:
 
 
 def _dist_rows(dist: Distribution) -> list[tuple[str, float]]:
-    import itertools
-
-    rows = []
-    for outcome in itertools.product(*dist.domains):
-        p = dist.prob(outcome)
-        if p != 0.0:
-            rows.append((" ".join(str(x) for x in outcome), p))
-    return rows
+    return [
+        (" ".join(str(x) for x in outcome), p)
+        for outcome, p in row_major(dist.probs, dist.domains)
+        if p != 0.0
+    ]
 
 
 def _print_dist(dist: Distribution, as_json: bool) -> None:
@@ -162,11 +146,11 @@ def _cmd_graph(args) -> int:
     if args.abs_map:
         if not args.dot:
             raise ModelError("--abs on the graph command requires --dot")
-        abstraction = _pick_abstraction(doc, args.abs_map)
+        abstraction = _pick(doc.abstractions, args.abs_map, "abstraction", "--abs")
         source, target = doc.resolve(abstraction)
         sys.stdout.write(abstraction_dot(abstraction, source, target))
         return OK
-    model = _pick_model(doc, args.model)
+    model = _pick(doc.models, args.model, "model", "--model")
     dag = underlying_graph(model)
     if args.dot:
         sys.stdout.write(model_dot(model))
@@ -198,7 +182,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_dist(args) -> int:
     doc = _load(args.files)
-    model = _pick_model(doc, args.model)
+    model = _pick(doc.models, args.model, "model", "--model")
     report = validate_scm(model)
     if not report.ok:
         for issue in report.issues:
@@ -410,13 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return FAIL
-    except RenormalizationRequiredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
-    except (ModelError, AbsauditError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
-    except OSError as exc:
+    except (AbsauditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

@@ -7,7 +7,8 @@ mechanism tables and a joint exogenous probability table.  Design choices:
 * exogenous variables need not be independent — their joint distribution is
   an explicit table;
 * all domains are finite and explicit, so the joint endogenous distribution
-  can be computed by exhaustive enumeration of exogenous assignments;
+  is computed exactly, by walking the support of the exogenous table in
+  row-major order (never the dense product of the exogenous domains);
 * the canonical variable order is declaration order, and joint tables are
   indexed row-major over that order.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -29,6 +31,27 @@ from .errors import (
 )
 
 Value = object  # outcome labels: strings or small integers
+
+
+def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> list[tuple]:
+    """The entries of `table` whose keys lie in `domains`, in row-major order.
+
+    That is the order of `itertools.product(*domains)`, reached by sorting
+    the entries on their position in that product instead of walking it.
+    Keys come back as stored."""
+    index, stride = [], 1
+    for d in reversed(domains):  # stride: the joint values of the places after d
+        index.insert(0, {x: i * stride for i, x in enumerate(d)})
+        stride *= len(d)
+    ranked = []
+    for key, value in table.items():
+        if isinstance(key, tuple) and len(key) == len(index):
+            try:
+                ranked.append((sum(map(getitem, index, key)), key, value))
+            except KeyError:  # a value outside its domain
+                pass
+    ranked.sort(key=itemgetter(0))
+    return [(key, value) for _, key, value in ranked]
 
 
 @dataclass(frozen=True)
@@ -373,35 +396,39 @@ def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:
 # ---------------------------------------------------------------------------
 
 def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
-    """Joint endogenous distribution by exhaustive exogenous enumeration.
+    """Joint endogenous distribution by enumeration of the exogenous support.
 
-    Raises CapacityError when the number of joint exogenous assignments
-    exceeds the cap (default 10^7, env-overridable).
+    Walks the nonzero entries of `exo_table` that lie in the exogenous
+    domains in row-major order (`row_major`), so every sum and the outcome
+    order are those of a walk over the dense product of the domains.
+    Raises CapacityError when the supported entries exceed the cap
+    (default 10^7, env-overridable).
     """
     limit = cap if cap is not None else enum_cap(DEFAULT_EXO_CAP)
-    size = 1
-    for u in model.exogenous:
-        size *= len(u.domain)
-    if size > limit:
+    domains = [u.domain for u in model.exogenous]
+    entries = [(combo, p) for combo, p in row_major(model.exo_table, domains) if p != 0.0]
+    if len(entries) > limit:
         raise CapacityError(
-            f"joint exogenous space of {model.name!r} has {size} assignments, "
-            f"exceeding the enumeration cap of {limit}"
+            f"exogenous table of {model.name!r} has {len(entries)} supported "
+            f"assignments, exceeding the enumeration cap of {limit}"
         )
-    order = topological_order(model)
-    by_name = {v.name: v for v in model.variables}
-    probs: dict[tuple, float] = {}
-    exo_domains = [u.domain for u in model.exogenous]
+    # One step per variable in topological order: the positions of its
+    # value, of its parents' values and of its noise term, and its table.
+    pos = {name: i for i, name in enumerate(model.variable_names)}
     exo_index = {u.name: i for i, u in enumerate(model.exogenous)}
-    for combo in itertools.product(*exo_domains):
-        p = model.exo_table.get(combo, 0.0)
-        if p == 0.0:
-            continue
-        values: dict[str, Value] = {}
-        for name in order:
-            v = by_name[name]
-            key = tuple(values[q] for q in v.parents) + (combo[exo_index[v.exogenous]],)
-            values[name] = model.mechanisms[name][key]
-        outcome = tuple(values[n] for n in model.variable_names)
+    by_name = {v.name: v for v in model.variables}
+    plan = [
+        (pos[v.name], tuple(pos[q] for q in v.parents), exo_index[v.exogenous],
+         model.mechanisms[v.name])
+        for v in map(by_name.__getitem__, topological_order(model))
+    ]
+    probs: dict[tuple, float] = {}
+    for combo, p in entries:
+        values: list[Value] = [None] * len(pos)
+        value_at = values.__getitem__
+        for out, parents, e, table in plan:
+            values[out] = table[(*map(value_at, parents), combo[e])]
+        outcome = tuple(values)
         probs[outcome] = probs.get(outcome, 0.0) + p
     return Distribution(
         scope=model.variable_names,
@@ -439,24 +466,21 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     exo_index = {u.name: i for i, u in enumerate(model.exogenous)}
     i = exo_index[exo.name]
 
-    # Factorisation check: P(u_i, rest) == P(u_i) * P(rest) for all entries.
-    own: dict[Value, float] = {val: 0.0 for val in exo.domain}
+    # Factorisation check: P(u_i, rest) == P(u_i) * P(rest) at every pair.
+    # A pair missing from the table weighs zero; a rest that never occurs
+    # has a zero marginal, so only the rests that occur are checked.
+    own: dict[Value, float] = dict.fromkeys(exo.domain, 0.0)
     rest: dict[tuple, float] = {}
-    full: dict[tuple, float] = {}
-    others = [u.domain for u in model.exogenous]
-    for combo in itertools.product(*others):
-        p = model.exo_table.get(combo, 0.0)
+    for combo, p in row_major(model.exo_table, [u.domain for u in model.exogenous]):
         own[combo[i]] = own.get(combo[i], 0.0) + p
         rkey = combo[:i] + combo[i + 1 :]
         rest[rkey] = rest.get(rkey, 0.0) + p
-        full[combo] = p
-    for combo, p in full.items():
-        rkey = combo[:i] + combo[i + 1 :]
-        if abs(p - own[combo[i]] * rest[rkey]) > TOL:
-            raise KernelUndefinedError("kernel undefined under exogenous dependence")
+    for rkey, q in rest.items():
+        for val, w in own.items():
+            if abs(model.exo_table.get(rkey[:i] + (val,) + rkey[i:], 0.0) - w * q) > TOL:
+                raise KernelUndefinedError("kernel undefined under exogenous dependence")
 
-    by_name = {q.name: model.variable(q.name) for q in model.variables}
-    row_domains = tuple(by_name[p].domain for p in v.parents)
+    row_domains = tuple(model.variable(p).domain for p in v.parents)
     rows: dict[tuple, dict[Value, float]] = {}
     for combo in itertools.product(*row_domains):
         row = {val: 0.0 for val in v.domain}

@@ -61,7 +61,7 @@ from .abstraction import (
 )
 from .errors import ModelError, ParseError
 from .freecat import Morphism
-from .scm import Exogenous, Scm, Variable
+from .scm import Exogenous, Scm, Variable, row_major
 
 HEADER = "absaudit-format 1"
 
@@ -458,12 +458,8 @@ def emit_scm(model: Scm) -> list[str]:
         )
     if model.exogenous:
         out.append(f"  dist {' '.join(u.name for u in model.exogenous)} {{")
-        for combo in itertools.product(*(u.domain for u in model.exogenous)):
-            if combo in model.exo_table:
-                out.append(
-                    f"    {' '.join(str(x) for x in combo)} : "
-                    f"{_num(model.exo_table[combo])}"
-                )
+        for combo, p in row_major(model.exo_table, [u.domain for u in model.exogenous]):
+            out.append(f"    {' '.join(str(x) for x in combo)} : {_num(p)}")
         out.append("  }")
     by_name = {v.name: v for v in model.variables}
     exo_by_name = {u.name: u for u in model.exogenous}

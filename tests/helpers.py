@@ -57,6 +57,26 @@ def chain(name: str, nodes: list[str]) -> Scm:
     return model(name, spec, {n: U2 for n in nodes})
 
 
+def plain_scm(m: Scm) -> dict:
+    """The model as the plain dicts the oracles in `oracles.py` read."""
+    mech = {}
+    for v in m.variables:
+        table = {}
+        for key, val in m.mechanisms[v.name].items():
+            table[(key[:-1], key[-1])] = val
+        mech[v.name] = table
+    return {
+        "variables": list(m.variable_names),
+        "domains": {v.name: list(v.domain) for v in m.variables},
+        "parents": {v.name: list(v.parents) for v in m.variables},
+        "exo_of": {v.name: v.exogenous for v in m.variables},
+        "exo_domains": {u.name: list(u.domain) for u in m.exogenous},
+        "exo_dist": dict(m.exo_table),
+        "exo_order": list(m.exogenous_names),
+        "mech": mech,
+    }
+
+
 def M(*nodes: str) -> Morphism:
     return Morphism(tuple(nodes))
 

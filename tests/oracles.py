@@ -223,3 +223,39 @@ def pushforward_by_preimage(
         y = mapping[x]
         out[y] = out.get(y, 0.0) + p
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense-product walks over sparse tables
+# ---------------------------------------------------------------------------
+
+def dense_rows(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> list[tuple]:
+    """The entries of a sparse table in row-major order, found by walking the
+    whole product of the domains and looking every joint outcome up."""
+    return [(combo, table[combo]) for combo in itertools.product(*domains) if combo in table]
+
+
+def plain_kernel(scm: dict, v: str, tol: float = 1e-9) -> dict[tuple, dict]:
+    """P(v | parents) from the marginal of v's noise term, over the dense
+    product of the noise domains; ValueError when that term does not
+    factor out of the joint noise table (checked at every joint outcome)."""
+    exo = scm["exo_of"][v]
+    i = scm["exo_order"].index(exo)
+    own = {val: 0.0 for val in scm["exo_domains"][exo]}
+    rest: dict[tuple, float] = {}
+    full: dict[tuple, float] = {}
+    for combo in itertools.product(*(scm["exo_domains"][u] for u in scm["exo_order"])):
+        p = scm["exo_dist"].get(combo, 0.0)
+        own[combo[i]] = own.get(combo[i], 0.0) + p
+        rest[combo[:i] + combo[i + 1 :]] = rest.get(combo[:i] + combo[i + 1 :], 0.0) + p
+        full[combo] = p
+    for combo, p in full.items():
+        if abs(p - own[combo[i]] * rest[combo[:i] + combo[i + 1 :]]) > tol:
+            raise ValueError(f"the noise of {v} depends on the other noise terms")
+    rows: dict[tuple, dict] = {}
+    for pa in itertools.product(*(scm["domains"][q] for q in scm["parents"][v])):
+        row = {x: 0.0 for x in scm["domains"][v]}
+        for uval, w in own.items():
+            row[scm["mech"][v][(pa, uval)]] += w
+        rows[pa] = row
+    return rows

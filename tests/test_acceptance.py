@@ -37,7 +37,7 @@ from absaudit.scm import (
 from absaudit import taxonomy
 from absaudit.textfmt import emit_document, parse_document
 
-from helpers import BIN, U2, model as build_model, random_dag, random_model
+from helpers import BIN, U2, model as build_model, plain_scm, random_dag, random_model
 from oracles import (
     all_paths,
     path_count,
@@ -305,25 +305,6 @@ def test_criterion_4_property_lattice_laws(acceptance):
 # Criterion 5: oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _to_plain(m) -> dict:
-    mech = {}
-    for v in m.variables:
-        table = {}
-        for key, val in m.mechanisms[v.name].items():
-            table[(key[:-1], key[-1])] = val
-        mech[v.name] = table
-    return {
-        "variables": list(m.variable_names),
-        "domains": {v.name: list(v.domain) for v in m.variables},
-        "parents": {v.name: list(v.parents) for v in m.variables},
-        "exo_of": {v.name: v.exogenous for v in m.variables},
-        "exo_domains": {u.name: list(u.domain) for u in m.exogenous},
-        "exo_dist": dict(m.exo_table),
-        "exo_order": list(m.exogenous_names),
-        "mech": mech,
-    }
-
-
 def test_criterion_5_oracle_equivalence(acceptance):
     acceptance(5, "oracle equivalence", False)
     failures: list[str] = []
@@ -405,7 +386,7 @@ def test_criterion_5_oracle_equivalence(acceptance):
 
         spec = [(v, BIN, parents[v], mech_for(v)) for v in names]
         m = build_model("k", spec, dists)
-        plain = _to_plain(m)
+        plain = plain_scm(m)
         got = joint_distribution(m)
         via_kernels = plain_joint_via_kernels(plain)
         brute = plain_joint(plain)

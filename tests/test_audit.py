@@ -12,6 +12,7 @@ from absaudit.abstraction import (
     Direction,
     OutcomeMap,
     block_domain,
+    preimage,
     pushforward,
     validate_abstraction,
 )
@@ -134,6 +135,22 @@ def test_functor_relative_to_mapped_nodes(micro, macro):
     assert f.full is True
     assert f.faithful is True and f.faithful_parallel is True
     assert f.fully_faithful is True
+
+
+def test_all_zero_row_leaves_the_node_unmapped():
+    # An unvalidated all-zero row (`T : Y 0.0`) maps nothing: the node
+    # audit, the functor audit and the preimage read the same support.
+    src, tgt = chain("src", ["S", "T"]), chain("tgt", ["X", "Y"])
+    a = abstraction(
+        "a", src, tgt, {"S": {"X": 1.0}, "T": {"Y": 0.0}}, edges={M("S"): M("X")}
+    )
+    profile = audit_abstraction(a, src, tgt)
+    assert profile.node.deterministic is True
+    assert profile.node.functional is False
+    assert profile.functor.functorial is True
+    assert profile.functor.full is True  # relative to the image node X
+    assert preimage(a, src, "X") == ("S",)
+    assert preimage(a, src, "Y") == ()
 
 
 def test_functor_missing_entry(micro, macro):

@@ -7,7 +7,9 @@ import json
 
 import pytest
 
-from absaudit.cli import main
+from absaudit.cli import _dist_rows, main
+from absaudit.scm import Distribution
+from absaudit.textfmt import emit_document, parse_document
 
 DATA = importlib.resources.files("absaudit") / "data"
 CHAIN = str(DATA / "models" / "chain3_micro.scm")
@@ -235,12 +237,90 @@ def test_classify_validates_first(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_dist_rows_follow_the_domains_and_skip_zeros():
+    dist = Distribution(
+        scope=("A", "B"),
+        domains=(("1", "0"), ("x", "y")),
+        probs={("0", "y"): 0.25, ("1", "y"): 0.0, ("9", "x"): 0.5,
+               ("0", "x"): 0.25, ("1", "x"): 0.5},
+    )
+    assert _dist_rows(dist) == [("1 x", 0.5), ("0 x", 0.25), ("0 y", 0.25)]
+
+
 def test_dist_capacity(monkeypatch, capsys):
     monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "2")
     assert main(["dist", CHAIN]) == 3
     err = capsys.readouterr().err
     assert err.startswith("capacity: ")
     assert "exceeding the enumeration cap of 2" in err
+
+
+def _sparse_chain(name: str, prefix: str, n: int) -> tuple[list[str], list[tuple]]:
+    """A binary parity chain X_j = X_(j-1) xor U_j whose noise has n+1 rows
+    (all zero, and each one-hot) out of 2^n: the model's lines and rows."""
+    noise = [(0,) * n] + [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    weights = [(k + 1) / ((n + 1) * (n + 2) / 2) for k in range(n + 1)]
+    names = [f"{prefix}{j}" for j in range(n)]
+    lines = [f"scm {name} {{"]
+    for j, v in enumerate(names):
+        lines.append(f"  var {v} : 0 1" + (f" parents {names[j - 1]}" if j else ""))
+    lines += [f"  exo U_{v} : 0 1 for {v}" for v in names]
+    lines.append(f"  dist {' '.join(f'U_{v}' for v in names)} {{")
+    lines += [f"    {' '.join(map(str, u))} : {w!r}" for u, w in zip(noise, weights)]
+    lines.append("  }")
+    for j, v in enumerate(names):
+        rows = ["    0 : 0", "    1 : 1"]
+        if j:
+            rows = [f"    {x} {u} : {x ^ u}" for x in (0, 1) for u in (0, 1)]
+        lines += [f"  mech {v} {{", *rows, "  }"]
+    return lines + ["}"], list(zip(noise, weights))
+
+
+def _simulated(rows, forced=None) -> dict[str, float]:
+    """The printed joint of the chain, by running each noise row forward."""
+    out: dict[str, float] = {}
+    for noise, w in rows:
+        x, values = 0, []
+        for j, u in enumerate(noise):
+            x = forced[j] if forced and j in forced else x ^ u
+            values.append(x)
+        key = " ".join(map(str, values))
+        out[key] = out.get(key, 0.0) + w
+    return dict(sorted(out.items()))
+
+
+def test_sparse_noise_with_a_dense_space_beyond_the_cap(tmp_path, capsys):
+    # 40 binary noise terms span 2^40 joint values; the table stores 41.
+    n = 40
+    source, rows = _sparse_chain("big", "X", n)
+    target, _ = _sparse_chain("macro", "Y", n)
+    mapping = ["abs lift {", "  source big", "  target macro",
+               "  direction micro-to-macro", "  nodes {"]
+    mapping += [f"    X{j} : Y{j} 1.0" for j in range(n)] + ["  }"]
+    for j in range(n):
+        mapping += [f"  outcomes Y{j} from X{j} {{", "    0 : 0 1.0", "    1 : 1 1.0", "  }"]
+    mapping.append("}")
+    text = "\n\n".join(["absaudit-format 1", *("\n".join(b) for b in (source, target, mapping))])
+    path = tmp_path / "big.abs"
+    path.write_text(text + "\n")
+    xs, ys = " ".join(f"X{j}" for j in range(n)), " ".join(f"Y{j}" for j in range(n))
+
+    def printed(scope, joint):
+        return "\n".join([scope] + [f"{k} : {p!r}" for k, p in joint.items()]) + "\n"
+
+    want = _simulated(rows)
+    assert len(want) == n + 1
+    assert main(["dist", str(path), "--model", "big"]) == 0
+    assert capsys.readouterr().out == printed(xs, want)
+    assert main(["dist", str(path), "--model", "big", "--do", "X20=1"]) == 0
+    assert capsys.readouterr().out == printed(xs, _simulated(rows, {20: 1}))
+    assert main(["push", str(path)]) == 0
+    assert capsys.readouterr().out == printed(ys, want)
+
+    emitted = emit_document(parse_document(text))
+    assert emit_document(parse_document(emitted)) == emitted
+    block = emitted.split("  dist U_X0")[1].split("  }")[0].splitlines()[1:]
+    assert len(block) == n + 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from absaudit.cli import _print_dist
 from absaudit.errors import CapacityError, KernelUndefinedError, ModelError
 from absaudit.scm import (
     Exogenous,
@@ -19,9 +24,10 @@ from absaudit.scm import (
     underlying_graph,
     validate_scm,
 )
+from absaudit.textfmt import emit_scm
 
-from helpers import BIN, U2, chain, model, xor
-from oracles import plain_joint
+from helpers import BIN, U2, chain, model, plain_scm, random_model, xor
+from oracles import dense_rows, plain_joint, plain_kernel
 
 TOL = 1e-9
 
@@ -300,6 +306,15 @@ def test_kernel_undefined_under_dependence():
         mechanism_kernel(m, "B")
 
 
+def test_kernel_checks_pairs_missing_from_the_table():
+    # Unnormalised, so each stored pair factors (1 == 1 * 1), but the
+    # missing pair (0, 1) weighs 0 where the marginals multiply to 1.
+    m = chain("m", ["A", "B"])
+    m.exo_table = {("0", "0"): 1.0, ("1", "1"): 1.0}
+    with pytest.raises(KernelUndefinedError):
+        mechanism_kernel(m, "B")
+
+
 def test_kernel_composition_reproduces_joint(chain3):
     # Chain law: P(s,t,c) = P(s) K_T(t|s) K_C(c|t).
     ks = mechanism_kernel(chain3, "S")
@@ -311,3 +326,83 @@ def test_kernel_composition_reproduces_joint(chain3):
             for c in BIN:
                 want = ks.rows[()][s] * kt.rows[(s,)][t] * kc.rows[(t,)][c]
                 assert abs(dist.prob((s, t, c)) - want) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# The support walk against the dense product of the noise domains
+# ---------------------------------------------------------------------------
+
+NOISE_EDITS = ("zero", "drop", "reweight", "stray")
+
+
+def _edit_noise(rng: random.Random, m, kind: str) -> None:
+    table = m.exo_table
+    domains = [u.domain for u in m.exogenous]
+    if kind == "zero":  # an explicit zero, new or over an entry
+        table[tuple(rng.choice(d) for d in domains)] = 0.0
+    elif kind == "drop" and table:
+        del table[rng.choice(list(table))]
+    elif kind == "reweight" and table:
+        table[rng.choice(list(table))] *= rng.uniform(0.5, 2.0)
+    elif kind == "stray":  # out of range: an unknown value or one value too many
+        key = [rng.choice(d) for d in domains]
+        if rng.random() < 0.5:
+            key[rng.randrange(len(key))] = "9"
+        else:
+            key.append("0")
+        table[tuple(key)] = rng.random()
+
+
+def _printed(dist, as_json: bool) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_dist(dist, as_json)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**30),
+    edits=st.lists(st.sampled_from(NOISE_EDITS), max_size=4),
+)
+def test_support_walk_matches_dense_product(seed, edits):
+    """Joint, printed dist, emitted dist block and kernels are those of the
+    dense walk, exactly and in the same order, whatever order the noise
+    table is written in; keys outside the domains are ignored."""
+    rng = random.Random(seed)
+    m = random_model(rng)
+    for kind in edits:
+        _edit_noise(rng, m, kind)
+    entries = list(m.exo_table.items())
+    rng.shuffle(entries)
+    m.exo_table = dict(entries)
+    plain = plain_scm(m)
+
+    dist = joint_distribution(m)
+    joint = plain_joint(plain)
+    assert list(dist.probs.items()) == list(joint.items())
+
+    domains = [plain["domains"][v] for v in plain["variables"]]
+    rows = [(" ".join(k), p) for k, p in dense_rows(joint, domains) if p != 0.0]
+    text = [" ".join(dist.scope)] + [f"{k} : {p!r}" for k, p in rows]
+    assert _printed(dist, False) == "\n".join(text) + "\n"
+    payload = {"scope": list(dist.scope), "probs": dict(rows)}
+    assert _printed(dist, True) == json.dumps(payload, sort_keys=True) + "\n"
+
+    lines = emit_scm(m)
+    start = lines.index(f"  dist {' '.join(m.exogenous_names)} {{")
+    exo_domains = [plain["exo_domains"][u] for u in plain["exo_order"]]
+    block = [f"    {' '.join(k)} : {float(p)!r}" for k, p in dense_rows(plain["exo_dist"], exo_domains)]
+    assert lines[start + 1 : start + 2 + len(block)] == block + ["  }"]
+
+    for v in m.variable_names:
+        try:
+            want = plain_kernel(plain, v)
+        except ValueError:
+            with pytest.raises(KernelUndefinedError):
+                mechanism_kernel(m, v)
+            continue
+        got = mechanism_kernel(m, v).rows
+        assert [(k, list(r.items())) for k, r in got.items()] == [
+            (k, list(r.items())) for k, r in want.items()
+        ]
