@@ -206,7 +206,7 @@ def validate_abstraction(
             if w < -TOL:
                 report.add("map-negative", f"negative weight {w} in row {u}")
             total += w
-        if abs(total - 1.0) > TOL:
+        if not abs(total - 1.0) <= TOL:  # also fails a NaN total
             report.add("map-row-total", f"row {u} sums to {total!r}, not 1")
 
     if sm.pairing is not None:
@@ -294,7 +294,7 @@ def validate_abstraction(
                         "outcome-negative", f"negative weight {w} in outcome row {key!r}"
                     )
                 total += w
-            if abs(total - 1.0) > TOL and abs(total) > TOL:
+            if not (abs(total - 1.0) <= TOL or abs(total) <= TOL):
                 report.add(
                     "outcome-row-total",
                     f"outcome row {key!r} for {om.target} sums to {total!r} "

@@ -7,6 +7,7 @@ error; 3 enumeration capacity exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,10 +49,11 @@ def _pick(loaded: dict, name: str | None, kind: str, flag: str):
         if name not in loaded:
             raise ModelError(f"no {kind} named {name!r} in the given files")
         return loaded[name]
-    if len(loaded) != 1:
+    if not loaded:
+        raise ModelError(f"no {kind} found in the given files")
+    if len(loaded) > 1:
         raise ModelError(
-            f"several {kind}s loaded; choose one with {flag} "
-            f"({', '.join(loaded) or 'none found'})"
+            f"several {kind}s loaded; choose one with {flag} ({', '.join(loaded)})"
         )
     return next(iter(loaded.values()))
 
@@ -305,7 +307,14 @@ def _cmd_push(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of `main`, built on the first call and shared.
+
+    Every later call in the process returns the same object, so callers must
+    not mutate it.  Parsing keeps no state in it, and help text reads the
+    terminal width when it is formatted.
+    """
     parser = argparse.ArgumentParser(
         prog="absaudit",
         description="Audit and classify abstraction maps between causal models.",

@@ -329,7 +329,7 @@ def validate_scm(model: Scm) -> ValidationReport:
         if p < -TOL:
             report.add("dist-negative", f"negative probability {p} at {combo!r}")
     total = sum(model.exo_table.values())
-    if abs(total - 1.0) > TOL:
+    if not abs(total - 1.0) <= TOL:  # also fails a NaN total
         report.add("dist-total", f"exogenous table sums to {total!r}, not 1")
 
     return report

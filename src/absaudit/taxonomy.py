@@ -40,7 +40,7 @@ from .audit import audit_outcome_map, summarize_outcomes
 from .errors import ModelError, ParseError
 from .freecat import path_counts
 from .scm import Scm, underlying_graph
-from .textfmt import Document, parse_document
+from .textfmt import Document, parse_document, read_text
 
 
 class StructuralType(enum.Enum):
@@ -385,9 +385,7 @@ def shipped_table(which: str) -> PropertyMatrix:
 
 
 def load_table(path) -> PropertyMatrix:
-    from pathlib import Path
-
-    return PropertyMatrix.from_tbl(Path(path).read_text(encoding="utf-8"))
+    return PropertyMatrix.from_tbl(read_text(path))
 
 
 # ---------------------------------------------------------------------------

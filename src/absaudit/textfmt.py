@@ -50,7 +50,9 @@ byte.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .abstraction import (
     GLOBAL,
@@ -150,9 +152,12 @@ def _split_colon(tokens: list[str], lines: _Lines) -> tuple[list[str], list[str]
 
 def _float(token: str, lines: _Lines) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise lines.fail(f"expected a number, found {token!r}") from None
+    if not math.isfinite(value):
+        raise lines.fail(f"expected a finite number, found {token!r}")
+    return value
 
 
 def _morphism(token: str, lines: _Lines) -> Morphism:
@@ -425,10 +430,21 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
     )
 
 
-def parse_path(path) -> Document:
-    from pathlib import Path
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path`, or a `ParseError` at its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line, column
+        ) from None
 
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+
+def parse_path(path) -> Document:
+    return parse_document(read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,19 @@ def test_validate_outcome_rows(micro, macro):
     assert "outcome-row-total" in codes(validate_abstraction(a, micro, macro))
 
 
+def test_validate_non_finite_rows(micro, macro):
+    nan = float("nan")
+    a = abstraction("a", micro, macro, {"S": {"S'": nan}, "T": {"S'": 1.0}, "C": {"C'": 1.0}})
+    assert codes(validate_abstraction(a, micro, macro)) == {"map-row-total"}
+    a = abstraction("a", micro, macro, {"S": {"S'": float("inf"), "C'": -float("inf")}})
+    assert "map-row-total" in codes(validate_abstraction(a, micro, macro))
+
+    om = proj_outcomes()[1]
+    om.rows[("0",)] = {("0",): nan}
+    a = collapse(micro, macro, [proj_outcomes()[0], om])
+    assert codes(validate_abstraction(a, micro, macro)) == {"outcome-row-total"}
+
+
 def test_validate_all_zero_row_is_partial_not_invalid(micro, macro):
     om = proj_outcomes()[1]
     om.rows[("0",)] = {("0",): 0.0}

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from absaudit.cli import _dist_rows, main
+import absaudit
+from absaudit.cli import _dist_rows, build_parser, main
 from absaudit.scm import Distribution
 from absaudit.textfmt import emit_document, parse_document
 
@@ -19,6 +26,7 @@ FIG9B = str(DATA / "figures" / "fig9b.abs")
 COARSEN = str(DATA / "witnesses" / "structural" / "node-coarsening.abs")
 EDGE_COARSEN = str(DATA / "witnesses" / "structural" / "edge-coarsening.abs")
 DROPPING = str(DATA / "witnesses" / "distributional" / "outcome-dropping.abs")
+DROPPING_TEXT = Path(DROPPING).read_text()
 
 BAD_SCM = """\
 absaudit-format 1
@@ -75,6 +83,123 @@ def test_parse_error_exits_1(tmp_path, capsys):
 def test_missing_file_exits_1(capsys):
     assert main(["validate", "/nonexistent/file.scm"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "{path}"], ["tables", "--which", "structural", "--truth", "{path}"]],
+)
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, argv):
+    p = tmp_path / "binary.abs"
+    p.write_bytes(b"\xff\xfe")
+    assert main([arg.format(path=p) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 1, column 1: invalid UTF-8 byte 0xff")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("    0 : 0.2\n", "    0 : nan\n"),
+        ("    S : S' 1.0\n", "    S : S' nan\n"),
+        ("    1 : 0 1.0\n", "    1 : 0 inf\n"),
+    ],
+    ids=["dist-row", "node-row", "outcome-row"],
+)
+def test_non_finite_weight_is_a_parse_error(tmp_path, capsys, old, new):
+    p = tmp_path / "nan.abs"
+    p.write_text(DROPPING_TEXT.replace(old, new, 1))
+    assert main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert "expected a finite number" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# usage errors and the shared parser
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["validate"], "the following arguments are required: files"),
+        (["--format", "xml", "validate", CHAIN], "invalid choice: 'xml'"),
+    ],
+    ids=["unknown-command", "missing-file", "bad-format"],
+)
+def test_usage_error_exits_2_and_keeps_no_state(capsys, argv, message):
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: absaudit")
+        assert message in captured.err
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
+
+
+def test_usage_error_then_a_good_call_write_to_the_current_streams(capsys):
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+            main(["validate"])
+        assert err.getvalue().startswith("usage: absaudit")
+        assert capsys.readouterr() == ("", "")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["validate", CHAIN]) == 0
+        assert "model chain3_micro: ok" in out.getvalue()
+        assert capsys.readouterr() == ("", "")
+
+
+def test_do_default_is_not_shared_between_calls(capsys):
+    assert main(["dist", CHAIN]) == 0
+    plain = capsys.readouterr().out
+    assert main(["dist", CHAIN, "--do", "S=1"]) == 0
+    assert capsys.readouterr().out != plain
+    assert main(["dist", CHAIN]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def _help(run, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["push", "--help"]])
+def test_help_follows_the_terminal_width_at_call_time(monkeypatch, argv):
+    build_parser()
+    texts = []
+    for width in ("40", "160"):
+        monkeypatch.setenv("COLUMNS", width)
+        text = _help(main, argv)
+        assert text == _help(build_parser.__wrapped__().parse_args, argv)
+        texts.append(text)
+    assert texts[0] != texts[1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(absaudit.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import absaudit.cli as cli; "
+        "print(cli.build_parser.cache_info().currsize)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert run.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +308,16 @@ def test_graph_model_ambiguity(capsys):
     )
     assert main(["graph", FIG3A, "--model", "nope"]) == 1
     assert "no model named 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, kind", [("audit", "abstraction"), ("dist", "model")]
+)
+def test_nothing_to_pick(tmp_path, capsys, command, kind):
+    p = tmp_path / "empty.abs"
+    p.write_text("absaudit-format 1\n")
+    assert main([command, str(p)]) == 1
+    assert capsys.readouterr().err == f"error: no {kind} found in the given files\n"
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,13 @@ def test_validate_exogenous_table():
     assert "dist-key" in codes(validate_scm(m))
 
 
+@pytest.mark.parametrize("weights", [(float("nan"), 0.5), (float("inf"), -float("inf"))])
+def test_validate_non_finite_exogenous_table(weights):
+    m = chain("m", ["A"])
+    m.exo_table = dict(zip([("0",), ("1",)], weights))
+    assert "dist-total" in codes(validate_scm(m))
+
+
 def test_validate_tolerates_tiny_rounding():
     m = chain("m", ["A"])
     m.exo_table = {("0",): 0.5 + 1e-12, ("1",): 0.5 - 1e-12}

@@ -7,7 +7,7 @@ import importlib.resources
 import pytest
 
 from absaudit.abstraction import Direction
-from absaudit.errors import ModelError, ParseError
+from absaudit.errors import AbsauditError, ModelError, ParseError
 from absaudit.freecat import Morphism
 from absaudit.textfmt import (
     HEADER,
@@ -18,6 +18,7 @@ from absaudit.textfmt import (
     parse_document,
     parse_path,
 )
+from absaudit.taxonomy import load_table
 
 from helpers import M, abstraction, chain, det_outcomes, random_model
 
@@ -288,3 +289,28 @@ def test_parse_path_reads_files(tmp_path):
     p.write_text(MINI)
     doc = parse_path(p)
     assert "mini" in doc.models
+
+
+@pytest.mark.parametrize("read", [parse_path, load_table])
+def test_non_utf8_file_is_a_parse_error(tmp_path, read):
+    p = tmp_path / "binary.txt"
+    p.write_bytes(HEADER.encode() + b"\n\n  \xe9t\xe9\n")
+    with pytest.raises(ParseError) as err:
+        read(p)
+    assert isinstance(err.value, AbsauditError)
+    assert (err.value.line, err.value.column) == (3, 3)
+    assert err.value.reason == "invalid UTF-8 byte 0xe9"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+@pytest.mark.parametrize(
+    "old, line",
+    [("    0 : 0.25\n", 20), ("    A : B 1.0\n", 34), ("    0 : 1 1.0\n", 43)],
+    ids=["dist-row", "node-row", "outcome-row"],
+)
+def test_parse_rejects_non_finite_weights(token, old, line):
+    new = old.replace(old.split()[-1], token)
+    with pytest.raises(ParseError) as err:
+        parse_document(PAIR.replace(old, new, 1))
+    assert err.value.line == line
+    assert err.value.reason == f"expected a finite number, found {token!r}"
