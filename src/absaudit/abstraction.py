@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TypeVar
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     TOL,
@@ -31,7 +32,7 @@ from .errors import (
     RenormalizationRequiredError,
 )
 from .freecat import Morphism
-from .scm import Distribution, Scm, ValidationReport, Value, underlying_graph
+from .scm import Distribution, Scm, ValidationReport, rows_of, underlying_graph
 from . import freecat
 
 
@@ -141,10 +142,7 @@ class Abstraction:
     outcome_maps: list[OutcomeMap] = field(default_factory=list)
 
     def outcome_map_for(self, target: str) -> OutcomeMap | None:
-        for om in self.outcome_maps:
-            if om.target == target:
-                return om
-        return None
+        return next((om for om in self.outcome_maps if om.target == target), None)
 
     @property
     def global_outcome_map(self) -> OutcomeMap | None:
@@ -308,27 +306,22 @@ def validate_abstraction(
 # ---------------------------------------------------------------------------
 
 def _row_product(
-    mass: float,
-    tables: Sequence[Mapping[tuple, Mapping[tuple, float]]],
-    keys: Sequence[tuple],
-) -> dict[tuple, float]:
-    """`mass` times the outer product of the rows `keys` pick from `tables`.
+    mass: float, rows: Sequence[Mapping[tuple, float] | None]
+) -> Iterator[tuple[tuple, float]]:
+    """Each key of the outer product of `rows`, with `mass` times its
+    weights multiplied left to right.
 
-    The tables hold supported rows (see `_Rows.supported_rows`); a result key
-    joins one row value per table.  A key with no row in its table is
-    unmapped, and then all the mass is lost: the result is empty.
+    A key joins one row value per row, in the rows' order.  A row that is
+    None is unmapped, and then all the mass is lost: nothing is yielded.
     """
-    partial: dict[tuple, float] = {(): mass}
-    for table, key in zip(tables, keys):
-        row = table.get(key)
-        if row is None:
-            return {}
-        nxt: dict[tuple, float] = {}
-        for prefix, m in partial.items():
-            for val, w in row.items():
-                nxt[prefix + val] = nxt.get(prefix + val, 0.0) + m * w
-        partial = nxt
-    return partial
+    if None in rows:
+        return
+    for cells in itertools.product(*(row.items() for row in rows)):
+        key, m = (), mass
+        for val, w in cells:
+            key += val
+            m *= w
+        yield key, m
 
 
 def pushforward(
@@ -343,9 +336,11 @@ def pushforward(
     With per-variable outcome maps, each target variable reads the marginal
     pattern of its preimage block and the results multiply; unmapped source
     variables are marginalised out.  With a global map the full joint is
-    rewritten row by row.  Mass landing on unmapped outcome rows is lost;
-    that raises an error unless `renormalize` is set, in which case the
-    remaining mass is scaled back to one.
+    rewritten row by row.  Each map's key column (its sources' values at
+    every supported outcome) is built once and looked up in its supported
+    rows, and each outcome walks the product of its rows.  Mass landing on
+    unmapped outcome rows is lost; that raises an error unless `renormalize`
+    is set, in which case the remaining mass is scaled back to one.
     """
     if dist.scope != source.variable_names:
         raise ModelError("the distribution scope must match the source model")
@@ -357,24 +352,21 @@ def pushforward(
     out_scope = target.variable_names
     out_domains = tuple(v.domain for v in target.variables)
     gom = abstraction.global_outcome_map
-    if gom is not None:
-        maps = [gom]
-    else:
-        maps = []
-        for name in out_scope:
-            om = abstraction.outcome_map_for(name)
-            if om is None:
-                raise ModelError(f"no outcome map for target variable {name}")
-            maps.append(om)
-    tables = [om.supported_rows() for om in maps]
+    maps = [gom] if gom is not None else list(map(abstraction.outcome_map_for, out_scope))
+    if None in maps:
+        raise ModelError(f"no outcome map for target variable {out_scope[maps.index(None)]}")
+    outcomes = [outcome for outcome, p in dist.probs.items() if p != 0.0]
+    weights = [p for p in dist.probs.values() if p != 0.0]
+    places = [list(map(itemgetter(i), outcomes)) for i in range(len(dist.scope))]
     src_index = {name: i for i, name in enumerate(source.variable_names)}
-    picks = [tuple(src_index[s] for s in om.sources) for om in maps]
+    row_columns = [  # the supported row each outcome picks in each map, or None
+        list(map(om.supported_rows().get, rows_of(
+            [places[src_index[s]] for s in om.sources], len(outcomes))))
+        for om in maps
+    ]
     probs: dict[tuple, float] = {}
-    for outcome, p in dist.probs.items():
-        if p == 0.0:
-            continue
-        keys = [tuple(outcome[i] for i in idxs) for idxs in picks]
-        for k, mass in _row_product(p, tables, keys).items():
+    for p, rows in zip(weights, rows_of(row_columns, len(weights))):
+        for k, mass in _row_product(p, rows):
             probs[k] = probs.get(k, 0.0) + mass
 
     total = sum(probs.values())
@@ -393,6 +385,13 @@ def pushforward(
 # ---------------------------------------------------------------------------
 # Composition
 # ---------------------------------------------------------------------------
+
+def _then(first: dict | None, second: dict | None) -> dict | None:
+    """Two partial maps, `first` then `second`; None when either is None."""
+    if first is None or second is None:
+        return None
+    return {k: second[v] for k, v in first.items() if v in second}
+
 
 def compose_abstractions(
     first: Abstraction,
@@ -427,22 +426,8 @@ def compose_abstractions(
                 out[x] = out.get(x, 0.0) + w * w2
         rows[u] = out
 
-    edge_map: dict[Morphism, Morphism] | None = None
-    if first.structure.edge_map is not None and second.structure.edge_map is not None:
-        edge_map = {}
-        for m, n in first.structure.edge_map.items():
-            k = second.structure.edge_map.get(n)
-            if k is not None:
-                edge_map[m] = k
-
-    pairing: dict[str, str] | None = None
-    if first.structure.pairing is not None and second.structure.pairing is not None:
-        pairing = {}
-        for u, x in first.structure.pairing.items():
-            y = second.structure.pairing.get(x)
-            if y is not None:
-                pairing[u] = y
-
+    edge_map = _then(first.structure.edge_map, second.structure.edge_map)
+    pairing = _then(first.structure.pairing, second.structure.pairing)
     composed = Abstraction(
         name=name or f"{second.name}*{first.name}",
         source_ref=first.source_ref,
@@ -462,24 +447,20 @@ def compose_abstractions(
             om2 = second.outcome_map_for(z)
             if om2 is None:
                 continue
-            legs = [first.outcome_map_for(y) for y in om2.sources]
-            if any(leg is None for leg in legs):
+            legs: list = [first.outcome_map_for(y) for y in om2.sources]
+            if None in legs:
                 continue
-            srcs: tuple[str, ...] = tuple(
-                s for leg in legs for s in leg.sources  # type: ignore[union-attr]
-            )
-            srcs = tuple(v for v in lower.variable_names if v in srcs)
-            offsets = []
-            for leg in legs:
-                offsets.append(tuple(srcs.index(s) for s in leg.sources))  # type: ignore[union-attr]
-            tables = [leg.supported_rows() for leg in legs]  # type: ignore[union-attr]
-            upper_rows = [om2.supported_rows()]
+            used = {s for leg in legs for s in leg.sources}
+            srcs = tuple(v for v in lower.variable_names if v in used)
+            offsets = [tuple(map(srcs.index, leg.sources)) for leg in legs]
+            tables = [leg.supported_rows() for leg in legs]
+            upper_rows = om2.supported_rows()
             out_rows: dict[tuple, dict[tuple, float]] = {}
             for key in block_domain(lower, srcs):
-                keys = [tuple(key[i] for i in idxs) for idxs in offsets]
+                picked = [t.get(tuple(key[i] for i in idxs)) for t, idxs in zip(tables, offsets)]
                 out: dict[tuple, float] = {}
-                for mid_key, mass in _row_product(1.0, tables, keys).items():
-                    for val, w in _row_product(mass, upper_rows, [mid_key]).items():
+                for mid_key, mass in _row_product(1.0, picked):
+                    for val, w in _row_product(mass, [upper_rows.get(mid_key)]):
                         out[val] = out.get(val, 0.0) + w
                 if out:
                     out_rows[key] = out

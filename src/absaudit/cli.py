@@ -85,7 +85,7 @@ def _parse_do(items: list[str]) -> dict[str, str]:
 def _dist_rows(dist: Distribution) -> list[tuple[str, float]]:
     return [
         (" ".join(str(x) for x in outcome), p)
-        for outcome, p in row_major(dist.probs, dist.domains)
+        for _, outcome, p in row_major(dist.probs, dist.domains)
         if p != 0.0
     ]
 

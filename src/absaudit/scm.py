@@ -8,7 +8,8 @@ mechanism tables and a joint exogenous probability table.  Design choices:
   an explicit table;
 * all domains are finite and explicit, so the joint endogenous distribution
   is computed exactly, by walking the support of the exogenous table in
-  row-major order (never the dense product of the exogenous domains);
+  row-major order (never the dense product of the exogenous domains): the
+  joint one column per variable, a kernel by each entry's rank;
 * the canonical variable order is declaration order, and joint tables are
   indexed row-major over that order.
 """
@@ -16,9 +17,10 @@ mechanism tables and a joint exogenous probability table.  Design choices:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import getitem, itemgetter
+from operator import contains, getitem, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -34,24 +36,36 @@ Value = object  # outcome labels: strings or small integers
 
 
 def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> list[tuple]:
-    """The entries of `table` whose keys lie in `domains`, in row-major order.
+    """The (rank, key, value) of each entry of `table` whose key lies in
+    `domains`, in row-major order: the order of `itertools.product(*domains)`.
 
-    That is the order of `itertools.product(*domains)`, reached by sorting
-    the entries on their position in that product instead of walking it.
-    Keys come back as stored."""
-    index, stride = [], 1
-    for d in reversed(domains):  # stride: the joint values of the places after d
-        index.insert(0, {x: i * stride for i, x in enumerate(d)})
+    A key's rank is its position in that product: the sum over places j of
+    the index of `key[j]` in `domains[j]` times the joint values of the
+    places after j.  Sorting on it replaces the walk.  Keys come as stored."""
+    offsets, stride = [], 1
+    for d in reversed(domains):
+        offsets.insert(0, {x: i * stride for i, x in enumerate(d)})
         stride *= len(d)
     ranked = []
     for key, value in table.items():
-        if isinstance(key, tuple) and len(key) == len(index):
+        if isinstance(key, tuple) and len(key) == len(offsets):
             try:
-                ranked.append((sum(map(getitem, index, key)), key, value))
+                ranked.append((sum(map(getitem, offsets, key)), key, value))
             except KeyError:  # a value outside its domain
                 pass
     ranked.sort(key=itemgetter(0))
-    return [(key, value) for _, key, value in ranked]
+    return ranked
+
+
+def rows_of(columns: Sequence[Iterable], count: int) -> Iterator[tuple]:
+    """The first `count` rows of `columns` as tuples, also when there is no
+    column: a counter leads each row and is cut off."""
+    return map(itemgetter(slice(1, None)), zip(range(count), *columns))
+
+
+def _gap_message(variable: str, key: tuple) -> str:
+    """The words of a `mechanism-gap` issue, also raised by the walks."""
+    return f"mechanism for {variable} misses input {key}"
 
 
 @dataclass(frozen=True)
@@ -302,14 +316,11 @@ def validate_scm(model: Scm) -> ValidationReport:
             continue
         if any(p not in by_name for p in v.parents) or v.exogenous not in exo_by_name:
             continue  # already reported above
-        expected = set(
-            tuple(combo) + (u,)
-            for combo in itertools.product(*(by_name[p].domain for p in v.parents))
-            for u in exo_by_name[v.exogenous].domain
-        )
+        inputs = [by_name[p].domain for p in v.parents] + [exo_by_name[v.exogenous].domain]
+        expected = set(itertools.product(*inputs))
         got = set(table)
         for key in sorted(expected - got, key=repr):
-            report.add("mechanism-gap", f"mechanism for {v.name} misses input {key}")
+            report.add("mechanism-gap", _gap_message(v.name, key))
         for key in sorted(got - expected, key=repr):
             report.add("mechanism-extra", f"mechanism for {v.name} has stray input {key}")
         for key, out in table.items():
@@ -319,12 +330,11 @@ def validate_scm(model: Scm) -> ValidationReport:
                     f"mechanism for {v.name} maps {key} outside the domain: {out!r}",
                 )
 
-    # Joint exogenous table.
-    exo_domains = {u.name: u.domain for u in model.exogenous}
+    # Joint exogenous table: each key place by place, against a domain set.
+    in_domain = {u.name: set(u.domain) for u in model.exogenous}
+    places = [in_domain[u.name] for u in model.exogenous]
     for combo, p in model.exo_table.items():
-        if len(combo) != len(model.exogenous) or any(
-            val not in exo_domains[u.name] for u, val in zip(model.exogenous, combo)
-        ):
+        if len(combo) != len(places) or not all(map(contains, places, combo)):
             report.add("dist-key", f"exogenous table key {combo!r} is out of range")
         if p < -TOL:
             report.add("dist-negative", f"negative probability {p} at {combo!r}")
@@ -399,42 +409,57 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     """Joint endogenous distribution by enumeration of the exogenous support.
 
     Walks the nonzero entries of `exo_table` that lie in the exogenous
-    domains in row-major order (`row_major`), so every sum and the outcome
-    order are those of a walk over the dense product of the domains.
-    Raises CapacityError when the supported entries exceed the cap
-    (default 10^7, env-overridable).
+    domains in row-major order (`row_major`) by columns: in topological
+    order, each variable's column holds its value at every entry, read from
+    its mechanism with its parents' columns and its noise column.  The
+    outcomes zip the columns in declaration order and are summed in entry
+    order, so every sum and the outcome order are those of a walk over the
+    dense product of the domains.  Raises CapacityError, before any
+    mechanism is read, when the supported entries exceed the cap (default
+    10^7, env-overridable), and ModelError when a mechanism misses an input.
     """
     limit = cap if cap is not None else enum_cap(DEFAULT_EXO_CAP)
     domains = [u.domain for u in model.exogenous]
-    entries = [(combo, p) for combo, p in row_major(model.exo_table, domains) if p != 0.0]
+    entries = [e for e in row_major(model.exo_table, domains) if e[2] != 0.0]
     if len(entries) > limit:
         raise CapacityError(
             f"exogenous table of {model.name!r} has {len(entries)} supported "
             f"assignments, exceeding the enumeration cap of {limit}"
         )
-    # One step per variable in topological order: the positions of its
-    # value, of its parents' values and of its noise term, and its table.
-    pos = {name: i for i, name in enumerate(model.variable_names)}
+    combos = [combo for _, combo, _ in entries]
+    weights = [p for _, _, p in entries]
     exo_index = {u.name: i for i, u in enumerate(model.exogenous)}
     by_name = {v.name: v for v in model.variables}
-    plan = [
-        (pos[v.name], tuple(pos[q] for q in v.parents), exo_index[v.exogenous],
-         model.mechanisms[v.name])
-        for v in map(by_name.__getitem__, topological_order(model))
-    ]
+    columns: dict[str, list] = {}
+    for v in map(by_name.__getitem__, topological_order(model)):
+        inputs = [columns[q] for q in v.parents]
+        inputs.append(map(itemgetter(exo_index[v.exogenous]), combos))
+        mechanism = model.mechanisms.get(v.name, {})
+        try:
+            columns[v.name] = list(map(mechanism.__getitem__, zip(*inputs)))
+        except KeyError as gap:
+            raise ModelError(_gap_message(v.name, gap.args[0])) from None
     probs: dict[tuple, float] = {}
-    for combo, p in entries:
-        values: list[Value] = [None] * len(pos)
-        value_at = values.__getitem__
-        for out, parents, e, table in plan:
-            values[out] = table[(*map(value_at, parents), combo[e])]
-        outcome = tuple(values)
+    outcomes = rows_of([columns[name] for name in model.variable_names], len(weights))
+    for p, outcome in zip(weights, outcomes):
         probs[outcome] = probs.get(outcome, 0.0) + p
     return Distribution(
         scope=model.variable_names,
         domains=tuple(v.domain for v in model.variables),
         probs=probs,
     )
+
+
+def mechanism_rows(model: Scm, v: Variable) -> Iterator[tuple[tuple, Value]]:
+    """Each input of `v`'s mechanism (its parents' values, then its noise
+    value) in row-major order, with the mechanism's value there.  Raises
+    ModelError, in the words of a `mechanism-gap` issue, at a missing input."""
+    mechanism = model.mechanisms.get(v.name, {})
+    noise = model.exogenous_variable(v.exogenous).domain
+    for key in itertools.product(*(model.variable(p).domain for p in v.parents), noise):
+        if key not in mechanism:
+            raise ModelError(_gap_message(v.name, key))
+        yield key, mechanism[key]
 
 
 def marginal(dist: Distribution, variables: Iterable[str]) -> Distribution:
@@ -459,38 +484,41 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     """The Markov kernel P(X | parents(X)) of one mechanism.
 
     Defined only when the variable's exogenous term is independent of the
-    remaining exogenous variables under the joint exogenous table.
+    remaining exogenous variables under the joint exogenous table.  One pass
+    over the ranked entries (`row_major`) sums the term's marginal by value
+    and the rest's by rank: the entry's rank less the term's offset.
     """
     v = model.variable(variable)
     exo = model.exogenous_variable(v.exogenous)
-    exo_index = {u.name: i for i, u in enumerate(model.exogenous)}
-    i = exo_index[exo.name]
+    i = model.exogenous.index(exo)
+    ranked = row_major(model.exo_table, [u.domain for u in model.exogenous])
+    stride = math.prod(len(u.domain) for u in model.exogenous[i + 1 :])
+    offset = {x: j * stride for j, x in enumerate(exo.domain)}  # as in the rank
 
-    # Factorisation check: P(u_i, rest) == P(u_i) * P(rest) at every pair.
-    # A pair missing from the table weighs zero; a rest that never occurs
-    # has a zero marginal, so only the rests that occur are checked.
+    # Factorisation check: P(u_i, rest) == P(u_i) * P(rest) at every pair,
+    # each entry once.  A pair missing from the table weighs zero; only the
+    # rests that occur are paired (a rest that never occurs weighs zero).
     own: dict[Value, float] = dict.fromkeys(exo.domain, 0.0)
-    rest: dict[tuple, float] = {}
-    for combo, p in row_major(model.exo_table, [u.domain for u in model.exogenous]):
-        own[combo[i]] = own.get(combo[i], 0.0) + p
-        rkey = combo[:i] + combo[i + 1 :]
-        rest[rkey] = rest.get(rkey, 0.0) + p
-    for rkey, q in rest.items():
-        for val, w in own.items():
-            if abs(model.exo_table.get(rkey[:i] + (val,) + rkey[i:], 0.0) - w * q) > TOL:
-                raise KernelUndefinedError("kernel undefined under exogenous dependence")
+    rest: dict[int, float] = {}
+    for r, key, p in ranked:
+        own[key[i]] += p
+        r -= offset[key[i]]
+        rest[r] = rest.get(r, 0.0) + p
+    dependent = any(abs(p - own[k[i]] * rest[r - offset[k[i]]]) > TOL for r, k, p in ranked)
+    if not dependent and len(ranked) < len(rest) * len(exo.domain):  # pairs are missing
+        present = {r for r, _, _ in ranked}
+        dependent = any(abs(w * q) > TOL for r, q in rest.items() for val, w in own.items()
+                        if r + offset[val] not in present)
+    if dependent:
+        raise KernelUndefinedError("kernel undefined under exogenous dependence")
 
-    row_domains = tuple(model.variable(p).domain for p in v.parents)
     rows: dict[tuple, dict[Value, float]] = {}
-    for combo in itertools.product(*row_domains):
-        row = {val: 0.0 for val in v.domain}
-        for uval, w in own.items():
-            row[model.mechanisms[variable][tuple(combo) + (uval,)]] += w
-        rows[tuple(combo)] = row
+    for key, value in mechanism_rows(model, v):
+        rows.setdefault(key[:-1], dict.fromkeys(v.domain, 0.0))[value] += own[key[-1]]
     return Kernel(
         variable=variable,
         row_scope=v.parents,
-        row_domains=row_domains,
+        row_domains=tuple(model.variable(p).domain for p in v.parents),
         column_domain=v.domain,
         rows=rows,
     )

@@ -49,7 +49,6 @@ byte.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,7 +62,7 @@ from .abstraction import (
 )
 from .errors import ModelError, ParseError
 from .freecat import Morphism
-from .scm import Exogenous, Scm, Variable, row_major
+from .scm import Exogenous, Scm, Variable, mechanism_rows, row_major
 
 HEADER = "absaudit-format 1"
 
@@ -474,22 +473,13 @@ def emit_scm(model: Scm) -> list[str]:
         )
     if model.exogenous:
         out.append(f"  dist {' '.join(u.name for u in model.exogenous)} {{")
-        for combo, p in row_major(model.exo_table, [u.domain for u in model.exogenous]):
+        for _, combo, p in row_major(model.exo_table, [u.domain for u in model.exogenous]):
             out.append(f"    {' '.join(str(x) for x in combo)} : {_num(p)}")
         out.append("  }")
-    by_name = {v.name: v for v in model.variables}
-    exo_by_name = {u.name: u for u in model.exogenous}
     for v in model.variables:
         out.append(f"  mech {v.name} {{")
-        input_domains = [by_name[p].domain for p in v.parents] + [
-            exo_by_name[v.exogenous].domain
-        ]
-        for combo in itertools.product(*input_domains):
-            key = tuple(combo)
-            out.append(
-                f"    {' '.join(str(x) for x in key)} : "
-                f"{model.mechanisms[v.name][key]}"
-            )
+        for key, value in mechanism_rows(model, v):
+            out.append(f"    {' '.join(str(x) for x in key)} : {value}")
         out.append("  }")
     out.append("}")
     return out

@@ -225,6 +225,38 @@ def pushforward_by_preimage(
     return out
 
 
+def plain_pushforward(
+    dist: Mapping[tuple, float],
+    maps: Sequence[tuple[Sequence[int], Mapping[tuple, Mapping[tuple, float]]]],
+    tol: float = 1e-9,
+) -> dict[tuple, float]:
+    """Pushforward of a distribution along outcome maps, by depth-first search.
+
+    Each map is (positions, rows): it reads an outcome's values at
+    `positions` and sends that key, by `rows`, to weighted value tuples, of
+    which only the weights above `tol` count.  Every outcome of nonzero mass,
+    in `dist` order, picks one counted value per map, in map order, and adds
+    its mass times the picked weights, multiplied left to right, to the
+    joined values.  An outcome with no counted value in some map is lost.
+    """
+    out: dict[tuple, float] = {}
+
+    def walk(outcome: tuple, depth: int, values: tuple, mass: float) -> None:
+        if depth == len(maps):
+            out[values] = out.get(values, 0.0) + mass
+            return
+        positions, rows = maps[depth]
+        row = rows.get(tuple(outcome[i] for i in positions), {})
+        for value, w in row.items():
+            if w > tol:
+                walk(outcome, depth + 1, values + tuple(value), mass * w)
+
+    for outcome, p in dist.items():
+        if p != 0.0:
+            walk(outcome, 0, (), p)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Dense-product walks over sparse tables
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from absaudit.abstraction import (
     GLOBAL,
@@ -21,7 +25,8 @@ from absaudit.errors import (
 from absaudit.scm import joint_distribution
 from absaudit.freecat import Morphism
 
-from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, xor
+from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, random_model, xor
+from oracles import plain_pushforward
 
 TOL = 1e-9
 
@@ -302,6 +307,119 @@ def test_pushforward_global_map(micro, macro):
     pushed = pushforward(a, joint_distribution(micro), micro, macro)
     for outcome in pushed.outcomes():
         assert abs(pushed.prob(outcome) - 0.25) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# Pushforward and composition against the plain oracle
+# ---------------------------------------------------------------------------
+
+LAYERS = ("deterministic", "stochastic", "partial", "global")
+
+
+def _random_target(rng, name, prefix):
+    """A model of one to three parentless variables of two or three values."""
+    spec = []
+    for j in range(rng.randint(1, 3)):
+        domain = tuple(str(x) for x in range(rng.randint(2, 3)))
+        spec.append((f"{prefix}{j}", domain, (), lambda pa, u, d=domain: d[0]))
+    return model(name, spec, {v: U2 for v, _, _, _ in spec})
+
+
+def _random_row(rng, values, kind):
+    """One entry of weight one, or weights summing to one over a few values
+    with an explicit zero beside them; for "partial", sometimes all zero."""
+    if kind == "partial" and rng.random() < 0.1:
+        return {rng.choice(values): 0.0}
+    if kind == "deterministic" or rng.random() < 0.3:
+        return {rng.choice(values): 1.0}
+    picked = rng.sample(values, rng.randint(1, len(values)))
+    weights = [rng.randint(1, 5) for _ in picked]
+    row = {v: w / sum(weights) for v, w in zip(picked, weights)}
+    spare = [v for v in values if v not in row]
+    if spare and rng.random() < 0.5:
+        row[rng.choice(spare)] = 0.0
+    return row
+
+
+def _random_layer(rng, source, target, kind):
+    """Outcome maps from `source` onto `target`.  Each target variable reads
+    a random block of source variables (some are read by none); "global" is
+    one map between every variable of both.  "partial" omits some rows."""
+    if kind == "global":
+        values = list(block_domain(target, target.variable_names))
+        rows = {key: _random_row(rng, values, "partial")
+                for key in block_domain(source, source.variable_names)
+                if rng.random() < 0.9}
+        return [OutcomeMap(GLOBAL, source.variable_names, rows, onto=target.variable_names)]
+    owner = {v: rng.randrange(len(target.variables) + 1) for v in source.variable_names}
+    maps = []
+    for j, y in enumerate(target.variable_names):
+        sources = tuple(v for v in source.variable_names if owner[v] == j)
+        values = [(x,) for x in target.domain_of(y)]
+        rows = {key: _random_row(rng, values, kind)
+                for key in block_domain(source, sources)
+                if kind != "partial" or rng.random() < 0.9}
+        maps.append(OutcomeMap(target=y, sources=sources, rows=rows))
+    return maps
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30), kind=st.sampled_from(LAYERS))
+def test_pushforward_matches_plain_oracle(seed, kind):
+    """The oracle's floats in the oracle's order, exactly; a partial layer
+    raises without `renormalize` and is rescaled with it."""
+    rng = random.Random(seed)
+    source = random_model(rng)
+    target = _random_target(rng, "tgt", "Y")
+    a = abstraction("a", source, target, {}, outcomes=_random_layer(rng, source, target, kind))
+    dist = joint_distribution(source)
+    dist.probs.setdefault(tuple(rng.choice(v.domain) for v in source.variables), 0.0)
+    index = {v: i for i, v in enumerate(source.variable_names)}
+    maps = [([index[s] for s in om.sources], om.rows) for om in a.outcome_maps]
+    want = plain_pushforward(dist.probs, maps)
+    total = sum(want.values())
+    if abs(total - dist.total) <= TOL:
+        got = pushforward(a, dist, source, target)
+        assert list(got.probs.items()) == list(want.items())
+    else:
+        with pytest.raises(RenormalizationRequiredError):
+            pushforward(a, dist, source, target)
+        if total <= TOL:
+            with pytest.raises(ModelError, match="no mass left"):
+                pushforward(a, dist, source, target, renormalize=True)
+            return
+        want = {k: p / total for k, p in want.items()}
+    got = pushforward(a, dist, source, target, renormalize=True)
+    assert list(got.probs.items()) == list(want.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30), kind=st.sampled_from(LAYERS[:3]))
+def test_compose_outcome_rows_match_plain_oracle(seed, kind):
+    """Each composed row is the point mass on its key pushed through the
+    legs, then through the upper map, exactly and in the same order."""
+    rng = random.Random(seed)
+    lower = random_model(rng)
+    mid = _random_target(rng, "mid", "X")
+    upper = _random_target(rng, "top", "Y")
+    first = abstraction("f", lower, mid, {}, outcomes=_random_layer(rng, lower, mid, kind))
+    second = abstraction("g", mid, upper, {}, outcomes=_random_layer(rng, mid, upper, kind))
+    both = compose_abstractions(first, second, lower, mid, upper)
+    assert [om.target for om in both.outcome_maps] == list(upper.variable_names)
+    for om2, om in zip(second.outcome_maps, both.outcome_maps):
+        legs = [first.outcome_map_for(x) for x in om2.sources]
+        used = {s for leg in legs for s in leg.sources}
+        assert om.sources == tuple(v for v in lower.variable_names if v in used)
+        legs_plain = [([om.sources.index(s) for s in leg.sources], leg.rows) for leg in legs]
+        upper_plain = [(range(len(legs)), om2.rows)]
+        want = {}
+        for key in itertools.product(*(lower.domain_of(v) for v in om.sources)):
+            row = plain_pushforward(plain_pushforward({key: 1.0}, legs_plain), upper_plain)
+            if row:
+                want[key] = row
+        assert [(k, list(r.items())) for k, r in om.rows.items()] == [
+            (k, list(r.items())) for k, r in want.items()
+        ]
 
 
 # ---------------------------------------------------------------------------

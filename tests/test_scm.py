@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.resources
 import io
 import json
 import random
@@ -24,12 +25,13 @@ from absaudit.scm import (
     underlying_graph,
     validate_scm,
 )
-from absaudit.textfmt import emit_scm
+from absaudit.textfmt import emit_scm, parse_document
 
 from helpers import BIN, U2, chain, model, plain_scm, random_model, xor
 from oracles import dense_rows, plain_joint, plain_kernel
 
 TOL = 1e-9
+DATA = importlib.resources.files("absaudit") / "data"
 
 
 @pytest.fixture
@@ -126,6 +128,29 @@ def test_validate_non_finite_exogenous_table(weights):
     m = chain("m", ["A"])
     m.exo_table = dict(zip([("0",), ("1",)], weights))
     assert "dist-total" in codes(validate_scm(m))
+
+
+def test_validate_noise_key_issues_in_order():
+    # A short key, a long key, an out-of-domain value and a negative entry,
+    # each reported in table order, then the total.
+    m = chain("m", ["A", "B"])
+    m.exo_table = {
+        ("0", "0"): 0.5,
+        ("0",): 0.25,
+        ("1", "1", "0"): 0.25,
+        ("1", "7"): 0.5,
+        ("1", "0"): -0.25,
+        ("7", "7"): -0.5,
+    }
+    assert [(i.code, i.message) for i in validate_scm(m).issues] == [
+        ("dist-key", "exogenous table key ('0',) is out of range"),
+        ("dist-key", "exogenous table key ('1', '1', '0') is out of range"),
+        ("dist-key", "exogenous table key ('1', '7') is out of range"),
+        ("dist-negative", "negative probability -0.25 at ('1', '0')"),
+        ("dist-key", "exogenous table key ('7', '7') is out of range"),
+        ("dist-negative", "negative probability -0.5 at ('7', '7')"),
+        ("dist-total", "exogenous table sums to 0.75, not 1"),
+    ]
 
 
 def test_validate_tolerates_tiny_rounding():
@@ -277,6 +302,34 @@ def test_capacity_cap(chain3):
     assert joint_distribution(chain3, cap=8).total == pytest.approx(1.0)
 
 
+class _Unread:
+    """Mechanisms that fail the test when anything reads them."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a mechanism was read ({name})")
+
+    def __getitem__(self, key):
+        raise AssertionError(f"a mechanism was read ({key!r})")
+
+
+def test_capacity_is_checked_before_any_mechanism_is_read():
+    m = chain("m", ["A"])
+    m.mechanisms = _Unread()
+    with pytest.raises(CapacityError, match="2 supported assignments"):
+        joint_distribution(m, cap=1)
+
+
+def test_joint_of_a_model_without_variables():
+    m = Scm("m", [], [], {}, {(): 1.0})
+    assert validate_scm(m).ok
+    assert list(joint_distribution(m).probs.items()) == [((), 1.0)]
+
+
+def test_joint_of_an_all_zero_noise_table_is_empty(chain3):
+    chain3.exo_table = dict.fromkeys(chain3.exo_table, 0.0)
+    assert joint_distribution(chain3).probs == {}
+
+
 def test_capacity_env_override(chain3, monkeypatch):
     monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "4")
     with pytest.raises(CapacityError):
@@ -333,6 +386,44 @@ def test_kernel_composition_reproduces_joint(chain3):
             for c in BIN:
                 want = ks.rows[()][s] * kt.rows[(s,)][t] * kc.rows[(t,)][c]
                 assert abs(dist.prob((s, t, c)) - want) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# A mechanism gap in an unvalidated model
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def gap_model():
+    """chain3_micro without the row `0 0` of T's mechanism, and the words
+    `validate_scm` reports that gap with."""
+    text = (DATA / "models" / "chain3_micro.scm").read_text()
+    m = parse_document(text).models["chain3_micro"]
+    del m.mechanisms["T"][("0", "0")]
+    (gap,) = [i.message for i in validate_scm(m).issues if i.code == "mechanism-gap"]
+    assert gap == "mechanism for T misses input ('0', '0')"
+    return m, gap
+
+
+def test_joint_reports_a_mechanism_gap(gap_model):
+    m, gap = gap_model
+    with pytest.raises(ModelError) as info:
+        joint_distribution(m)
+    assert str(info.value) == gap
+
+
+def test_kernel_reports_a_mechanism_gap(gap_model):
+    m, gap = gap_model
+    assert mechanism_kernel(m, "S").rows[()] == {"0": 0.5, "1": 0.5}
+    with pytest.raises(ModelError) as info:
+        mechanism_kernel(m, "T")
+    assert str(info.value) == gap
+
+
+def test_emit_reports_a_mechanism_gap(gap_model):
+    m, gap = gap_model
+    with pytest.raises(ModelError) as info:
+        emit_scm(m)
+    assert str(info.value) == gap
 
 
 # ---------------------------------------------------------------------------

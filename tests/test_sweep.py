@@ -1,0 +1,33 @@
+"""The output-diff sweep runs, and shuffling the dist rows changes no line."""
+
+from __future__ import annotations
+
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "absaudit" / "data"
+FILES = [str(DATA / "models" / "chain3_micro.scm"), str(DATA / "figures" / "fig3a.abs")]
+
+
+def _sweep(*args: str) -> list[str]:
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep.py"), *args, *FILES],
+        check=True, capture_output=True, text=True,
+    )
+    return run.stdout.splitlines()
+
+
+def test_sweep_on_two_files():
+    lines = _sweep()
+    calls = [line.split(" ", 2) for line in lines]
+    assert all(len(digest) == 64 for _, digest, _ in calls)
+    argvs = [argv for _, _, argv in calls]
+    assert len(set(argvs)) == len(argvs)
+    assert "dist models/chain3_micro.scm" in argvs
+    assert "--format json graph models/chain3_micro.scm --model chain3_micro --hom C S" in argvs
+    codes = {argv: code for code, _, argv in calls}
+    assert codes["audit figures/fig3a.abs"] == "0"
+    assert codes["no-such-command"] == "2"
+    assert _sweep("--shuffle-dist", "1") == lines

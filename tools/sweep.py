@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Output-diff sweep: every CLI command on every shipped model and map file.
+
+Each call runs `absaudit.cli.main(argv)` in-process and prints one line:
+
+    <exit code> <sha256 of stdout, stderr and exit code> <argv>
+
+so two checkouts give the same lines exactly when every command prints the
+same bytes and exits the same way.  The calls are, in text and in JSON:
+
+* per file: validate, graph, dist, audit, classify, push;
+* per model: graph, graph --dot, dist and graph --hom for every ordered
+  pair of its nodes;
+* per abstraction: graph --dot --abs, audit, classify, push and
+  push --renormalize;
+* tables with each --which, and tables --truth (the shipped tables) with
+  and without --which;
+* the usage errors (unknown command, missing FILE, --format xml) and the
+  help of the program and of dist.
+
+The files are copied into a scratch directory and named by their path under
+the data directory, so the lines do not depend on where a checkout lives.
+With `--shuffle-dist SEED` the rows of every `dist` block of the copies are
+shuffled first, which changes no answer.  Run from a checkout's root:
+
+    python3 tools/sweep.py > sweep.txt
+    python3 tools/sweep.py --src ../other/src > other.txt && diff sweep.txt other.txt
+    python3 tools/sweep.py --shuffle-dist 1 src/absaudit/data/figures/fig3a.abs
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import random
+import re
+import shlex
+import shutil
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DIST_OPEN = re.compile(r"^\s*dist\b.*\{\s*$")
+
+
+def call(main, argv: list[str]) -> str:
+    """One sweep line for `main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+        except Exception as exc:  # a traceback is an answer to compare too
+            code = f"raised {type(exc).__name__}: {exc}"
+    blob = "\0".join((out.getvalue(), err.getvalue(), str(code))).encode()
+    return f"{code} {hashlib.sha256(blob).hexdigest()} {shlex.join(argv)}"
+
+
+def shuffle_dist(text: str, rng: random.Random) -> str:
+    """`text` with the rows of every `dist` block in a random order."""
+    lines, out, block = text.split("\n"), [], None
+    for line in lines:
+        if block is None:
+            out.append(line)
+            if DIST_OPEN.match(line):
+                block = []
+        elif line.strip() == "}":
+            rng.shuffle(block)
+            out += block + [line]
+            block = None
+        else:
+            block.append(line)
+    return "\n".join(out + (block or []))
+
+
+def calls(files: list[str], parse_path) -> list[list[str]]:
+    """The argv of every sweep call on `files` (paths in the working dir)."""
+    plain: list[list[str]] = []
+    for path in files:
+        plain += [[cmd, path] for cmd in ("validate", "graph", "dist", "audit",
+                                          "classify", "push")]
+        try:
+            doc = parse_path(path)
+        except Exception:  # the per-file calls report it
+            continue
+        for name, model in doc.models.items():
+            pick = ["--model", name]
+            plain += [["graph", path, *pick], ["graph", path, "--dot", *pick],
+                      ["dist", path, *pick]]
+            nodes = model.variable_names
+            plain += [["graph", path, *pick, "--hom", s, t] for s in nodes for t in nodes]
+        for name in doc.abstractions:
+            pick = ["--abs", name]
+            plain += [["graph", path, "--dot", *pick], ["audit", path, *pick],
+                      ["classify", path, *pick], ["push", path, *pick],
+                      ["push", path, "--renormalize", *pick]]
+    plain += [["tables", "--which", w] for w in ("both", "structural", "distributional")]
+    plain += [["tables", "--truth", "tables/structural.tbl"]]
+    plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
+              for w in ("structural", "distributional")]
+    plain += [["no-such-command"], ["dist"], ["--format", "xml", "validate", "x.abs"],
+              ["--help"], ["dist", "--help"]]
+    return [argv for cmd in plain for argv in (cmd, ["--format", "json", *cmd])]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("files", nargs="*", help="model or map files (default: all shipped)")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the source tree whose absaudit runs (default: this checkout's)")
+    parser.add_argument("--shuffle-dist", type=int, metavar="SEED",
+                        help="shuffle the rows of every dist block of the copies first")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
+    from absaudit.cli import main as absaudit_main
+    from absaudit.textfmt import parse_path
+
+    data = ROOT / "src" / "absaudit" / "data"
+    files = [pathlib.Path(f).resolve() for f in args.files] or sorted(
+        p for p in data.rglob("*") if p.suffix in (".abs", ".scm"))
+    rng = random.Random(args.shuffle_dist)
+    here = os.getcwd()
+    os.environ["COLUMNS"] = "80"  # help text wraps at the terminal's width
+    with tempfile.TemporaryDirectory() as scratch:
+        shutil.copytree(data / "tables", pathlib.Path(scratch, "tables"))
+        names = []
+        for path in files:
+            name = path.relative_to(data) if path.is_relative_to(data) else path.name
+            copy = pathlib.Path(scratch, name)
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            text = path.read_bytes()
+            if args.shuffle_dist is not None:
+                text = shuffle_dist(text.decode("utf-8"), rng).encode("utf-8")
+            copy.write_bytes(text)
+            names.append(str(name))
+        os.chdir(scratch)
+        try:
+            for line_argv in calls(names, parse_path):
+                print(call(absaudit_main, line_argv))
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
