@@ -63,9 +63,13 @@ def rows_of(columns: Sequence[Iterable], count: int) -> Iterator[tuple]:
     return map(itemgetter(slice(1, None)), zip(range(count), *columns))
 
 
-def _gap_message(variable: str, key: tuple) -> str:
-    """The words of a `mechanism-gap` issue, also raised by the walks."""
-    return f"mechanism for {variable} misses input {key}"
+# The words of the validation issues that the walks also raise, by code.
+_WORDS = {
+    "unknown-exogenous": "{} references unknown exogenous {}",
+    "missing-mechanism": "no mechanism for {}",
+    "mechanism-gap": "mechanism for {} misses input {}",
+    "mechanism-range": "mechanism for {} maps {} outside the domain: {!r}",
+}
 
 
 @dataclass(frozen=True)
@@ -278,9 +282,7 @@ def validate_scm(model: Scm) -> ValidationReport:
         if v.name in v.parents:
             report.add("self-parent", f"{v.name} lists itself as a parent")
         if v.exogenous not in exo_names:
-            report.add(
-                "unknown-exogenous", f"{v.name} references unknown exogenous {v.exogenous}"
-            )
+            report.add("unknown-exogenous", _WORDS["unknown-exogenous"].format(v.name, v.exogenous))
 
     attached = {}
     for u in model.exogenous:
@@ -312,7 +314,7 @@ def validate_scm(model: Scm) -> ValidationReport:
     for v in model.variables:
         table = model.mechanisms.get(v.name)
         if table is None:
-            report.add("missing-mechanism", f"no mechanism for {v.name}")
+            report.add("missing-mechanism", _WORDS["missing-mechanism"].format(v.name))
             continue
         if any(p not in by_name for p in v.parents) or v.exogenous not in exo_by_name:
             continue  # already reported above
@@ -320,15 +322,12 @@ def validate_scm(model: Scm) -> ValidationReport:
         expected = set(itertools.product(*inputs))
         got = set(table)
         for key in sorted(expected - got, key=repr):
-            report.add("mechanism-gap", _gap_message(v.name, key))
+            report.add("mechanism-gap", _WORDS["mechanism-gap"].format(v.name, key))
         for key in sorted(got - expected, key=repr):
             report.add("mechanism-extra", f"mechanism for {v.name} has stray input {key}")
         for key, out in table.items():
             if out not in v.domain:
-                report.add(
-                    "mechanism-range",
-                    f"mechanism for {v.name} maps {key} outside the domain: {out!r}",
-                )
+                report.add("mechanism-range", _WORDS["mechanism-range"].format(v.name, key, out))
 
     # Joint exogenous table: each key place by place, against a domain set.
     in_domain = {u.name: set(u.domain) for u in model.exogenous}
@@ -379,7 +378,6 @@ def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:
             raise ModelError(
                 f"value {value!r} is outside the domain of {name}"
             )
-    exo_by_name = {u.name: u for u in model.exogenous}
     new_vars = []
     new_mechs = {}
     for v in model.variables:
@@ -387,8 +385,10 @@ def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:
             value = assignments[v.name]
             new_vars.append(replace(v, parents=()))
             new_mechs[v.name] = {
-                (u,): value for u in exo_by_name[v.exogenous].domain
+                (u,): value for u in model.exogenous_variable(v.exogenous).domain
             }
+        elif v.name not in model.mechanisms:
+            raise ModelError(_WORDS["missing-mechanism"].format(v.name))
         else:
             new_vars.append(v)
             new_mechs[v.name] = dict(model.mechanisms[v.name])
@@ -416,8 +416,8 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     order, so every sum and the outcome order are those of a walk over the
     dense product of the domains.  Raises CapacityError, before any
     mechanism is read, when the supported entries exceed the cap (default
-    10^7, env-overridable), and ModelError when a mechanism misses an input.
-    """
+    10^7, env-overridable), and ModelError, in `validate`'s words, on an
+    unknown exo term, a mechanism gap or a parent's out-of-domain value."""
     limit = cap if cap is not None else enum_cap(DEFAULT_EXO_CAP)
     domains = [u.domain for u in model.exogenous]
     entries = [e for e in row_major(model.exo_table, domains) if e[2] != 0.0]
@@ -432,13 +432,15 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     by_name = {v.name: v for v in model.variables}
     columns: dict[str, list] = {}
     for v in map(by_name.__getitem__, topological_order(model)):
+        if v.exogenous not in exo_index:
+            raise ModelError(_WORDS["unknown-exogenous"].format(v.name, v.exogenous))
         inputs = [columns[q] for q in v.parents]
         inputs.append(map(itemgetter(exo_index[v.exogenous]), combos))
         mechanism = model.mechanisms.get(v.name, {})
         try:
             columns[v.name] = list(map(mechanism.__getitem__, zip(*inputs)))
-        except KeyError as gap:
-            raise ModelError(_gap_message(v.name, gap.args[0])) from None
+        except KeyError as miss:
+            raise ModelError(_miss_words(model, v, miss.args[0])) from None
     probs: dict[tuple, float] = {}
     outcomes = rows_of([columns[name] for name in model.variable_names], len(weights))
     for p, outcome in zip(weights, outcomes):
@@ -450,6 +452,16 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     )
 
 
+def _miss_words(model: Scm, v: Variable, key: tuple) -> str:
+    """Why `v`'s mechanism misses `key`: the `mechanism-range` words of the
+    first parent whose value lies outside its domain, else a gap's."""
+    for p, x in zip(v.parents, key):
+        if x not in model.variable(p).domain:
+            row = next(k for k, out in model.mechanisms[p].items() if out == x)
+            return _WORDS["mechanism-range"].format(p, row, x)
+    return _WORDS["mechanism-gap"].format(v.name, key)
+
+
 def mechanism_rows(model: Scm, v: Variable) -> Iterator[tuple[tuple, Value]]:
     """Each input of `v`'s mechanism (its parents' values, then its noise
     value) in row-major order, with the mechanism's value there.  Raises
@@ -458,7 +470,7 @@ def mechanism_rows(model: Scm, v: Variable) -> Iterator[tuple[tuple, Value]]:
     noise = model.exogenous_variable(v.exogenous).domain
     for key in itertools.product(*(model.variable(p).domain for p in v.parents), noise):
         if key not in mechanism:
-            raise ModelError(_gap_message(v.name, key))
+            raise ModelError(_WORDS["mechanism-gap"].format(v.name, key))
         yield key, mechanism[key]
 
 
@@ -513,8 +525,11 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
         raise KernelUndefinedError("kernel undefined under exogenous dependence")
 
     rows: dict[tuple, dict[Value, float]] = {}
-    for key, value in mechanism_rows(model, v):
-        rows.setdefault(key[:-1], dict.fromkeys(v.domain, 0.0))[value] += own[key[-1]]
+    try:
+        for key, value in mechanism_rows(model, v):
+            rows.setdefault(key[:-1], dict.fromkeys(v.domain, 0.0))[value] += own[key[-1]]
+    except KeyError:  # a value outside the domain
+        raise ModelError(_WORDS["mechanism-range"].format(v.name, key, value)) from None
     return Kernel(
         variable=variable,
         row_scope=v.parents,

@@ -23,6 +23,12 @@ Enforcement conventions (how verdicts become matrix cells):
   inadmissible on the distributional one (the layers treat a reversed map
   differently, and both tables keep their own convention).
 
+One function, `_matrix`, computes both tables.  A column holds a witness's
+four set-map cells (Functionality to Bijectivity, read from its node audit
+on the structural table and from its outcome summary on the distributional
+one), on the structural table the four functor cells next, and the two
+modality rows last.
+
 Type detection reads the node and outcome audits and `freecat.path_counts`
 only: it runs no functor audit and lists no path.
 """
@@ -281,100 +287,63 @@ def witness_profile(
 # Matrix computation
 # ---------------------------------------------------------------------------
 
-def _structural_column(profile: PropertyProfile, reversed_map: bool) -> dict[str, Admissibility]:
-    node, functor = profile.node, profile.functor
-    func_cell = node.functional and node.deterministic
-    surj_cell = func_cell and node.surjective
-    inj_cell = func_cell and node.injective is True
-    bij_cell = surj_cell and inj_cell
-    ftor_cell = func_cell and functor.functorial is True
-    full_cell = ftor_cell and functor.full is True
-    faith_cell = ftor_cell and functor.faithful_parallel is True
-    ff_cell = full_cell and faith_cell
-    if reversed_map:
-        properties = {
-            row: Admissibility.NOT_APPLICABLE for row in STRUCTURAL_ROWS[:8]
-        }
-    else:
-        properties = {
-            "Functionality": _admissible(func_cell),
-            "Surjectivity": _admissible(surj_cell),
-            "Injectivity": _admissible(inj_cell),
-            "Bijectivity": _admissible(bij_cell),
-            "Functoriality": _admissible(ftor_cell),
-            "Fullness": _admissible(full_cell),
-            "Faithfulness": _admissible(faith_cell),
-            "Fully Faithfulness": _admissible(ff_cell),
-        }
-    properties["Non-Determinism"] = _modal(profile.modalities.non_deterministic)
-    properties["Macro-to-micro"] = _modal(profile.modalities.macro_to_micro)
-    return properties
+def _set_map_cells(audit) -> list[bool]:
+    """Functionality, Surjectivity, Injectivity and Bijectivity of a node
+    audit or an outcome summary."""
+    functional = audit.functional and audit.deterministic
+    surjective = functional and audit.surjective
+    injective = functional and audit.injective is True
+    return [functional, surjective, injective, surjective and injective]
 
 
-def _distributional_column(profile: PropertyProfile, reversed_map: bool) -> dict[str, Admissibility]:
-    s = profile.outcome_summary
-    if s is None:
-        raise ModelError("a distributional witness needs an outcome layer")
-    func_cell = s.functional and s.deterministic
-    surj_cell = func_cell and s.surjective
-    inj_cell = func_cell and s.injective is True
-    bij_cell = surj_cell and inj_cell
-    if reversed_map:
-        properties = {
-            row: Admissibility.DISALLOWED for row in DISTRIBUTIONAL_ROWS[:4]
-        }
-    else:
-        properties = {
-            "Functionality": _admissible(func_cell),
-            "Surjectivity": _admissible(surj_cell),
-            "Injectivity": _admissible(inj_cell),
-            "Bijectivity": _admissible(bij_cell),
-        }
-    properties["Non-Determinism"] = _modal(profile.modalities.non_deterministic)
-    properties["Macro-to-micro"] = _modal(profile.modalities.macro_to_micro)
-    return properties
+def _property_cells(profile: PropertyProfile, structural: bool) -> list[bool]:
+    """A witness's property rows: the set-map cells of its node audit, then
+    Functoriality, Fullness, Faithfulness and Fully Faithfulness; or the
+    set-map cells of its outcome summary."""
+    if not structural:
+        if profile.outcome_summary is None:
+            raise ModelError("a distributional witness needs an outcome layer")
+        return _set_map_cells(profile.outcome_summary)
+    cells, functor = _set_map_cells(profile.node), profile.functor
+    functorial = cells[0] and functor.functorial is True
+    full = functorial and functor.full is True
+    faithful = functorial and functor.faithful_parallel is True
+    return cells + [functorial, full, faithful, full and faithful]
+
+
+def _matrix(types, labels: dict, rows: tuple[str, ...], reversal: Admissibility) -> PropertyMatrix:
+    """The table of the type enum `types` from their witnesses: a column per
+    type, headed by its label; `reversal` on the property rows of the
+    reversal column; the two modality rows last."""
+    structural = types is StructuralType
+    cells: dict[tuple[str, str], Admissibility] = {}
+    cols = []
+    for t in types:
+        profile, label = witness_profile(t), labels[t]
+        flags = _property_cells(profile, structural)
+        if t is types.ABSTRACTION_REVERSAL:
+            column = [reversal] * len(flags)
+        else:
+            column = list(map(_admissible, flags))
+        column += [_modal(profile.modalities.non_deterministic),
+                   _modal(profile.modalities.macro_to_micro)]
+        cols.append(label)
+        for row, cell in zip(rows, column, strict=True):
+            cells[(row, label)] = cell
+    title = "structural" if structural else "distributional"
+    return PropertyMatrix(title, rows, tuple(cols), cells)
 
 
 def structural_matrix() -> PropertyMatrix:
     """Recompute the structural table from the shipped witnesses."""
-    cells: dict[tuple[str, str], Admissibility] = {}
-    cols = []
-    for t in StructuralType:
-        label = STRUCTURAL_COLUMNS[t]
-        cols.append(label)
-        profile = witness_profile(t)
-        column = _structural_column(
-            profile, reversed_map=t is StructuralType.ABSTRACTION_REVERSAL
-        )
-        for row in STRUCTURAL_ROWS:
-            cells[(row, label)] = column[row]
-    return PropertyMatrix(
-        title="structural",
-        rows=STRUCTURAL_ROWS,
-        cols=tuple(cols),
-        cells=cells,
-    )
+    return _matrix(StructuralType, STRUCTURAL_COLUMNS, STRUCTURAL_ROWS,
+                   Admissibility.NOT_APPLICABLE)
 
 
 def distributional_matrix() -> PropertyMatrix:
     """Recompute the distributional table from the shipped witnesses."""
-    cells: dict[tuple[str, str], Admissibility] = {}
-    cols = []
-    for t in DistributionalType:
-        label = DISTRIBUTIONAL_COLUMNS[t]
-        cols.append(label)
-        profile = witness_profile(t)
-        column = _distributional_column(
-            profile, reversed_map=t is DistributionalType.ABSTRACTION_REVERSAL
-        )
-        for row in DISTRIBUTIONAL_ROWS:
-            cells[(row, label)] = column[row]
-    return PropertyMatrix(
-        title="distributional",
-        rows=DISTRIBUTIONAL_ROWS,
-        cols=tuple(cols),
-        cells=cells,
-    )
+    return _matrix(DistributionalType, DISTRIBUTIONAL_COLUMNS, DISTRIBUTIONAL_ROWS,
+                   Admissibility.DISALLOWED)
 
 
 def shipped_table(which: str) -> PropertyMatrix:

@@ -42,6 +42,9 @@ Abstraction block::
       }
     }
 
+The parser reads one stream of non-empty token rows.  Every braced body, a
+top-level block or a nested row block, is read from it by one generator that
+stops at the closing brace, so a parse error names the line it was read from.
 The serializer writes blocks in a canonical order with canonical row order,
 so parsing a canonical file and emitting it again reproduces it byte for
 byte.
@@ -50,8 +53,9 @@ byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 from .abstraction import (
     GLOBAL,
@@ -96,21 +100,13 @@ class Document:
 
     def resolve(self, abstraction: Abstraction) -> tuple[Scm, Scm]:
         """Look up the two models an abstraction runs between."""
-        try:
-            source = self.models[abstraction.source_ref]
-        except KeyError:
-            raise ModelError(
-                f"abstraction {abstraction.name!r} references unknown "
-                f"source model {abstraction.source_ref!r}"
-            ) from None
-        try:
-            target = self.models[abstraction.target_ref]
-        except KeyError:
-            raise ModelError(
-                f"abstraction {abstraction.name!r} references unknown "
-                f"target model {abstraction.target_ref!r}"
-            ) from None
-        return source, target
+        for role, ref in (("source", abstraction.source_ref), ("target", abstraction.target_ref)):
+            if ref not in self.models:
+                raise ModelError(
+                    f"abstraction {abstraction.name!r} references unknown "
+                    f"{role} model {ref!r}"
+                )
+        return self.models[abstraction.source_ref], self.models[abstraction.target_ref]
 
 
 # ---------------------------------------------------------------------------
@@ -118,28 +114,38 @@ class Document:
 # ---------------------------------------------------------------------------
 
 class _Lines:
-    """Comment-stripping, token-splitting cursor over input lines."""
+    """The non-empty token rows of the input, comments stripped.
+
+    `rows` is one generator shared by every block reader, so nested blocks
+    read on from where their parent stopped; `line_no` is the 1-based number
+    of the line last read (0 before any)."""
 
     def __init__(self, text: str) -> None:
-        self.raw = text.splitlines()
-        self.pos = 0  # 0-based index of the line about to be read
+        self.line_no = 0
+        self.rows = self._rows(text.splitlines())
 
-    @property
-    def line_no(self) -> int:
-        return self.pos  # 1-based number of the line last read
-
-    def next(self) -> list[str] | None:
-        while self.pos < len(self.raw):
-            line = self.raw[self.pos]
-            self.pos += 1
-            body = line.split("#", 1)[0]
-            tokens = body.split()
+    def _rows(self, raw: list[str]) -> Iterator[list[str]]:
+        for self.line_no, line in enumerate(raw, 1):
+            if "#" in line:
+                line = line[: line.index("#")]
+            tokens = line.split()
             if tokens:
-                return tokens
-        return None
+                yield tokens
 
     def fail(self, reason: str, column: int = 1) -> ParseError:
         return ParseError(reason, max(self.line_no, 1), column)
+
+
+_CLOSE = ["}"]  # the closing row, built once rather than per row
+
+
+def _block(lines: _Lines, what: str) -> Iterator[list[str]]:
+    """Each row of a block up to its closing brace, which it consumes."""
+    for row in lines.rows:
+        if row == _CLOSE:
+            return
+        yield row
+    raise lines.fail(f"{what} is missing its closing brace")
 
 
 def _split_colon(tokens: list[str], lines: _Lines) -> tuple[list[str], list[str]]:
@@ -170,14 +176,10 @@ def _morphism(token: str, lines: _Lines) -> Morphism:
 
 def parse_document(text: str) -> Document:
     lines = _Lines(text)
-    first = lines.next()
-    if first != HEADER.split():
+    if next(lines.rows, None) != HEADER.split():
         raise lines.fail(f"expected header {HEADER!r}")
     doc = Document()
-    while True:
-        tokens = lines.next()
-        if tokens is None:
-            return doc
+    for tokens in lines.rows:
         if len(tokens) == 3 and tokens[0] == "scm" and tokens[2] == "{":
             doc.add_model(_parse_scm(tokens[1], lines))
         elif len(tokens) == 3 and tokens[0] == "abs" and tokens[2] == "{":
@@ -186,6 +188,7 @@ def parse_document(text: str) -> Document:
             raise lines.fail(
                 "expected 'scm NAME {' or 'abs NAME {' at the top level"
             )
+    return doc
 
 
 def _parse_scm(name: str, lines: _Lines) -> Scm:
@@ -194,12 +197,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
     mechanisms: dict[str, dict[tuple, str]] = {}
     exo_table: dict[tuple, float] = {}
     saw_dist = False
-    while True:
-        tokens = lines.next()
-        if tokens is None:
-            raise lines.fail(f"model {name!r} is missing its closing brace")
-        if tokens == ["}"]:
-            break
+    for tokens in _block(lines, f"model {name!r}"):
         head = tokens[0]
         if head == "var":
             if len(tokens) < 4 or tokens[2] != ":":
@@ -212,14 +210,8 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                 rest = rest[:j]
             if not rest:
                 raise lines.fail("a variable needs at least one value")
-            variables.append(
-                Variable(
-                    name=tokens[1],
-                    domain=tuple(rest),
-                    parents=parents,
-                    exogenous="",  # attached when the exo line arrives
-                )
-            )
+            # the exogenous term is attached when its exo line arrives
+            variables.append(Variable(tokens[1], tuple(rest), parents, exogenous=""))
         elif head == "exo":
             if len(tokens) < 6 or tokens[2] != ":" or tokens[-2] != "for":
                 raise lines.fail("expected 'exo NAME : VALUE... for NAME'")
@@ -229,12 +221,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
             )
             for i, v in enumerate(variables):
                 if v.name == owner:
-                    variables[i] = Variable(
-                        name=v.name,
-                        domain=v.domain,
-                        parents=v.parents,
-                        exogenous=tokens[1],
-                    )
+                    variables[i] = replace(v, exogenous=tokens[1])
         elif head == "dist":
             if tokens[-1] != "{":
                 raise lines.fail("expected 'dist NAME... {'")
@@ -245,12 +232,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                     "in declaration order"
                 )
             saw_dist = True
-            while True:
-                row = lines.next()
-                if row is None:
-                    raise lines.fail("dist block is missing its closing brace")
-                if row == ["}"]:
-                    break
+            for row in _block(lines, "dist block"):
                 left, right = _split_colon(row, lines)
                 if len(left) != len(declared) or len(right) != 1:
                     raise lines.fail("expected 'VALUE... : PROB'")
@@ -265,12 +247,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
             if var in mechanisms:
                 raise lines.fail(f"duplicate mechanism for {var}")
             table: dict[tuple, str] = {}
-            while True:
-                row = lines.next()
-                if row is None:
-                    raise lines.fail("mech block is missing its closing brace")
-                if row == ["}"]:
-                    break
+            for row in _block(lines, "mech block"):
                 left, right = _split_colon(row, lines)
                 if not left or len(right) != 1:
                     raise lines.fail("expected 'VALUE... : VALUE'")
@@ -283,13 +260,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
             raise lines.fail(f"unexpected {head!r} inside a model block")
     if not saw_dist and exogenous:
         raise lines.fail(f"model {name!r} has no dist block")
-    return Scm(
-        name=name,
-        variables=variables,
-        exogenous=exogenous,
-        mechanisms=mechanisms,
-        exo_table=exo_table,
-    )
+    return Scm(name, variables, exogenous, mechanisms, exo_table)
 
 
 def _parse_abs(name: str, lines: _Lines) -> Abstraction:
@@ -299,12 +270,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
     edge_map: dict[Morphism, Morphism] | None = None
     pairing: dict[str, str] | None = None
     outcome_maps: list[OutcomeMap] = []
-    while True:
-        tokens = lines.next()
-        if tokens is None:
-            raise lines.fail(f"abstraction {name!r} is missing its closing brace")
-        if tokens == ["}"]:
-            break
+    for tokens in _block(lines, f"abstraction {name!r}"):
         head = tokens[0]
         if head == "source" and len(tokens) == 2:
             source = tokens[1]
@@ -318,12 +284,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                     "direction must be micro-to-macro or macro-to-micro"
                 ) from None
         elif tokens == ["nodes", "{"]:
-            while True:
-                row = lines.next()
-                if row is None:
-                    raise lines.fail("nodes block is missing its closing brace")
-                if row == ["}"]:
-                    break
+            for row in _block(lines, "nodes block"):
                 left, right = _split_colon(row, lines)
                 if len(left) != 1 or not right or len(right) % 2:
                     raise lines.fail("expected 'NAME : NAME WEIGHT...'")
@@ -335,12 +296,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                 rows[left[0]] = entry
         elif tokens == ["edges", "{"]:
             edge_map = {}
-            while True:
-                row = lines.next()
-                if row is None:
-                    raise lines.fail("edges block is missing its closing brace")
-                if row == ["}"]:
-                    break
+            for row in _block(lines, "edges block"):
                 left, right = _split_colon(row, lines)
                 if len(left) != 1 or len(right) != 1:
                     raise lines.fail("expected 'PATH : PATH'")
@@ -350,12 +306,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                 edge_map[key] = _morphism(right[0], lines)
         elif tokens == ["pairs", "{"]:
             pairing = {}
-            while True:
-                row = lines.next()
-                if row is None:
-                    raise lines.fail("pairs block is missing its closing brace")
-                if row == ["}"]:
-                    break
+            for row in _block(lines, "pairs block"):
                 left, right = _split_colon(row, lines)
                 if len(left) != 1 or len(right) != 1:
                     raise lines.fail("expected 'NAME : NAME'")
@@ -387,12 +338,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                 onto = ()
                 arity = 1
             om_rows: dict[tuple, dict[tuple, float]] = {}
-            while True:
-                row = lines.next()
-                if row is None:
-                    raise lines.fail("outcomes block is missing its closing brace")
-                if row == ["}"]:
-                    break
+            for row in _block(lines, "outcomes block"):
                 left, right = _split_colon(row, lines)
                 if len(left) != len(sources):
                     raise lines.fail(
@@ -419,14 +365,8 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
         raise lines.fail(
             f"abstraction {name!r} needs source, target and direction lines"
         )
-    return Abstraction(
-        name=name,
-        source_ref=source,
-        target_ref=target,
-        direction=direction,
-        structure=StructuralMap(rows=rows, edge_map=edge_map, pairing=pairing),
-        outcome_maps=outcome_maps,
-    )
+    structure = StructuralMap(rows=rows, edge_map=edge_map, pairing=pairing)
+    return Abstraction(name, source, target, direction, structure, outcome_maps)
 
 
 def read_text(path) -> str:
@@ -454,6 +394,10 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
+def _join(values) -> str:
+    return " ".join(map(str, values))
+
+
 def _path_token(m: Morphism) -> str:
     if m.is_identity:
         return f"{m.nodes[0]}^{m.nodes[0]}"
@@ -463,23 +407,21 @@ def _path_token(m: Morphism) -> str:
 def emit_scm(model: Scm) -> list[str]:
     out = [f"scm {model.name} {{"]
     for v in model.variables:
-        line = f"  var {v.name} : {' '.join(str(x) for x in v.domain)}"
+        line = f"  var {v.name} : {_join(v.domain)}"
         if v.parents:
-            line += f" parents {' '.join(v.parents)}"
+            line += f" parents {_join(v.parents)}"
         out.append(line)
     for u in model.exogenous:
-        out.append(
-            f"  exo {u.name} : {' '.join(str(x) for x in u.domain)} for {u.endogenous}"
-        )
+        out.append(f"  exo {u.name} : {_join(u.domain)} for {u.endogenous}")
     if model.exogenous:
-        out.append(f"  dist {' '.join(u.name for u in model.exogenous)} {{")
+        out.append(f"  dist {_join(model.exogenous_names)} {{")
         for _, combo, p in row_major(model.exo_table, [u.domain for u in model.exogenous]):
-            out.append(f"    {' '.join(str(x) for x in combo)} : {_num(p)}")
+            out.append(f"    {_join(combo)} : {_num(p)}")
         out.append("  }")
     for v in model.variables:
         out.append(f"  mech {v.name} {{")
         for key, value in mechanism_rows(model, v):
-            out.append(f"    {' '.join(str(x) for x in key)} : {value}")
+            out.append(f"    {_join(key)} : {value}")
         out.append("  }")
     out.append("}")
     return out
@@ -512,20 +454,12 @@ def emit_abstraction(abstraction: Abstraction) -> list[str]:
         out.append("  }")
     for om in abstraction.outcome_maps:
         if om.is_global:
-            out.append(
-                f"  outcomes * from {' '.join(om.sources)} onto {' '.join(om.onto)} {{"
-            )
-            arity = len(om.onto)
+            out.append(f"  outcomes * from {_join(om.sources)} onto {_join(om.onto)} {{")
         else:
-            out.append(f"  outcomes {om.target} from {' '.join(om.sources)} {{")
-            arity = 1
+            out.append(f"  outcomes {om.target} from {_join(om.sources)} {{")
         for key in sorted(om.rows):
-            row = om.rows[key]
-            cells = " ".join(
-                f"{' '.join(str(x) for x in val)} {_num(w)}"
-                for val, w in sorted(row.items())
-            )
-            out.append(f"    {' '.join(str(x) for x in key)} : {cells}")
+            cells = " ".join(f"{_join(val)} {_num(w)}" for val, w in sorted(om.rows[key].items()))
+            out.append(f"    {_join(key)} : {cells}")
         out.append("  }")
     out.append("}")
     return out

@@ -426,6 +426,49 @@ def test_emit_reports_a_mechanism_gap(gap_model):
     assert str(info.value) == gap
 
 
+def _exo_q(m):
+    """T's exogenous term renamed to the undeclared U_Q."""
+    m.variables[1] = Variable("T", ("0", "1"), ("S",), "U_Q")
+
+
+def _t_maps_to_7(m):
+    m.mechanisms["T"][("0", "0")] = "7"
+
+
+def _no_mech_s(m):
+    del m.mechanisms["S"]
+
+
+@pytest.mark.parametrize(
+    "edit, call, code, message",
+    [
+        (_exo_q, joint_distribution, "unknown-exogenous", "T references unknown exogenous U_Q"),
+        (_t_maps_to_7, joint_distribution, "mechanism-range",
+         "mechanism for T maps ('0', '0') outside the domain: '7'"),
+        (_t_maps_to_7, lambda m: mechanism_kernel(m, "T"), "mechanism-range",
+         "mechanism for T maps ('0', '0') outside the domain: '7'"),
+        (_no_mech_s, lambda m: intervene(m, {"C": "0"}), "missing-mechanism",
+         "no mechanism for S"),
+    ],
+    ids=["joint-unknown-exo", "joint-blames-the-parent", "kernel-range", "intervene-no-mechanism"],
+)
+def test_unvalidated_model_errors_use_the_validation_words(edit, call, code, message):
+    m = parse_document((DATA / "models" / "chain3_micro.scm").read_text()).models["chain3_micro"]
+    edit(m)
+    assert message in [i.message for i in validate_scm(m).issues if i.code == code]
+    with pytest.raises(ModelError) as info:
+        call(m)
+    assert str(info.value) == message
+
+
+def test_intervene_on_an_unknown_exogenous_term():
+    m = parse_document((DATA / "models" / "chain3_micro.scm").read_text()).models["chain3_micro"]
+    _exo_q(m)
+    with pytest.raises(ModelError) as info:
+        intervene(m, {"T": "0"})
+    assert str(info.value) == "unknown exogenous variable 'U_Q' in model 'chain3_micro'"
+
+
 # ---------------------------------------------------------------------------
 # The support walk against the dense product of the noise domains
 # ---------------------------------------------------------------------------

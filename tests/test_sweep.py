@@ -30,4 +30,6 @@ def test_sweep_on_two_files():
     codes = {argv: code for code, _, argv in calls}
     assert codes["audit figures/fig3a.abs"] == "0"
     assert codes["no-such-command"] == "2"
+    # chain3_micro.scm without line 19, the closing brace of its dist block
+    assert codes["validate models/chain3_micro.scm.no-brace-19"] == "1"
     assert _sweep("--shuffle-dist", "1") == lines

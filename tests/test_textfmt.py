@@ -208,6 +208,10 @@ def test_document_resolve_unknown_reference():
     lonely.add_abstraction(lift)
     with pytest.raises(ModelError, match="unknown\\s+source model"):
         lonely.resolve(lift)
+    lonely.add_model(doc.models["mini"])
+    with pytest.raises(ModelError) as err:
+        lonely.resolve(lift)
+    assert str(err.value) == "abstraction 'lift' references unknown target model 'mini2'"
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +318,46 @@ def test_parse_rejects_non_finite_weights(token, old, line):
         parse_document(PAIR.replace(old, new, 1))
     assert err.value.line == line
     assert err.value.reason == f"expected a finite number, found {token!r}"
+
+
+def _cut(text: str, row: str) -> str:
+    """`text` up to and including the first `row`: the input ends inside its block."""
+    return text[: text.index(row) + len(row)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINI[:-2], "line 13, column 1: model 'mini' is missing its closing brace"),
+        (MINI[:-2] + "# a note\n\n",
+         "line 15, column 1: model 'mini' is missing its closing brace"),
+        (PAIR[:-2], "line 45, column 1: abstraction 'lift' is missing its closing brace"),
+        (_cut(MINI, "    0 : 0.5\n"), "line 7, column 1: dist block is missing its closing brace"),
+        (_cut(MINI, "    0 : 0\n"), "line 11, column 1: mech block is missing its closing brace"),
+        (_cut(PAIR, "    A : B 1.0\n"),
+         "line 34, column 1: nodes block is missing its closing brace"),
+        (_cut(PAIR, "    A^A : B^B\n"),
+         "line 37, column 1: edges block is missing its closing brace"),
+        (_cut(PAIR, "    A : B\n"), "line 40, column 1: pairs block is missing its closing brace"),
+        (_cut(PAIR, "    0 : 1 1.0\n"),
+         "line 43, column 1: outcomes block is missing its closing brace"),
+        (MINI.replace("    1 : 0.5\n", "    1 0.5\n"),
+         "line 8, column 1: expected a ':' separator"),
+        (MINI.replace("    1 : 1\n", "    1 : 1 0\n"),
+         "line 12, column 1: expected 'VALUE... : VALUE'"),
+        (PAIR.replace("    A : B 1.0\n", "    A : B\n"),
+         "line 34, column 1: expected 'NAME : NAME WEIGHT...'"),
+        (PAIR.replace("    A^A : B^B\n", "    A^A : B^^B\n"),
+         "line 37, column 1: malformed path 'B^^B'"),
+        (PAIR.replace("    A : B\n", "    A : B C\n"), "line 40, column 1: expected 'NAME : NAME'"),
+        (PAIR.replace("    1 : 0 1.0\n", "    1 : 0 1.0 0\n"),
+         "line 44, column 1: expected groups of 1 value(s) plus a weight"),
+    ],
+    ids=["model", "model-trailing-comment", "abstraction", "dist", "mech", "nodes",
+         "edges", "pairs", "outcomes", "dist-row", "mech-row", "nodes-row", "edges-row",
+         "pairs-row", "outcomes-row"],
+)
+def test_parse_error_pins_line_and_column(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert str(err.value) == message

@@ -9,6 +9,8 @@ so two checkouts give the same lines exactly when every command prints the
 same bytes and exits the same way.  The calls are, in text and in JSON:
 
 * per file: validate, graph, dist, audit, classify, push;
+* per file and per line that is a lone `}`: validate on a copy without
+  that line, so each block's missing-brace and misplaced-row errors show;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
   pair of its nodes;
 * per abstraction: graph --dot --abs, audit, classify, push and
@@ -77,8 +79,16 @@ def shuffle_dist(text: str, rng: random.Random) -> str:
     return "\n".join(out + (block or []))
 
 
-def calls(files: list[str], parse_path) -> list[list[str]]:
-    """The argv of every sweep call on `files` (paths in the working dir)."""
+def without_braces(text: str) -> list[tuple[int, str]]:
+    """(line number, `text` without that line) for every line that is a lone `}`."""
+    lines = text.split("\n")
+    return [(i + 1, "\n".join(lines[:i] + lines[i + 1:]))
+            for i, line in enumerate(lines) if line.strip() == "}"]
+
+
+def calls(files: list[str], parse_path, cut: list[str]) -> list[list[str]]:
+    """The argv of every sweep call on `files` and on the copies in `cut`
+    that lack a brace (paths in the working dir)."""
     plain: list[list[str]] = []
     for path in files:
         plain += [[cmd, path] for cmd in ("validate", "graph", "dist", "audit",
@@ -98,6 +108,7 @@ def calls(files: list[str], parse_path) -> list[list[str]]:
             plain += [["graph", path, "--dot", *pick], ["audit", path, *pick],
                       ["classify", path, *pick], ["push", path, *pick],
                       ["push", path, "--renormalize", *pick]]
+    plain += [["validate", path] for path in cut]
     plain += [["tables", "--which", w] for w in ("both", "structural", "distributional")]
     plain += [["tables", "--truth", "tables/structural.tbl"]]
     plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
@@ -127,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     os.environ["COLUMNS"] = "80"  # help text wraps at the terminal's width
     with tempfile.TemporaryDirectory() as scratch:
         shutil.copytree(data / "tables", pathlib.Path(scratch, "tables"))
-        names = []
+        names, cut = [], []
         for path in files:
             name = path.relative_to(data) if path.is_relative_to(data) else path.name
             copy = pathlib.Path(scratch, name)
@@ -137,9 +148,12 @@ def main(argv: list[str] | None = None) -> int:
                 text = shuffle_dist(text.decode("utf-8"), rng).encode("utf-8")
             copy.write_bytes(text)
             names.append(str(name))
+            for line, trimmed in without_braces(text.decode("utf-8")):
+                cut.append(f"{name}.no-brace-{line}")
+                pathlib.Path(scratch, cut[-1]).write_text(trimmed, encoding="utf-8")
         os.chdir(scratch)
         try:
-            for line_argv in calls(names, parse_path):
+            for line_argv in calls(names, parse_path, cut):
                 print(call(absaudit_main, line_argv))
         finally:
             os.chdir(here)
