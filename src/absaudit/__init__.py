@@ -14,7 +14,6 @@ from .abstraction import (
     Direction,
     OutcomeMap,
     StructuralMap,
-    block_domain,
     compose_abstractions,
     preimage,
     pushforward,
@@ -103,7 +102,6 @@ __all__ = [
     "audit_functor",
     "audit_node_map",
     "audit_outcome_map",
-    "block_domain",
     "canonical_witness",
     "compose",
     "compose_abstractions",

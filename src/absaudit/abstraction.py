@@ -25,14 +25,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, TypeVar
 
-from .errors import (
-    TOL,
-    GranularityError,
-    ModelError,
-    RenormalizationRequiredError,
-)
+from .errors import TOL, GranularityError, ModelError, RenormalizationRequiredError
 from .freecat import Morphism
-from .scm import Distribution, Scm, ValidationReport, rows_of, underlying_graph
+from .scm import Distribution, Scm, ValidationReport, in_range, row_major, rows_of
+from .scm import underlying_graph
 from . import freecat
 
 
@@ -99,15 +95,6 @@ class StructuralMap(_Rows):
             raise ModelError(f"node {node!r} maps stochastically")
         return next(iter(s))
 
-    def image(self) -> tuple[str, ...]:
-        """Target nodes in the support of some row, in first-seen order."""
-        seen: list[str] = []
-        for s in self.supported_rows().values():
-            for x in s:
-                if x not in seen:
-                    seen.append(x)
-        return tuple(seen)
-
 
 @dataclass
 class OutcomeMap(_Rows):
@@ -150,14 +137,8 @@ class Abstraction:
 
 
 # ---------------------------------------------------------------------------
-# Block helpers
+# Preimage blocks
 # ---------------------------------------------------------------------------
-
-def block_domain(model: Scm, variables: Sequence[str]) -> tuple[tuple, ...]:
-    """All joint outcomes of the given variables, row-major in given order."""
-    domains = [model.variable(v).domain for v in variables]
-    return tuple(itertools.product(*domains))
-
 
 def preimage(abstraction: Abstraction, source_model: Scm, target_node: str) -> tuple[str, ...]:
     """Source nodes mapped (deterministically) onto the target node.
@@ -188,6 +169,10 @@ def validate_abstraction(
     audit findings, not validation errors; validation only rejects maps that
     are not well-typed: unknown nodes, rows that do not normalise, morphism
     entries that are not paths, outcome blocks that do not match preimages.
+    Outcome keys and row values are checked one by one with the range rule
+    (`scm.in_range`): a tuple with one value per variable of the block (or
+    of the target scope), each in its variable's domain.  No product of
+    the domains is listed.
     """
     report = ValidationReport()
     sm = abstraction.structure
@@ -272,16 +257,16 @@ def validate_abstraction(
                 continue
             tgt_scope = (om.target,)
 
-        valid_keys = set(block_domain(source, om.sources))
-        tgt_outcomes = set(block_domain(target, tgt_scope))
+        key_fits = in_range([source.domain_of(v) for v in om.sources])
+        value_fits = in_range([target.domain_of(v) for v in tgt_scope])
         for key, row in om.rows.items():
-            if key not in valid_keys:
+            if not key_fits(key):
                 report.add(
                     "outcome-key", f"outcome row {key!r} for {om.target} is out of range"
                 )
             total = 0.0
             for val, w in row.items():
-                if val not in tgt_outcomes:
+                if not value_fits(val):
                     report.add(
                         "outcome-range",
                         f"outcome row {key!r} for {om.target} hits {val!r} "
@@ -405,7 +390,9 @@ def compose_abstractions(
 
     Node rows compose by matrix product; the morphism layer composes where
     both layers are defined; per-variable outcome maps compose block by
-    block when both legs are deterministic on nodes.  Directions must agree.
+    block when both legs are deterministic on nodes, walking the product of
+    the legs' supported keys (not the block's domains) and keeping the keys
+    in range in row-major order.  Directions must agree.
     """
     if first.target_ref != second.source_ref:
         raise ModelError(
@@ -450,20 +437,23 @@ def compose_abstractions(
             legs: list = [first.outcome_map_for(y) for y in om2.sources]
             if None in legs:
                 continue
-            used = {s for leg in legs for s in leg.sources}
-            srcs = tuple(v for v in lower.variable_names if v in used)
-            offsets = [tuple(map(srcs.index, leg.sources)) for leg in legs]
+            names = [s for leg in legs for s in leg.sources]
+            srcs = tuple(v for v in lower.variable_names if v in names)
             tables = [leg.supported_rows() for leg in legs]
             upper_rows = om2.supported_rows()
             out_rows: dict[tuple, dict[tuple, float]] = {}
-            for key in block_domain(lower, srcs):
-                picked = [t.get(tuple(key[i] for i in idxs)) for t, idxs in zip(tables, offsets)]
+            for keys in itertools.product(*tables):  # one supported key per leg
+                joined = dict(zip(names, itertools.chain(*keys)))
+                if any(tuple(map(joined.get, leg.sources)) != k for leg, k in zip(legs, keys)):
+                    continue  # a key of the wrong length, or legs that disagree
                 out: dict[tuple, float] = {}
-                for mid_key, mass in _row_product(1.0, picked):
+                for mid_key, mass in _row_product(1.0, [t[k] for t, k in zip(tables, keys)]):
                     for val, w in _row_product(mass, [upper_rows.get(mid_key)]):
                         out[val] = out.get(val, 0.0) + w
                 if out:
-                    out_rows[key] = out
+                    out_rows[tuple(map(joined.get, srcs))] = out
+            domains = [lower.domain_of(v) for v in srcs]
+            out_rows = {key: row for _, key, row in row_major(out_rows, domains)}
             composed.outcome_maps.append(
                 OutcomeMap(target=z, sources=srcs, rows=out_rows)
             )

@@ -30,11 +30,12 @@ last mapped inner node; by induction on their number, every other cut holds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Collection, Iterable, Optional
+import math
+from typing import Callable, Collection, Optional, Sequence
 
-from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap, block_domain
+from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
 from .freecat import Morphism, compose, identity, is_path, path_counts
-from .scm import Dag, Scm, underlying_graph
+from .scm import Dag, Scm, in_range, underlying_graph
 
 Verdict = Optional[bool]
 
@@ -67,24 +68,23 @@ class MapAudit:
     bijective: Verdict
 
     @classmethod
-    def of(
-        cls,
-        m: StructuralMap | OutcomeMap,
-        domain: Iterable,
-        codomain: Iterable,
-        **extra,
-    ) -> "MapAudit":
-        """Audit `m` (a node or outcome map) as a map from `domain` to `codomain`.
+    def of(cls, m: StructuralMap | OutcomeMap, in_domain: Callable[[object], bool],
+           domain_size: int, in_codomain: Callable[[object], bool], codomain_size: int,
+           **extra) -> "MapAudit":
+        """Audit `m` (a node or outcome map) as a map between two sets, each
+        given by a membership test and its size; nothing is listed.
 
         Every verdict reads the supports of the mapped rows: a key is mapped
         when its row has a nonempty support, and the image is the union of
-        the supports.
+        the supports.  `m` is functional when its mapped keys in the domain
+        are `domain_size` many, and surjective when its images in the
+        codomain are `codomain_size` many.
         """
         rows = m.supported_rows()
-        functional = all(key in rows for key in domain)
+        functional = sum(map(in_domain, rows)) == domain_size
         deterministic = m.is_deterministic()
         hit = {val for s in rows.values() for val in s}
-        surjective = set(codomain) <= hit
+        surjective = sum(map(in_codomain, hit)) == codomain_size
         injective: Verdict = None
         if deterministic:
             images = [next(iter(s)) for s in rows.values()]
@@ -104,19 +104,23 @@ class OutcomeAudit(MapAudit):
     target: str
 
 
+def _counted(names: Sequence[str], model: Scm) -> tuple[Callable[[object], bool], int]:
+    """The range rule over the domains of `names` and the number of keys in
+    range: the product of the distinct domain sizes."""
+    domains = [model.domain_of(v) for v in names]
+    return in_range(domains), math.prod(len(set(d)) for d in domains)
+
+
 def audit_node_map(abstraction: Abstraction, source: Scm, target: Scm) -> MapAudit:
-    return MapAudit.of(
-        abstraction.structure, source.variable_names, target.variable_names
-    )
+    src, tgt = set(source.variable_names), set(target.variable_names)
+    return MapAudit.of(abstraction.structure, src.__contains__, len(src),
+                       tgt.__contains__, len(tgt))
 
 
 def audit_outcome_map(om: OutcomeMap, source: Scm, target: Scm) -> OutcomeAudit:
     tgt_scope = target.variable_names if om.is_global else (om.target,)
     return OutcomeAudit.of(
-        om,
-        block_domain(source, om.sources),
-        block_domain(target, tgt_scope),
-        target=om.target,
+        om, *_counted(om.sources, source), *_counted(tgt_scope, target), target=om.target
     )
 
 

@@ -15,22 +15,10 @@ from . import taxonomy
 from .abstraction import pushforward, validate_abstraction
 from .audit import audit_abstraction
 from .dot import abstraction_dot, model_dot
-from .errors import (
-    AbsauditError,
-    CapacityError,
-    ModelError,
-    ParseError,
-)
+from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
-from .scm import (
-    Distribution,
-    intervene,
-    joint_distribution,
-    marginal,
-    row_major,
-    underlying_graph,
-    validate_scm,
-)
+from .scm import Distribution, intervene, joint_distribution, marginal, row_major
+from .scm import underlying_graph, validate_scm
 from .textfmt import Document, parse_path
 
 OK, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
@@ -83,11 +71,8 @@ def _parse_do(items: list[str]) -> dict[str, str]:
 
 
 def _dist_rows(dist: Distribution) -> list[tuple[str, float]]:
-    return [
-        (" ".join(str(x) for x in outcome), p)
-        for _, outcome, p in row_major(dist.probs, dist.domains)
-        if p != 0.0
-    ]
+    return [(" ".join(str(x) for x in outcome), p)
+            for _, outcome, p in row_major(dist.probs, dist.domains) if p != 0.0]
 
 
 def _print_dist(dist: Distribution, as_json: bool) -> None:

@@ -21,16 +21,9 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import contains, getitem, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    TOL,
-    DEFAULT_EXO_CAP,
-    CapacityError,
-    KernelUndefinedError,
-    ModelError,
-    enum_cap,
-)
+from .errors import TOL, DEFAULT_EXO_CAP, CapacityError, KernelUndefinedError, ModelError, enum_cap
 
 Value = object  # outcome labels: strings or small integers
 
@@ -57,6 +50,15 @@ def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> lis
     return ranked
 
 
+def in_range(domains: Sequence[Iterable]) -> Callable[[object], bool]:
+    """The range rule: a key is in range when it is a tuple with one value per
+    domain, each in its own domain.  As many keys are in range as the product
+    of the distinct domain sizes, so counting them replaces listing them."""
+    places = [set(d) for d in domains]
+    return lambda key: (isinstance(key, tuple) and len(key) == len(places)
+                        and all(map(contains, places, key)))
+
+
 def rows_of(columns: Sequence[Iterable], count: int) -> Iterator[tuple]:
     """The first `count` rows of `columns` as tuples, also when there is no
     column: a counter leads each row and is cut off."""
@@ -65,6 +67,7 @@ def rows_of(columns: Sequence[Iterable], count: int) -> Iterator[tuple]:
 
 # The words of the validation issues that the walks also raise, by code.
 _WORDS = {
+    "unknown-parent": "{} lists unknown parent {}",
     "unknown-exogenous": "{} references unknown exogenous {}",
     "missing-mechanism": "no mechanism for {}",
     "mechanism-gap": "mechanism for {} misses input {}",
@@ -258,7 +261,12 @@ class Kernel:
 # ---------------------------------------------------------------------------
 
 def validate_scm(model: Scm) -> ValidationReport:
-    """Check well-formedness: names, domains, mechanisms, acyclicity, P(U)."""
+    """Check well-formedness: names, domains, mechanisms, acyclicity, P(U).
+
+    Mechanism inputs and noise keys are tested with `in_range`, never listed:
+    a mechanism's gaps number the product of its input domain sizes less its
+    inputs in range, and one `mechanism-gap` issue names the first missing
+    input in row-major order and how many more there are."""
     report = ValidationReport()
     names = [v.name for v in model.variables]
     exo_names = [u.name for u in model.exogenous]
@@ -278,7 +286,7 @@ def validate_scm(model: Scm) -> ValidationReport:
             report.add("dup-outcome", f"variable {v.name} repeats a domain value")
         for p in v.parents:
             if p not in names:
-                report.add("unknown-parent", f"{v.name} lists unknown parent {p}")
+                report.add("unknown-parent", _WORDS["unknown-parent"].format(v.name, p))
         if v.name in v.parents:
             report.add("self-parent", f"{v.name} lists itself as a parent")
         if v.exogenous not in exo_names:
@@ -308,7 +316,8 @@ def validate_scm(model: Scm) -> ValidationReport:
     except ModelError:
         report.add("cyclic", "the parent relation has a cycle")
 
-    # Mechanism totality: exactly one row per (parent values, exo value).
+    # Mechanism totality: exactly one row per (parent values, exo value),
+    # counted: the inputs in range against the product of the domain sizes.
     by_name = {v.name: v for v in model.variables}
     exo_by_name = {u.name: u for u in model.exogenous}
     for v in model.variables:
@@ -319,21 +328,22 @@ def validate_scm(model: Scm) -> ValidationReport:
         if any(p not in by_name for p in v.parents) or v.exogenous not in exo_by_name:
             continue  # already reported above
         inputs = [by_name[p].domain for p in v.parents] + [exo_by_name[v.exogenous].domain]
-        expected = set(itertools.product(*inputs))
-        got = set(table)
-        for key in sorted(expected - got, key=repr):
-            report.add("mechanism-gap", _WORDS["mechanism-gap"].format(v.name, key))
-        for key in sorted(got - expected, key=repr):
+        extra = sorted(itertools.filterfalse(in_range(inputs), table), key=repr)
+        gaps = math.prod(len(set(d)) for d in inputs) - (len(table) - len(extra))
+        if gaps:
+            first = next(k for k in itertools.product(*map(dict.fromkeys, inputs))
+                         if k not in table)
+            more = f" (and {gaps - 1} more)" if gaps > 1 else ""
+            report.add("mechanism-gap", _WORDS["mechanism-gap"].format(v.name, first) + more)
+        for key in extra:
             report.add("mechanism-extra", f"mechanism for {v.name} has stray input {key}")
-        for key, out in table.items():
-            if out not in v.domain:
-                report.add("mechanism-range", _WORDS["mechanism-range"].format(v.name, key, out))
+        for words in _strays(v, table):
+            report.add("mechanism-range", words)
 
-    # Joint exogenous table: each key place by place, against a domain set.
-    in_domain = {u.name: set(u.domain) for u in model.exogenous}
-    places = [in_domain[u.name] for u in model.exogenous]
+    # Joint exogenous table: each key by the range rule.
+    fits = in_range([u.domain for u in model.exogenous])
     for combo, p in model.exo_table.items():
-        if len(combo) != len(places) or not all(map(contains, places, combo)):
+        if not fits(combo):
             report.add("dist-key", f"exogenous table key {combo!r} is out of range")
         if p < -TOL:
             report.add("dist-negative", f"negative probability {p} at {combo!r}")
@@ -342,6 +352,13 @@ def validate_scm(model: Scm) -> ValidationReport:
         report.add("dist-total", f"exogenous table sums to {total!r}, not 1")
 
     return report
+
+
+def _strays(v: Variable, mechanism: Mapping[tuple, Value]) -> Iterator[str]:
+    """The `mechanism-range` words of each row of `v`'s mechanism, in table
+    order, whose value lies outside `v`'s domain."""
+    return (_WORDS["mechanism-range"].format(v.name, key, out)
+            for key, out in mechanism.items() if out not in v.domain)
 
 
 def topological_order(model: Scm) -> tuple[str, ...]:
@@ -417,7 +434,9 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     dense product of the domains.  Raises CapacityError, before any
     mechanism is read, when the supported entries exceed the cap (default
     10^7, env-overridable), and ModelError, in `validate`'s words, on an
-    unknown exo term, a mechanism gap or a parent's out-of-domain value."""
+    unknown exo term, an unknown parent, a mechanism value outside its
+    variable's domain (checked over the mechanism's rows before its column
+    is built) or a mechanism gap."""
     limit = cap if cap is not None else enum_cap(DEFAULT_EXO_CAP)
     domains = [u.domain for u in model.exogenous]
     entries = [e for e in row_major(model.exo_table, domains) if e[2] != 0.0]
@@ -434,13 +453,18 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     for v in map(by_name.__getitem__, topological_order(model)):
         if v.exogenous not in exo_index:
             raise ModelError(_WORDS["unknown-exogenous"].format(v.name, v.exogenous))
-        inputs = [columns[q] for q in v.parents]
+        try:
+            inputs = [columns[q] for q in v.parents]
+        except KeyError as miss:
+            raise ModelError(_WORDS["unknown-parent"].format(v.name, miss.args[0])) from None
         inputs.append(map(itemgetter(exo_index[v.exogenous]), combos))
         mechanism = model.mechanisms.get(v.name, {})
+        for words in _strays(v, mechanism):  # no column holds a value outside its domain
+            raise ModelError(words)
         try:
             columns[v.name] = list(map(mechanism.__getitem__, zip(*inputs)))
         except KeyError as miss:
-            raise ModelError(_miss_words(model, v, miss.args[0])) from None
+            raise ModelError(_WORDS["mechanism-gap"].format(v.name, miss.args[0])) from None
     probs: dict[tuple, float] = {}
     outcomes = rows_of([columns[name] for name in model.variable_names], len(weights))
     for p, outcome in zip(weights, outcomes):
@@ -450,16 +474,6 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
         domains=tuple(v.domain for v in model.variables),
         probs=probs,
     )
-
-
-def _miss_words(model: Scm, v: Variable, key: tuple) -> str:
-    """Why `v`'s mechanism misses `key`: the `mechanism-range` words of the
-    first parent whose value lies outside its domain, else a gap's."""
-    for p, x in zip(v.parents, key):
-        if x not in model.variable(p).domain:
-            row = next(k for k, out in model.mechanisms[p].items() if out == x)
-            return _WORDS["mechanism-range"].format(p, row, x)
-    return _WORDS["mechanism-gap"].format(v.name, key)
 
 
 def mechanism_rows(model: Scm, v: Variable) -> Iterator[tuple[tuple, Value]]:
@@ -524,12 +538,11 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     if dependent:
         raise KernelUndefinedError("kernel undefined under exogenous dependence")
 
+    for words in _strays(v, model.mechanisms.get(v.name, {})):
+        raise ModelError(words)
     rows: dict[tuple, dict[Value, float]] = {}
-    try:
-        for key, value in mechanism_rows(model, v):
-            rows.setdefault(key[:-1], dict.fromkeys(v.domain, 0.0))[value] += own[key[-1]]
-    except KeyError:  # a value outside the domain
-        raise ModelError(_WORDS["mechanism-range"].format(v.name, key, value)) from None
+    for key, value in mechanism_rows(model, v):
+        rows.setdefault(key[:-1], dict.fromkeys(v.domain, 0.0))[value] += own[key[-1]]
     return Kernel(
         variable=variable,
         row_scope=v.parents,

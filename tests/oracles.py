@@ -8,7 +8,7 @@ meaningful.  The oracles are intentionally slow and simple.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +291,52 @@ def plain_kernel(scm: dict, v: str, tol: float = 1e-9) -> dict[tuple, dict]:
             row[scm["mech"][v][(pa, uval)]] += w
         rows[pa] = row
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Set-map verdicts and outcome-row ranges over explicit universes
+# ---------------------------------------------------------------------------
+
+def block(model, names: Sequence[str]) -> list[tuple]:
+    """Every joint outcome of the variables `names` of `model`, row-major:
+    the explicit universe that the library counts instead of listing."""
+    return list(itertools.product(*(model.domain_of(v) for v in names)))
+
+
+def set_map_verdicts(
+    rows: Mapping, domain: Iterable, codomain: Iterable, tol: float = 1e-9
+) -> dict[str, object]:
+    """The set-map verdicts of a sparse row map between the explicit sets
+    `domain` and `codomain`, read from the entries weighing more than `tol`:
+    functional when every domain element has such an entry, surjective when
+    every codomain element is one, injective (None unless every mapped row
+    has exactly one) when no two mapped rows share it."""
+    hits = {key: {v for v, w in row.items() if w > tol} for key, row in rows.items()}
+    hits = {key: vs for key, vs in hits.items() if vs}
+    image = set().union(*hits.values())
+    functional = all(x in hits for x in set(domain))
+    surjective = all(y in image for y in set(codomain))
+    deterministic = all(len(vs) == 1 for vs in hits.values())
+    injective = None
+    if deterministic:
+        injective = len({next(iter(vs)) for vs in hits.values()}) == len(hits)
+    if not functional:
+        bijective = False
+    elif surjective is False or injective is False:
+        bijective = False
+    else:
+        bijective = None if injective is None else True
+    return {"functional": functional, "deterministic": deterministic,
+            "surjective": surjective, "injective": injective, "bijective": bijective}
+
+
+def outcome_range_codes(rows: Mapping, keys: Iterable, values: Iterable) -> list[str]:
+    """`outcome-key` for each row whose key is not in `keys`, and
+    `outcome-range` for each row value not in `values`, in row order."""
+    key_set, value_set = set(keys), set(values)
+    codes = []
+    for key, row in rows.items():
+        if key not in key_set:
+            codes.append("outcome-key")
+        codes += ["outcome-range" for val in row if val not in value_set]
+    return codes

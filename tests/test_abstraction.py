@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from absaudit.abstraction import (
     GLOBAL,
     OutcomeMap,
-    block_domain,
     compose_abstractions,
     preimage,
     pushforward,
@@ -26,7 +25,7 @@ from absaudit.scm import joint_distribution
 from absaudit.freecat import Morphism
 
 from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, random_model, xor
-from oracles import plain_pushforward
+from oracles import block, plain_pushforward
 
 TOL = 1e-9
 
@@ -69,18 +68,8 @@ def codes(report):
 
 
 # ---------------------------------------------------------------------------
-# Blocks and preimages
+# Preimages
 # ---------------------------------------------------------------------------
-
-def test_block_domain_row_major(micro):
-    assert block_domain(micro, ("S", "T")) == (
-        ("0", "0"),
-        ("0", "1"),
-        ("1", "0"),
-        ("1", "1"),
-    )
-    assert block_domain(micro, ()) == ((),)
-
 
 def test_preimage_canonical_order(micro, macro):
     a = collapse(micro, macro)
@@ -285,7 +274,7 @@ def test_pushforward_stochastic_rows_split_mass(micro, macro):
             sources=("S", "T"),
             rows={
                 key: {("0",): 0.5, ("1",): 0.5}
-                for key in block_domain(micro, ("S", "T"))
+                for key in block(micro, ("S", "T"))
             },
         ),
         det_outcomes("C'", ("C",), {("0",): ("0",), ("1",): ("1",)}),
@@ -298,7 +287,7 @@ def test_pushforward_stochastic_rows_split_mass(micro, macro):
 
 def test_pushforward_global_map(micro, macro):
     rows = {}
-    for s, t, c in block_domain(micro, ("S", "T", "C")):
+    for s, t, c in block(micro, ("S", "T", "C")):
         rows[(s, t, c)] = {(s, c): 1.0}
     gom = OutcomeMap(
         target=GLOBAL, sources=("S", "T", "C"), rows=rows, onto=("S'", "C'")
@@ -346,9 +335,9 @@ def _random_layer(rng, source, target, kind):
     a random block of source variables (some are read by none); "global" is
     one map between every variable of both.  "partial" omits some rows."""
     if kind == "global":
-        values = list(block_domain(target, target.variable_names))
+        values = list(block(target, target.variable_names))
         rows = {key: _random_row(rng, values, "partial")
-                for key in block_domain(source, source.variable_names)
+                for key in block(source, source.variable_names)
                 if rng.random() < 0.9}
         return [OutcomeMap(GLOBAL, source.variable_names, rows, onto=target.variable_names)]
     owner = {v: rng.randrange(len(target.variables) + 1) for v in source.variable_names}
@@ -357,7 +346,7 @@ def _random_layer(rng, source, target, kind):
         sources = tuple(v for v in source.variable_names if owner[v] == j)
         values = [(x,) for x in target.domain_of(y)]
         rows = {key: _random_row(rng, values, kind)
-                for key in block_domain(source, sources)
+                for key in block(source, sources)
                 if kind != "partial" or rng.random() < 0.9}
         maps.append(OutcomeMap(target=y, sources=sources, rows=rows))
     return maps
@@ -393,16 +382,42 @@ def test_pushforward_matches_plain_oracle(seed, kind):
     assert list(got.probs.items()) == list(want.items())
 
 
+def _overlapping_layer(rng, source, target):
+    """Unvalidated outcome maps: each target variable reads its own random
+    block, so blocks may share variables, and each map has a few rows whose
+    keys are out of range (an unknown value, one value too many or too few)."""
+    maps = []
+    for y in target.variable_names:
+        sources = tuple(v for v in source.variable_names if rng.random() < 0.5)
+        values = [(x,) for x in target.domain_of(y)]
+        rows = {key: _random_row(rng, values, "stochastic") for key in block(source, sources)}
+        for _ in range(rng.randint(0, 2)):
+            key = list(rng.choice(list(rows)))
+            if key and rng.random() < 0.4:
+                key[rng.randrange(len(key))] = "9"
+            else:
+                key = key + ["0"] if rng.random() < 0.5 or not key else key[:-1]
+            rows[tuple(key)] = _random_row(rng, values, "deterministic")
+        maps.append(OutcomeMap(target=y, sources=sources, rows=rows))
+    return maps
+
+
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**30), kind=st.sampled_from(LAYERS[:3]))
+@given(seed=st.integers(min_value=0, max_value=2**30),
+       kind=st.sampled_from(LAYERS[:3] + ("overlapping",)))
 def test_compose_outcome_rows_match_plain_oracle(seed, kind):
     """Each composed row is the point mass on its key pushed through the
-    legs, then through the upper map, exactly and in the same order."""
+    legs, then through the upper map, exactly and in the same order; legs
+    that share a variable or hold keys out of range change nothing else."""
     rng = random.Random(seed)
     lower = random_model(rng)
     mid = _random_target(rng, "mid", "X")
     upper = _random_target(rng, "top", "Y")
-    first = abstraction("f", lower, mid, {}, outcomes=_random_layer(rng, lower, mid, kind))
+    if kind == "overlapping":
+        first = abstraction("f", lower, mid, {}, outcomes=_overlapping_layer(rng, lower, mid))
+        kind = "stochastic"
+    else:
+        first = abstraction("f", lower, mid, {}, outcomes=_random_layer(rng, lower, mid, kind))
     second = abstraction("g", mid, upper, {}, outcomes=_random_layer(rng, mid, upper, kind))
     both = compose_abstractions(first, second, lower, mid, upper)
     assert [om.target for om in both.outcome_maps] == list(upper.variable_names)
@@ -536,7 +551,7 @@ def test_compose_global_granularity_mismatch(micro, macro):
     mid = chain("mid", ["X"])
     gom = OutcomeMap(
         target=GLOBAL, sources=("S", "T", "C"),
-        rows={key: {("0",): 1.0} for key in block_domain(micro, ("S", "T", "C"))},
+        rows={key: {("0",): 1.0} for key in block(micro, ("S", "T", "C"))},
         onto=("X",),
     )
     first = abstraction("f", micro, mid, {"S": "X"}, outcomes=[gom])

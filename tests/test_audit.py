@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from absaudit.abstraction import (
+    GLOBAL,
     Direction,
     OutcomeMap,
-    block_domain,
     preimage,
     pushforward,
     validate_abstraction,
@@ -25,7 +25,7 @@ from absaudit.audit import (
     tri_and,
 )
 from absaudit.errors import AbsauditError
-from absaudit.scm import joint_distribution
+from absaudit.scm import Scm, Variable, joint_distribution
 from absaudit.taxonomy import detect_types
 from absaudit.textfmt import emit_document, parse_document
 
@@ -41,7 +41,7 @@ from helpers import (
     random_dag,
     xor,
 )
-from oracles import all_paths, functor_verdicts
+from oracles import all_paths, block, functor_verdicts, outcome_range_codes, set_map_verdicts
 
 
 @pytest.fixture
@@ -384,6 +384,82 @@ def test_outcome_audit_stochastic():
     assert audit.surjective
 
 
+def _sets_model(rng, name, prefix, max_vars):
+    """A model of up to `max_vars` parentless variables (maybe none), each
+    domain one to three values, now and then with a value repeated; only
+    names and domains are read here."""
+    variables = []
+    for j in range(rng.randint(0, max_vars)):
+        domain = [str(x) for x in range(rng.randint(1, 3))]
+        if rng.random() < 0.1:
+            domain.append(rng.choice(domain))
+        variables.append(Variable(f"{prefix}{j}", tuple(domain), (), f"U_{prefix}{j}"))
+    return Scm(name, variables, [], {}, {})
+
+
+def _sets_key(rng, domains):
+    """A key in range, or one out of range: an unknown value, a value too
+    many, a value too few, or the values joined into a string."""
+    key = [rng.choice(d) for d in domains]
+    kind = rng.random()
+    if kind < 0.1 and key:
+        key[rng.randrange(len(key))] = "9"
+    elif kind < 0.15:
+        key.append("0")
+    elif kind < 0.2 and key:
+        key.pop()
+    elif kind < 0.25:
+        return "".join(key)
+    return tuple(key)
+
+
+def _sets_row(rng, domains):
+    """Up to three entries of weight 0, 0.5 or 1 (all zero now and then)."""
+    return {_sets_key(rng, domains): rng.choice((0.0, 0.5, 1.0))
+            for _ in range(rng.randint(1, 3))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30), per_variable=st.booleans())
+def test_counted_verdicts_match_explicit_universes(seed, per_variable):
+    """The counted node and outcome verdicts and the outcome-key and
+    outcome-range issues agree with set-level definitions over the listed
+    universes, including out-of-range keys and values, all-zero rows,
+    repeated domain values and the empty block (one outcome, the empty key)."""
+    rng = random.Random(seed)
+    source = _sets_model(rng, "src", "X", 3)
+    target = _sets_model(rng, "tgt", "Y", 1 if per_variable else 2)
+    if per_variable:
+        target.variables = target.variables or [Variable("Y0", ("0", "1"), (), "U_Y0")]
+        y = target.variables[0].name
+        nodes = {x: {y: 1.0} for x in source.variable_names}
+        sources, om_target, onto, scope = source.variable_names, y, (), (y,)
+    else:
+        nodes = {}
+        sources, om_target = source.variable_names, GLOBAL
+        onto = scope = target.variable_names
+    src_domains = [source.domain_of(v) for v in sources]
+    tgt_domains = [target.domain_of(v) for v in scope]
+    rows = {_sets_key(rng, src_domains): _sets_row(rng, tgt_domains)
+            for _ in range(rng.randint(0, 6))}
+    om = OutcomeMap(target=om_target, sources=sources, rows=rows, onto=onto)
+    keys, values = block(source, sources), block(target, scope)
+    audit = audit_outcome_map(om, source, target)
+    want = set_map_verdicts(rows, keys, values)
+    assert {key: getattr(audit, key) for key in want} == want
+    issues = validate_abstraction(abstraction("a", source, target, nodes, outcomes=[om]),
+                                  source, target).issues
+    got = [i.code for i in issues if i.code in ("outcome-key", "outcome-range")]
+    assert got == outcome_range_codes(rows, keys, values)
+
+    # The node rows, now with unknown nodes and zero weights beside them.
+    nodes.update({rng.choice(["X0", "X1", "Q"]): {rng.choice(["Y0", "Y1", "R"]): w}
+                  for w in rng.choices((0.0, 0.5, 1.0), k=rng.randint(0, 3))})
+    node = audit_node_map(abstraction("b", source, target, nodes), source, target)
+    want = set_map_verdicts(nodes, source.variable_names, target.variable_names)
+    assert {key: getattr(node, key) for key in want} == want
+
+
 def test_outcome_summary_conjunction():
     a = summarize_outcomes([])
     assert a is None
@@ -455,7 +531,7 @@ def _zero_entries() -> list[tuple]:
             layers = [(None, a.structure.rows, target.variable_names)]
             for i, om in enumerate(a.outcome_maps):
                 scope = target.variable_names if om.is_global else (om.target,)
-                layers.append((i, om.rows, block_domain(target, scope)))
+                layers.append((i, om.rows, block(target, scope)))
             for layer, rows, values in layers:
                 for key, row in rows.items():
                     edits.extend(

@@ -458,6 +458,42 @@ def test_sparse_noise_with_a_dense_space_beyond_the_cap(tmp_path, capsys):
     assert len(block) == n + 1
 
 
+def _wide_block(n: int) -> str:
+    """n parentless binary X_j whose noise has one row, all zeros, mapped
+    onto one binary Y by an outcome map with two rows: all zeros to 0 and
+    all ones to 1.  The block X_0..X_(n-1) has 2^n outcomes."""
+    xs = [f"X{j}" for j in range(n)]
+    zeros, ones = " ".join("0" * n), " ".join("1" * n)
+    lines = ["absaudit-format 1", "", "scm wide {", *(f"  var {x} : 0 1" for x in xs)]
+    lines += [f"  exo U_{x} : 0 1 for {x}" for x in xs]
+    lines += [f"  dist {' '.join('U_' + x for x in xs)} {{", f"    {zeros} : 1.0", "  }"]
+    for x in xs:
+        lines += [f"  mech {x} {{", "    0 : 0", "    1 : 1", "  }"]
+    lines += ["}", "", "scm narrow {", "  var Y : 0 1", "  exo U_Y : 0 1 for Y",
+              "  dist U_Y {", "    0 : 0.5", "    1 : 0.5", "  }",
+              "  mech Y {", "    0 : 0", "    1 : 1", "  }", "}", ""]
+    lines += ["abs squash {", "  source wide", "  target narrow",
+              "  direction micro-to-macro", "  nodes {", *(f"    {x} : Y 1.0" for x in xs), "  }"]
+    lines += [f"  outcomes Y from {' '.join(xs)} {{", f"    {zeros} : 0 1.0",
+              f"    {ones} : 1 1.0", "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_two_row_outcome_map_over_a_40_variable_block(tmp_path, capsys):
+    # Validation and the audits count the 2^40 block outcomes, never list them.
+    path = tmp_path / "wide.abs"
+    path.write_text(_wide_block(40))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("abstraction squash: ok\n")
+    assert main(["--format", "json", "audit", str(path)]) == 0
+    (y,) = json.loads(capsys.readouterr().out)["outcomes"]
+    assert (y["functional"], y["surjective"], y["injective"]) == (False, True, True)
+    assert main(["--format", "json", "classify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["distributional"] == ["outcome-dropping"]
+    assert main(["push", str(path)]) == 0
+    assert capsys.readouterr().out == "Y\n0 : 1.0\n"
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import importlib.resources
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -439,6 +440,16 @@ def _no_mech_s(m):
     del m.mechanisms["S"]
 
 
+def _c_reads_z(m):
+    """C's parent T renamed to the undeclared Z."""
+    m.variables[2] = Variable("C", ("0", "1"), ("Z",), "U_C")
+
+
+def _c_maps_to_7(m):
+    """C, which no variable reads, maps outside its domain."""
+    m.mechanisms["C"][("0", "0")] = "7"
+
+
 @pytest.mark.parametrize(
     "edit, call, code, message",
     [
@@ -449,8 +460,12 @@ def _no_mech_s(m):
          "mechanism for T maps ('0', '0') outside the domain: '7'"),
         (_no_mech_s, lambda m: intervene(m, {"C": "0"}), "missing-mechanism",
          "no mechanism for S"),
+        (_c_reads_z, joint_distribution, "unknown-parent", "C lists unknown parent Z"),
+        (_c_maps_to_7, joint_distribution, "mechanism-range",
+         "mechanism for C maps ('0', '0') outside the domain: '7'"),
     ],
-    ids=["joint-unknown-exo", "joint-blames-the-parent", "kernel-range", "intervene-no-mechanism"],
+    ids=["joint-unknown-exo", "joint-blames-the-parent", "kernel-range", "intervene-no-mechanism",
+         "joint-unknown-parent", "joint-leaf-range"],
 )
 def test_unvalidated_model_errors_use_the_validation_words(edit, call, code, message):
     m = parse_document((DATA / "models" / "chain3_micro.scm").read_text()).models["chain3_micro"]
@@ -459,6 +474,54 @@ def test_unvalidated_model_errors_use_the_validation_words(edit, call, code, mes
     with pytest.raises(ModelError) as info:
         call(m)
     assert str(info.value) == message
+
+
+def _wide_gap_model(k: int):
+    """One binary variable Y with `k` binary parents and a mechanism of one
+    row, all zeros: 2^(k+1) - 1 inputs are missing."""
+    parents = [Variable(f"X{j}", ("0", "1"), (), f"U{j}") for j in range(k)]
+    y = Variable("Y", ("0", "1"), tuple(p.name for p in parents), "U_Y")
+    variables = parents + [y]
+    return Scm(
+        name="wide",
+        variables=variables,
+        exogenous=[Exogenous(v.exogenous, ("0", "1"), v.name) for v in variables],
+        mechanisms={**{p.name: {("0",): "0", ("1",): "1"} for p in parents},
+                    "Y": {("0",) * (k + 1): "0"}},
+        exo_table={("0",) * (k + 1): 1.0},
+    )
+
+
+def _t_without(*keys):
+    """chain3_micro without the given rows of T's mechanism."""
+    def edit(m):
+        for key in keys:
+            del m.mechanisms["T"][key]
+        return m
+    return edit
+
+
+@pytest.mark.parametrize(
+    "model_of, messages",
+    [
+        (_t_without(("0", "1")), ["mechanism for T misses input ('0', '1')"]),
+        (_t_without(("1", "1"), ("0", "1"), ("1", "0")),
+         ["mechanism for T misses input ('0', '1') (and 2 more)"]),
+        (lambda m: _wide_gap_model(24),
+         [f"mechanism for Y misses input {('0',) * 24 + ('1',)} (and {2**25 - 2} more)"]),
+    ],
+    ids=["one-gap", "three-gaps-one-issue", "24-parents-one-issue"],
+)
+def test_gaps_are_counted_and_reported_once(model_of, messages):
+    """One issue per mechanism: the first missing input in row-major order
+    and how many more are missing."""
+    m = model_of(parse_document((DATA / "models" / "chain3_micro.scm").read_text())
+                 .models["chain3_micro"])
+    start = time.perf_counter()
+    issues = validate_scm(m).issues
+    assert time.perf_counter() - start < 1.0  # counted, not listed: 2^25 inputs
+    assert [i.code for i in issues] == ["mechanism-gap"]
+    assert [i.message for i in issues] == messages
 
 
 def test_intervene_on_an_unknown_exogenous_term():

@@ -32,4 +32,6 @@ def test_sweep_on_two_files():
     assert codes["no-such-command"] == "2"
     # chain3_micro.scm without line 19, the closing brace of its dist block
     assert codes["validate models/chain3_micro.scm.no-brace-19"] == "1"
+    # chain3_micro.scm without line 25, the row `0 0 : 0` of T's mechanism
+    assert codes["validate models/chain3_micro.scm.no-mech-row-25"] == "1"
     assert _sweep("--shuffle-dist", "1") == lines

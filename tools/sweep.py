@@ -11,6 +11,8 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
 * per file: validate, graph, dist, audit, classify, push;
 * per file and per line that is a lone `}`: validate on a copy without
   that line, so each block's missing-brace and misplaced-row errors show;
+* per file and per row of a `mech` block: validate on a copy without that
+  row, so each mechanism's gap report shows;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
   pair of its nodes;
 * per abstraction: graph --dot --abs, audit, classify, push and
@@ -46,6 +48,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DIST_OPEN = re.compile(r"^\s*dist\b.*\{\s*$")
+MECH_OPEN = re.compile(r"^\s*mech\b.*\{\s*$")
 
 
 def call(main, argv: list[str]) -> str:
@@ -79,16 +82,23 @@ def shuffle_dist(text: str, rng: random.Random) -> str:
     return "\n".join(out + (block or []))
 
 
-def without_braces(text: str) -> list[tuple[int, str]]:
-    """(line number, `text` without that line) for every line that is a lone `}`."""
-    lines = text.split("\n")
-    return [(i + 1, "\n".join(lines[:i] + lines[i + 1:]))
-            for i, line in enumerate(lines) if line.strip() == "}"]
+def cuts(text: str) -> list[tuple[str, str]]:
+    """(tag, `text` without one line) for every line that is a lone `}`
+    (tag `no-brace-N`, N the line number) and every row of a `mech` block
+    (tag `no-mech-row-N`)."""
+    lines, picked, in_mech = text.split("\n"), [], False
+    for i, line in enumerate(lines):
+        if line.strip() == "}":
+            picked.append((i, "no-brace"))
+        elif in_mech and line.split("#")[0].strip():
+            picked.append((i, "no-mech-row"))
+        in_mech = bool(MECH_OPEN.match(line)) or in_mech and line.strip() != "}"
+    return [(f"{tag}-{i + 1}", "\n".join(lines[:i] + lines[i + 1:])) for i, tag in picked]
 
 
 def calls(files: list[str], parse_path, cut: list[str]) -> list[list[str]]:
     """The argv of every sweep call on `files` and on the copies in `cut`
-    that lack a brace (paths in the working dir)."""
+    that lack a line (paths in the working dir)."""
     plain: list[list[str]] = []
     for path in files:
         plain += [[cmd, path] for cmd in ("validate", "graph", "dist", "audit",
@@ -148,8 +158,8 @@ def main(argv: list[str] | None = None) -> int:
                 text = shuffle_dist(text.decode("utf-8"), rng).encode("utf-8")
             copy.write_bytes(text)
             names.append(str(name))
-            for line, trimmed in without_braces(text.decode("utf-8")):
-                cut.append(f"{name}.no-brace-{line}")
+            for tag, trimmed in cuts(text.decode("utf-8")):
+                cut.append(f"{name}.{tag}")
                 pathlib.Path(scratch, cut[-1]).write_text(trimmed, encoding="utf-8")
         os.chdir(scratch)
         try:
