@@ -20,8 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import contains, getitem, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import contains, getitem, is_, itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import TOL, DEFAULT_EXO_CAP, CapacityError, KernelUndefinedError, ModelError, enum_cap
 
@@ -57,6 +57,17 @@ def in_range(domains: Sequence[Iterable]) -> Callable[[object], bool]:
     places = [set(d) for d in domains]
     return lambda key: (isinstance(key, tuple) and len(key) == len(places)
                         and all(map(contains, places, key)))
+
+
+def out_of_range(keys: Collection, domains: Sequence[Iterable]) -> list:
+    """The keys, in order, that break the range rule (`in_range`).  When all
+    keys are tuples of one value per domain and each place's values lie in
+    its domain, tested a column at a time in C, none does."""
+    places = [set(d) for d in domains]
+    if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {len(places)}
+            and all(map(set.issuperset, places, zip(*keys)))):
+        return []
+    return list(itertools.filterfalse(in_range(domains), keys))
 
 
 def rows_of(columns: Sequence[Iterable], count: int) -> Iterator[tuple]:
@@ -108,6 +119,22 @@ class Scm:
     exogenous: list[Exogenous]
     mechanisms: dict[str, dict[tuple, Value]]
     exo_table: dict[tuple, float]
+    # (domains, keys, values, ranking) of the last `ranked_noise` call
+    _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def ranked_noise(self) -> tuple[tuple, ...]:
+        """`row_major` of `exo_table` over the exogenous domains, ranked once
+        and kept for as long as the table holds the same key and value
+        objects in the same order and the domains are equal: any insert,
+        delete, reweight or reorder, and any domain change, ranks afresh."""
+        domains = [u.domain for u in self.exogenous]
+        table = self.exo_table
+        kept = self._ranked
+        if not (kept and kept[0] == domains and len(kept[1]) == len(table)
+                and all(map(is_, kept[1], table)) and all(map(is_, kept[2], table.values()))):
+            kept = self._ranked = (domains, tuple(table), tuple(table.values()),
+                                   tuple(row_major(table, domains)))
+        return kept[3]
 
     # -- lookups ----------------------------------------------------------
 
@@ -263,10 +290,10 @@ class Kernel:
 def validate_scm(model: Scm) -> ValidationReport:
     """Check well-formedness: names, domains, mechanisms, acyclicity, P(U).
 
-    Mechanism inputs and noise keys are tested with `in_range`, never listed:
-    a mechanism's gaps number the product of its input domain sizes less its
-    inputs in range, and one `mechanism-gap` issue names the first missing
-    input in row-major order and how many more there are."""
+    Mechanism inputs and noise keys are tested with `out_of_range`, never
+    listed: a mechanism's gaps number the product of its input domain sizes
+    less its inputs in range, and one `mechanism-gap` issue names the first
+    missing input in row-major order and how many more there are."""
     report = ValidationReport()
     names = [v.name for v in model.variables]
     exo_names = [u.name for u in model.exogenous]
@@ -328,7 +355,7 @@ def validate_scm(model: Scm) -> ValidationReport:
         if any(p not in by_name for p in v.parents) or v.exogenous not in exo_by_name:
             continue  # already reported above
         inputs = [by_name[p].domain for p in v.parents] + [exo_by_name[v.exogenous].domain]
-        extra = sorted(itertools.filterfalse(in_range(inputs), table), key=repr)
+        extra = sorted(out_of_range(table, inputs), key=repr)
         gaps = math.prod(len(set(d)) for d in inputs) - (len(table) - len(extra))
         if gaps:
             first = next(k for k in itertools.product(*map(dict.fromkeys, inputs))
@@ -341,9 +368,9 @@ def validate_scm(model: Scm) -> ValidationReport:
             report.add("mechanism-range", words)
 
     # Joint exogenous table: each key by the range rule.
-    fits = in_range([u.domain for u in model.exogenous])
+    strays = set(out_of_range(model.exo_table, [u.domain for u in model.exogenous]))
     for combo, p in model.exo_table.items():
-        if not fits(combo):
+        if combo in strays:
             report.add("dist-key", f"exogenous table key {combo!r} is out of range")
         if p < -TOL:
             report.add("dist-negative", f"negative probability {p} at {combo!r}")
@@ -426,7 +453,7 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     """Joint endogenous distribution by enumeration of the exogenous support.
 
     Walks the nonzero entries of `exo_table` that lie in the exogenous
-    domains in row-major order (`row_major`) by columns: in topological
+    domains in row-major order (`Scm.ranked_noise`) by columns: in topological
     order, each variable's column holds its value at every entry, read from
     its mechanism with its parents' columns and its noise column.  The
     outcomes zip the columns in declaration order and are summed in entry
@@ -438,8 +465,7 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     variable's domain (checked over the mechanism's rows before its column
     is built) or a mechanism gap."""
     limit = cap if cap is not None else enum_cap(DEFAULT_EXO_CAP)
-    domains = [u.domain for u in model.exogenous]
-    entries = [e for e in row_major(model.exo_table, domains) if e[2] != 0.0]
+    entries = [e for e in model.ranked_noise() if e[2] != 0.0]
     if len(entries) > limit:
         raise CapacityError(
             f"exogenous table of {model.name!r} has {len(entries)} supported "
@@ -511,13 +537,13 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
 
     Defined only when the variable's exogenous term is independent of the
     remaining exogenous variables under the joint exogenous table.  One pass
-    over the ranked entries (`row_major`) sums the term's marginal by value
+    over the ranked entries (`Scm.ranked_noise`) sums the term's marginal by value
     and the rest's by rank: the entry's rank less the term's offset.
     """
     v = model.variable(variable)
     exo = model.exogenous_variable(v.exogenous)
     i = model.exogenous.index(exo)
-    ranked = row_major(model.exo_table, [u.domain for u in model.exogenous])
+    ranked = model.ranked_noise()
     stride = math.prod(len(u.domain) for u in model.exogenous[i + 1 :])
     offset = {x: j * stride for j, x in enumerate(exo.domain)}  # as in the rank
 

@@ -383,17 +383,18 @@ def detect_types(
     tgt_dag = underlying_graph(target)
 
     if forward and node.deterministic:
-        pi = {u: sm.image_of(u) for u in sm.mapped}
+        mapped = sm.supported_rows()  # an all-zero row leaves its node unmapped
+        pi = {u: sm.image_of(u) for u in mapped}
         tgt_counts = {x: path_counts(tgt_dag, x) for x in set(pi.values())}
         # Hom-set sizes (source, target) for a bijection; along/against each edge.
-        src_counts = {u: path_counts(src_dag, u) for u in sm.mapped} if node.bijective else {}
+        src_counts = {u: path_counts(src_dag, u) for u in mapped} if node.bijective else {}
         hom_sizes = [(c[v], tgt_counts[pi[u]][pi[v]]) for u, c in src_counts.items() for v in pi]
         arrows = [
             (tgt_counts[pi[u]][pi[v]], tgt_counts[pi[v]][pi[u]])
             for u, v in src_dag.edges if u in pi and v in pi
         ]
         if node.bijective is True and pairing is not None:
-            respects = all(pi.get(u) == pairing.get(u) for u in sm.mapped)
+            respects = all(pi.get(u) == pairing.get(u) for u in mapped)
             mapped_edges = {(pi[u], pi[v]) for (u, v) in src_dag.edges}
             edge_bijection = (
                 mapped_edges == tgt_dag.edge_set

@@ -66,7 +66,7 @@ from .abstraction import (
 )
 from .errors import ModelError, ParseError
 from .freecat import Morphism
-from .scm import Exogenous, Scm, Variable, mechanism_rows, row_major
+from .scm import Exogenous, Scm, Variable, mechanism_rows
 
 HEADER = "absaudit-format 1"
 
@@ -232,14 +232,18 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                     "in declaration order"
                 )
             saw_dist = True
+            k, probs = len(declared), {}  # probs: each probability token read so far
             for row in _block(lines, "dist block"):
-                left, right = _split_colon(row, lines)
-                if len(left) != len(declared) or len(right) != 1:
+                if len(row) != k + 2 or row[k] != ":" or row.index(":") != k:
+                    _split_colon(row, lines)  # words a row without a ':'
                     raise lines.fail("expected 'VALUE... : PROB'")
-                key = tuple(left)
+                key = tuple(row[:k])
                 if key in exo_table:
-                    raise lines.fail(f"duplicate dist row {' '.join(left)}")
-                exo_table[key] = _float(right[0], lines)
+                    raise lines.fail(f"duplicate dist row {' '.join(key)}")
+                p = probs.get(row[-1])
+                if p is None:
+                    p = probs[row[-1]] = _float(row[-1], lines)
+                exo_table[key] = p
         elif head == "mech":
             if len(tokens) != 3 or tokens[2] != "{":
                 raise lines.fail("expected 'mech NAME {'")
@@ -415,7 +419,7 @@ def emit_scm(model: Scm) -> list[str]:
         out.append(f"  exo {u.name} : {_join(u.domain)} for {u.endogenous}")
     if model.exogenous:
         out.append(f"  dist {_join(model.exogenous_names)} {{")
-        for _, combo, p in row_major(model.exo_table, [u.domain for u in model.exogenous]):
+        for _, combo, p in model.ranked_noise():
             out.append(f"    {_join(combo)} : {_num(p)}")
         out.append("  }")
     for v in model.variables:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import importlib.resources
 import io
+import itertools
 import json
 import random
 import time
@@ -18,10 +19,13 @@ from absaudit.scm import (
     Exogenous,
     Scm,
     Variable,
+    in_range,
     intervene,
     joint_distribution,
     marginal,
     mechanism_kernel,
+    out_of_range,
+    row_major,
     topological_order,
     underlying_graph,
     validate_scm,
@@ -610,3 +614,89 @@ def test_support_walk_matches_dense_product(seed, edits):
         assert [(k, list(r.items())) for k, r in got.items()] == [
             (k, list(r.items())) for k, r in want.items()
         ]
+
+
+# ---------------------------------------------------------------------------
+# The ranked noise table kept on the model
+# ---------------------------------------------------------------------------
+
+TABLE_EDITS = ("reweight", "delete", "insert", "move-to-end", "rekey", "permute-domain",
+               "replace-table")
+
+
+def _edit_kept_table(rng: random.Random, m, kind: str) -> None:
+    """One change to `m`'s noise table or exogenous domains, in place."""
+    table = m.exo_table
+    domains = [u.domain for u in m.exogenous]
+    if kind == "reweight" and table:
+        table[rng.choice(list(table))] = rng.uniform(0.01, 0.5)
+    elif kind == "delete" and table:
+        del table[rng.choice(list(table))]
+    elif kind in ("insert", "rekey"):  # rekey: the last weight, same object, under a new key
+        missing = [k for k in itertools.product(*domains) if k not in table]
+        key = rng.choice(missing) if missing else (*domains[0][:1], "9")  # else out of range
+        table[key] = table.pop(list(table)[-1]) if kind == "rekey" else rng.uniform(0.01, 0.5)
+    elif kind == "move-to-end" and table:
+        key = rng.choice(list(table))
+        table[key] = table.pop(key)
+    elif kind == "permute-domain":
+        i = rng.randrange(len(m.exogenous))
+        u = m.exogenous[i]
+        m.exogenous[i] = Exogenous(u.name, tuple(rng.sample(u.domain, len(u.domain))), u.endogenous)
+    elif kind == "replace-table":
+        keys = [k for k in itertools.product(*domains) if rng.random() < 0.7]
+        m.exo_table = {k: rng.choice((0.1, 0.2, 0.3)) for k in keys}
+
+
+def _answers_match_the_oracles(m) -> None:
+    """The joint and every kernel of `m` equal the dense oracles, in order."""
+    plain = plain_scm(m)
+    assert list(joint_distribution(m).probs.items()) == list(plain_joint(plain).items())
+    for v in m.variable_names:
+        try:
+            want = plain_kernel(plain, v)
+        except ValueError:
+            with pytest.raises(KernelUndefinedError):
+                mechanism_kernel(m, v)
+            continue
+        got = mechanism_kernel(m, v).rows
+        assert [(k, list(r.items())) for k, r in got.items()] == [
+            (k, list(r.items())) for k, r in want.items()
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30),
+       drop=st.integers(min_value=0, max_value=3), kind=st.sampled_from(TABLE_EDITS))
+def test_kept_ranking_never_goes_stale(seed, drop, kind):
+    """After one change to the table or a domain, the same model object gives
+    the joint and kernels of the changed model, including which kernels are
+    undefined; computing them changes neither equality nor repr."""
+    rng = random.Random(seed)
+    m = random_model(rng)
+    for key in rng.sample(list(m.exo_table), min(drop, len(m.exo_table) - 1)):
+        del m.exo_table[key]
+    fresh = Scm(m.name, m.variables, m.exogenous, m.mechanisms, m.exo_table)
+    shown = repr(m)
+    _answers_match_the_oracles(m)
+    assert m.ranked_noise() is m.ranked_noise()  # ranked once, then kept
+    assert m == fresh and repr(m) == shown
+
+    _edit_kept_table(rng, m, kind)
+    _answers_match_the_oracles(m)
+    assert m.ranked_noise() == tuple(row_major(m.exo_table, [u.domain for u in m.exogenous]))
+
+
+_KEYS = st.one_of(
+    st.tuples(*[st.sampled_from(["0", "1", "2", 0])] * 2),
+    st.lists(st.sampled_from(["0", "1"]), max_size=3).map(tuple),
+    st.sampled_from(["01", 1, None, ("0", "1", "0")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(_KEYS, unique=True, max_size=6),
+       domains=st.lists(st.lists(st.sampled_from(["0", "1", 0]), max_size=3), max_size=3))
+def test_out_of_range_is_the_range_rule_by_key(keys, domains):
+    """The column test finds exactly the keys the per-key rule rejects, in order."""
+    assert out_of_range(keys, domains) == [k for k in keys if not in_range(domains)(k)]

@@ -1,4 +1,5 @@
-"""The output-diff sweep runs, and shuffling the dist rows changes no line."""
+"""The output-diff sweep runs, with its kernel lines, and shuffling the dist
+rows changes no line."""
 
 from __future__ import annotations
 
@@ -34,4 +35,9 @@ def test_sweep_on_two_files():
     assert codes["validate models/chain3_micro.scm.no-brace-19"] == "1"
     # chain3_micro.scm without line 25, the row `0 0 : 0` of T's mechanism
     assert codes["validate models/chain3_micro.scm.no-mech-row-25"] == "1"
+    # one kernel line per variable of chain3_micro, in declaration order
+    kernels = [argv for argv in argvs if argv.startswith("kernel models/chain3_micro.scm ")]
+    assert kernels == [f"kernel models/chain3_micro.scm --model chain3_micro {v}"
+                       for v in ("S", "T", "C")]
+    assert all(codes[argv] == "0" for argv in kernels)
     assert _sweep("--shuffle-dist", "1") == lines

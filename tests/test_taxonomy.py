@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from absaudit.audit import audit_node_map
 from absaudit.errors import ModelError, ParseError
 from absaudit.taxonomy import (
     DISTRIBUTIONAL_ROWS,
@@ -20,6 +21,8 @@ from absaudit.taxonomy import (
     structural_matrix,
     witness_profile,
 )
+
+from helpers import abstraction, chain
 
 A, N, X = (
     Admissibility.ADMISSIBLE,
@@ -115,6 +118,18 @@ def test_reversal_witness_lists_no_forward_types():
         *canonical_witness(StructuralType.ABSTRACTION_REVERSAL)
     )
     assert detected["structural"] == [StructuralType.ABSTRACTION_REVERSAL.value]
+
+
+def test_all_zero_node_row_leaves_its_node_unmapped():
+    """`T : S' 0.0` maps nothing: the types are those of the map without
+    T's row, as the node audit already reads it."""
+    micro, macro = chain("micro", ["S", "T"]), chain("macro", ["S'"])
+    zero = abstraction("a", micro, macro, {"S": {"S'": 1.0}, "T": {"S'": 0.0}})
+    without = abstraction("a", micro, macro, {"S": "S'"})
+    node = audit_node_map(zero, micro, macro)
+    assert node.deterministic and not node.functional
+    assert detect_types(zero, micro, macro) == detect_types(without, micro, macro)
+    assert StructuralType.NODE_DROPPING.value in detect_types(zero, micro, macro)["structural"]
 
 
 # ---------------------------------------------------------------------------

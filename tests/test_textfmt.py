@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import importlib.resources
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from absaudit.abstraction import Direction
 from absaudit.errors import AbsauditError, ModelError, ParseError
@@ -361,3 +363,58 @@ def test_parse_error_pins_line_and_column(text, message):
     with pytest.raises(ParseError) as err:
         parse_document(text)
     assert str(err.value) == message
+
+
+TWO_TERMS = """\
+absaudit-format 1
+scm m {
+  var A : 0 1
+  var B : 0 1
+  exo U : 0 1 for A
+  exo W : 0 1 for B
+  dist U W {
+%s
+  }
+}
+"""
+
+
+def _plain_dist_rows(rows: list[list[str]], first_line: int):
+    """The table the dist rows give, or the (reason, line) of the first bad
+    row, read plainly: split each row at its first ':'."""
+    table = {}
+    for line, row in enumerate(rows, first_line):
+        if not row:
+            continue
+        if ":" not in row:
+            return "expected a ':' separator", line
+        i = row.index(":")
+        left, right = row[:i], row[i + 1:]
+        if len(left) != 2 or len(right) != 1:
+            return "expected 'VALUE... : PROB'", line
+        if tuple(left) in table:
+            return f"duplicate dist row {' '.join(left)}", line
+        try:
+            table[tuple(left)] = float(right[0])
+        except ValueError:
+            return f"expected a number, found {right[0]!r}", line
+        if not math.isfinite(table[tuple(left)]):
+            return f"expected a finite number, found {right[0]!r}", line
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(["0", "1", ":", "0.5", "1e0", "x", "inf"]),
+                              max_size=5), min_size=1, max_size=6))
+def test_dist_rows_read_as_split_at_the_first_colon(rows):
+    """Every dist row gives the table, or the first bad row's error and line,
+    of the plain reading; repeated probability tokens read alike."""
+    text = TWO_TERMS % "\n".join(" ".join(row) for row in rows)
+    want = _plain_dist_rows(rows, 8)
+    if isinstance(want, dict):
+        table = parse_document(text).models["m"].exo_table
+        assert list(table.items()) == list(want.items())
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.reason, err.value.line, err.value.column) == (*want, 1)

@@ -22,6 +22,15 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
 * the usage errors (unknown command, missing FILE, --format xml) and the
   help of the program and of dist.
 
+Last comes one line per variable of every model of every file, for the
+library call `mechanism_kernel(model, variable)`:
+
+    <0 or the error's class> <sha256> kernel <file> --model <model> <variable>
+
+where the hash is of the kernel's rows, or of the error's class and words;
+the variables of one model are asked in declaration order of one parsed
+model, so its later kernels reuse the ranked noise table.
+
 The files are copied into a scratch directory and named by their path under
 the data directory, so the lines do not depend on where a checkout lives.
 With `--shuffle-dist SEED` the rows of every `dist` block of the copies are
@@ -45,6 +54,7 @@ import shlex
 import shutil
 import sys
 import tempfile
+from typing import Iterator
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DIST_OPEN = re.compile(r"^\s*dist\b.*\{\s*$")
@@ -128,6 +138,25 @@ def calls(files: list[str], parse_path, cut: list[str]) -> list[list[str]]:
     return [argv for cmd in plain for argv in (cmd, ["--format", "json", *cmd])]
 
 
+def kernel_lines(files: list[str], parse_path, mechanism_kernel) -> Iterator[str]:
+    """One line per (model, variable) of each parsable file in `files`."""
+    for path in files:
+        try:
+            doc = parse_path(path)
+        except Exception:  # the per-file calls report it
+            continue
+        for name, model in doc.models.items():
+            for var in model.variable_names:
+                try:
+                    k = mechanism_kernel(model, var)
+                    code, blob = "0", repr((k.row_scope, [(key, list(row.items()))
+                                                          for key, row in k.rows.items()]))
+                except Exception as exc:  # a refusal is an answer to compare too
+                    code, blob = type(exc).__name__, f"{type(exc).__name__}: {exc}"
+                digest = hashlib.sha256(blob.encode()).hexdigest()
+                yield f"{code} {digest} {shlex.join(['kernel', path, '--model', name, var])}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("files", nargs="*", help="model or map files (default: all shipped)")
@@ -138,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
     from absaudit.cli import main as absaudit_main
+    from absaudit.scm import mechanism_kernel
     from absaudit.textfmt import parse_path
 
     data = ROOT / "src" / "absaudit" / "data"
@@ -165,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             for line_argv in calls(names, parse_path, cut):
                 print(call(absaudit_main, line_argv))
+            for line in kernel_lines(names, parse_path, mechanism_kernel):
+                print(line)
         finally:
             os.chdir(here)
     return 0
