@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .errors import TOL, GranularityError, ModelError, RenormalizationRequiredError
 from .freecat import Morphism
-from .scm import Distribution, Scm, ValidationReport, in_range, row_major, rows_of
+from .scm import Distribution, Scm, ValidationReport, out_of_range, row_major, rows_of
 from .scm import underlying_graph
 from . import freecat
 
@@ -169,9 +169,9 @@ def validate_abstraction(
     audit findings, not validation errors; validation only rejects maps that
     are not well-typed: unknown nodes, rows that do not normalise, morphism
     entries that are not paths, outcome blocks that do not match preimages.
-    Outcome keys and row values are checked one by one with the range rule
-    (`scm.in_range`): a tuple with one value per variable of the block (or
-    of the target scope), each in its variable's domain.  No product of
+    Outcome keys and row values are checked with the range rule
+    (`scm.out_of_range`): a tuple with one value per variable of the block
+    (or of the target scope), each in its variable's domain.  No product of
     the domains is listed.
     """
     report = ValidationReport()
@@ -257,16 +257,17 @@ def validate_abstraction(
                 continue
             tgt_scope = (om.target,)
 
-        key_fits = in_range([source.domain_of(v) for v in om.sources])
-        value_fits = in_range([target.domain_of(v) for v in tgt_scope])
+        stray_keys = set(out_of_range(om.rows, [source.domain_of(v) for v in om.sources]))
+        stray_values = set(out_of_range({val for row in om.rows.values() for val in row},
+                                        [target.domain_of(v) for v in tgt_scope]))
         for key, row in om.rows.items():
-            if not key_fits(key):
+            if key in stray_keys:
                 report.add(
                     "outcome-key", f"outcome row {key!r} for {om.target} is out of range"
                 )
             total = 0.0
             for val, w in row.items():
-                if not value_fits(val):
+                if val in stray_values:
                     report.add(
                         "outcome-range",
                         f"outcome row {key!r} for {om.target} hits {val!r} "

@@ -35,7 +35,7 @@ from typing import Callable, Collection, Optional, Sequence
 
 from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
 from .freecat import Morphism, compose, identity, is_path, path_counts
-from .scm import Dag, Scm, in_range, underlying_graph
+from .scm import Dag, Scm, out_of_range, underlying_graph
 
 Verdict = Optional[bool]
 
@@ -68,11 +68,12 @@ class MapAudit:
     bijective: Verdict
 
     @classmethod
-    def of(cls, m: StructuralMap | OutcomeMap, in_domain: Callable[[object], bool],
-           domain_size: int, in_codomain: Callable[[object], bool], codomain_size: int,
+    def of(cls, m: StructuralMap | OutcomeMap, in_domain: Callable[[Collection], int],
+           domain_size: int, in_codomain: Callable[[Collection], int], codomain_size: int,
            **extra) -> "MapAudit":
         """Audit `m` (a node or outcome map) as a map between two sets, each
-        given by a membership test and its size; nothing is listed.
+        given by a count of its members among distinct keys and by its
+        size; nothing is listed.
 
         Every verdict reads the supports of the mapped rows: a key is mapped
         when its row has a nonempty support, and the image is the union of
@@ -81,10 +82,10 @@ class MapAudit:
         codomain are `codomain_size` many.
         """
         rows = m.supported_rows()
-        functional = sum(map(in_domain, rows)) == domain_size
+        functional = in_domain(rows) == domain_size
         deterministic = m.is_deterministic()
         hit = {val for s in rows.values() for val in s}
-        surjective = sum(map(in_codomain, hit)) == codomain_size
+        surjective = in_codomain(hit) == codomain_size
         injective: Verdict = None
         if deterministic:
             images = [next(iter(s)) for s in rows.values()]
@@ -104,17 +105,19 @@ class OutcomeAudit(MapAudit):
     target: str
 
 
-def _counted(names: Sequence[str], model: Scm) -> tuple[Callable[[object], bool], int]:
-    """The range rule over the domains of `names` and the number of keys in
-    range: the product of the distinct domain sizes."""
+def _counted(names: Sequence[str], model: Scm) -> tuple[Callable[[Collection], int], int]:
+    """A count of the keys in range over the domains of `names` (the range
+    rule, `scm.out_of_range`) and the number of keys in range: the product
+    of the distinct domain sizes."""
     domains = [model.domain_of(v) for v in names]
-    return in_range(domains), math.prod(len(set(d)) for d in domains)
+    return (lambda keys: len(keys) - len(out_of_range(keys, domains)),
+            math.prod(len(set(d)) for d in domains))
 
 
 def audit_node_map(abstraction: Abstraction, source: Scm, target: Scm) -> MapAudit:
     src, tgt = set(source.variable_names), set(target.variable_names)
-    return MapAudit.of(abstraction.structure, src.__contains__, len(src),
-                       tgt.__contains__, len(tgt))
+    return MapAudit.of(abstraction.structure, lambda keys: len(src.intersection(keys)), len(src),
+                       lambda keys: len(tgt.intersection(keys)), len(tgt))
 
 
 def audit_outcome_map(om: OutcomeMap, source: Scm, target: Scm) -> OutcomeAudit:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import contains, getitem, is_, itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import TOL, DEFAULT_EXO_CAP, CapacityError, KernelUndefinedError, ModelError, enum_cap
 
@@ -50,24 +50,17 @@ def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> lis
     return ranked
 
 
-def in_range(domains: Sequence[Iterable]) -> Callable[[object], bool]:
-    """The range rule: a key is in range when it is a tuple with one value per
-    domain, each in its own domain.  As many keys are in range as the product
-    of the distinct domain sizes, so counting them replaces listing them."""
-    places = [set(d) for d in domains]
-    return lambda key: (isinstance(key, tuple) and len(key) == len(places)
-                        and all(map(contains, places, key)))
-
-
 def out_of_range(keys: Collection, domains: Sequence[Iterable]) -> list:
-    """The keys, in order, that break the range rule (`in_range`).  When all
-    keys are tuples of one value per domain and each place's values lie in
-    its domain, tested a column at a time in C, none does."""
+    """The keys, in order, that break the range rule: a key is in range when
+    it is a tuple with one value per domain, each in its own domain, so the
+    keys in range number the product of the distinct domain sizes.  Tested a
+    column at a time in C, and key by key only when a column fails."""
     places = [set(d) for d in domains]
     if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {len(places)}
             and all(map(set.issuperset, places, zip(*keys)))):
         return []
-    return list(itertools.filterfalse(in_range(domains), keys))
+    return [k for k in keys if not (isinstance(k, tuple) and len(k) == len(places)
+                                    and all(map(contains, places, k)))]
 
 
 def rows_of(columns: Sequence[Iterable], count: int) -> Iterator[tuple]:

@@ -232,7 +232,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                     "in declaration order"
                 )
             saw_dist = True
-            k, probs = len(declared), {}  # probs: each probability token read so far
+            k = len(declared)
             for row in _block(lines, "dist block"):
                 if len(row) != k + 2 or row[k] != ":" or row.index(":") != k:
                     _split_colon(row, lines)  # words a row without a ':'
@@ -240,10 +240,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                 key = tuple(row[:k])
                 if key in exo_table:
                     raise lines.fail(f"duplicate dist row {' '.join(key)}")
-                p = probs.get(row[-1])
-                if p is None:
-                    p = probs[row[-1]] = _float(row[-1], lines)
-                exo_table[key] = p
+                exo_table[key] = _float(row[-1], lines)
         elif head == "mech":
             if len(tokens) != 3 or tokens[2] != "{":
                 raise lines.fail("expected 'mech NAME {'")
