@@ -58,9 +58,13 @@ class _Rows:
         """Each mapped row (one with a nonempty support), cut to its support."""
         return {key: s for key, row in self.rows.items() if (s := support(row))}
 
-    def is_deterministic(self) -> bool:
-        """Every mapped row has exactly one supported entry."""
-        return all(len(s) == 1 for s in self.supported_rows().values())
+    def images(self) -> dict | None:
+        """Each mapped key's one supported entry when the map is
+        deterministic (every mapped row has exactly one), else None."""
+        rows = self.supported_rows()
+        if any(len(s) != 1 for s in rows.values()):
+            return None
+        return {key: next(iter(s)) for key, s in rows.items()}
 
 
 @dataclass
@@ -79,21 +83,6 @@ class StructuralMap(_Rows):
     rows: dict[str, dict[str, float]]
     edge_map: dict[Morphism, Morphism] | None = None
     pairing: dict[str, str] | None = None
-
-    @property
-    def mapped(self) -> tuple[str, ...]:
-        """Source nodes with a declared row, i.e. the domain of definition."""
-        return tuple(self.rows)
-
-    def image_of(self, node: str) -> str:
-        """The unique image of a deterministically mapped node."""
-        row = self.rows.get(node)
-        if row is None:
-            raise ModelError(f"node {node!r} is unmapped")
-        s = support(row)
-        if len(s) != 1:
-            raise ModelError(f"node {node!r} maps stochastically")
-        return next(iter(s))
 
 
 @dataclass
@@ -146,14 +135,10 @@ def preimage(abstraction: Abstraction, source_model: Scm, target_node: str) -> t
     Only defined for deterministic node maps; the result follows the source
     model's canonical variable order.
     """
-    sm = abstraction.structure
-    if not sm.is_deterministic():
+    images = abstraction.structure.images()
+    if images is None:
         raise ModelError("preimage requires a deterministic node map")
-    rows = sm.supported_rows()
-    return tuple(
-        v for v in source_model.variable_names
-        if v in rows and sm.image_of(v) == target_node
-    )
+    return tuple(v for v in source_model.variable_names if images.get(v) == target_node)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +161,7 @@ def validate_abstraction(
     """
     report = ValidationReport()
     sm = abstraction.structure
+    deterministic = sm.images() is not None
     src_nodes = set(source.variable_names)
     tgt_nodes = set(target.variable_names)
 
@@ -198,7 +184,7 @@ def validate_abstraction(
                 report.add("pair-unknown", f"pairing {u} ~ {x} names unknown nodes")
 
     if sm.edge_map is not None:
-        if not sm.is_deterministic():
+        if not deterministic:
             report.add(
                 "edge-map-stochastic",
                 "a morphism layer requires a deterministic node map",
@@ -240,7 +226,7 @@ def validate_abstraction(
                     "outcome-unknown-target", f"outcome map for unknown variable {om.target}"
                 )
                 continue
-            if not sm.is_deterministic():
+            if not deterministic:
                 report.add(
                     "outcome-stochastic-nodes",
                     f"outcome map for {om.target} needs a deterministic node map "

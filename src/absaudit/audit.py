@@ -78,18 +78,17 @@ class MapAudit:
         Every verdict reads the supports of the mapped rows: a key is mapped
         when its row has a nonempty support, and the image is the union of
         the supports.  `m` is functional when its mapped keys in the domain
-        are `domain_size` many, and surjective when its images in the
-        codomain are `codomain_size` many.
+        are `domain_size` many, deterministic when each mapped row has one
+        supported entry, and surjective when its images in the codomain are
+        `codomain_size` many.
         """
         rows = m.supported_rows()
         functional = in_domain(rows) == domain_size
-        deterministic = m.is_deterministic()
+        images = [val for s in rows.values() if len(s) == 1 for val in s]
+        deterministic = len(images) == len(rows)
         hit = {val for s in rows.values() for val in s}
         surjective = in_codomain(hit) == codomain_size
-        injective: Verdict = None
-        if deterministic:
-            images = [next(iter(s)) for s in rows.values()]
-            injective = len(set(images)) == len(images)
+        injective = len(set(images)) == len(images) if deterministic else None
         return cls(
             functional=functional,
             deterministic=deterministic,
@@ -165,14 +164,13 @@ def _hom_total(dag: Dag, nodes: Collection[str]) -> int:
 
 def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> FunctorAudit:
     sm = abstraction.structure
-    if sm.edge_map is None or not sm.is_deterministic():
+    images = sm.images()
+    if sm.edge_map is None or images is None:
         return FunctorAudit(declared=sm.edge_map is not None)
 
     src_dag = underlying_graph(source)
     tgt_dag = underlying_graph(target)
-    rows = sm.supported_rows()
-    mapped = [u for u in source.variable_names if u in rows]
-    pi = {u: sm.image_of(u) for u in mapped}
+    pi = {u: images[u] for u in source.variable_names if u in images}  # the mapped nodes
     edge_map = sm.edge_map
 
     # Coverage and collision verdicts are computed over the declared
@@ -184,8 +182,8 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
     functorial = (
         len(entries) == len(edge_map)
         and all(n.source == pi[m.source] and n.target == pi[m.target] for m, n in entries)
-        and all(edge_map.get(identity(u)) == identity(pi[u]) for u in mapped)
-        and len(domain) == _hom_total(src_dag, mapped)
+        and all(edge_map.get(identity(u)) == identity(x) for u, x in pi.items())
+        and len(domain) == _hom_total(src_dag, pi)
         and all(
             edge_map[m] == compose(
                 edge_map[Morphism(m.nodes[: i + 1])], edge_map[Morphism(m.nodes[i:])]
@@ -228,32 +226,12 @@ class ModalityAudit:
     macro_to_micro: bool
 
 
-def audit_modalities(abstraction: Abstraction) -> ModalityAudit:
-    stochastic_nodes = not abstraction.structure.is_deterministic()
-    stochastic_outcomes = any(
-        not om.is_deterministic() for om in abstraction.outcome_maps
-    )
-    return ModalityAudit(
-        non_deterministic=stochastic_nodes or stochastic_outcomes,
-        macro_to_micro=abstraction.direction is Direction.MACRO_TO_MICRO,
-    )
-
-
 @dataclass
 class InvertibilityAudit:
     perfect_node: Verdict
     set_node: Verdict
     perfect_edge: Verdict
     set_edge: Verdict
-
-
-def derive_invertibility(node: MapAudit, functor: FunctorAudit) -> InvertibilityAudit:
-    return InvertibilityAudit(
-        perfect_node=node.bijective,
-        set_node=node.surjective,
-        perfect_edge=functor.fully_faithful,
-        set_edge=functor.full,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +318,14 @@ def audit_abstraction(abstraction: Abstraction, source: Scm, target: Scm) -> Pro
         functor=functor,
         outcomes=outcome_audits,
         outcome_summary=summarize_outcomes(outcome_audits),
-        modalities=audit_modalities(abstraction),
-        invertibility=derive_invertibility(node, functor),
+        modalities=ModalityAudit(
+            non_deterministic=not all(a.deterministic for a in [node, *outcome_audits]),
+            macro_to_micro=abstraction.direction is Direction.MACRO_TO_MICRO,
+        ),
+        invertibility=InvertibilityAudit(
+            perfect_node=node.bijective,
+            set_node=node.surjective,
+            perfect_edge=functor.fully_faithful,
+            set_edge=functor.full,
+        ),
     )

@@ -17,8 +17,8 @@ from .audit import audit_abstraction
 from .dot import abstraction_dot, model_dot
 from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
-from .scm import Distribution, intervene, joint_distribution, marginal, row_major
-from .scm import underlying_graph, validate_scm
+from .scm import Distribution, ValidationReport, intervene, joint_distribution, marginal
+from .scm import row_major, underlying_graph, validate_scm
 from .textfmt import Document, parse_path
 
 OK, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
@@ -46,6 +46,13 @@ def _pick(loaded: dict, name: str | None, kind: str, flag: str):
     return next(iter(loaded.values()))
 
 
+def _reported_ok(report: ValidationReport) -> bool:
+    """Whether `report` is ok; its issues go to stderr."""
+    for issue in report.issues:
+        print(f"[{issue.code}] {issue.message}", file=sys.stderr)
+    return report.ok
+
+
 def _valid_abstraction(args):
     """The chosen abstraction and its two models, or None if it is invalid.
 
@@ -55,9 +62,7 @@ def _valid_abstraction(args):
     abstraction = _pick(doc.abstractions, args.abs, "abstraction", "--abs")
     source, target = doc.resolve(abstraction)
     report = validate_abstraction(abstraction, source, target)
-    for issue in report.issues:
-        print(f"[{issue.code}] {issue.message}", file=sys.stderr)
-    return (abstraction, source, target) if report.ok else None
+    return (abstraction, source, target) if _reported_ok(report) else None
 
 
 def _parse_do(items: list[str]) -> dict[str, str]:
@@ -170,10 +175,7 @@ def _cmd_graph(args) -> int:
 def _cmd_dist(args) -> int:
     doc = _load(args.files)
     model = _pick(doc.models, args.model, "model", "--model")
-    report = validate_scm(model)
-    if not report.ok:
-        for issue in report.issues:
-            print(f"[{issue.code}] {issue.message}", file=sys.stderr)
+    if not _reported_ok(validate_scm(model)):
         return FAIL
     if args.do:
         model = intervene(model, _parse_do(args.do))
@@ -277,6 +279,8 @@ def _cmd_push(args) -> int:
     if loaded is None:
         return FAIL
     abstraction, source, target = loaded
+    if not _reported_ok(validate_scm(source)):
+        return FAIL
     model = source
     if args.do:
         model = intervene(model, _parse_do(args.do))

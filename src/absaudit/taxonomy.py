@@ -49,51 +49,38 @@ from .scm import Scm, underlying_graph
 from .textfmt import Document, parse_document, read_text
 
 
-class StructuralType(enum.Enum):
-    IDENTITY = "identity"
-    NODE_PERMUTATION = "node-permutation"
-    NODE_COARSENING = "node-coarsening"
-    EDGE_COARSENING = "edge-coarsening"
-    NODE_EMBEDDING = "node-embedding"
-    EDGE_EMBEDDING = "edge-embedding"
-    NODE_DROPPING = "node-dropping"
-    EDGE_DROPPING = "edge-dropping"
-    CAUSAL_REVERSAL = "causal-reversal"
-    CAUSAL_SPLITTING = "causal-splitting"
-    ABSTRACTION_REVERSAL = "abstraction-reversal"
+class _Labelled(enum.Enum):
+    """An abstraction type whose members carry their table column label."""
+
+    def __new__(cls, value: str, label: str):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.label = label
+        return member
 
 
-class DistributionalType(enum.Enum):
-    IDENTITY_OR_PERMUTATION = "identity-or-permutation"
-    COARSENING = "coarsening"
-    EMBEDDING = "embedding"
-    OUTCOME_DROPPING = "outcome-dropping"
-    OUTCOME_SPLITTING = "outcome-splitting"
-    ABSTRACTION_REVERSAL = "abstraction-reversal"
+class StructuralType(_Labelled):
+    IDENTITY = "identity", "Identity"
+    NODE_PERMUTATION = "node-permutation", "Node permutation"
+    NODE_COARSENING = "node-coarsening", "Node coarsening"
+    EDGE_COARSENING = "edge-coarsening", "Edge coarsening"
+    NODE_EMBEDDING = "node-embedding", "Node embedding"
+    EDGE_EMBEDDING = "edge-embedding", "Edge embedding"
+    NODE_DROPPING = "node-dropping", "Node dropping"
+    EDGE_DROPPING = "edge-dropping", "Edge dropping"
+    CAUSAL_REVERSAL = "causal-reversal", "Causal reversal"
+    CAUSAL_SPLITTING = "causal-splitting", "Causal splitting"
+    ABSTRACTION_REVERSAL = "abstraction-reversal", "Abs. Reversal"
 
 
-STRUCTURAL_COLUMNS: dict[StructuralType, str] = {
-    StructuralType.IDENTITY: "Identity",
-    StructuralType.NODE_PERMUTATION: "Node permutation",
-    StructuralType.NODE_COARSENING: "Node coarsening",
-    StructuralType.EDGE_COARSENING: "Edge coarsening",
-    StructuralType.NODE_EMBEDDING: "Node embedding",
-    StructuralType.EDGE_EMBEDDING: "Edge embedding",
-    StructuralType.NODE_DROPPING: "Node dropping",
-    StructuralType.EDGE_DROPPING: "Edge dropping",
-    StructuralType.CAUSAL_REVERSAL: "Causal reversal",
-    StructuralType.CAUSAL_SPLITTING: "Causal splitting",
-    StructuralType.ABSTRACTION_REVERSAL: "Abs. Reversal",
-}
+class DistributionalType(_Labelled):
+    IDENTITY_OR_PERMUTATION = "identity-or-permutation", "Identity / Permutation"
+    COARSENING = "coarsening", "Coarsening"
+    EMBEDDING = "embedding", "Embedding"
+    OUTCOME_DROPPING = "outcome-dropping", "Outcome dropping"
+    OUTCOME_SPLITTING = "outcome-splitting", "Outcome splitting"
+    ABSTRACTION_REVERSAL = "abstraction-reversal", "Abstraction reversal"
 
-DISTRIBUTIONAL_COLUMNS: dict[DistributionalType, str] = {
-    DistributionalType.IDENTITY_OR_PERMUTATION: "Identity / Permutation",
-    DistributionalType.COARSENING: "Coarsening",
-    DistributionalType.EMBEDDING: "Embedding",
-    DistributionalType.OUTCOME_DROPPING: "Outcome dropping",
-    DistributionalType.OUTCOME_SPLITTING: "Outcome splitting",
-    DistributionalType.ABSTRACTION_REVERSAL: "Abstraction reversal",
-}
 
 STRUCTURAL_ROWS = (
     "Functionality",
@@ -311,7 +298,7 @@ def _property_cells(profile: PropertyProfile, structural: bool) -> list[bool]:
     return cells + [functorial, full, faithful, full and faithful]
 
 
-def _matrix(types, labels: dict, rows: tuple[str, ...], reversal: Admissibility) -> PropertyMatrix:
+def _matrix(types, rows: tuple[str, ...], reversal: Admissibility) -> PropertyMatrix:
     """The table of the type enum `types` from their witnesses: a column per
     type, headed by its label; `reversal` on the property rows of the
     reversal column; the two modality rows last."""
@@ -319,7 +306,7 @@ def _matrix(types, labels: dict, rows: tuple[str, ...], reversal: Admissibility)
     cells: dict[tuple[str, str], Admissibility] = {}
     cols = []
     for t in types:
-        profile, label = witness_profile(t), labels[t]
+        profile, label = witness_profile(t), t.label
         flags = _property_cells(profile, structural)
         if t is types.ABSTRACTION_REVERSAL:
             column = [reversal] * len(flags)
@@ -336,14 +323,12 @@ def _matrix(types, labels: dict, rows: tuple[str, ...], reversal: Admissibility)
 
 def structural_matrix() -> PropertyMatrix:
     """Recompute the structural table from the shipped witnesses."""
-    return _matrix(StructuralType, STRUCTURAL_COLUMNS, STRUCTURAL_ROWS,
-                   Admissibility.NOT_APPLICABLE)
+    return _matrix(StructuralType, STRUCTURAL_ROWS, Admissibility.NOT_APPLICABLE)
 
 
 def distributional_matrix() -> PropertyMatrix:
     """Recompute the distributional table from the shipped witnesses."""
-    return _matrix(DistributionalType, DISTRIBUTIONAL_COLUMNS, DISTRIBUTIONAL_ROWS,
-                   Admissibility.DISALLOWED)
+    return _matrix(DistributionalType, DISTRIBUTIONAL_ROWS, Admissibility.DISALLOWED)
 
 
 def shipped_table(which: str) -> PropertyMatrix:
@@ -360,6 +345,24 @@ def load_table(path) -> PropertyMatrix:
 # ---------------------------------------------------------------------------
 # Type detection
 # ---------------------------------------------------------------------------
+
+def _shape(audit) -> str | None:
+    """The shape of a deterministic set-map audit: "dropping" when it is not
+    total, else "bijection", "coarsening" (onto, not one-to-one) or
+    "embedding" (one-to-one, not onto); None when it is neither."""
+    if not audit.functional:
+        return "dropping"
+    return {(True, True): "bijection", (True, False): "coarsening",
+            (False, True): "embedding"}.get((audit.surjective, audit.injective))
+
+
+_OUTCOME_TYPES = {
+    "bijection": DistributionalType.IDENTITY_OR_PERMUTATION,
+    "coarsening": DistributionalType.COARSENING,
+    "embedding": DistributionalType.EMBEDDING,
+    "dropping": DistributionalType.OUTCOME_DROPPING,
+}
+
 
 def detect_types(
     abstraction: Abstraction, source: Scm, target: Scm
@@ -383,18 +386,18 @@ def detect_types(
     tgt_dag = underlying_graph(target)
 
     if forward and node.deterministic:
-        mapped = sm.supported_rows()  # an all-zero row leaves its node unmapped
-        pi = {u: sm.image_of(u) for u in mapped}
+        pi = sm.images()  # an all-zero row leaves its node unmapped
+        shape = _shape(node)
         tgt_counts = {x: path_counts(tgt_dag, x) for x in set(pi.values())}
         # Hom-set sizes (source, target) for a bijection; along/against each edge.
-        src_counts = {u: path_counts(src_dag, u) for u in mapped} if node.bijective else {}
+        src_counts = {u: path_counts(src_dag, u) for u in pi} if shape == "bijection" else {}
         hom_sizes = [(c[v], tgt_counts[pi[u]][pi[v]]) for u, c in src_counts.items() for v in pi]
         arrows = [
             (tgt_counts[pi[u]][pi[v]], tgt_counts[pi[v]][pi[u]])
             for u, v in src_dag.edges if u in pi and v in pi
         ]
-        if node.bijective is True and pairing is not None:
-            respects = all(pi.get(u) == pairing.get(u) for u in mapped)
+        if shape == "bijection" and pairing is not None:
+            respects = all(pi[u] == pairing.get(u) for u in pi)
             mapped_edges = {(pi[u], pi[v]) for (u, v) in src_dag.edges}
             edge_bijection = (
                 mapped_edges == tgt_dag.edge_set
@@ -404,15 +407,15 @@ def detect_types(
                 structural.append(StructuralType.IDENTITY.value)
             if not respects:
                 structural.append(StructuralType.NODE_PERMUTATION.value)
-        if node.functional and node.surjective and node.injective is False:
+        if shape == "coarsening":
             structural.append(StructuralType.NODE_COARSENING.value)
-        if node.functional and node.injective is True and not node.surjective:
+        if shape == "embedding":
             structural.append(StructuralType.NODE_EMBEDDING.value)
         if any(n_src > n_tgt >= 1 for n_src, n_tgt in hom_sizes):
             structural.append(StructuralType.EDGE_COARSENING.value)
         if any(n_tgt > n_src >= 1 for n_src, n_tgt in hom_sizes):
             structural.append(StructuralType.EDGE_EMBEDDING.value)
-        if not node.functional:
+        if shape == "dropping":
             structural.append(StructuralType.NODE_DROPPING.value)
         if any(fwd == 0 and bwd == 0 for fwd, bwd in arrows):
             structural.append(StructuralType.EDGE_DROPPING.value)
@@ -428,20 +431,10 @@ def detect_types(
         [audit_outcome_map(om, source, target) for om in abstraction.outcome_maps]
     )
     if s is not None:
-        if forward:
-            if s.deterministic:
-                if s.functional and s.surjective and s.injective is True:
-                    distributional.append(
-                        DistributionalType.IDENTITY_OR_PERMUTATION.value
-                    )
-                if s.functional and s.surjective and s.injective is False:
-                    distributional.append(DistributionalType.COARSENING.value)
-                if s.functional and s.injective is True and not s.surjective:
-                    distributional.append(DistributionalType.EMBEDDING.value)
-                if not s.functional:
-                    distributional.append(DistributionalType.OUTCOME_DROPPING.value)
-            else:
-                distributional.append(DistributionalType.OUTCOME_SPLITTING.value)
-        else:
+        if not forward:
             distributional.append(DistributionalType.ABSTRACTION_REVERSAL.value)
+        elif not s.deterministic:
+            distributional.append(DistributionalType.OUTCOME_SPLITTING.value)
+        elif (kind := _OUTCOME_TYPES.get(_shape(s))) is not None:
+            distributional.append(kind.value)
     return {"structural": structural, "distributional": distributional}

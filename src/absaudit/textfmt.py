@@ -249,13 +249,13 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                 raise lines.fail(f"duplicate mechanism for {var}")
             table: dict[tuple, str] = {}
             for row in _block(lines, "mech block"):
-                left, right = _split_colon(row, lines)
-                if not left or len(right) != 1:
+                if len(row) < 3 or row[-2] != ":" or row.index(":") != len(row) - 2:
+                    _split_colon(row, lines)  # words a row without a ':'
                     raise lines.fail("expected 'VALUE... : VALUE'")
-                key = tuple(left)
+                key = tuple(row[:-2])
                 if key in table:
-                    raise lines.fail(f"duplicate mechanism row {' '.join(left)}")
-                table[key] = right[0]
+                    raise lines.fail(f"duplicate mechanism row {' '.join(key)}")
+                table[key] = row[-1]
             mechanisms[var] = table
         else:
             raise lines.fail(f"unexpected {head!r} inside a model block")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from absaudit.abstraction import (
     GLOBAL,
     OutcomeMap,
+    StructuralMap,
     compose_abstractions,
     preimage,
     pushforward,
@@ -82,6 +83,59 @@ def test_preimage_requires_determinism(micro, macro):
     a = abstraction("a", micro, macro, {"S": {"S'": 0.5, "C'": 0.5}})
     with pytest.raises(ModelError, match="deterministic"):
         preimage(a, micro, "S'")
+
+
+@st.composite
+def _sparse_rows(draw, keys: list, values: list) -> dict:
+    """Rows for some of `keys`: explicit zero entries under up to three
+    supported ones, so a row may be all-zero or hold one to three."""
+    rows = {}
+    for key in draw(st.lists(st.sampled_from(keys), unique=True)):
+        zeros = draw(st.lists(st.sampled_from(values), unique=True, max_size=2))
+        held = draw(st.lists(st.sampled_from(values), unique=True, max_size=3))
+        rows[key] = {**{v: 0.0 for v in zeros},
+                     **{v: draw(st.sampled_from([0.25, 0.5, 1.0])) for v in held}}
+    return rows
+
+
+def _plain_images(rows: dict) -> dict | None:
+    """Each mapped row's one entry above TOL; None when a row has more."""
+    images = {}
+    for key, row in rows.items():
+        held = [v for v, w in row.items() if w > TOL]
+        if len(held) > 1:
+            return None
+        if held:
+            images[key] = held[0]
+    return images
+
+
+SOURCE_NODES, TARGET_NODES = ["A", "B", "C", "D"], ["X", "Y", "Z"]
+OUTCOME_KEYS = list(itertools.product("01", repeat=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_rows=_sparse_rows(SOURCE_NODES, TARGET_NODES),
+       outcome_rows=_sparse_rows(OUTCOME_KEYS, [("0",), ("1",), ("2",)]))
+def test_images_and_preimage_read_each_row_once(node_rows, outcome_rows):
+    """`images` is the plain reading of the supports of a node map and of an
+    outcome map, and `preimage` on a deterministic node map is the plain
+    definition: the source nodes whose one supported entry is the target."""
+    sm = StructuralMap(rows=node_rows)
+    om = OutcomeMap(target="X", sources=("A", "B"), rows=outcome_rows)
+    assert sm.images() == _plain_images(node_rows)
+    assert om.images() == _plain_images(outcome_rows)
+    src, tgt = chain("src", SOURCE_NODES), chain("tgt", TARGET_NODES)
+    a = abstraction("a", src, tgt, node_rows)
+    for x in TARGET_NODES:
+        if sm.images() is None:
+            with pytest.raises(ModelError, match="deterministic"):
+                preimage(a, src, x)
+        else:
+            assert preimage(a, src, x) == tuple(
+                u for u in SOURCE_NODES
+                if [y for y, w in node_rows.get(u, {}).items() if w > TOL] == [x]
+            )
 
 
 # ---------------------------------------------------------------------------

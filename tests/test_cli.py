@@ -637,6 +637,19 @@ def test_push_partial_requires_renormalize(capsys):
     assert probs["1"] == pytest.approx(0.625, abs=1e-9)
 
 
+@pytest.mark.parametrize("row, issue", [
+    ("9 0 0 : 0.125", "[dist-key] exogenous table key ('9', '0', '0') is out of range"),
+    ("0 0 0 : 0.625", "[dist-total] exogenous table sums to 1.5, not 1"),
+], ids=["dist-key", "dist-total"])
+def test_push_validates_its_source_model(tmp_path, capsys, row, issue):
+    path = tmp_path / "fig3a.abs"
+    path.write_text(Path(FIG3A).read_text().replace("0 0 0 : 0.125", row, 1))
+    assert main(["push", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [issue]
+
+
 def test_push_json(capsys):
     assert main(["--format", "json", "push", DROPPING, "--renormalize"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -418,3 +418,50 @@ def test_dist_rows_read_as_split_at_the_first_colon(rows):
         with pytest.raises(ParseError) as err:
             parse_document(text)
         assert (err.value.reason, err.value.line, err.value.column) == (*want, 1)
+
+
+ONE_MECH = """\
+absaudit-format 1
+scm m {
+  var A : 0 1
+  mech A {
+%s
+  }
+}
+"""
+
+
+def _plain_mech_rows(rows: list[list[str]], first_line: int):
+    """The table the mech rows give, or the (reason, line) of the first bad
+    row, read plainly: split each row at its first ':'."""
+    table = {}
+    for line, row in enumerate(rows, first_line):
+        if not row:
+            continue
+        if ":" not in row:
+            return "expected a ':' separator", line
+        i = row.index(":")
+        left, right = row[:i], row[i + 1:]
+        if not left or len(right) != 1:
+            return "expected 'VALUE... : VALUE'", line
+        if tuple(left) in table:
+            return f"duplicate mechanism row {' '.join(left)}", line
+        table[tuple(left)] = right[0]
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(["0", "1", ":", "x"]), max_size=5),
+                     min_size=1, max_size=6))
+def test_mech_rows_read_as_split_at_the_first_colon(rows):
+    """Every mech row gives the table, or the first bad row's error and line,
+    of the plain reading."""
+    text = ONE_MECH % "\n".join(" ".join(row) for row in rows)
+    want = _plain_mech_rows(rows, 5)
+    if isinstance(want, dict):
+        table = parse_document(text).models["m"].mechanisms["A"]
+        assert list(table.items()) == list(want.items())
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.reason, err.value.line, err.value.column) == (*want, 1)

@@ -13,6 +13,11 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   that line, so each block's missing-brace and misplaced-row errors show;
 * per file and per row of a `mech` block: validate on a copy without that
   row, so each mechanism's gap report shows;
+* per model with a `dist` block: two copies of its file with invalid noise,
+  one whose first `dist` row is keyed outside the first term's domain and
+  one whose first `dist` row weighs 0.5 more; each is run through validate,
+  dist --model, and push --abs for every abstraction reading that model as
+  its source;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
   pair of its nodes;
 * per abstraction: graph --dot --abs, audit, classify, push and
@@ -59,6 +64,7 @@ from typing import Iterator
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DIST_OPEN = re.compile(r"^\s*dist\b.*\{\s*$")
 MECH_OPEN = re.compile(r"^\s*mech\b.*\{\s*$")
+SCM_OPEN = re.compile(r"^\s*scm\s+(\S+)\s*\{\s*$")
 
 
 def call(main, argv: list[str]) -> str:
@@ -106,9 +112,35 @@ def cuts(text: str) -> list[tuple[str, str]]:
     return [(f"{tag}-{i + 1}", "\n".join(lines[:i] + lines[i + 1:])) for i, tag in picked]
 
 
-def calls(files: list[str], parse_path, cut: list[str]) -> list[list[str]]:
-    """The argv of every sweep call on `files` and on the copies in `cut`
-    that lack a line (paths in the working dir)."""
+def bad_noise(text: str, doc) -> list[tuple[str, str, str]]:
+    """(tag, model, copy of `text`) for each model of `doc` with a `dist`
+    block: the first row of that block keyed with a token outside the first
+    noise term's domain (tag `bad-key-MODEL`), or weighing 0.5 more (tag
+    `bad-total-MODEL`)."""
+    lines, out, model, in_dist = text.split("\n"), [], None, False
+    for i, line in enumerate(lines):
+        row = line.split("#")[0].split()
+        if opened := SCM_OPEN.match(line):
+            model = opened[1]
+        elif DIST_OPEN.match(line):
+            in_dist = True
+        elif in_dist and row:
+            in_dist = False
+            indent = line[: len(line) - len(line.lstrip())]
+            domain = doc.models[model].exogenous[0].domain
+            keyed = ["9" * (1 + max(map(len, domain))), *row[1:]]
+            heavy = [*row[:-1], repr(float(row[-1]) + 0.5)]
+            for tag, bad in (("bad-key", keyed), ("bad-total", heavy)):
+                copy = lines[:i] + [indent + " ".join(bad)] + lines[i + 1:]
+                out.append((f"{tag}-{model}", model, "\n".join(copy)))
+    return out
+
+
+def calls(files: list[str], parse_path, cut: list[str],
+          noisy: list[tuple[str, str]]) -> list[list[str]]:
+    """The argv of every sweep call on `files`, on the copies in `cut` that
+    lack a line, and on the (copy, model) pairs in `noisy` with invalid
+    noise (paths in the working dir)."""
     plain: list[list[str]] = []
     for path in files:
         plain += [[cmd, path] for cmd in ("validate", "graph", "dist", "audit",
@@ -129,6 +161,11 @@ def calls(files: list[str], parse_path, cut: list[str]) -> list[list[str]]:
                       ["classify", path, *pick], ["push", path, *pick],
                       ["push", path, "--renormalize", *pick]]
     plain += [["validate", path] for path in cut]
+    for path, model in noisy:
+        plain += [["validate", path], ["dist", path, "--model", model]]
+        plain += [["push", path, "--abs", name]
+                  for name, a in parse_path(path).abstractions.items()
+                  if a.source_ref == model]
     plain += [["tables", "--which", w] for w in ("both", "structural", "distributional")]
     plain += [["tables", "--truth", "tables/structural.tbl"]]
     plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
@@ -174,11 +211,12 @@ def main(argv: list[str] | None = None) -> int:
     files = [pathlib.Path(f).resolve() for f in args.files] or sorted(
         p for p in data.rglob("*") if p.suffix in (".abs", ".scm"))
     rng = random.Random(args.shuffle_dist)
+    noise_rng = random.Random(args.shuffle_dist)  # keeps `rng`'s draws as they were
     here = os.getcwd()
     os.environ["COLUMNS"] = "80"  # help text wraps at the terminal's width
     with tempfile.TemporaryDirectory() as scratch:
         shutil.copytree(data / "tables", pathlib.Path(scratch, "tables"))
-        names, cut = [], []
+        names, cut, noisy = [], [], []
         for path in files:
             name = path.relative_to(data) if path.is_relative_to(data) else path.name
             copy = pathlib.Path(scratch, name)
@@ -191,9 +229,18 @@ def main(argv: list[str] | None = None) -> int:
             for tag, trimmed in cuts(text.decode("utf-8")):
                 cut.append(f"{name}.{tag}")
                 pathlib.Path(scratch, cut[-1]).write_text(trimmed, encoding="utf-8")
+            try:
+                doc = parse_path(path)
+            except Exception:  # the per-file calls report it
+                continue
+            for tag, model, bad in bad_noise(path.read_text(encoding="utf-8"), doc):
+                if args.shuffle_dist is not None:
+                    bad = shuffle_dist(bad, noise_rng)
+                noisy.append((f"{name}.{tag}", model))
+                pathlib.Path(scratch, noisy[-1][0]).write_text(bad, encoding="utf-8")
         os.chdir(scratch)
         try:
-            for line_argv in calls(names, parse_path, cut):
+            for line_argv in calls(names, parse_path, cut, noisy):
                 print(call(absaudit_main, line_argv))
             for line in kernel_lines(names, parse_path, mechanism_kernel):
                 print(line)
