@@ -117,17 +117,27 @@ class Abstraction:
     structure: StructuralMap
     outcome_maps: list[OutcomeMap] = field(default_factory=list)
 
-    def outcome_map_for(self, target: str) -> OutcomeMap | None:
-        return next((om for om in self.outcome_maps if om.target == target), None)
+    def outcome_maps_by_target(self) -> dict[str, OutcomeMap]:
+        """Each target's first outcome map, by target name."""
+        return {om.target: om for om in reversed(self.outcome_maps)}
 
-    @property
-    def global_outcome_map(self) -> OutcomeMap | None:
-        return self.outcome_map_for(GLOBAL)
+    def outcome_map_for(self, target: str) -> OutcomeMap | None:
+        return self.outcome_maps_by_target().get(target)
 
 
 # ---------------------------------------------------------------------------
 # Preimage blocks
 # ---------------------------------------------------------------------------
+
+def _blocks(images: Mapping[str, str], source_model: Scm) -> dict[str, tuple[str, ...]]:
+    """The preimage block of each target node that a deterministic node map's
+    `images` hit, in the source model's canonical variable order."""
+    blocks: dict[str, list[str]] = {}
+    for v in source_model.variable_names:
+        if v in images:
+            blocks.setdefault(images[v], []).append(v)
+    return {x: tuple(vs) for x, vs in blocks.items()}
+
 
 def preimage(abstraction: Abstraction, source_model: Scm, target_node: str) -> tuple[str, ...]:
     """Source nodes mapped (deterministically) onto the target node.
@@ -138,7 +148,7 @@ def preimage(abstraction: Abstraction, source_model: Scm, target_node: str) -> t
     images = abstraction.structure.images()
     if images is None:
         raise ModelError("preimage requires a deterministic node map")
-    return tuple(v for v in source_model.variable_names if images.get(v) == target_node)
+    return _blocks(images, source_model).get(target_node, ())
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +171,8 @@ def validate_abstraction(
     """
     report = ValidationReport()
     sm = abstraction.structure
-    deterministic = sm.images() is not None
+    images = sm.images()
+    blocks = None if images is None else _blocks(images, source)
     src_nodes = set(source.variable_names)
     tgt_nodes = set(target.variable_names)
 
@@ -184,7 +195,7 @@ def validate_abstraction(
                 report.add("pair-unknown", f"pairing {u} ~ {x} names unknown nodes")
 
     if sm.edge_map is not None:
-        if not deterministic:
+        if blocks is None:
             report.add(
                 "edge-map-stochastic",
                 "a morphism layer requires a deterministic node map",
@@ -226,14 +237,14 @@ def validate_abstraction(
                     "outcome-unknown-target", f"outcome map for unknown variable {om.target}"
                 )
                 continue
-            if not deterministic:
+            if blocks is None:
                 report.add(
                     "outcome-stochastic-nodes",
                     f"outcome map for {om.target} needs a deterministic node map "
                     "(use a global map instead)",
                 )
                 continue
-            block = preimage(abstraction, source, om.target)
+            block = blocks.get(om.target, ())
             if tuple(om.sources) != block:
                 report.add(
                     "outcome-block",
@@ -289,11 +300,11 @@ def _row_product(
     if None in rows:
         return
     for cells in itertools.product(*(row.items() for row in rows)):
-        key, m = (), mass
+        key, m = [], mass  # a list, so that a wide key is joined in linear time
         for val, w in cells:
             key += val
             m *= w
-        yield key, m
+        yield tuple(key), m
 
 
 def pushforward(
@@ -323,17 +334,16 @@ def pushforward(
 
     out_scope = target.variable_names
     out_domains = tuple(v.domain for v in target.variables)
-    gom = abstraction.global_outcome_map
-    maps = [gom] if gom is not None else list(map(abstraction.outcome_map_for, out_scope))
+    by_target = abstraction.outcome_maps_by_target()
+    maps = [by_target[GLOBAL]] if GLOBAL in by_target else list(map(by_target.get, out_scope))
     if None in maps:
         raise ModelError(f"no outcome map for target variable {out_scope[maps.index(None)]}")
     outcomes = [outcome for outcome, p in dist.probs.items() if p != 0.0]
     weights = [p for p in dist.probs.values() if p != 0.0]
-    places = [list(map(itemgetter(i), outcomes)) for i in range(len(dist.scope))]
-    src_index = {name: i for i, name in enumerate(source.variable_names)}
+    places = {name: list(map(itemgetter(i), outcomes)) for i, name in enumerate(dist.scope)}
     row_columns = [  # the supported row each outcome picks in each map, or None
         list(map(om.supported_rows().get, rows_of(
-            [places[src_index[s]] for s in om.sources], len(outcomes))))
+            [places[s] for s in om.sources], len(outcomes))))
         for om in maps
     ]
     probs: dict[tuple, float] = {}
@@ -412,16 +422,17 @@ def compose_abstractions(
     )
 
     if first.outcome_maps and second.outcome_maps:
-        if first.global_outcome_map is not None or second.global_outcome_map is not None:
+        firsts, seconds = first.outcome_maps_by_target(), second.outcome_maps_by_target()
+        if GLOBAL in firsts or GLOBAL in seconds:
             raise GranularityError(
                 "outcome layers compose per variable; a global outcome map "
                 "has no per-variable blocks to compose through"
             )
         for z in upper.variable_names:
-            om2 = second.outcome_map_for(z)
+            om2 = seconds.get(z)
             if om2 is None:
                 continue
-            legs: list = [first.outcome_map_for(y) for y in om2.sources]
+            legs: list = [firsts.get(y) for y in om2.sources]
             if None in legs:
                 continue
             names = [s for leg in legs for s in leg.sources]

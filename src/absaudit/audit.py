@@ -158,8 +158,8 @@ class FunctorAudit:
 
 def _hom_total(dag: Dag, nodes: Collection[str]) -> int:
     """The number of morphisms from one of `nodes` to another."""
-    counts = [path_counts(dag, s) for s in nodes]
-    return sum(c[t] for c in counts for t in nodes)
+    counts = path_counts(dag, *nodes)
+    return sum(counts[t] for t in nodes)
 
 
 def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> FunctorAudit:

@@ -17,7 +17,7 @@ from .audit import audit_abstraction
 from .dot import abstraction_dot, model_dot
 from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
-from .scm import Distribution, ValidationReport, intervene, joint_distribution, marginal
+from .scm import Distribution, Scm, ValidationReport, intervene, joint_distribution, marginal
 from .scm import row_major, underlying_graph, validate_scm
 from .textfmt import Document, parse_path
 
@@ -53,26 +53,29 @@ def _reported_ok(report: ValidationReport) -> bool:
     return report.ok
 
 
-def _valid_abstraction(args):
-    """The chosen abstraction and its two models, or None if it is invalid.
+def _on_valid_abstraction(command):
+    """The subcommand that runs `command(args, abstraction, source, target)`
+    on the chosen abstraction, or prints its validation issues on stderr
+    and fails when it is invalid."""
+    def run(args) -> int:
+        doc = _load(args.files)
+        abstraction = _pick(doc.abstractions, args.abs, "abstraction", "--abs")
+        source, target = doc.resolve(abstraction)
+        if not _reported_ok(validate_abstraction(abstraction, source, target)):
+            return FAIL
+        return command(args, abstraction, source, target)
+    return run
 
-    The validation issues of an invalid abstraction go to stderr.
-    """
-    doc = _load(args.files)
-    abstraction = _pick(doc.abstractions, args.abs, "abstraction", "--abs")
-    source, target = doc.resolve(abstraction)
-    report = validate_abstraction(abstraction, source, target)
-    return (abstraction, source, target) if _reported_ok(report) else None
 
-
-def _parse_do(items: list[str]) -> dict[str, str]:
+def _intervened(model: Scm, items: list[str]) -> Scm:
+    """`model` after the `--do VAR=VALUE` interventions `items`, if any."""
     out: dict[str, str] = {}
     for item in items:
         if "=" not in item:
             raise ModelError(f"--do expects VAR=VALUE, found {item!r}")
         var, val = item.split("=", 1)
         out[var] = val
-    return out
+    return intervene(model, out) if out else model
 
 
 def _dist_rows(dist: Distribution) -> list[tuple[str, float]]:
@@ -177,20 +180,15 @@ def _cmd_dist(args) -> int:
     model = _pick(doc.models, args.model, "model", "--model")
     if not _reported_ok(validate_scm(model)):
         return FAIL
-    if args.do:
-        model = intervene(model, _parse_do(args.do))
-    dist = joint_distribution(model)
+    dist = joint_distribution(_intervened(model, args.do))
     if args.marginal:
         dist = marginal(dist, args.marginal.split(","))
     _print_dist(dist, args.format == "json")
     return OK
 
 
-def _cmd_audit(args) -> int:
-    loaded = _valid_abstraction(args)
-    if loaded is None:
-        return FAIL
-    abstraction, source, target = loaded
+@_on_valid_abstraction
+def _cmd_audit(args, abstraction, source, target) -> int:
     profile = audit_abstraction(abstraction, source, target)
     if args.format == "json":
         print(json.dumps(profile.to_dict(), sort_keys=True))
@@ -215,11 +213,8 @@ def _cmd_audit(args) -> int:
     return OK
 
 
-def _cmd_classify(args) -> int:
-    loaded = _valid_abstraction(args)
-    if loaded is None:
-        return FAIL
-    abstraction, source, target = loaded
+@_on_valid_abstraction
+def _cmd_classify(args, abstraction, source, target) -> int:
     labels = taxonomy.detect_types(abstraction, source, target)
     if args.format == "json":
         print(json.dumps(labels, sort_keys=True))
@@ -274,17 +269,11 @@ def _cmd_tables(args) -> int:
     return OK if ok else FAIL
 
 
-def _cmd_push(args) -> int:
-    loaded = _valid_abstraction(args)
-    if loaded is None:
-        return FAIL
-    abstraction, source, target = loaded
+@_on_valid_abstraction
+def _cmd_push(args, abstraction, source, target) -> int:
     if not _reported_ok(validate_scm(source)):
         return FAIL
-    model = source
-    if args.do:
-        model = intervene(model, _parse_do(args.do))
-    dist = joint_distribution(model)
+    dist = joint_distribution(_intervened(source, args.do))
     pushed = pushforward(
         abstraction, dist, source, target, renormalize=args.renormalize
     )

@@ -8,7 +8,7 @@ written once.  Because the graph is acyclic, every hom-set is finite.
 
 Only ``hom_set`` and ``all_morphisms`` list paths, and only they are
 capped.  The audits need hom-set sizes alone, which ``path_counts`` gives
-for every target of one source in a single pass.
+for every target of one or more sources in a single pass.
 """
 
 from __future__ import annotations
@@ -76,13 +76,14 @@ def is_path(dag: Dag, nodes: Sequence[str]) -> bool:
     return dag.edge_set.issuperset(zip(nodes, nodes[1:]))
 
 
-def path_counts(dag: Dag, source: str) -> dict[str, int]:
-    """The number of morphisms from `source` to each node: one pass in
-    topological order adds each node's count to its successors'."""
-    if source not in dag.node_set:
-        raise ModelError(f"unknown node {source!r}")
+def path_counts(dag: Dag, *sources: str) -> dict[str, int]:
+    """The number of morphisms from one of `sources` (each seeded with 1) to
+    each node: one pass in topological order adds each count to the successors'."""
     counts = dict.fromkeys(dag.nodes, 0)
-    counts[source] = 1
+    for source in sources:
+        if source not in dag.node_set:
+            raise ModelError(f"unknown node {source!r}")
+        counts[source] = 1
     for u in dag.topological_order:
         for v in dag.successors(u):
             counts[v] += counts[u]
@@ -124,7 +125,7 @@ def all_morphisms(dag: Dag, cap: int | None = None) -> tuple[Morphism, ...]:
     is lexicographic.  The cap applies to the total count, taken first.
     """
     limit = cap if cap is not None else enum_cap(DEFAULT_HOM_CAP)
-    if sum(sum(path_counts(dag, s).values()) for s in dag.nodes) > limit:
+    if sum(path_counts(dag, *dag.nodes).values()) > limit:
         raise CapacityError(f"the free category has more than {limit} morphisms")
     pairs = itertools.product(dag.nodes, dag.nodes)
     return tuple(m for s, t in pairs for m in hom_set(dag, s, t, cap=limit))

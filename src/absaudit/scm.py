@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import contains, getitem, is_, itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TOL, DEFAULT_EXO_CAP, CapacityError, KernelUndefinedError, ModelError, enum_cap
 
@@ -98,54 +98,77 @@ class Exogenous:
     endogenous: str
 
 
+class _Index(NamedTuple):
+    """A model's names; the first declaration of a name wins."""
+
+    by_name: dict[str, Variable]
+    exo_by_name: dict[str, tuple[int, Exogenous]]  # name -> (position, term)
+    names: tuple[str, ...]
+
+
 @dataclass
 class Scm:
     """A finite structural causal model.
 
     `mechanisms[v]` maps (parent values in declared parent order) + (exogenous
     value) — one flat tuple — to the produced value.  `exo_table` is sparse:
-    missing joint exogenous assignments have probability zero.
+    missing joint exogenous assignments have probability zero.  `variables`
+    and `exogenous` are stored as tuples, and setting either drops the name
+    index, so lookups never go stale.
     """
 
     name: str
-    variables: list[Variable]
-    exogenous: list[Exogenous]
+    variables: tuple[Variable, ...]
+    exogenous: tuple[Exogenous, ...]
     mechanisms: dict[str, dict[tuple, Value]]
     exo_table: dict[tuple, float]
-    # (domains, keys, values, ranking) of the last `ranked_noise` call
+    # (exogenous, keys, values, ranking) of the last `ranked_noise` call
     _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, attr: str, value) -> None:
+        if attr in ("variables", "exogenous"):
+            value = tuple(value)
+            self.__dict__.pop("_index", None)
+        object.__setattr__(self, attr, value)
 
     def ranked_noise(self) -> tuple[tuple, ...]:
         """`row_major` of `exo_table` over the exogenous domains, ranked once
         and kept for as long as the table holds the same key and value
-        objects in the same order and the domains are equal: any insert,
-        delete, reweight or reorder, and any domain change, ranks afresh."""
-        domains = [u.domain for u in self.exogenous]
+        objects in the same order and `exogenous` is not set again: any
+        insert, delete, reweight or reorder, and any new exogenous tuple,
+        ranks afresh."""
         table = self.exo_table
         kept = self._ranked
-        if not (kept and kept[0] == domains and len(kept[1]) == len(table)
+        if not (kept and kept[0] is self.exogenous and len(kept[1]) == len(table)
                 and all(map(is_, kept[1], table)) and all(map(is_, kept[2], table.values()))):
-            kept = self._ranked = (domains, tuple(table), tuple(table.values()),
-                                   tuple(row_major(table, domains)))
+            kept = self._ranked = (self.exogenous, tuple(table), tuple(table.values()),
+                                   tuple(row_major(table, [u.domain for u in self.exogenous])))
         return kept[3]
 
     # -- lookups ----------------------------------------------------------
 
+    @cached_property
+    def _index(self) -> _Index:
+        """Built on the first lookup after `variables` or `exogenous` is set."""
+        return _Index({v.name: v for v in reversed(self.variables)},
+                      {u.name: (i, u) for i, u in reversed(tuple(enumerate(self.exogenous)))},
+                      tuple(v.name for v in self.variables))
+
     def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ModelError(f"unknown variable {name!r} in model {self.name!r}")
+        v = self._index.by_name.get(name)
+        if v is None:
+            raise ModelError(f"unknown variable {name!r} in model {self.name!r}")
+        return v
 
     def exogenous_variable(self, name: str) -> Exogenous:
-        for u in self.exogenous:
-            if u.name == name:
-                return u
-        raise ModelError(f"unknown exogenous variable {name!r} in model {self.name!r}")
+        entry = self._index.exo_by_name.get(name)
+        if entry is None:
+            raise ModelError(f"unknown exogenous variable {name!r} in model {self.name!r}")
+        return entry[1]
 
     @property
     def variable_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return self._index.names
 
     @property
     def exogenous_names(self) -> tuple[str, ...]:
@@ -204,12 +227,6 @@ class Dag:
     def successors(self, node: str) -> tuple[str, ...]:
         return self._successors.get(node, ())
 
-    def predecessors(self, node: str) -> tuple[str, ...]:
-        return tuple(u for (u, v) in self.edges if v == node)
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self.edge_set
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -247,22 +264,12 @@ class Distribution:
     domains: tuple[tuple[Value, ...], ...]
     probs: dict[tuple, float]
 
-    def outcomes(self) -> Iterator[tuple]:
-        """All joint outcomes in row-major canonical order."""
-        return itertools.product(*self.domains)
-
     def prob(self, outcome: tuple) -> float:
         return self.probs.get(tuple(outcome), 0.0)
 
     @property
     def total(self) -> float:
         return sum(self.probs.values())
-
-    def close_to(self, other: "Distribution", tol: float = TOL) -> bool:
-        if self.scope != other.scope or self.domains != other.domains:
-            return False
-        keys = set(self.probs) | set(other.probs)
-        return all(abs(self.prob(k) - other.prob(k)) <= tol for k in keys)
 
 
 @dataclass(frozen=True)
@@ -288,15 +295,13 @@ def validate_scm(model: Scm) -> ValidationReport:
     less its inputs in range, and one `mechanism-gap` issue names the first
     missing input in row-major order and how many more there are."""
     report = ValidationReport()
-    names = [v.name for v in model.variables]
-    exo_names = [u.name for u in model.exogenous]
+    by_name, exo_by_name, _ = model._index
 
-    if len(set(names)) != len(names):
+    if len(by_name) != len(model.variables):
         report.add("dup-variable", "duplicate endogenous variable names")
-    if len(set(exo_names)) != len(exo_names):
+    if len(exo_by_name) != len(model.exogenous):
         report.add("dup-exogenous", "duplicate exogenous variable names")
-    if set(names) & set(exo_names):
-        overlap = sorted(set(names) & set(exo_names))
+    if overlap := sorted(by_name.keys() & exo_by_name.keys()):
         report.add("name-overlap", f"names used both ways: {', '.join(overlap)}")
 
     for v in model.variables:
@@ -305,11 +310,11 @@ def validate_scm(model: Scm) -> ValidationReport:
         if len(set(v.domain)) != len(v.domain):
             report.add("dup-outcome", f"variable {v.name} repeats a domain value")
         for p in v.parents:
-            if p not in names:
+            if p not in by_name:
                 report.add("unknown-parent", _WORDS["unknown-parent"].format(v.name, p))
         if v.name in v.parents:
             report.add("self-parent", f"{v.name} lists itself as a parent")
-        if v.exogenous not in exo_names:
+        if v.exogenous not in exo_by_name:
             report.add("unknown-exogenous", _WORDS["unknown-exogenous"].format(v.name, v.exogenous))
 
     attached = {}
@@ -318,14 +323,13 @@ def validate_scm(model: Scm) -> ValidationReport:
             report.add("empty-domain", f"exogenous {u.name} has an empty domain")
         if len(set(u.domain)) != len(u.domain):
             report.add("dup-outcome", f"exogenous {u.name} repeats a domain value")
-        if u.endogenous not in names:
+        if u.endogenous not in by_name:
             report.add(
                 "unknown-variable", f"exogenous {u.name} attached to unknown {u.endogenous}"
             )
         attached.setdefault(u.endogenous, []).append(u.name)
     for v in model.variables:
-        owners = attached.get(v.name, [])
-        if len(owners) != 1 or (owners and owners[0] != v.exogenous):
+        if attached.get(v.name, []) != [v.exogenous]:
             report.add(
                 "exogenous-attachment",
                 f"{v.name} must have exactly one attached exogenous variable",
@@ -338,8 +342,6 @@ def validate_scm(model: Scm) -> ValidationReport:
 
     # Mechanism totality: exactly one row per (parent values, exo value),
     # counted: the inputs in range against the product of the domain sizes.
-    by_name = {v.name: v for v in model.variables}
-    exo_by_name = {u.name: u for u in model.exogenous}
     for v in model.variables:
         table = model.mechanisms.get(v.name)
         if table is None:
@@ -347,7 +349,7 @@ def validate_scm(model: Scm) -> ValidationReport:
             continue
         if any(p not in by_name for p in v.parents) or v.exogenous not in exo_by_name:
             continue  # already reported above
-        inputs = [by_name[p].domain for p in v.parents] + [exo_by_name[v.exogenous].domain]
+        inputs = [by_name[p].domain for p in v.parents] + [exo_by_name[v.exogenous][1].domain]
         extra = sorted(out_of_range(table, inputs), key=repr)
         gaps = math.prod(len(set(d)) for d in inputs) - (len(table) - len(extra))
         if gaps:
@@ -407,7 +409,7 @@ def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:
     its exogenous variable stays attached but is ignored by the new mechanism.
     An empty assignment returns an equal model.
     """
-    by_name = {v.name: v for v in model.variables}
+    by_name = model._index.by_name
     for name, value in assignments.items():
         if name not in by_name:
             raise ModelError(f"unknown variable {name!r} in intervention")
@@ -429,13 +431,8 @@ def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:
         else:
             new_vars.append(v)
             new_mechs[v.name] = dict(model.mechanisms[v.name])
-    return Scm(
-        name=model.name,
-        variables=new_vars,
-        exogenous=list(model.exogenous),
-        mechanisms=new_mechs,
-        exo_table=dict(model.exo_table),
-    )
+    return replace(model, variables=new_vars, mechanisms=new_mechs,
+                   exo_table=dict(model.exo_table))
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +463,16 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
         )
     combos = [combo for _, combo, _ in entries]
     weights = [p for _, _, p in entries]
-    exo_index = {u.name: i for i, u in enumerate(model.exogenous)}
-    by_name = {v.name: v for v in model.variables}
+    index = model._index
     columns: dict[str, list] = {}
-    for v in map(by_name.__getitem__, topological_order(model)):
-        if v.exogenous not in exo_index:
+    for v in map(index.by_name.__getitem__, topological_order(model)):
+        if v.exogenous not in index.exo_by_name:
             raise ModelError(_WORDS["unknown-exogenous"].format(v.name, v.exogenous))
         try:
             inputs = [columns[q] for q in v.parents]
         except KeyError as miss:
             raise ModelError(_WORDS["unknown-parent"].format(v.name, miss.args[0])) from None
-        inputs.append(map(itemgetter(exo_index[v.exogenous]), combos))
+        inputs.append(map(itemgetter(index.exo_by_name[v.exogenous][0]), combos))
         mechanism = model.mechanisms.get(v.name, {})
         for words in _strays(v, mechanism):  # no column holds a value outside its domain
             raise ModelError(words)
@@ -485,11 +481,11 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
         except KeyError as miss:
             raise ModelError(_WORDS["mechanism-gap"].format(v.name, miss.args[0])) from None
     probs: dict[tuple, float] = {}
-    outcomes = rows_of([columns[name] for name in model.variable_names], len(weights))
+    outcomes = rows_of([columns[name] for name in index.names], len(weights))
     for p, outcome in zip(weights, outcomes):
         probs[outcome] = probs.get(outcome, 0.0) + p
     return Distribution(
-        scope=model.variable_names,
+        scope=index.names,
         domains=tuple(v.domain for v in model.variables),
         probs=probs,
     )
@@ -535,7 +531,7 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     """
     v = model.variable(variable)
     exo = model.exogenous_variable(v.exogenous)
-    i = model.exogenous.index(exo)
+    i = model._index.exo_by_name[v.exogenous][0]
     ranked = model.ranked_noise()
     stride = math.prod(len(u.domain) for u in model.exogenous[i + 1 :])
     offset = {x: j * stride for j, x in enumerate(exo.domain)}  # as in the rank

@@ -193,6 +193,7 @@ def parse_document(text: str) -> Document:
 
 def _parse_scm(name: str, lines: _Lines) -> Scm:
     variables: list[Variable] = []
+    positions: dict[str, list[int]] = {}  # each variable name's positions so far
     exogenous: list[Exogenous] = []
     mechanisms: dict[str, dict[tuple, str]] = {}
     exo_table: dict[tuple, float] = {}
@@ -211,6 +212,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
             if not rest:
                 raise lines.fail("a variable needs at least one value")
             # the exogenous term is attached when its exo line arrives
+            positions.setdefault(tokens[1], []).append(len(variables))
             variables.append(Variable(tokens[1], tuple(rest), parents, exogenous=""))
         elif head == "exo":
             if len(tokens) < 6 or tokens[2] != ":" or tokens[-2] != "for":
@@ -219,9 +221,8 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
             exogenous.append(
                 Exogenous(name=tokens[1], domain=tuple(tokens[3:-2]), endogenous=owner)
             )
-            for i, v in enumerate(variables):
-                if v.name == owner:
-                    variables[i] = replace(v, exogenous=tokens[1])
+            for i in positions.get(owner, ()):
+                variables[i] = replace(variables[i], exogenous=tokens[1])
         elif head == "dist":
             if tokens[-1] != "{":
                 raise lines.fail("expected 'dist NAME... {'")

@@ -8,8 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import absaudit.abstraction as abstraction_module
+import absaudit.scm as scm_module
 from absaudit.abstraction import (
     GLOBAL,
+    Abstraction,
+    Direction,
     OutcomeMap,
     StructuralMap,
     compose_abstractions,
@@ -22,7 +26,8 @@ from absaudit.errors import (
     ModelError,
     RenormalizationRequiredError,
 )
-from absaudit.scm import joint_distribution
+from absaudit.audit import audit_abstraction
+from absaudit.scm import Exogenous, Scm, Variable, joint_distribution
 from absaudit.freecat import Morphism
 
 from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, random_model, xor
@@ -279,7 +284,7 @@ def test_pushforward_projection(micro, macro):
     a = collapse(micro, macro, proj_outcomes())
     pushed = pushforward(a, joint_distribution(micro), micro, macro)
     assert pushed.scope == ("S'", "C'")
-    for outcome in pushed.outcomes():
+    for outcome in itertools.product(*pushed.domains):
         assert abs(pushed.prob(outcome) - 0.25) <= TOL
 
 
@@ -335,7 +340,7 @@ def test_pushforward_stochastic_rows_split_mass(micro, macro):
     ]
     a = collapse(micro, macro, maps)
     pushed = pushforward(a, joint_distribution(micro), micro, macro)
-    for outcome in pushed.outcomes():
+    for outcome in itertools.product(*pushed.domains):
         assert abs(pushed.prob(outcome) - 0.25) <= TOL
 
 
@@ -348,7 +353,7 @@ def test_pushforward_global_map(micro, macro):
     )
     a = collapse(micro, macro, [gom])
     pushed = pushforward(a, joint_distribution(micro), micro, macro)
-    for outcome in pushed.outcomes():
+    for outcome in itertools.product(*pushed.domains):
         assert abs(pushed.prob(outcome) - 0.25) <= TOL
 
 
@@ -598,7 +603,9 @@ def test_compose_outcome_maps_blockwise(micro, macro):
     dist = joint_distribution(micro)
     one_hop = pushforward(both, dist, micro, top)
     two_hop = pushforward(second, pushforward(first, dist, micro, mid), mid, top)
-    assert one_hop.close_to(two_hop)
+    assert (one_hop.scope, one_hop.domains) == (two_hop.scope, two_hop.domains)
+    assert all(abs(one_hop.prob(k) - two_hop.prob(k)) <= TOL
+               for k in one_hop.probs.keys() | two_hop.probs.keys())
 
 
 def test_compose_global_granularity_mismatch(micro, macro):
@@ -615,3 +622,45 @@ def test_compose_global_granularity_mismatch(micro, macro):
     )
     with pytest.raises(GranularityError):
         compose_abstractions(first, second, micro, mid, macro)
+
+
+# ---------------------------------------------------------------------------
+# Work on a wide model: each row and each name read a bounded number of times
+# ---------------------------------------------------------------------------
+
+def _wide(name: str, prefix: str, n: int) -> Scm:
+    """`n` independent binary variables, each its noise, one noise row."""
+    variables = [Variable(f"{prefix}{i}", BIN, (), f"U{prefix}{i}") for i in range(n)]
+    return Scm(name, variables, [Exogenous(v.exogenous, BIN, v.name) for v in variables],
+               {v.name: {("0",): "0", ("1",): "1"} for v in variables}, {("0",) * n: 1.0})
+
+
+def test_wide_identity_work_is_linear(monkeypatch):
+    """On a 2000-wide identity with identity edges and one outcome map per
+    variable, validation, the audit and the pushforward read O(n) supports
+    and build one name index per model."""
+    n = 2000
+    lo, hi = _wide("lo", "X", n), _wide("hi", "Y", n)
+    a = Abstraction("id", "lo", "hi", Direction.MICRO_TO_MACRO, StructuralMap(
+        rows={f"X{i}": {f"Y{i}": 1.0} for i in range(n)},
+        edge_map={Morphism((f"X{i}",)): Morphism((f"Y{i}",)) for i in range(n)},
+    ), [OutcomeMap(f"Y{i}", (f"X{i}",), {("0",): {("0",): 1.0}, ("1",): {("1",): 1.0}})
+        for i in range(n)])
+
+    def counted(calls: list, read):
+        def call(*args):
+            calls.append(args[0])
+            return read(*args)
+        return call
+
+    supports, builds = [], []  # each row read, each name index built
+    monkeypatch.setattr(abstraction_module, "support",
+                        counted(supports, abstraction_module.support))
+    monkeypatch.setattr(scm_module, "_Index", counted(builds, scm_module._Index))
+    assert validate_abstraction(a, lo, hi).ok
+    profile = audit_abstraction(a, lo, hi)
+    assert profile.node.bijective and profile.functor.functorial
+    pushed = pushforward(a, joint_distribution(lo), lo, hi)
+    assert pushed.probs == {("0",) * n: 1.0}
+    assert len(supports) <= 10 * n  # 7n: n node rows read thrice, 2n outcome rows twice
+    assert len(builds) == 2  # one per model

@@ -65,6 +65,18 @@ def test_validate_reports_issues(tmp_path, capsys):
     assert "[dist-total]" in out
 
 
+def test_an_exo_line_attaches_only_to_variables_above_it(tmp_path, capsys):
+    """`exo` before `var` leaves the variable unattached."""
+    p = tmp_path / "early.scm"
+    p.write_text(BAD_SCM.replace("  var A : 0 1\n  exo U_A : 0 1 for A\n",
+                                 "  exo U_A : 0 1 for A\n  var A : 0 1\n")
+                 .replace("0 : 0.6", "0 : 0.5"))
+    assert main(["validate", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "[unknown-exogenous] A references unknown exogenous \n" in out
+    assert "[exogenous-attachment] A must have exactly one attached exogenous variable" in out
+
+
 def test_validate_json(tmp_path, capsys):
     assert main(["--format", "json", "validate", FIG3A]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -181,6 +181,19 @@ def test_hom_set_matches_oracle_on_random_dags():
             assert counts == {dst: path_count(adj, src, dst) for dst in nodes}
 
 
+def test_path_counts_from_several_sources_sum_the_single_source_counts():
+    """One DP seeded at every source counts the morphisms from any of them."""
+    rng = random.Random(7)
+    for _ in range(60):
+        adj = random_dag(rng, rng.randint(1, 7))
+        nodes = tuple(adj)
+        dag = Dag(nodes=nodes, edges=tuple((u, v) for u in nodes for v in adj[u]))
+        seeds = rng.sample(nodes, rng.randint(0, len(nodes)))
+        assert path_counts(dag, *seeds) == {
+            dst: sum(path_count(adj, src, dst) for src in seeds) for dst in nodes
+        }
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**30))
 def test_hom_set_composition_closure(seed):

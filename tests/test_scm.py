@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.resources
 import io
 import itertools
@@ -57,39 +58,39 @@ def test_validate_clean_model(chain3):
 
 def test_validate_duplicate_variable():
     m = chain("m", ["A", "B"])
-    m.variables.append(m.variables[0])
+    m.variables = m.variables + m.variables[:1]
     assert "dup-variable" in codes(validate_scm(m))
 
 
 def test_validate_name_overlap():
     m = chain("m", ["A", "B"])
-    m.variables[1] = Variable("U_A", BIN, ("A",), "U_B")
+    m.variables = (m.variables[0], Variable("U_A", BIN, ("A",), "U_B"))
     m.mechanisms["U_A"] = m.mechanisms.pop("B")
-    m.exogenous[1] = Exogenous("U_B", BIN, "U_A")
+    m.exogenous = (m.exogenous[0], Exogenous("U_B", BIN, "U_A"))
     r = validate_scm(m)
     assert "name-overlap" in codes(r)
 
 
 def test_validate_empty_and_duplicate_domain():
     m = chain("m", ["A"])
-    m.variables[0] = Variable("A", (), (), "U_A")
+    m.variables = (Variable("A", (), (), "U_A"),)
     assert "empty-domain" in codes(validate_scm(m))
-    m.variables[0] = Variable("A", ("0", "0"), (), "U_A")
+    m.variables = (Variable("A", ("0", "0"), (), "U_A"),)
     assert "dup-outcome" in codes(validate_scm(m))
 
 
 def test_validate_unknown_and_self_parent():
     m = chain("m", ["A", "B"])
-    m.variables[1] = Variable("B", BIN, ("Z",), "U_B")
+    m.variables = (m.variables[0], Variable("B", BIN, ("Z",), "U_B"))
     assert "unknown-parent" in codes(validate_scm(m))
-    m.variables[1] = Variable("B", BIN, ("B",), "U_B")
+    m.variables = (m.variables[0], Variable("B", BIN, ("B",), "U_B"))
     r = validate_scm(m)
     assert "self-parent" in codes(r) and "cyclic" in codes(r)
 
 
 def test_validate_exogenous_attachment():
     m = chain("m", ["A"])
-    m.exogenous[0] = Exogenous("U_A", BIN, "nope")
+    m.exogenous = (Exogenous("U_A", BIN, "nope"),)
     r = validate_scm(m)
     assert "unknown-variable" in codes(r)
     assert "exogenous-attachment" in codes(r)
@@ -97,7 +98,7 @@ def test_validate_exogenous_attachment():
 
 def test_validate_cycle():
     m = chain("m", ["A", "B"])
-    m.variables[0] = Variable("A", BIN, ("B",), "U_A")
+    m.variables = (Variable("A", BIN, ("B",), "U_A"), m.variables[1])
     m.mechanisms["A"] = {(a, u): u for a in BIN for u in BIN}
     assert "cyclic" in codes(validate_scm(m))
 
@@ -184,9 +185,9 @@ def test_underlying_graph(chain3):
     dag = underlying_graph(chain3)
     assert dag.nodes == ("S", "T", "C")
     assert dag.edges == (("S", "T"), ("T", "C"))
-    assert dag.has_edge("S", "T") and not dag.has_edge("T", "S")
+    assert ("S", "T") in dag.edge_set and ("T", "S") not in dag.edge_set
     assert dag.successors("S") == ("T",)
-    assert dag.predecessors("C") == ("T",)
+    assert [u for u, v in dag.edges if v == "C"] == ["T"]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def test_intervene_rejects_unknowns(chain3):
 def test_joint_chain_is_uniform(chain3):
     dist = joint_distribution(chain3)
     assert dist.scope == ("S", "T", "C")
-    for outcome in dist.outcomes():
+    for outcome in itertools.product(*dist.domains):
         assert abs(dist.prob(outcome) - 0.125) <= TOL
     assert abs(dist.total - 1.0) <= TOL
 
@@ -432,7 +433,7 @@ def test_emit_reports_a_mechanism_gap(gap_model):
 
 def _exo_q(m):
     """T's exogenous term renamed to the undeclared U_Q."""
-    m.variables[1] = Variable("T", ("0", "1"), ("S",), "U_Q")
+    m.variables = (m.variables[0], Variable("T", ("0", "1"), ("S",), "U_Q"), m.variables[2])
 
 
 def _t_maps_to_7(m):
@@ -445,7 +446,7 @@ def _no_mech_s(m):
 
 def _c_reads_z(m):
     """C's parent T renamed to the undeclared Z."""
-    m.variables[2] = Variable("C", ("0", "1"), ("Z",), "U_C")
+    m.variables = m.variables[:2] + (Variable("C", ("0", "1"), ("Z",), "U_C"),)
 
 
 def _c_maps_to_7(m):
@@ -533,6 +534,46 @@ def test_intervene_on_an_unknown_exogenous_term():
     with pytest.raises(ModelError) as info:
         intervene(m, {"T": "0"})
     assert str(info.value) == "unknown exogenous variable 'U_Q' in model 'chain3_micro'"
+
+
+# ---------------------------------------------------------------------------
+# The name index
+# ---------------------------------------------------------------------------
+
+def test_duplicate_exogenous_names_read_the_first_term():
+    """Two exogenous terms named U on an unvalidated model: the joint and
+    the kernel both read the first declaration, as every lookup does."""
+    m = Scm("dup", [Variable("A", BIN, (), "U")], [Exogenous("U", BIN, "A")] * 2,
+            {"A": {("0",): "0", ("1",): "1"}}, {("0", "1"): 1.0})
+    assert "dup-exogenous" in codes(validate_scm(m))
+    joint = marginal(joint_distribution(m), ["A"])
+    row = mechanism_kernel(m, "A").rows[()]
+    assert all(abs(joint.prob((a,)) - p) <= TOL for a, p in row.items())
+    assert row == {"0": 1.0, "1": 0.0}
+
+
+def test_the_name_index_never_goes_stale():
+    """Lookups follow every assignment of `variables` or `exogenous`, also of
+    a list, and `dataclasses.replace`; the tuples cannot change in place."""
+    m = chain("m", ["A", "B"])
+    assert m.variable("A").parents == () and m.variable_names == ("A", "B")
+    m.variables = [Variable("A", BIN, ("B",), "U_A"), Variable("C", BIN, (), "U_B")]
+    assert isinstance(m.variables, tuple)
+    assert m.variable("A").parents == ("B",) and m.variable_names == ("A", "C")
+    with pytest.raises(ModelError):
+        m.variable("B")
+    m.exogenous = [m.exogenous[1], Exogenous("U_A", ("x",), "A")]
+    assert m.exogenous_variable("U_A").domain == ("x",)
+    assert m.exogenous_variable("U_B").endogenous == "B"
+    m.variables += (Variable("A", ("x",), (), "U_A"),)  # a second A: the first wins
+    assert m.variable("A").parents == ("B",) and m.variable_names == ("A", "C", "A")
+    renamed = dataclasses.replace(m, variables=(Variable("Z", BIN, (), "U_A"),))
+    assert renamed.variable_names == ("Z",) and m.variable_names == ("A", "C", "A")
+    assert renamed.exogenous_variable("U_A").domain == ("x",)
+    with pytest.raises(TypeError):
+        m.variables[0] = Variable("A", BIN, (), "U_A")
+    with pytest.raises(TypeError):
+        m.exogenous[0] = Exogenous("U_A", BIN, "A")
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +682,8 @@ def _edit_kept_table(rng: random.Random, m, kind: str) -> None:
     elif kind == "permute-domain":
         i = rng.randrange(len(m.exogenous))
         u = m.exogenous[i]
-        m.exogenous[i] = Exogenous(u.name, tuple(rng.sample(u.domain, len(u.domain))), u.endogenous)
+        shuffled = Exogenous(u.name, tuple(rng.sample(u.domain, len(u.domain))), u.endogenous)
+        m.exogenous = m.exogenous[:i] + (shuffled,) + m.exogenous[i + 1:]
     elif kind == "replace-table":
         keys = [k for k in itertools.product(*domains) if rng.random() < 0.7]
         m.exo_table = {k: rng.choice((0.1, 0.2, 0.3)) for k in keys}

@@ -89,6 +89,20 @@ def test_parse_minimal_model():
     assert model.exo_table[("0",)] == 0.5
 
 
+def test_an_exo_line_attaches_to_every_variable_of_its_name_above_it():
+    text = MINI.replace("  var A : 0 1\n", "  var A : 0 1\n  var A : 0 1\n")
+    text = text.replace("  exo U_A : 0 1 for A\n", "  exo U_A : 0 1 for A\n  var A : 0 1\n")
+    model = parse_document(text).models["mini"]
+    assert [(v.name, v.exogenous) for v in model.variables] == [
+        ("A", "U_A"), ("A", "U_A"), ("A", "")]
+
+
+def test_lines_after_the_dist_block_still_declare_and_attach():
+    text = MINI.replace("  mech A {", "  var B : 0 1\n  exo U_B : 0 1 for B\n  mech A {")
+    model = parse_document(text).models["mini"]
+    assert [(v.name, v.exogenous) for v in model.variables] == [("A", "U_A"), ("B", "U_B")]
+
+
 def test_parse_full_document():
     doc = parse_document(PAIR)
     assert set(doc.models) == {"mini", "mini2"}
