@@ -18,13 +18,16 @@ hom-set-wise one.  ``fully_faithful`` combines fullness with the pooled
 reading; the admissibility matrices combine fullness with the hom-set-wise
 reading (see taxonomy).
 
-The functor audit counts hom-sets with ``freecat.path_counts`` and lists
-none.  The layer is total when its distinct keys that are source paths
-between mapped nodes are as many as those paths, and full when the distinct
-images that are target paths between image nodes are as many as those.
-Composites split only at mapped nodes, so composition is checked as
-``F(m) == F(prefix) ∘ F(suffix)`` with each declared path ``m`` cut at its
-last mapped inner node; by induction on their number, every other cut holds.
+The functor audit reads the edge map once, as a table of node tuples.  It
+is total when its keys that are source paths between mapped nodes are as
+many as those paths, and full when its distinct images that are target
+paths between image nodes are as many as those (``freecat.path_counts``
+counts both).  Composites split only at mapped nodes, so composition is
+``F(m) == F(prefix) + F(suffix)[1:]`` with each path ``m`` cut at its last
+mapped inner node, found scanning from the end; by induction every other
+cut holds.  Faithfulness is one set-size test over the entries between
+mapped nodes, of (image source, image target, image) triples, or of
+(source, target, image) triples for ``faithful_parallel``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 from typing import Callable, Collection, Optional, Sequence
 
 from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
-from .freecat import Morphism, compose, identity, is_path, path_counts
+from .freecat import is_path, path_counts
 from .scm import Dag, Scm, out_of_range, underlying_graph
 
 Verdict = Optional[bool]
@@ -162,6 +165,17 @@ def _hom_total(dag: Dag, nodes: Collection[str]) -> int:
     return sum(counts[t] for t in nodes)
 
 
+def _composes(table: dict[tuple, tuple], domain: list[tuple], mapped: Collection[str]) -> bool:
+    """Whether `table` composes on each path of `domain` cut at its last mapped inner node."""
+    for m in domain:
+        i = len(m) - 2
+        while i > 0 and m[i] not in mapped:
+            i -= 1
+        if i > 0 and table[m] != table[m[: i + 1]] + table[m[i:]][1:]:
+            return False
+    return True
+
+
 def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> FunctorAudit:
     sm = abstraction.structure
     images = sm.images()
@@ -171,40 +185,27 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
     src_dag = underlying_graph(source)
     tgt_dag = underlying_graph(target)
     pi = {u: images[u] for u in source.variable_names if u in images}  # the mapped nodes
-    edge_map = sm.edge_map
+    table = {m.nodes: n.nodes for m, n in sm.edge_map.items()}
 
     # Coverage and collision verdicts are computed over the declared
-    # entries whose endpoints are mapped, independently of totality.
-    entries = [(m, n) for m, n in edge_map.items() if m.source in pi and m.target in pi]
+    # entries whose endpoints are mapped, independently of totality, each
+    # with the images of its endpoints.
+    entries = [(m, n, pi[m[0]], pi[m[-1]]) for m, n in table.items()
+               if m[0] in pi and m[-1] in pi]
     # The declared morphisms of the audited subcategory: source paths
     # between mapped nodes, which may pass through unmapped ones.
-    domain = [m for m, _ in entries if is_path(src_dag, m.nodes)]
+    domain = [m for m, _, _, _ in entries if is_path(src_dag, m)]
     functorial = (
-        len(entries) == len(edge_map)
-        and all(n.source == pi[m.source] and n.target == pi[m.target] for m, n in entries)
-        and all(edge_map.get(identity(u)) == identity(x) for u, x in pi.items())
+        len(entries) == len(table)
+        and all(n[0] == s and n[-1] == t for _, n, s, t in entries)
+        and all(table.get((u,)) == (x,) for u, x in pi.items())
         and len(domain) == _hom_total(src_dag, pi)
-        and all(
-            edge_map[m] == compose(
-                edge_map[Morphism(m.nodes[: i + 1])], edge_map[Morphism(m.nodes[i:])]
-            )
-            for m in domain
-            if (i := max((j for j in range(1, m.length) if m.nodes[j] in pi), default=0))
-        )
+        and _composes(table, domain, pi)
     )
-
-    by_image: dict[tuple[str, str], list[Morphism]] = {}
-    by_source: dict[tuple[str, str], list[Morphism]] = {}
-    for m, n in entries:
-        by_image.setdefault((pi[m.source], pi[m.target]), []).append(n)
-        by_source.setdefault((m.source, m.target), []).append(n)
-    hit = {
-        n for (s, t), images in by_image.items() for n in images
-        if (n.source, n.target) == (s, t) and is_path(tgt_dag, n.nodes)
-    }
-    full = len(hit) == _hom_total(tgt_dag, set(pi.values()))
-    faithful = all(len(set(g)) == len(g) for g in by_image.values())
-    faithful_parallel = all(len(set(g)) == len(g) for g in by_source.values())
+    hit = {n for _, n, s, t in entries if n[0] == s and n[-1] == t}
+    full = sum(is_path(tgt_dag, n) for n in hit) == _hom_total(tgt_dag, set(pi.values()))
+    faithful = len({(s, t, n) for _, n, s, t in entries}) == len(entries)
+    faithful_parallel = len({(m[0], m[-1], n) for m, n, _, _ in entries}) == len(entries)
 
     return FunctorAudit(
         declared=True,

@@ -156,9 +156,8 @@ def _cmd_graph(args) -> int:
         if args.format == "json":
             print(json.dumps([str(m) for m in morphisms]))
         else:
-            print(f"hom({src}, {tgt}) in {model.name}: {len(morphisms)} morphism(s)")
-            for m in morphisms:
-                print(f"  {m}")
+            header = f"hom({src}, {tgt}) in {model.name}: {len(morphisms)} morphism(s)"
+            print("\n".join([header, *(f"  {m}" for m in morphisms)]))
         return OK
     if args.format == "json":
         payload = {

@@ -53,7 +53,7 @@ byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -192,7 +192,7 @@ def parse_document(text: str) -> Document:
 
 
 def _parse_scm(name: str, lines: _Lines) -> Scm:
-    variables: list[Variable] = []
+    specs: list[list] = []  # each variable's fields; its exo line sets the last
     positions: dict[str, list[int]] = {}  # each variable name's positions so far
     exogenous: list[Exogenous] = []
     mechanisms: dict[str, dict[tuple, str]] = {}
@@ -211,9 +211,8 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                 rest = rest[:j]
             if not rest:
                 raise lines.fail("a variable needs at least one value")
-            # the exogenous term is attached when its exo line arrives
-            positions.setdefault(tokens[1], []).append(len(variables))
-            variables.append(Variable(tokens[1], tuple(rest), parents, exogenous=""))
+            positions.setdefault(tokens[1], []).append(len(specs))
+            specs.append([tokens[1], tuple(rest), parents, ""])
         elif head == "exo":
             if len(tokens) < 6 or tokens[2] != ":" or tokens[-2] != "for":
                 raise lines.fail("expected 'exo NAME : VALUE... for NAME'")
@@ -222,7 +221,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                 Exogenous(name=tokens[1], domain=tuple(tokens[3:-2]), endogenous=owner)
             )
             for i in positions.get(owner, ()):
-                variables[i] = replace(variables[i], exogenous=tokens[1])
+                specs[i][3] = tokens[1]
         elif head == "dist":
             if tokens[-1] != "{":
                 raise lines.fail("expected 'dist NAME... {'")
@@ -262,7 +261,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
             raise lines.fail(f"unexpected {head!r} inside a model block")
     if not saw_dist and exogenous:
         raise lines.fail(f"model {name!r} has no dist block")
-    return Scm(name, variables, exogenous, mechanisms, exo_table)
+    return Scm(name, [Variable(*spec) for spec in specs], exogenous, mechanisms, exo_table)
 
 
 def _parse_abs(name: str, lines: _Lines) -> Abstraction:

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import absaudit.audit as audit_module
 from absaudit.abstraction import (
     GLOBAL,
     Direction,
@@ -25,6 +26,7 @@ from absaudit.audit import (
     tri_and,
 )
 from absaudit.errors import AbsauditError
+from absaudit.freecat import Morphism, is_path
 from absaudit.scm import Scm, Variable, joint_distribution
 from absaudit.taxonomy import detect_types
 from absaudit.textfmt import emit_document, parse_document
@@ -263,7 +265,7 @@ def test_functor_non_full(micro):
 
 # Identity and coarsening maps of random DAGs with a full edge map, then
 # mutated, against the all-pairs definition in `oracles.functor_verdicts`.
-MUTATIONS = ("drop", "reroute", "break", "merge", "non-path")
+MUTATIONS = ("drop", "reroute", "break", "merge", "non-path", "unmap")
 
 
 def _full_edge_map(src_adj, coarse):
@@ -287,7 +289,14 @@ def _full_edge_map(src_adj, coarse):
     return pi, tgt_adj, edges
 
 
-def _mutate(rng, edges, kind, src_adj, tgt_adj):
+def _mutate(rng, edges, kind, src_adj, tgt_adj, pi):
+    if kind == "unmap":  # paths through the node now pass an unmapped inner node
+        if pi:
+            node = rng.choice(sorted(pi))
+            del pi[node]
+            for key in [k for k in edges if node in (k[0], k[-1])]:
+                del edges[key]
+        return
     keys = sorted(edges)
     images = sorted({p for s in tgt_adj for t in tgt_adj for p in all_paths(tgt_adj, s, t)})
     if not keys and kind != "non-path":
@@ -326,12 +335,13 @@ def _mutate(rng, edges, kind, src_adj, tgt_adj):
     mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
 )
 @example(seed=4, n=4, coarse=False, mutations=["break"])
+@example(seed=3, n=5, coarse=False, mutations=["unmap"])  # n3 unmapped: n0^n1^n3^n4 cut at n1
 def test_functor_audit_matches_all_pairs_definition(seed, n, coarse, mutations):
     rng = random.Random(seed)
     src_adj = random_dag(rng, n)
     pi, tgt_adj, edges = _full_edge_map(src_adj, coarse)
     for kind in mutations:
-        _mutate(rng, edges, kind, src_adj, tgt_adj)
+        _mutate(rng, edges, kind, src_adj, tgt_adj, pi)
     src, tgt = dag_model(src_adj), dag_model(tgt_adj)
     a = abstraction(
         "a", src, tgt, pi, edges={M(*m): M(*img) for m, img in edges.items()}
@@ -342,6 +352,32 @@ def test_functor_audit_matches_all_pairs_definition(seed, n, coarse, mutations):
     assert got == want
     if not mutations:  # a functor, and an isomorphism unless it coarsens
         assert want["functorial"] and (coarse or all(want.values()))
+
+
+def _unary_chain(name: str, nodes: list[str]) -> Scm:
+    """A chain over `nodes`; the functor audit reads only names and parents."""
+    parents = [()] + [(u,) for u in nodes[:-1]]
+    return Scm(name, [Variable(v, ("0",), p, f"U_{v}") for v, p in zip(nodes, parents)],
+               [], {}, {})
+
+
+def test_functor_audit_work_is_linear_in_entries(monkeypatch):
+    """On a 30-chain identity with its full edge map, the audit checks at
+    most two paths per entry and builds no `Morphism`."""
+    n = 30
+    xs, ys = [f"X{i}" for i in range(n)], [f"Y{i}" for i in range(n)]
+    src, tgt = _unary_chain("src", xs), _unary_chain("tgt", ys)
+    edges = {M(*xs[i : j + 1]): M(*ys[i : j + 1]) for i in range(n) for j in range(i, n)}
+    assert len(edges) == n * (n + 1) // 2
+    a = abstraction("a", src, tgt, dict(zip(xs, ys)), edges=edges)
+    checked, built = [], []
+    monkeypatch.setattr(audit_module, "is_path",
+                        lambda dag, nodes: checked.append(nodes) or is_path(dag, nodes))
+    monkeypatch.setattr(Morphism, "__post_init__", lambda m: built.append(m))
+    f = audit_functor(a, src, tgt)
+    assert f.functorial and f.fully_faithful and f.faithful_parallel
+    assert len(checked) <= 2 * len(edges)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -48,3 +48,19 @@ def test_sweep_on_two_files():
                        for v in ("S", "T", "C")]
     assert all(codes[argv] == "0" for argv in kernels)
     assert _sweep("--shuffle-dist", "1") == lines
+
+
+def test_sweep_audits_a_copy_per_edge_row():
+    fig9a = str(DATA / "figures" / "fig9a.abs")
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep.py"), fig9a],
+                         check=True, capture_output=True, text=True)
+    codes = {argv: (code, digest) for code, digest, argv in
+             (line.split(" ", 2) for line in run.stdout.splitlines())}
+    # lines 70-72 are the rows C^C, S^S and S^T^C of fig9a's edges block;
+    # without any one of them the morphism layer is not total
+    edge_cuts = sorted(argv for argv in codes if ".no-edge-row-" in argv)
+    assert edge_cuts == sorted(f"{fmt}audit figures/fig9a.abs.no-edge-row-{n}"
+                               for fmt in ("", "--format json ") for n in (70, 71, 72))
+    for argv in edge_cuts:
+        whole = argv.replace(argv.split()[-1], "figures/fig9a.abs")
+        assert codes[argv][0] == "0" and codes[argv][1] != codes[whole][1]

@@ -13,6 +13,8 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   that line, so each block's missing-brace and misplaced-row errors show;
 * per file and per row of a `mech` block: validate on a copy without that
   row, so each mechanism's gap report shows;
+* per file and per row of an `edges` block: audit on a copy without that
+  row, so each missing-entry verdict of the morphism layer shows;
 * per model with a `dist` block: two copies of its file with invalid noise,
   one whose first `dist` row is keyed outside the first term's domain and
   one whose first `dist` row weighs 0.5 more; each is run through validate,
@@ -64,6 +66,7 @@ from typing import Iterator
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DIST_OPEN = re.compile(r"^\s*dist\b.*\{\s*$")
 MECH_OPEN = re.compile(r"^\s*mech\b.*\{\s*$")
+EDGES_OPEN = re.compile(r"^\s*edges\s+\{\s*$")
 SCM_OPEN = re.compile(r"^\s*scm\s+(\S+)\s*\{\s*$")
 
 
@@ -98,18 +101,25 @@ def shuffle_dist(text: str, rng: random.Random) -> str:
     return "\n".join(out + (block or []))
 
 
-def cuts(text: str) -> list[tuple[str, str]]:
-    """(tag, `text` without one line) for every line that is a lone `}`
-    (tag `no-brace-N`, N the line number) and every row of a `mech` block
-    (tag `no-mech-row-N`)."""
-    lines, picked, in_mech = text.split("\n"), [], False
+def cuts(text: str) -> list[tuple[str, str, str]]:
+    """(command, tag, `text` without one line) for every line that is a lone
+    `}` (validate, tag `no-brace-N`, N the line number), every row of a
+    `mech` block (validate, tag `no-mech-row-N`) and every row of an `edges`
+    block (audit, tag `no-edge-row-N`)."""
+    lines, picked, block = text.split("\n"), [], None
     for i, line in enumerate(lines):
         if line.strip() == "}":
-            picked.append((i, "no-brace"))
-        elif in_mech and line.split("#")[0].strip():
-            picked.append((i, "no-mech-row"))
-        in_mech = bool(MECH_OPEN.match(line)) or in_mech and line.strip() != "}"
-    return [(f"{tag}-{i + 1}", "\n".join(lines[:i] + lines[i + 1:])) for i, tag in picked]
+            picked.append((i, "validate", "no-brace"))
+        elif block and line.split("#")[0].strip():
+            picked.append((i, *block))
+        if MECH_OPEN.match(line):
+            block = ("validate", "no-mech-row")
+        elif EDGES_OPEN.match(line):
+            block = ("audit", "no-edge-row")
+        elif line.strip() == "}":
+            block = None
+    return [(command, f"{tag}-{i + 1}", "\n".join(lines[:i] + lines[i + 1:]))
+            for i, command, tag in picked]
 
 
 def bad_noise(text: str, doc) -> list[tuple[str, str, str]]:
@@ -136,11 +146,11 @@ def bad_noise(text: str, doc) -> list[tuple[str, str, str]]:
     return out
 
 
-def calls(files: list[str], parse_path, cut: list[str],
+def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
           noisy: list[tuple[str, str]]) -> list[list[str]]:
-    """The argv of every sweep call on `files`, on the copies in `cut` that
-    lack a line, and on the (copy, model) pairs in `noisy` with invalid
-    noise (paths in the working dir)."""
+    """The argv of every sweep call on `files`, on the (command, copy) pairs
+    in `cut` whose copy lacks a line, and on the (copy, model) pairs in
+    `noisy` with invalid noise (paths in the working dir)."""
     plain: list[list[str]] = []
     for path in files:
         plain += [[cmd, path] for cmd in ("validate", "graph", "dist", "audit",
@@ -160,7 +170,7 @@ def calls(files: list[str], parse_path, cut: list[str],
             plain += [["graph", path, "--dot", *pick], ["audit", path, *pick],
                       ["classify", path, *pick], ["push", path, *pick],
                       ["push", path, "--renormalize", *pick]]
-    plain += [["validate", path] for path in cut]
+    plain += [[command, path] for command, path in cut]
     for path, model in noisy:
         plain += [["validate", path], ["dist", path, "--model", model]]
         plain += [["push", path, "--abs", name]
@@ -226,9 +236,9 @@ def main(argv: list[str] | None = None) -> int:
                 text = shuffle_dist(text.decode("utf-8"), rng).encode("utf-8")
             copy.write_bytes(text)
             names.append(str(name))
-            for tag, trimmed in cuts(text.decode("utf-8")):
-                cut.append(f"{name}.{tag}")
-                pathlib.Path(scratch, cut[-1]).write_text(trimmed, encoding="utf-8")
+            for command, tag, trimmed in cuts(text.decode("utf-8")):
+                cut.append((command, f"{name}.{tag}"))
+                pathlib.Path(scratch, cut[-1][1]).write_text(trimmed, encoding="utf-8")
             try:
                 doc = parse_path(path)
             except Exception:  # the per-file calls report it
