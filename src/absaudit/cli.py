@@ -152,12 +152,12 @@ def _cmd_graph(args) -> int:
         return OK
     if args.hom:
         src, tgt = args.hom
-        morphisms = hom_set(dag, src, tgt)
+        paths = ["^".join(m.nodes) for m in hom_set(dag, src, tgt)]
         if args.format == "json":
-            print(json.dumps([str(m) for m in morphisms]))
+            print(json.dumps(paths))
         else:
-            header = f"hom({src}, {tgt}) in {model.name}: {len(morphisms)} morphism(s)"
-            print("\n".join([header, *(f"  {m}" for m in morphisms)]))
+            header = f"hom({src}, {tgt}) in {model.name}: {len(paths)} morphism(s)"
+            print("\n  ".join([header, *paths]))
         return OK
     if args.format == "json":
         payload = {

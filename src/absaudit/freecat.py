@@ -7,8 +7,12 @@ tuple ``(a, b, c)`` is the composite of generator edges ``a->b`` and
 written once.  Because the graph is acyclic, every hom-set is finite.
 
 Only ``hom_set`` and ``all_morphisms`` list paths, and only they are
-capped.  The audits need hom-set sizes alone, which ``path_counts`` gives
-for every target of one or more sources in a single pass.
+capped.  ``hom_set`` walks depth first, always into the smallest name
+first, so its paths come out sorted by construction: in a DAG no path to
+the target extends another.  The audits need hom-set sizes alone, which
+``path_counts`` gives for every target of one or more sources in a single
+pass.  ``is_path`` remembers each path it confirms on the (immutable)
+``Dag``, so validation and the audit check a node tuple once.
 """
 
 from __future__ import annotations
@@ -70,10 +74,15 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
 
 
 def is_path(dag: Dag, nodes: Sequence[str]) -> bool:
-    """True when the node sequence is a morphism of the free category."""
-    if not nodes or not dag.node_set.issuperset(nodes):
-        return False
-    return dag.edge_set.issuperset(zip(nodes, nodes[1:]))
+    """True when the node sequence is a morphism of the free category.  A
+    path is remembered in `dag.known_paths`; a failed check runs again."""
+    nodes = tuple(nodes)
+    if nodes not in dag.known_paths:
+        if (not nodes or not dag.node_set.issuperset(nodes)
+                or not dag.edge_set.issuperset(zip(nodes, nodes[1:]))):
+            return False
+        dag.known_paths.add(nodes)
+    return True
 
 
 def path_counts(dag: Dag, *sources: str) -> dict[str, int]:
@@ -107,6 +116,9 @@ def hom_set(dag: Dag, source: str, target: str, cap: int | None = None) -> tuple
         raise CapacityError(
             f"hom-set from {source} to {target} exceeds the enumeration cap of {limit}"
         )
+    # The successors that reach `target`, largest first: the stack pops the smallest.
+    toward = {u: sorted((v for v in dag.successors(u) if to_target[v]), reverse=True)
+              for u in dag.nodes}
     found: list[tuple[str, ...]] = []
     stack = [(source,)]
     while stack:
@@ -114,8 +126,8 @@ def hom_set(dag: Dag, source: str, target: str, cap: int | None = None) -> tuple
         if path[-1] == target:
             found.append(path)
         else:
-            stack.extend(path + (v,) for v in dag.successors(path[-1]) if to_target[v])
-    return tuple(Morphism(p) for p in sorted(found))
+            stack.extend(path + (v,) for v in toward[path[-1]])
+    return tuple(map(Morphism, found))
 
 
 def all_morphisms(dag: Dag, cap: int | None = None) -> tuple[Morphism, ...]:

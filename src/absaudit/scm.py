@@ -114,7 +114,7 @@ class Scm:
     value) — one flat tuple — to the produced value.  `exo_table` is sparse:
     missing joint exogenous assignments have probability zero.  `variables`
     and `exogenous` are stored as tuples, and setting either drops the name
-    index, so lookups never go stale.
+    index and the model's one `Dag`, so lookups never go stale.
     """
 
     name: str
@@ -128,7 +128,8 @@ class Scm:
     def __setattr__(self, attr: str, value) -> None:
         if attr in ("variables", "exogenous"):
             value = tuple(value)
-            self.__dict__.pop("_index", None)
+            for cached in ("_index", "_dag"):
+                self.__dict__.pop(cached, None)
         object.__setattr__(self, attr, value)
 
     def ranked_noise(self) -> tuple[tuple, ...]:
@@ -153,6 +154,12 @@ class Scm:
         return _Index({v.name: v for v in reversed(self.variables)},
                       {u.name: (i, u) for i, u in reversed(tuple(enumerate(self.exogenous)))},
                       tuple(v.name for v in self.variables))
+
+    @cached_property
+    def _dag(self) -> "Dag":
+        """Built on the first use after `variables` or `exogenous` is set."""
+        return Dag(self.variable_names,
+                   tuple((p, v.name) for v in self.variables for p in v.parents))
 
     def variable(self, name: str) -> Variable:
         v = self._index.by_name.get(name)
@@ -184,6 +191,8 @@ class Dag:
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
+    # The node tuples `freecat.is_path` has confirmed: only the graph decides.
+    known_paths: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @cached_property
     def node_set(self) -> frozenset[str]:
@@ -395,11 +404,9 @@ def topological_order(model: Scm) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def underlying_graph(model: Scm) -> Dag:
-    """The DAG over endogenous variables (edges parent -> child)."""
-    edges = tuple(
-        (p, v.name) for v in model.variables for p in v.parents
-    )
-    return Dag(nodes=model.variable_names, edges=edges)
+    """The DAG over endogenous variables (edges parent -> child): the one the
+    model keeps until `variables` or `exogenous` is set again."""
+    return model._dag
 
 
 def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:

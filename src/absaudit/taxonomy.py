@@ -36,6 +36,7 @@ only: it runs no functor audit and lists no path.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -388,20 +389,27 @@ def detect_types(
     if forward and node.deterministic:
         pi = sm.images()  # an all-zero row leaves its node unmapped
         shape = _shape(node)
-        tgt_counts = {x: path_counts(tgt_dag, x) for x in set(pi.values())}
-        # Hom-set sizes (source, target) for a bijection; along/against each edge.
-        src_counts = {u: path_counts(src_dag, u) for u in pi} if shape == "bijection" else {}
-        hom_sizes = [(c[v], tgt_counts[pi[u]][pi[v]]) for u, c in src_counts.items() for v in pi]
-        arrows = [
-            (tgt_counts[pi[u]][pi[v]], tgt_counts[pi[v]][pi[u]])
-            for u, v in src_dag.edges if u in pi and v in pi
-        ]
+        # Target hom-set sizes along and against each mapped source edge, and
+        # for a bijection source against target sizes: one DP at a time.
+        ends = {(pi[u], pi[v]) for u, v in src_dag.edges if u in pi and v in pi}
+        wanted = defaultdict(list)  # image -> the images it needs counts to
+        for x, y in ends:
+            wanted[x] += [y]
+            wanted[y] += [x]
+        inverse = {x: u for u, x in pi.items()} if shape == "bijection" else {}
+        tgt_hom, coarsens, embeds = {}, False, False
+        for x in dict.fromkeys(pi.values()):
+            counts = path_counts(tgt_dag, x)
+            tgt_hom.update(((x, y), counts[y]) for y in wanted[x])
+            if x in inverse:
+                src_counts = path_counts(src_dag, inverse[x])
+                coarsens |= any(src_counts[v] > counts[y] >= 1 for v, y in pi.items())
+                embeds |= any(counts[y] > src_counts[v] >= 1 for v, y in pi.items())
+        arrows = [(tgt_hom[x, y], tgt_hom[y, x]) for x, y in ends]
         if shape == "bijection" and pairing is not None:
             respects = all(pi[u] == pairing.get(u) for u in pi)
-            mapped_edges = {(pi[u], pi[v]) for (u, v) in src_dag.edges}
             edge_bijection = (
-                mapped_edges == tgt_dag.edge_set
-                and len(src_dag.edges) == len(tgt_dag.edges)
+                ends == tgt_dag.edge_set and len(src_dag.edges) == len(tgt_dag.edges)
             )
             if respects and edge_bijection:
                 structural.append(StructuralType.IDENTITY.value)
@@ -411,9 +419,9 @@ def detect_types(
             structural.append(StructuralType.NODE_COARSENING.value)
         if shape == "embedding":
             structural.append(StructuralType.NODE_EMBEDDING.value)
-        if any(n_src > n_tgt >= 1 for n_src, n_tgt in hom_sizes):
+        if coarsens:
             structural.append(StructuralType.EDGE_COARSENING.value)
-        if any(n_tgt > n_src >= 1 for n_src, n_tgt in hom_sizes):
+        if embeds:
             structural.append(StructuralType.EDGE_EMBEDDING.value)
         if shape == "dropping":
             structural.append(StructuralType.NODE_DROPPING.value)

@@ -298,13 +298,13 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
         elif tokens == ["edges", "{"]:
             edge_map = {}
             for row in _block(lines, "edges block"):
-                left, right = _split_colon(row, lines)
-                if len(left) != 1 or len(right) != 1:
+                if len(row) != 3 or row[1] != ":" or row.index(":") != 1:
+                    _split_colon(row, lines)  # words a row without a ':'
                     raise lines.fail("expected 'PATH : PATH'")
-                key = _morphism(left[0], lines)
+                key = _morphism(row[0], lines)
                 if key in edge_map:
-                    raise lines.fail(f"duplicate edge row {left[0]}")
-                edge_map[key] = _morphism(right[0], lines)
+                    raise lines.fail(f"duplicate edge row {row[0]}")
+                edge_map[key] = _morphism(row[2], lines)
         elif tokens == ["pairs", "{"]:
             pairing = {}
             for row in _block(lines, "pairs block"):

@@ -57,6 +57,14 @@ def chain(name: str, nodes: list[str]) -> Scm:
     return model(name, spec, {n: U2 for n in nodes})
 
 
+def unary_chain(name: str, nodes: list[str]) -> Scm:
+    """A chain over `nodes` with one value each and no noise: enough for the
+    structural layer, which reads only names and parents."""
+    parents = [()] + [(u,) for u in nodes[:-1]]
+    return Scm(name, [Variable(v, ("0",), p, f"U_{v}") for v, p in zip(nodes, parents)],
+               [], {}, {})
+
+
 def plain_scm(m: Scm) -> dict:
     """The model as the plain dicts the oracles in `oracles.py` read."""
     mech = {}

@@ -182,6 +182,9 @@ def test_validate_edge_map(micro, macro):
         "a", micro, macro, {"S": "S'"}, edges={M("S", "T"): M("C'", "S'")}
     )
     assert "edge-map-target" in codes(validate_abstraction(a, micro, macro))
+    # The model's graph remembers confirmed paths only: a bad entry is
+    # checked, and reported, again.
+    assert "edge-map-target" in codes(validate_abstraction(a, micro, macro))
 
 
 def test_validate_broken_functor_is_not_a_validation_error(micro, macro):

@@ -27,7 +27,7 @@ from absaudit.audit import (
 )
 from absaudit.errors import AbsauditError
 from absaudit.freecat import Morphism, is_path
-from absaudit.scm import Scm, Variable, joint_distribution
+from absaudit.scm import Scm, Variable, joint_distribution, underlying_graph
 from absaudit.taxonomy import detect_types
 from absaudit.textfmt import emit_document, parse_document
 
@@ -41,6 +41,7 @@ from helpers import (
     det_outcomes,
     model,
     random_dag,
+    unary_chain,
     xor,
 )
 from oracles import all_paths, block, functor_verdicts, outcome_range_codes, set_map_verdicts
@@ -354,22 +355,20 @@ def test_functor_audit_matches_all_pairs_definition(seed, n, coarse, mutations):
         assert want["functorial"] and (coarse or all(want.values()))
 
 
-def _unary_chain(name: str, nodes: list[str]) -> Scm:
-    """A chain over `nodes`; the functor audit reads only names and parents."""
-    parents = [()] + [(u,) for u in nodes[:-1]]
-    return Scm(name, [Variable(v, ("0",), p, f"U_{v}") for v, p in zip(nodes, parents)],
-               [], {}, {})
+def _chain_identity(n: int):
+    """The identity of an `n`-chain with its full edge map: (src, tgt, edges, map)."""
+    xs, ys = [f"X{i}" for i in range(n)], [f"Y{i}" for i in range(n)]
+    src, tgt = unary_chain("src", xs), unary_chain("tgt", ys)
+    edges = {M(*xs[i : j + 1]): M(*ys[i : j + 1]) for i in range(n) for j in range(i, n)}
+    return src, tgt, edges, abstraction("a", src, tgt, dict(zip(xs, ys)), edges=edges)
 
 
 def test_functor_audit_work_is_linear_in_entries(monkeypatch):
     """On a 30-chain identity with its full edge map, the audit checks at
     most two paths per entry and builds no `Morphism`."""
     n = 30
-    xs, ys = [f"X{i}" for i in range(n)], [f"Y{i}" for i in range(n)]
-    src, tgt = _unary_chain("src", xs), _unary_chain("tgt", ys)
-    edges = {M(*xs[i : j + 1]): M(*ys[i : j + 1]) for i in range(n) for j in range(i, n)}
+    src, tgt, edges, a = _chain_identity(n)
     assert len(edges) == n * (n + 1) // 2
-    a = abstraction("a", src, tgt, dict(zip(xs, ys)), edges=edges)
     checked, built = [], []
     monkeypatch.setattr(audit_module, "is_path",
                         lambda dag, nodes: checked.append(nodes) or is_path(dag, nodes))
@@ -378,6 +377,30 @@ def test_functor_audit_work_is_linear_in_entries(monkeypatch):
     assert f.functorial and f.fully_faithful and f.faithful_parallel
     assert len(checked) <= 2 * len(edges)
     assert built == []
+
+
+def test_validation_and_audit_check_each_path_once():
+    """On the same 30-chain identity, `validate_abstraction` then
+    `audit_functor` test each distinct key against the source graph's edges
+    once, and each distinct image against the target graph's: each model
+    keeps one `Dag`, and the `Dag` remembers the paths it has confirmed."""
+    src, tgt, edges, a = _chain_identity(30)
+    checked = []
+
+    class Edges(frozenset):
+        def issuperset(self, other):
+            checked.append(self)
+            return frozenset.issuperset(self, other)
+
+    src_edges, tgt_edges = (Edges(underlying_graph(m).edges) for m in (src, tgt))
+    underlying_graph(src).__dict__["edge_set"] = src_edges
+    underlying_graph(tgt).__dict__["edge_set"] = tgt_edges
+    assert validate_abstraction(a, src, tgt).ok
+    f = audit_functor(a, src, tgt)
+    assert f.functorial and f.fully_faithful and f.faithful_parallel
+    assert sum(e is src_edges for e in checked) == len(edges)
+    assert sum(e is tgt_edges for e in checked) == len(set(edges.values()))
+    assert len(checked) == 2 * len(edges)
 
 
 # ---------------------------------------------------------------------------

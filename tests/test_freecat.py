@@ -147,6 +147,14 @@ def test_is_path():
     assert not is_path(DIAMOND, ())
 
 
+def test_is_path_remembers_only_the_paths_it_confirms():
+    dag = Dag(DIAMOND.nodes, DIAMOND.edges)
+    assert is_path(dag, ["A", "B", "D"])
+    assert is_path(dag, ("A", "B", "D"))
+    assert not is_path(dag, ("A", "D")) and not is_path(dag, ("A", "D"))
+    assert dag.known_paths == {("A", "B", "D")}
+
+
 def test_all_morphisms_and_generators():
     ms = all_morphisms(DIAMOND)
     assert len(ms) == 4 + 4 + 2  # identities, edges, two long paths
@@ -179,6 +187,25 @@ def test_hom_set_matches_oracle_on_random_dags():
                 assert len(got) == path_count(adj, src, dst)
             counts = path_counts(dag, src)
             assert counts == {dst: path_count(adj, src, dst) for dst in nodes}
+
+
+def test_hom_set_is_sorted_whatever_the_declaration_order():
+    """Node names that sort apart from the order they are declared in (`n10`
+    before `n2`, names dealt at random), and successors declared in a
+    shuffled order: the listing is still the sorted oracle listing."""
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        names = [f"n{i}" for i in range(n)]
+        rename = dict(zip(names, rng.sample(names, n)))
+        adj = {rename[u]: [rename[v] for v in vs] for u, vs in random_dag(rng, n).items()}
+        edges = [(u, v) for u in adj for v in adj[u]]
+        rng.shuffle(edges)
+        dag = Dag(nodes=tuple(adj), edges=tuple(edges))
+        for src in adj:
+            for dst in adj:
+                got = [m.nodes for m in hom_set(dag, src, dst)]
+                assert got == sorted(all_paths(adj, src, dst))
 
 
 def test_path_counts_from_several_sources_sum_the_single_source_counts():

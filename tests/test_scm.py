@@ -576,6 +576,22 @@ def test_the_name_index_never_goes_stale():
         m.exogenous[0] = Exogenous("U_A", BIN, "A")
 
 
+def test_a_model_keeps_one_dag_until_its_variables_are_set():
+    """`underlying_graph` returns the model's one `Dag`, with the paths it
+    has confirmed, until `variables` or `exogenous` is set; so does
+    `dataclasses.replace`."""
+    m = chain("m", ["A", "B", "C"])
+    dag = underlying_graph(m)
+    assert underlying_graph(m) is dag
+    m.exogenous = list(m.exogenous)
+    assert underlying_graph(m) is not dag and underlying_graph(m) == dag
+    dag = underlying_graph(m)
+    m.variables = m.variables[:2]
+    assert underlying_graph(m) is not dag
+    assert underlying_graph(m).edges == (("A", "B"),)
+    assert underlying_graph(dataclasses.replace(m)) is not underlying_graph(m)
+
+
 # ---------------------------------------------------------------------------
 # The support walk against the dense product of the noise domains
 # ---------------------------------------------------------------------------

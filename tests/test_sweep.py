@@ -7,6 +7,10 @@ import pathlib
 import subprocess
 import sys
 
+from absaudit.freecat import hom_set
+from absaudit.scm import underlying_graph, validate_scm
+from absaudit.textfmt import parse_document
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "absaudit" / "data"
 FILES = [str(DATA / "models" / "chain3_micro.scm"), str(DATA / "figures" / "fig3a.abs")]
@@ -64,3 +68,20 @@ def test_sweep_audits_a_copy_per_edge_row():
     for argv in edge_cuts:
         whole = argv.replace(argv.split()[-1], "figures/fig9a.abs")
         assert codes[argv][0] == "0" and codes[argv][1] != codes[whole][1]
+
+
+def test_sweep_lists_the_hom_sets_of_a_generated_complete_dag():
+    """`graph --hom` on every ordered pair of the generated seven-node
+    complete DAG, in both formats.  The model is valid, and its largest
+    hom-set, from the first node declared to the last, holds 2^5 paths."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    argvs = [line.split(" ", 2)[2] for line in _sweep() if "complete7" in line]
+    pairs = [(s, t) for s in sweep.COMPLETE for t in sweep.COMPLETE]
+    assert argvs == [f"{fmt}graph generated/complete7.scm --hom {s} {t}"
+                     for s, t in pairs for fmt in ("", "--format json ")]
+    assert sorted(sweep.COMPLETE) != list(sweep.COMPLETE)
+    model = parse_document(sweep.complete_dag()).models["complete7"]
+    assert validate_scm(model).ok
+    assert len(hom_set(underlying_graph(model), "z", "m")) == 2 ** 5

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from absaudit.audit import audit_node_map
@@ -22,7 +24,7 @@ from absaudit.taxonomy import (
     witness_profile,
 )
 
-from helpers import abstraction, chain
+from helpers import abstraction, chain, unary_chain
 
 A, N, X = (
     Admissibility.ADMISSIBLE,
@@ -207,3 +209,20 @@ def test_diff_reports_structural_mismatches():
     other = PropertyMatrix(title="other", rows=m.rows, cols=m.cols,
                            cells=dict(m.cells))
     assert "title: 'structural' vs 'other'" in m.diff(other)
+
+
+def test_detect_types_memory_is_linear_on_a_wide_identity():
+    """On a 300-wide chain identity, type detection holds one path count
+    per node at a time (0.3 MB), not one per pair of nodes (10 MB)."""
+    n = 300
+    xs, ys = [f"X{i}" for i in range(n)], [f"Y{i}" for i in range(n)]
+    src, tgt = unary_chain("src", xs), unary_chain("tgt", ys)
+    a = abstraction("a", src, tgt, dict(zip(xs, ys)))
+    tracemalloc.start()
+    try:
+        types = detect_types(a, src, tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert types["structural"] == ["identity"]
+    assert peak < 2_000_000

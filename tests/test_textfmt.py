@@ -479,3 +479,67 @@ def test_mech_rows_read_as_split_at_the_first_colon(rows):
         with pytest.raises(ParseError) as err:
             parse_document(text)
         assert (err.value.reason, err.value.line, err.value.column) == (*want, 1)
+
+
+ONE_EDGES = """\
+absaudit-format 1
+abs a {
+  source s
+  target t
+  direction micro-to-macro
+  edges {
+%s
+  }
+}
+"""
+
+
+def _plain_path(token: str) -> tuple[str, ...] | None:
+    """The nodes of a path token (`A^A` is the identity on A); None when
+    one is empty."""
+    parts = token.split("^")
+    if not all(parts):
+        return None
+    return (parts[0],) if len(parts) == 2 and parts[0] == parts[1] else tuple(parts)
+
+
+def _plain_edge_rows(rows: list[list[str]], first_line: int):
+    """The edge map (as node tuples) the edges rows give, or the (reason,
+    line) of the first bad row, read plainly: split each row at its first
+    ':', then read the key, check it is new, and read the image."""
+    table = {}
+    for line, row in enumerate(rows, first_line):
+        if not row:
+            continue
+        if ":" not in row:
+            return "expected a ':' separator", line
+        i = row.index(":")
+        left, right = row[:i], row[i + 1:]
+        if len(left) != 1 or len(right) != 1:
+            return "expected 'PATH : PATH'", line
+        key = _plain_path(left[0])
+        if key is None:
+            return f"malformed path {left[0]!r}", line
+        if key in table:
+            return f"duplicate edge row {left[0]}", line
+        table[key] = _plain_path(right[0])
+        if table[key] is None:
+            return f"malformed path {right[0]!r}", line
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(["A", "A^A", "A^B", "B^^", ":", "x"]),
+                              max_size=4), min_size=1, max_size=6))
+def test_edge_rows_read_as_split_at_the_first_colon(rows):
+    """Every edges row gives the edge map, or the first bad row's error and
+    line, of the plain reading."""
+    text = ONE_EDGES % "\n".join(" ".join(row) for row in rows)
+    want = _plain_edge_rows(rows, 7)
+    if isinstance(want, dict):
+        edge_map = parse_document(text).abstractions["a"].structure.edge_map
+        assert [(m.nodes, n.nodes) for m, n in edge_map.items()] == list(want.items())
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.reason, err.value.line, err.value.column) == (*want, 1)

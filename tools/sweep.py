@@ -22,6 +22,10 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   its source;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
   pair of its nodes;
+* graph --hom for every ordered pair of nodes of one generated model, a
+  complete DAG on seven nodes whose names sort apart from their
+  declaration order (`complete_dag`), so a change in the order of a listed
+  hom-set shows: no shipped hom-set holds more than two paths;
 * per abstraction: graph --dot --abs, audit, classify, push and
   push --renormalize;
 * tables with each --which, and tables --truth (the shipped tables) with
@@ -68,6 +72,8 @@ DIST_OPEN = re.compile(r"^\s*dist\b.*\{\s*$")
 MECH_OPEN = re.compile(r"^\s*mech\b.*\{\s*$")
 EDGES_OPEN = re.compile(r"^\s*edges\s+\{\s*$")
 SCM_OPEN = re.compile(r"^\s*scm\s+(\S+)\s*\{\s*$")
+COMPLETE = ("z", "n10", "n9", "b", "n2", "a", "m")  # declaration order
+COMPLETE_FILE = "generated/complete7.scm"
 
 
 def call(main, argv: list[str]) -> str:
@@ -99,6 +105,20 @@ def shuffle_dist(text: str, rng: random.Random) -> str:
         else:
             block.append(line)
     return "\n".join(out + (block or []))
+
+
+def complete_dag() -> str:
+    """A model whose graph is the complete DAG over `COMPLETE`: each node
+    has every earlier one as a parent, and every value and noise term is 0."""
+    out = ["absaudit-format 1", "", "scm complete7 {"]
+    out += [f"  var {v} : 0" + (f" parents {' '.join(COMPLETE[:i])}" if i else "")
+            for i, v in enumerate(COMPLETE)]
+    out += [f"  exo U_{v} : 0 for {v}" for v in COMPLETE]
+    out += ["  dist " + " ".join(f"U_{v}" for v in COMPLETE) + " {",
+            "    " + "0 " * len(COMPLETE) + ": 1", "  }"]
+    for i, v in enumerate(COMPLETE):
+        out += [f"  mech {v} {{", "    " + "0 " * (i + 1) + ": 0", "  }"]
+    return "\n".join(out + ["}", ""])
 
 
 def cuts(text: str) -> list[tuple[str, str, str]]:
@@ -170,6 +190,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
             plain += [["graph", path, "--dot", *pick], ["audit", path, *pick],
                       ["classify", path, *pick], ["push", path, *pick],
                       ["push", path, "--renormalize", *pick]]
+    plain += [["graph", COMPLETE_FILE, "--hom", s, t] for s in COMPLETE for t in COMPLETE]
     plain += [[command, path] for command, path in cut]
     for path, model in noisy:
         plain += [["validate", path], ["dist", path, "--model", model]]
@@ -226,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     os.environ["COLUMNS"] = "80"  # help text wraps at the terminal's width
     with tempfile.TemporaryDirectory() as scratch:
         shutil.copytree(data / "tables", pathlib.Path(scratch, "tables"))
+        complete = pathlib.Path(scratch, COMPLETE_FILE)
+        complete.parent.mkdir()
+        complete.write_text(complete_dag(), encoding="utf-8")
         names, cut, noisy = [], [], []
         for path in files:
             name = path.relative_to(data) if path.is_relative_to(data) else path.name
