@@ -37,7 +37,7 @@ from .errors import (
     RenormalizationRequiredError,
     TOL,
 )
-from .freecat import Morphism, all_morphisms, compose, generators, hom_set, identity, path_counts
+from .freecat import all_morphisms, hom_set, path_counts
 from .scm import (
     Dag,
     Distribution,
@@ -86,7 +86,6 @@ __all__ = [
     "Kernel",
     "KernelUndefinedError",
     "ModelError",
-    "Morphism",
     "OutcomeMap",
     "ParseError",
     "PropertyMatrix",
@@ -103,14 +102,11 @@ __all__ = [
     "audit_node_map",
     "audit_outcome_map",
     "canonical_witness",
-    "compose",
     "compose_abstractions",
     "detect_types",
     "distributional_matrix",
     "emit_document",
-    "generators",
     "hom_set",
-    "identity",
     "intervene",
     "joint_distribution",
     "marginal",

@@ -26,7 +26,6 @@ from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .errors import TOL, GranularityError, ModelError, RenormalizationRequiredError
-from .freecat import Morphism
 from .scm import Distribution, Scm, ValidationReport, out_of_range, row_major, rows_of
 from .scm import underlying_graph
 from . import freecat
@@ -73,15 +72,16 @@ class StructuralMap(_Rows):
 
     `rows[u][x]` is the weight with which source node u maps onto target
     node x; a present row sums to one, and only its support is read.
-    `edge_map` sends source morphisms to target morphisms and may be
-    partial; `None` means no morphism layer was declared at all.
+    `edge_map` sends source paths to target paths, each a tuple of node
+    names (`freecat`), and may be partial; `None` means no morphism layer
+    was declared at all.
     `pairing` optionally records which target node is the nominal
     counterpart of each source node (used to tell identities from
     permutations when the models use different node names).
     """
 
     rows: dict[str, dict[str, float]]
-    edge_map: dict[Morphism, Morphism] | None = None
+    edge_map: dict[tuple[str, ...], tuple[str, ...]] | None = None
     pairing: dict[str, str] | None = None
 
 
@@ -203,10 +203,10 @@ def validate_abstraction(
         src_dag = underlying_graph(source)
         tgt_dag = underlying_graph(target)
         for m, n in sm.edge_map.items():
-            if not freecat.is_path(src_dag, m.nodes):
-                report.add("edge-map-source", f"{m} is not a morphism of the source graph")
-            if not freecat.is_path(tgt_dag, n.nodes):
-                report.add("edge-map-target", f"{n} is not a morphism of the target graph")
+            for side, dag, path in (("source", src_dag, m), ("target", tgt_dag, n)):
+                if not freecat.is_path(dag, path):
+                    report.add(f"edge-map-{side}", f"{'^'.join(path) or '()'} "
+                               f"is not a morphism of the {side} graph")
 
     seen_targets: set[str] = set()
     has_global = any(om.is_global for om in abstraction.outcome_maps)

@@ -185,24 +185,25 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
     src_dag = underlying_graph(source)
     tgt_dag = underlying_graph(target)
     pi = {u: images[u] for u in source.variable_names if u in images}  # the mapped nodes
-    table = {m.nodes: n.nodes for m, n in sm.edge_map.items()}
+    table = sm.edge_map
 
     # Coverage and collision verdicts are computed over the declared
     # entries whose endpoints are mapped, independently of totality, each
-    # with the images of its endpoints.
+    # with the images of its endpoints.  An empty key has no endpoints, and
+    # an empty image ends nowhere: neither comes from validated input.
     entries = [(m, n, pi[m[0]], pi[m[-1]]) for m, n in table.items()
-               if m[0] in pi and m[-1] in pi]
+               if m and m[0] in pi and m[-1] in pi]
     # The declared morphisms of the audited subcategory: source paths
     # between mapped nodes, which may pass through unmapped ones.
     domain = [m for m, _, _, _ in entries if is_path(src_dag, m)]
     functorial = (
         len(entries) == len(table)
-        and all(n[0] == s and n[-1] == t for _, n, s, t in entries)
+        and all(n and n[0] == s and n[-1] == t for _, n, s, t in entries)
         and all(table.get((u,)) == (x,) for u, x in pi.items())
         and len(domain) == _hom_total(src_dag, pi)
         and _composes(table, domain, pi)
     )
-    hit = {n for _, n, s, t in entries if n[0] == s and n[-1] == t}
+    hit = {n for _, n, s, t in entries if n and n[0] == s and n[-1] == t}
     full = sum(is_path(tgt_dag, n) for n in hit) == _hom_total(tgt_dag, set(pi.values()))
     faithful = len({(s, t, n) for _, n, s, t in entries}) == len(entries)
     faithful_parallel = len({(m[0], m[-1], n) for m, n, _, _ in entries}) == len(entries)

@@ -152,7 +152,7 @@ def _cmd_graph(args) -> int:
         return OK
     if args.hom:
         src, tgt = args.hom
-        paths = ["^".join(m.nodes) for m in hom_set(dag, src, tgt)]
+        paths = ["^".join(m) for m in hom_set(dag, src, tgt)]
         if args.format == "json":
             print(json.dumps(paths))
         else:

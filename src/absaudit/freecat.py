@@ -3,8 +3,10 @@
 Objects are the nodes; morphisms are directed paths, recorded as tuples of
 visited nodes.  A length-one tuple ``(n,)`` is the identity on ``n``; the
 tuple ``(a, b, c)`` is the composite of generator edges ``a->b`` and
-``b->c``.  Composition is path concatenation with the shared endpoint
-written once.  Because the graph is acyclic, every hom-set is finite.
+``b->c``.  Paths are plain tuples with no wrapper class: ``f + g[1:]``
+composes ``f`` then ``g`` (concatenation with the shared endpoint written
+once), and ``()`` is no path.  Because the graph is acyclic, every hom-set
+is finite.
 
 Only ``hom_set`` and ``all_morphisms`` list paths, and only they are
 capped.  ``hom_set`` walks depth first, always into the smallest name
@@ -18,59 +20,10 @@ pass.  ``is_path`` remembers each path it confirms on the (immutable)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DEFAULT_HOM_CAP, CapacityError, ModelError, enum_cap
 from .scm import Dag
-
-
-@dataclass(frozen=True)
-class Morphism:
-    """A directed path; identities are single-node paths."""
-
-    nodes: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.nodes:
-            raise ModelError("a morphism must visit at least one node")
-
-    @property
-    def source(self) -> str:
-        return self.nodes[0]
-
-    @property
-    def target(self) -> str:
-        return self.nodes[-1]
-
-    @property
-    def is_identity(self) -> bool:
-        return len(self.nodes) == 1
-
-    @property
-    def length(self) -> int:
-        """Number of generating edges used."""
-        return len(self.nodes) - 1
-
-    @property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(self.nodes, self.nodes[1:]))
-
-    def __str__(self) -> str:
-        return "^".join(self.nodes)
-
-
-def identity(node: str) -> Morphism:
-    return Morphism((node,))
-
-
-def compose(first: Morphism, second: Morphism) -> Morphism:
-    """Compose in diagram order: ``first`` then ``second``."""
-    if first.target != second.source:
-        raise ModelError(
-            f"cannot compose {first} with {second}: endpoint mismatch"
-        )
-    return Morphism(first.nodes + second.nodes[1:])
 
 
 def is_path(dag: Dag, nodes: Sequence[str]) -> bool:
@@ -99,7 +52,8 @@ def path_counts(dag: Dag, *sources: str) -> dict[str, int]:
     return counts
 
 
-def hom_set(dag: Dag, source: str, target: str, cap: int | None = None) -> tuple[Morphism, ...]:
+def hom_set(dag: Dag, source: str, target: str,
+            cap: int | None = None) -> tuple[tuple[str, ...], ...]:
     """All morphisms from source to target, sorted lexicographically.
 
     The identity is included when source == target.  Raises CapacityError
@@ -127,10 +81,10 @@ def hom_set(dag: Dag, source: str, target: str, cap: int | None = None) -> tuple
             found.append(path)
         else:
             stack.extend(path + (v,) for v in toward[path[-1]])
-    return tuple(map(Morphism, found))
+    return tuple(found)
 
 
-def all_morphisms(dag: Dag, cap: int | None = None) -> tuple[Morphism, ...]:
+def all_morphisms(dag: Dag, cap: int | None = None) -> tuple[tuple[str, ...], ...]:
     """Every morphism of the free category, ordered by (source, target) pair.
 
     Pairs follow the node declaration order; within a pair the hom-set order
@@ -141,8 +95,3 @@ def all_morphisms(dag: Dag, cap: int | None = None) -> tuple[Morphism, ...]:
         raise CapacityError(f"the free category has more than {limit} morphisms")
     pairs = itertools.product(dag.nodes, dag.nodes)
     return tuple(m for s, t in pairs for m in hom_set(dag, s, t, cap=limit))
-
-
-def generators(dag: Dag) -> tuple[Morphism, ...]:
-    """The generating morphisms: one per edge, in declaration order."""
-    return tuple(Morphism((u, v)) for u, v in dag.edges)

@@ -65,7 +65,6 @@ from .abstraction import (
     StructuralMap,
 )
 from .errors import ModelError, ParseError
-from .freecat import Morphism
 from .scm import Exogenous, Scm, Variable, mechanism_rows
 
 HEADER = "absaudit-format 1"
@@ -165,13 +164,13 @@ def _float(token: str, lines: _Lines) -> float:
     return value
 
 
-def _morphism(token: str, lines: _Lines) -> Morphism:
-    parts = token.split("^")
+def _path(token: str, lines: _Lines) -> tuple[str, ...]:
+    parts = tuple(token.split("^"))
     if not all(parts):
         raise lines.fail(f"malformed path {token!r}")
     if len(parts) == 2 and parts[0] == parts[1]:
-        return Morphism((parts[0],))
-    return Morphism(tuple(parts))
+        return parts[:1]
+    return parts
 
 
 def parse_document(text: str) -> Document:
@@ -268,7 +267,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
     source = target = None
     direction: Direction | None = None
     rows: dict[str, dict[str, float]] = {}
-    edge_map: dict[Morphism, Morphism] | None = None
+    edge_map: dict[tuple[str, ...], tuple[str, ...]] | None = None
     pairing: dict[str, str] | None = None
     outcome_maps: list[OutcomeMap] = []
     for tokens in _block(lines, f"abstraction {name!r}"):
@@ -301,10 +300,10 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                 if len(row) != 3 or row[1] != ":" or row.index(":") != 1:
                     _split_colon(row, lines)  # words a row without a ':'
                     raise lines.fail("expected 'PATH : PATH'")
-                key = _morphism(row[0], lines)
+                key = _path(row[0], lines)
                 if key in edge_map:
                     raise lines.fail(f"duplicate edge row {row[0]}")
-                edge_map[key] = _morphism(row[2], lines)
+                edge_map[key] = _path(row[2], lines)
         elif tokens == ["pairs", "{"]:
             pairing = {}
             for row in _block(lines, "pairs block"):
@@ -399,10 +398,8 @@ def _join(values) -> str:
     return " ".join(map(str, values))
 
 
-def _path_token(m: Morphism) -> str:
-    if m.is_identity:
-        return f"{m.nodes[0]}^{m.nodes[0]}"
-    return "^".join(m.nodes)
+def _path_token(m: tuple[str, ...]) -> str:
+    return "^".join(m * 2 if len(m) == 1 else m)
 
 
 def emit_scm(model: Scm) -> list[str]:
@@ -428,10 +425,6 @@ def emit_scm(model: Scm) -> list[str]:
     return out
 
 
-def _morphism_sort_key(m: Morphism) -> tuple:
-    return (len(m.nodes), m.nodes)
-
-
 def emit_abstraction(abstraction: Abstraction) -> list[str]:
     out = [f"abs {abstraction.name} {{"]
     out.append(f"  source {abstraction.source_ref}")
@@ -445,7 +438,7 @@ def emit_abstraction(abstraction: Abstraction) -> list[str]:
     out.append("  }")
     if sm.edge_map is not None:
         out.append("  edges {")
-        for m in sorted(sm.edge_map, key=_morphism_sort_key):
+        for m in sorted(sm.edge_map, key=lambda m: (len(m), m)):
             out.append(f"    {_path_token(m)} : {_path_token(sm.edge_map[m])}")
         out.append("  }")
     if sm.pairing is not None:

@@ -11,7 +11,6 @@ import random
 import zlib
 
 from absaudit.abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
-from absaudit.freecat import Morphism
 from absaudit.scm import Exogenous, Scm, Variable
 
 BIN = ("0", "1")
@@ -85,8 +84,8 @@ def plain_scm(m: Scm) -> dict:
     }
 
 
-def M(*nodes: str) -> Morphism:
-    return Morphism(tuple(nodes))
+def M(*nodes: str) -> tuple[str, ...]:
+    return nodes
 
 
 def det_rows(mapping: dict[str, str]) -> dict[str, dict[str, float]]:

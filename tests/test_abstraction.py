@@ -28,7 +28,6 @@ from absaudit.errors import (
 )
 from absaudit.audit import audit_abstraction
 from absaudit.scm import Exogenous, Scm, Variable, joint_distribution
-from absaudit.freecat import Morphism
 
 from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, random_model, xor
 from oracles import block, plain_pushforward
@@ -185,6 +184,20 @@ def test_validate_edge_map(micro, macro):
     # The model's graph remembers confirmed paths only: a bad entry is
     # checked, and reported, again.
     assert "edge-map-target" in codes(validate_abstraction(a, micro, macro))
+
+
+def test_validate_edge_map_words_each_bad_path(micro, macro):
+    """A bad key or image is named by its nodes joined with '^'; a one-node
+    path by its lone node, not as the `Q^Q` it is written as."""
+    a = abstraction("a", micro, macro, {"S": "S'"},
+                    edges={M("S", "C"): M("C'", "S'"), M("Q"): M("Q")})
+    issues = validate_abstraction(a, micro, macro).issues
+    assert [(i.code, i.message) for i in issues if i.code.startswith("edge-map")] == [
+        ("edge-map-source", "S^C is not a morphism of the source graph"),
+        ("edge-map-target", "C'^S' is not a morphism of the target graph"),
+        ("edge-map-source", "Q is not a morphism of the source graph"),
+        ("edge-map-target", "Q is not a morphism of the target graph"),
+    ]
 
 
 def test_validate_broken_functor_is_not_a_validation_error(micro, macro):
@@ -646,7 +659,7 @@ def test_wide_identity_work_is_linear(monkeypatch):
     lo, hi = _wide("lo", "X", n), _wide("hi", "Y", n)
     a = Abstraction("id", "lo", "hi", Direction.MICRO_TO_MACRO, StructuralMap(
         rows={f"X{i}": {f"Y{i}": 1.0} for i in range(n)},
-        edge_map={Morphism((f"X{i}",)): Morphism((f"Y{i}",)) for i in range(n)},
+        edge_map={(f"X{i}",): (f"Y{i}",) for i in range(n)},
     ), [OutcomeMap(f"Y{i}", (f"X{i}",), {("0",): {("0",): 1.0}, ("1",): {("1",): 1.0}})
         for i in range(n)])
 

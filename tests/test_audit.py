@@ -26,7 +26,7 @@ from absaudit.audit import (
     tri_and,
 )
 from absaudit.errors import AbsauditError
-from absaudit.freecat import Morphism, is_path
+from absaudit.freecat import is_path
 from absaudit.scm import Scm, Variable, joint_distribution, underlying_graph
 from absaudit.taxonomy import detect_types
 from absaudit.textfmt import emit_document, parse_document
@@ -365,18 +365,30 @@ def _chain_identity(n: int):
 
 def test_functor_audit_work_is_linear_in_entries(monkeypatch):
     """On a 30-chain identity with its full edge map, the audit checks at
-    most two paths per entry and builds no `Morphism`."""
+    most two paths per entry."""
     n = 30
     src, tgt, edges, a = _chain_identity(n)
     assert len(edges) == n * (n + 1) // 2
-    checked, built = [], []
+    checked = []
     monkeypatch.setattr(audit_module, "is_path",
                         lambda dag, nodes: checked.append(nodes) or is_path(dag, nodes))
-    monkeypatch.setattr(Morphism, "__post_init__", lambda m: built.append(m))
     f = audit_functor(a, src, tgt)
     assert f.functorial and f.fully_faithful and f.faithful_parallel
     assert len(checked) <= 2 * len(edges)
-    assert built == []
+
+
+def test_empty_path_is_not_functorial_and_raises_nothing():
+    """`()` visits no node, so it is no path.  As a key it has no endpoints
+    between mapped nodes, and as an image it ends nowhere: on an unvalidated
+    map either makes the audit's `functorial` False, and validation reports
+    the entry, naming the empty path `()`."""
+    src, tgt, edges, _ = _chain_identity(2)
+    for key, image, side in (((), M("Y0"), "source"), (M("X0"), (), "target")):
+        a = abstraction("a", src, tgt, {"X0": "Y0", "X1": "Y1"}, edges=dict(edges))
+        a.structure.edge_map[key] = image
+        assert audit_abstraction(a, src, tgt).functor.functorial is False
+        assert [(i.code, i.message) for i in validate_abstraction(a, src, tgt).issues] == [
+            (f"edge-map-{side}", f"() is not a morphism of the {side} graph")]
 
 
 def test_validation_and_audit_check_each_path_once():

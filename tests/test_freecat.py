@@ -1,4 +1,4 @@
-"""Free-category construction: morphisms, composition, hom-sets."""
+"""Free-category construction: paths as node tuples, hom-sets."""
 
 from __future__ import annotations
 
@@ -9,16 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from absaudit.errors import CapacityError, ModelError
-from absaudit.freecat import (
-    Morphism,
-    all_morphisms,
-    compose,
-    generators,
-    hom_set,
-    identity,
-    is_path,
-    path_counts,
-)
+from absaudit.freecat import all_morphisms, hom_set, is_path, path_counts
 from absaudit.scm import Dag, underlying_graph
 
 from helpers import chain, random_dag
@@ -38,67 +29,24 @@ def adj_of(dag: Dag) -> dict[str, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Morphisms and composition
-# ---------------------------------------------------------------------------
-
-def test_morphism_shape():
-    m = Morphism(("A", "B", "C"))
-    assert (m.source, m.target, m.length) == ("A", "C", 2)
-    assert m.edges == (("A", "B"), ("B", "C"))
-    assert str(m) == "A^B^C"
-    assert not m.is_identity
-    assert identity("A").is_identity
-    assert identity("A").length == 0
-
-
-def test_empty_morphism_rejected():
-    with pytest.raises(ModelError):
-        Morphism(())
-
-
-def test_compose_concatenates():
-    assert compose(Morphism(("A", "B")), Morphism(("B", "C"))) == Morphism(
-        ("A", "B", "C")
-    )
-
-
-def test_compose_endpoint_mismatch():
-    with pytest.raises(ModelError, match="endpoint mismatch"):
-        compose(Morphism(("A", "B")), Morphism(("C", "D")))
-
-
-def test_identity_laws():
-    m = Morphism(("A", "B", "C"))
-    assert compose(identity("A"), m) == m
-    assert compose(m, identity("C")) == m
-
-
-def test_compose_associative():
-    f = Morphism(("A", "B"))
-    g = Morphism(("B", "C"))
-    h = Morphism(("C", "D"))
-    assert compose(compose(f, g), h) == compose(f, compose(g, h))
-
-
-# ---------------------------------------------------------------------------
 # Hom-sets
 # ---------------------------------------------------------------------------
 
 def test_hom_set_chain():
     dag = underlying_graph(chain("m", ["S", "T", "C"]))
-    assert hom_set(dag, "S", "C") == (Morphism(("S", "T", "C")),)
-    assert hom_set(dag, "S", "S") == (identity("S"),)
+    assert hom_set(dag, "S", "C") == (("S", "T", "C"),)
+    assert hom_set(dag, "S", "S") == (("S",),)
     assert hom_set(dag, "C", "S") == ()
 
 
 def test_hom_set_diamond_two_paths():
     ms = hom_set(DIAMOND, "A", "D")
-    assert ms == (Morphism(("A", "B", "D")), Morphism(("A", "C", "D")))
+    assert ms == (("A", "B", "D"), ("A", "C", "D"))
 
 
 def test_hom_set_sorted_lexicographically():
     ms = hom_set(DIAMOND, "A", "D")
-    assert list(ms) == sorted(ms, key=lambda m: m.nodes)
+    assert list(ms) == sorted(ms)
 
 
 def test_hom_set_unknown_node():
@@ -158,7 +106,7 @@ def test_is_path_remembers_only_the_paths_it_confirms():
 def test_all_morphisms_and_generators():
     ms = all_morphisms(DIAMOND)
     assert len(ms) == 4 + 4 + 2  # identities, edges, two long paths
-    assert generators(DIAMOND) == tuple(Morphism(e) for e in DIAMOND.edges)
+    assert {m for m in ms if len(m) == 2} == set(DIAMOND.edges)  # the generators
 
 
 def test_all_morphisms_cap():
@@ -181,7 +129,7 @@ def test_hom_set_matches_oracle_on_random_dags():
         )
         for src in nodes:
             for dst in nodes:
-                got = tuple(m.nodes for m in hom_set(dag, src, dst))
+                got = hom_set(dag, src, dst)
                 want = tuple(sorted(all_paths(adj, src, dst)))
                 assert got == want
                 assert len(got) == path_count(adj, src, dst)
@@ -204,7 +152,7 @@ def test_hom_set_is_sorted_whatever_the_declaration_order():
         dag = Dag(nodes=tuple(adj), edges=tuple(edges))
         for src in adj:
             for dst in adj:
-                got = [m.nodes for m in hom_set(dag, src, dst)]
+                got = list(hom_set(dag, src, dst))
                 assert got == sorted(all_paths(adj, src, dst))
 
 
@@ -232,7 +180,5 @@ def test_hom_set_composition_closure(seed):
     ms = all_morphisms(dag)
     for f in ms:
         for g in ms:
-            if f.target != g.source:
-                continue
-            whole = compose(f, g)
-            assert whole in hom_set(dag, f.source, g.target)
+            if f[-1] == g[0]:
+                assert f + g[1:] in hom_set(dag, f[0], g[-1])

@@ -1,5 +1,5 @@
-"""The output-diff sweep runs, with its invalid-noise copies and kernel lines,
-and shuffling the dist rows changes no line."""
+"""The output-diff sweep runs, with its invalid-noise copies, its edited
+copies and kernel lines, and shuffling the dist rows changes no line."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+from absaudit.abstraction import validate_abstraction
 from absaudit.freecat import hom_set
 from absaudit.scm import underlying_graph, validate_scm
 from absaudit.textfmt import parse_document
@@ -68,6 +69,35 @@ def test_sweep_audits_a_copy_per_edge_row():
     for argv in edge_cuts:
         whole = argv.replace(argv.split()[-1], "figures/fig9a.abs")
         assert codes[argv][0] == "0" and codes[argv][1] != codes[whole][1]
+
+
+def test_sweep_validates_a_copy_per_swapped_edge_row():
+    """Each row of fig9a's edges block, its two paths swapped, gives a copy
+    that the sweep validates in both formats, and whose validation names
+    both swapped paths: the source side's new key, the target side's new
+    image, a one-node path by its lone node."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    fig9a = DATA / "figures" / "fig9a.abs"
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep.py"), str(fig9a)],
+                         check=True, capture_output=True, text=True)
+    codes = {argv: code for code, _, argv in
+             (line.split(" ", 2) for line in run.stdout.splitlines())}
+    assert sorted(argv for argv in codes if ".swapped-edge-row-" in argv) == sorted(
+        f"{fmt}validate figures/fig9a.abs.swapped-edge-row-{n}"
+        for fmt in ("", "--format json ") for n in (70, 71, 72))
+    swapped = [(tag, copy) for command, tag, copy in sweep.cuts(fig9a.read_text("utf-8"))
+               if command == "validate" and tag.startswith("swapped-")]
+    assert len(swapped) == 3
+    for (tag, copy), (key, image) in zip(swapped, (("C'", "C"), ("S'", "S"), ("S'^C'", "S^T^C"))):
+        assert codes[f"validate figures/fig9a.abs.{tag}"] == "1"
+        doc = parse_document(copy)
+        a = doc.abstractions["fig9a"]
+        assert [(i.code, i.message) for i in validate_abstraction(a, *doc.resolve(a)).issues] == [
+            ("edge-map-source", f"{key} is not a morphism of the source graph"),
+            ("edge-map-target", f"{image} is not a morphism of the target graph"),
+        ]
 
 
 def test_sweep_lists_the_hom_sets_of_a_generated_complete_dag():

@@ -25,7 +25,6 @@ from absaudit.abstraction import (
     StructuralMap,
     validate_abstraction,
 )
-from absaudit.freecat import Morphism
 from absaudit.scm import Exogenous, Scm, Variable, validate_scm
 from absaudit.textfmt import Document, emit_document
 
@@ -185,8 +184,8 @@ out3_macro = point("out3_macro", "S'", (("0", 0.2), ("1", 0.3), ("2", 0.5)))
 # Abstraction builders
 # ---------------------------------------------------------------------------
 
-def M(*nodes: str) -> Morphism:
-    return Morphism(tuple(nodes))
+def M(*nodes: str) -> tuple[str, ...]:
+    return nodes
 
 
 def det_rows(mapping: dict[str, str]) -> dict[str, dict[str, float]]:

@@ -14,7 +14,9 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
 * per file and per row of a `mech` block: validate on a copy without that
   row, so each mechanism's gap report shows;
 * per file and per row of an `edges` block: audit on a copy without that
-  row, so each missing-entry verdict of the morphism layer shows;
+  row, so each missing-entry verdict of the morphism layer shows, and
+  validate on a copy with that row's two paths swapped, so the words of
+  each `edge-map-source` and `edge-map-target` issue show;
 * per model with a `dist` block: two copies of its file with invalid noise,
   one whose first `dist` row is keyed outside the first term's domain and
   one whose first `dist` row weighs 0.5 more; each is run through validate,
@@ -122,24 +124,29 @@ def complete_dag() -> str:
 
 
 def cuts(text: str) -> list[tuple[str, str, str]]:
-    """(command, tag, `text` without one line) for every line that is a lone
-    `}` (validate, tag `no-brace-N`, N the line number), every row of a
-    `mech` block (validate, tag `no-mech-row-N`) and every row of an `edges`
-    block (audit, tag `no-edge-row-N`)."""
+    """(command, tag, copy of `text` with one line changed) for every line
+    that is a lone `}` (validate without it, tag `no-brace-N`, N the line
+    number), every row of a `mech` block (validate without it, tag
+    `no-mech-row-N`) and every row of an `edges` block (audit without it,
+    tag `no-edge-row-N`, and validate with its two paths swapped, tag
+    `swapped-edge-row-N`)."""
     lines, picked, block = text.split("\n"), [], None
     for i, line in enumerate(lines):
         if line.strip() == "}":
-            picked.append((i, "validate", "no-brace"))
-        elif block and line.split("#")[0].strip():
-            picked.append((i, *block))
+            picked.append((i, "validate", "no-brace", []))
+        elif block and (row := line.split("#")[0].split()):
+            picked.append((i, *block, []))
+            if block[1] == "no-edge-row":
+                indent = line[: len(line) - len(line.lstrip())]
+                picked.append((i, "validate", "swapped-edge-row", [indent + " ".join(row[::-1])]))
         if MECH_OPEN.match(line):
             block = ("validate", "no-mech-row")
         elif EDGES_OPEN.match(line):
             block = ("audit", "no-edge-row")
         elif line.strip() == "}":
             block = None
-    return [(command, f"{tag}-{i + 1}", "\n".join(lines[:i] + lines[i + 1:]))
-            for i, command, tag in picked]
+    return [(command, f"{tag}-{i + 1}", "\n".join(lines[:i] + new + lines[i + 1:]))
+            for i, command, tag, new in picked]
 
 
 def bad_noise(text: str, doc) -> list[tuple[str, str, str]]:
