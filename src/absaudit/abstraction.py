@@ -200,11 +200,11 @@ def validate_abstraction(
                 "edge-map-stochastic",
                 "a morphism layer requires a deterministic node map",
             )
-        src_dag = underlying_graph(source)
-        tgt_dag = underlying_graph(target)
-        for m, n in sm.edge_map.items():
-            for side, dag, path in (("source", src_dag, m), ("target", tgt_dag, n)):
-                if not freecat.is_path(dag, path):
+        src_bad = set(freecat.non_paths(underlying_graph(source), sm.edge_map))
+        tgt_bad = set(freecat.non_paths(underlying_graph(target), sm.edge_map.values()))
+        for m, n in sm.edge_map.items() if src_bad or tgt_bad else ():
+            for side, path, bad in (("source", m, src_bad), ("target", n, tgt_bad)):
+                if path in bad:
                     report.add(f"edge-map-{side}", f"{'^'.join(path) or '()'} "
                                f"is not a morphism of the {side} graph")
 

@@ -21,7 +21,8 @@ reading (see taxonomy).
 The functor audit reads the edge map once, as a table of node tuples.  It
 is total when its keys that are source paths between mapped nodes are as
 many as those paths, and full when its distinct images that are target
-paths between image nodes are as many as those (``freecat.path_counts``
+paths between image nodes are as many as those (``freecat.non_paths``
+tests the keys, then the images, all at once; ``freecat.path_counts``
 counts both).  Composites split only at mapped nodes, so composition is
 ``F(m) == F(prefix) + F(suffix)[1:]`` with each path ``m`` cut at its last
 mapped inner node, found scanning from the end; by induction every other
@@ -37,7 +38,7 @@ import math
 from typing import Callable, Collection, Optional, Sequence
 
 from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
-from .freecat import is_path, path_counts
+from .freecat import non_paths, path_counts
 from .scm import Dag, Scm, out_of_range, underlying_graph
 
 Verdict = Optional[bool]
@@ -195,7 +196,8 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
                if m and m[0] in pi and m[-1] in pi]
     # The declared morphisms of the audited subcategory: source paths
     # between mapped nodes, which may pass through unmapped ones.
-    domain = [m for m, _, _, _ in entries if is_path(src_dag, m)]
+    bad = set(non_paths(src_dag, keys := [m for m, _, _, _ in entries]))
+    domain = [m for m in keys if m not in bad]
     functorial = (
         len(entries) == len(table)
         and all(n and n[0] == s and n[-1] == t for _, n, s, t in entries)
@@ -204,7 +206,7 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
         and _composes(table, domain, pi)
     )
     hit = {n for _, n, s, t in entries if n and n[0] == s and n[-1] == t}
-    full = sum(is_path(tgt_dag, n) for n in hit) == _hom_total(tgt_dag, set(pi.values()))
+    full = len(hit) - len(non_paths(tgt_dag, hit)) == _hom_total(tgt_dag, set(pi.values()))
     faithful = len({(s, t, n) for _, n, s, t in entries}) == len(entries)
     faithful_parallel = len({(m[0], m[-1], n) for m, n, _, _ in entries}) == len(entries)
 

@@ -13,29 +13,32 @@ capped.  ``hom_set`` walks depth first, always into the smallest name
 first, so its paths come out sorted by construction: in a DAG no path to
 the target extends another.  The audits need hom-set sizes alone, which
 ``path_counts`` gives for every target of one or more sources in a single
-pass.  ``is_path`` remembers each path it confirms on the (immutable)
-``Dag``, so validation and the audit check a node tuple once.
+pass.  ``non_paths`` tests all the paths of one side of an edge map at once,
+in C, and checks them one by one with ``is_path`` only to name failures.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Sequence
+from itertools import chain, pairwise, product
+from typing import Collection, Sequence
 
 from .errors import DEFAULT_HOM_CAP, CapacityError, ModelError, enum_cap
 from .scm import Dag
 
 
 def is_path(dag: Dag, nodes: Sequence[str]) -> bool:
-    """True when the node sequence is a morphism of the free category.  A
-    path is remembered in `dag.known_paths`; a failed check runs again."""
-    nodes = tuple(nodes)
-    if nodes not in dag.known_paths:
-        if (not nodes or not dag.node_set.issuperset(nodes)
-                or not dag.edge_set.issuperset(zip(nodes, nodes[1:]))):
-            return False
-        dag.known_paths.add(nodes)
-    return True
+    """True when the node sequence is a morphism of the free category."""
+    return (bool(nodes) and dag.node_set.issuperset(nodes)
+            and dag.edge_set.issuperset(pairwise(nodes)))
+
+
+def non_paths(dag: Dag, paths: Collection[Sequence[str]]) -> list:
+    """The entries of `paths`, in order, that are not morphisms: all are
+    tested at once in C, and path by path only when that test fails."""
+    if (all(paths) and dag.node_set.issuperset(chain.from_iterable(paths))
+            and dag.edge_set.issuperset(chain.from_iterable(map(pairwise, paths)))):
+        return []
+    return [p for p in paths if not is_path(dag, p)]
 
 
 def path_counts(dag: Dag, *sources: str) -> dict[str, int]:
@@ -63,15 +66,14 @@ def hom_set(dag: Dag, source: str, target: str,
     """
     if source not in dag.node_set:
         raise ModelError(f"unknown node {source!r}")
-    opposite = Dag(dag.nodes, tuple((v, u) for u, v in dag.edges))
-    to_target = path_counts(opposite, target)
+    to_target = path_counts(dag.opposite, target)
     limit = cap if cap is not None else enum_cap(DEFAULT_HOM_CAP)
     if to_target[source] > limit:
         raise CapacityError(
             f"hom-set from {source} to {target} exceeds the enumeration cap of {limit}"
         )
-    # The successors that reach `target`, largest first: the stack pops the smallest.
-    toward = {u: sorted((v for v in dag.successors(u) if to_target[v]), reverse=True)
+    # The successors that reach `target` as 1-tuples, largest first: the stack pops the smallest.
+    toward = {u: sorted(((v,) for v in dag.successors(u) if to_target[v]), reverse=True)
               for u in dag.nodes}
     found: list[tuple[str, ...]] = []
     stack = [(source,)]
@@ -80,7 +82,7 @@ def hom_set(dag: Dag, source: str, target: str,
         if path[-1] == target:
             found.append(path)
         else:
-            stack.extend(path + (v,) for v in toward[path[-1]])
+            stack.extend(map(path.__add__, toward[path[-1]]))
     return tuple(found)
 
 
@@ -93,5 +95,5 @@ def all_morphisms(dag: Dag, cap: int | None = None) -> tuple[tuple[str, ...], ..
     limit = cap if cap is not None else enum_cap(DEFAULT_HOM_CAP)
     if sum(path_counts(dag, *dag.nodes).values()) > limit:
         raise CapacityError(f"the free category has more than {limit} morphisms")
-    pairs = itertools.product(dag.nodes, dag.nodes)
+    pairs = product(dag.nodes, dag.nodes)
     return tuple(m for s, t in pairs for m in hom_set(dag, s, t, cap=limit))

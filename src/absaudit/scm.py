@@ -191,8 +191,6 @@ class Dag:
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    # The node tuples `freecat.is_path` has confirmed: only the graph decides.
-    known_paths: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @cached_property
     def node_set(self) -> frozenset[str]:
@@ -232,6 +230,10 @@ class Dag:
         if len(order) < len(waiting):
             raise ModelError("the graph has a cycle")
         return tuple(order)
+
+    @cached_property
+    def opposite(self) -> "Dag":
+        return Dag(self.nodes, tuple((v, u) for u, v in self.edges))
 
     def successors(self, node: str) -> tuple[str, ...]:
         return self._successors.get(node, ())

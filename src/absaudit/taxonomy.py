@@ -36,10 +36,11 @@ only: it runs no functor audit and lists no path.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 
 from .abstraction import Abstraction, Direction
 from .audit import PropertyProfile, audit_abstraction, audit_node_map
@@ -388,24 +389,27 @@ def detect_types(
 
     if forward and node.deterministic:
         pi = sm.images()  # an all-zero row leaves its node unmapped
+        if unknown := [x for x in pi.values() if x not in tgt_dag.node_set]:
+            raise ModelError(f"unknown node {unknown[0]!r}")
         shape = _shape(node)
-        # Target hom-set sizes along and against each mapped source edge, and
-        # for a bijection source against target sizes: one DP at a time.
         ends = {(pi[u], pi[v]) for u, v in src_dag.edges if u in pi and v in pi}
-        wanted = defaultdict(list)  # image -> the images it needs counts to
-        for x, y in ends:
-            wanted[x] += [y]
-            wanted[y] += [x]
-        inverse = {x: u for u, x in pi.items()} if shape == "bijection" else {}
-        tgt_hom, coarsens, embeds = {}, False, False
-        for x in dict.fromkeys(pi.values()):
+        # An image pair that is one node or a target edge fires no edge label.
+        apart = {(x, y) for x, y in ends if x != y} - tgt_dag.edge_set
+        tgt_hom = {}  # one target DP per end of a pair in `apart`, held one at a time
+        for x, pairs in groupby(sorted(apart | {(y, x) for x, y in apart}), itemgetter(0)):
             counts = path_counts(tgt_dag, x)
-            tgt_hom.update(((x, y), counts[y]) for y in wanted[x])
-            if x in inverse:
-                src_counts = path_counts(src_dag, inverse[x])
-                coarsens |= any(src_counts[v] > counts[y] >= 1 for v, y in pi.items())
-                embeds |= any(counts[y] > src_counts[v] >= 1 for v, y in pi.items())
-        arrows = [(tgt_hom[x, y], tgt_hom[y, x]) for x, y in ends]
+            tgt_hom.update(((x, y), counts[y]) for _, y in pairs)
+        arrows = [(tgt_hom[x, y], tgt_hom[y, x]) for x, y in apart]
+        # Hom-set sizes differ only from nodes that reach an edge one graph lacks
+        # (the same nodes in both graphs: the edges on the way agree).
+        coarsens = embeds = False
+        if shape == "bijection" and (tails := {x for x, _ in ends ^ tgt_dag.edge_set}):
+            above = path_counts(src_dag.opposite, *(u for u, x in pi.items() if x in tails))
+            for u in src_dag.nodes:
+                if above[u]:
+                    src_counts, counts = path_counts(src_dag, u), path_counts(tgt_dag, pi[u])
+                    coarsens |= any(src_counts[v] > counts[pi[v]] >= 1 for v in src_dag.nodes)
+                    embeds |= any(counts[pi[v]] > src_counts[v] >= 1 for v in src_dag.nodes)
         if shape == "bijection" and pairing is not None:
             respects = all(pi[u] == pairing.get(u) for u in pi)
             edge_bijection = (

@@ -64,6 +64,13 @@ def unary_chain(name: str, nodes: list[str]) -> Scm:
                [], {}, {})
 
 
+def unary_dag(name: str, adj: dict[str, list[str]]) -> Scm:
+    """A model over the nodes of `adj`, declared in its order, with an edge
+    u -> v for each v in adj[u], one value each and no noise."""
+    parents = {v: tuple(u for u in adj if v in adj[u]) for v in adj}
+    return Scm(name, [Variable(v, ("0",), parents[v], f"U_{v}") for v in adj], [], {}, {})
+
+
 def plain_scm(m: Scm) -> dict:
     """The model as the plain dicts the oracles in `oracles.py` read."""
     mech = {}

@@ -61,6 +61,61 @@ def path_count(adj: Mapping[str, Sequence[str]], src: str, dst: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Structural types by comparing the hom-set sizes of every pair of nodes
+# ---------------------------------------------------------------------------
+
+def structural_types(
+    src_adj: Mapping[str, Sequence[str]],
+    tgt_adj: Mapping[str, Sequence[str]],
+    pi: Mapping[str, str],
+    pairing: Mapping[str, str] | None = None,
+) -> list[str]:
+    """The structural labels of a deterministic micro-to-macro node map.
+
+    `pi` sends each mapped source node to a target node; both graphs are
+    adjacency dicts in declaration order.  The shape of `pi` as a map of
+    sets names the node labels; the edge labels compare hom-set sizes,
+    counted with `path_count` for every pair of nodes of each graph.
+    `pairing` defaults to the two declaration orders zipped when the node
+    counts agree.  Labels come in the order `detect_types` lists them.
+    """
+    hom_s = {(u, v): path_count(src_adj, u, v) for u in src_adj for v in src_adj}
+    hom_t = {(x, y): path_count(tgt_adj, x, y) for x in tgt_adj for y in tgt_adj}
+    src_edges = [(u, v) for u in src_adj for v in src_adj[u]]
+    tgt_edges = {(x, y) for x in tgt_adj for y in tgt_adj[x]}
+    mapped = [(pi[u], pi[v]) for u, v in src_edges if u in pi and v in pi]
+    total = set(pi) == set(src_adj)
+    onto = set(pi.values()) == set(tgt_adj)
+    one_to_one = len(set(pi.values())) == len(pi)
+    bijection = total and onto and one_to_one
+    if pairing is None and len(src_adj) == len(tgt_adj):
+        pairing = dict(zip(src_adj, tgt_adj))
+    labels = []
+    if bijection and pairing is not None:
+        respects = all(pi[u] == pairing.get(u) for u in pi)
+        if respects and set(mapped) == tgt_edges and len(src_edges) == len(tgt_edges):
+            labels.append("identity")
+        if not respects:
+            labels.append("node-permutation")
+    if total and onto and not one_to_one:
+        labels.append("node-coarsening")
+    if total and one_to_one and not onto:
+        labels.append("node-embedding")
+    pairs = [(hom_s[u, v], hom_t[pi[u], pi[v]]) for u in pi for v in pi] if bijection else []
+    if any(s > t >= 1 for s, t in pairs):
+        labels.append("edge-coarsening")
+    if any(t > s >= 1 for s, t in pairs):
+        labels.append("edge-embedding")
+    if not total:
+        labels.append("node-dropping")
+    if any(hom_t[x, y] == 0 and hom_t[y, x] == 0 for x, y in mapped):
+        labels.append("edge-dropping")
+    if any(hom_t[x, y] == 0 and hom_t[y, x] > 0 for x, y in mapped):
+        labels.append("causal-reversal")
+    return labels
+
+
+# ---------------------------------------------------------------------------
 # Morphism-layer verdicts by listing the domain and comparing all pairs
 # ---------------------------------------------------------------------------
 

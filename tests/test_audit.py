@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import absaudit.audit as audit_module
+from absaudit import freecat
 from absaudit.abstraction import (
     GLOBAL,
     Direction,
@@ -363,18 +363,41 @@ def _chain_identity(n: int):
     return src, tgt, edges, abstraction("a", src, tgt, dict(zip(xs, ys)), edges=edges)
 
 
+def _count_edge_tests(monkeypatch, src, tgt) -> tuple[list, list]:
+    """Count the work of the path tests on `src` and `tgt`: each model's
+    `Dag` gets an `edge_set` that lists the pairs it is asked about, and
+    `freecat.is_path`, the per-path check, is counted too.  Returns the
+    (side, pairs asked) of each edge-set test and the per-path checks."""
+    tests, per_path = [], []
+
+    class Edges(frozenset):
+        def issuperset(self, other):
+            pairs = list(other)
+            tests.append((self.side, len(pairs)))
+            return frozenset.issuperset(self, pairs)
+
+    for side, m in (("source", src), ("target", tgt)):
+        edges = Edges(underlying_graph(m).edges)
+        edges.side = side
+        underlying_graph(m).__dict__["edge_set"] = edges
+    monkeypatch.setattr(freecat, "is_path",
+                        lambda dag, nodes: per_path.append(nodes) or is_path(dag, nodes))
+    return tests, per_path
+
+
 def test_functor_audit_work_is_linear_in_entries(monkeypatch):
-    """On a 30-chain identity with its full edge map, the audit checks at
-    most two paths per entry."""
+    """On a 30-chain identity with its full edge map, the audit asks each
+    graph's edge set once, about every step of every key, then of every
+    distinct image, and checks no path on its own."""
     n = 30
     src, tgt, edges, a = _chain_identity(n)
     assert len(edges) == n * (n + 1) // 2
-    checked = []
-    monkeypatch.setattr(audit_module, "is_path",
-                        lambda dag, nodes: checked.append(nodes) or is_path(dag, nodes))
+    tests, per_path = _count_edge_tests(monkeypatch, src, tgt)
     f = audit_functor(a, src, tgt)
     assert f.functorial and f.fully_faithful and f.faithful_parallel
-    assert len(checked) <= 2 * len(edges)
+    steps = sum(len(m) - 1 for m in edges)
+    assert steps == sum(len(m) - 1 for m in set(edges.values())) == 4495
+    assert tests == [("source", steps), ("target", steps)] and per_path == []
 
 
 def test_empty_path_is_not_functorial_and_raises_nothing():
@@ -391,28 +414,18 @@ def test_empty_path_is_not_functorial_and_raises_nothing():
             (f"edge-map-{side}", f"() is not a morphism of the {side} graph")]
 
 
-def test_validation_and_audit_check_each_path_once():
+def test_validation_and_audit_check_each_path_once(monkeypatch):
     """On the same 30-chain identity, `validate_abstraction` then
-    `audit_functor` test each distinct key against the source graph's edges
-    once, and each distinct image against the target graph's: each model
-    keeps one `Dag`, and the `Dag` remembers the paths it has confirmed."""
+    `audit_functor` each test every step of every key against the source
+    graph's edges once, and every step of every distinct image against the
+    target graph's: one bulk test per side, and no per-path check."""
     src, tgt, edges, a = _chain_identity(30)
-    checked = []
-
-    class Edges(frozenset):
-        def issuperset(self, other):
-            checked.append(self)
-            return frozenset.issuperset(self, other)
-
-    src_edges, tgt_edges = (Edges(underlying_graph(m).edges) for m in (src, tgt))
-    underlying_graph(src).__dict__["edge_set"] = src_edges
-    underlying_graph(tgt).__dict__["edge_set"] = tgt_edges
+    tests, per_path = _count_edge_tests(monkeypatch, src, tgt)
     assert validate_abstraction(a, src, tgt).ok
     f = audit_functor(a, src, tgt)
     assert f.functorial and f.fully_faithful and f.faithful_parallel
-    assert sum(e is src_edges for e in checked) == len(edges)
-    assert sum(e is tgt_edges for e in checked) == len(set(edges.values()))
-    assert len(checked) == 2 * len(edges)
+    steps = sum(len(m) - 1 for m in edges)
+    assert tests == [("source", steps), ("target", steps)] * 2 and per_path == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from absaudit import freecat
 from absaudit.errors import CapacityError, ModelError
-from absaudit.freecat import all_morphisms, hom_set, is_path, path_counts
+from absaudit.freecat import all_morphisms, hom_set, is_path, non_paths, path_counts
 from absaudit.scm import Dag, underlying_graph
 
 from helpers import chain, random_dag
@@ -95,12 +96,25 @@ def test_is_path():
     assert not is_path(DIAMOND, ())
 
 
-def test_is_path_remembers_only_the_paths_it_confirms():
-    dag = Dag(DIAMOND.nodes, DIAMOND.edges)
-    assert is_path(dag, ["A", "B", "D"])
-    assert is_path(dag, ("A", "B", "D"))
-    assert not is_path(dag, ("A", "D")) and not is_path(dag, ("A", "D"))
-    assert dag.known_paths == {("A", "B", "D")}
+def test_non_paths_checks_path_by_path_only_to_name_the_failures(monkeypatch):
+    """Valid paths pass the bulk test with no per-path check; once it fails,
+    every path is checked and the failures come back in order."""
+    checked = []
+    monkeypatch.setattr(freecat, "is_path",
+                        lambda dag, nodes: checked.append(nodes) or is_path(dag, nodes))
+    good = [("A", "B", "D"), ("A",), ["A", "C", "D"], ("D",)]
+    assert non_paths(DIAMOND, good) == [] and checked == []
+    assert non_paths(DIAMOND, []) == [] and checked == []
+    paths = good + [("A", "D"), (), ("Q",), ("B", "A"), ("A", "B", "D")]
+    assert non_paths(DIAMOND, paths) == [("A", "D"), (), ("Q",), ("B", "A")]
+    assert checked == paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("ABCDQ"), max_size=4).map(tuple), max_size=6))
+def test_non_paths_agrees_with_is_path(paths):
+    assert non_paths(DIAMOND, paths) == [p for p in paths if not is_path(DIAMOND, p)]
+    assert non_paths(DIAMOND, set(paths)) == [p for p in set(paths) if not is_path(DIAMOND, p)]
 
 
 def test_all_morphisms_and_generators():

@@ -10,6 +10,7 @@ import sys
 from absaudit.abstraction import validate_abstraction
 from absaudit.freecat import hom_set
 from absaudit.scm import underlying_graph, validate_scm
+from absaudit.taxonomy import detect_types
 from absaudit.textfmt import parse_document
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -115,3 +116,26 @@ def test_sweep_lists_the_hom_sets_of_a_generated_complete_dag():
     model = parse_document(sweep.complete_dag()).models["complete7"]
     assert validate_scm(model).ok
     assert len(hom_set(underlying_graph(model), "z", "m")) == 2 ** 5
+
+
+def test_sweep_classifies_the_generated_bijections():
+    """`classify` in both formats on each generated bijection between
+    seven-node DAGs.  The maps are valid, and each names its types: a deep
+    edge more, a deep edge fewer, a deep edge reversed, and a permutation
+    whose edges correspond."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    calls = [line.split(" ", 2) for line in _sweep() if "bijections" in line]
+    assert [argv for _, _, argv in calls] == [
+        f"{fmt}classify generated/bijections.abs --abs {name}"
+        for name in sweep.BIJECTIONS for fmt in ("", "--format json ")]
+    assert {code for code, _, _ in calls} == {"0"}
+    doc = parse_document(sweep.bijections())
+    types = {}
+    for name, a in doc.abstractions.items():
+        assert validate_abstraction(a, *doc.resolve(a)).ok
+        types[name] = detect_types(a, *doc.resolve(a))["structural"]
+    assert types == {"plus": ["edge-embedding"], "minus": ["edge-coarsening"],
+                     "flip": ["edge-coarsening", "edge-embedding", "causal-reversal"],
+                     "perm": ["node-permutation"]}

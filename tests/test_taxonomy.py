@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from absaudit import taxonomy
 from absaudit.audit import audit_node_map
 from absaudit.errors import ModelError, ParseError
+from absaudit.freecat import path_counts
 from absaudit.taxonomy import (
     DISTRIBUTIONAL_ROWS,
     STRUCTURAL_ROWS,
@@ -24,7 +29,8 @@ from absaudit.taxonomy import (
     witness_profile,
 )
 
-from helpers import abstraction, chain, unary_chain
+from helpers import abstraction, chain, unary_chain, unary_dag
+from oracles import structural_types
 
 A, N, X = (
     Admissibility.ADMISSIBLE,
@@ -226,3 +232,106 @@ def test_detect_types_memory_is_linear_on_a_wide_identity():
         tracemalloc.stop()
     assert types["structural"] == ["identity"]
     assert peak < 2_000_000
+
+
+def test_detect_types_checks_every_image_against_the_target():
+    """An image outside the target raises `ModelError` naming it, wherever
+    it sits in the map: it is checked before any path is counted."""
+    src, tgt = chain("src", ["A", "B"]), chain("tgt", ["X", "Y"])
+    for rows in ({"A": "X", "B": "Q"}, {"A": "Q", "B": "Y"}, {"A": "Q", "B": "Q"}):
+        with pytest.raises(ModelError, match="unknown node 'Q'"):
+            detect_types(abstraction("a", src, tgt, rows), src, tgt)
+
+
+def _count_path_counts(monkeypatch) -> list[tuple[str, ...]]:
+    """The sources of every `path_counts` call type detection makes."""
+    calls = []
+    monkeypatch.setattr(taxonomy, "path_counts",
+                        lambda dag, *sources: calls.append(sources) or path_counts(dag, *sources))
+    return calls
+
+
+def test_detect_types_counts_paths_only_where_hom_sets_can_differ(monkeypatch):
+    """No path is counted on a 300-wide chain identity, nor on a permutation
+    whose edges correspond.  When one edge of a bijection differs, paths
+    are counted only from the nodes that reach it and their images, and
+    from the images of its ends when the target lacks it."""
+    calls = _count_path_counts(monkeypatch)
+    n = 300
+    xs, ys = [f"X{i}" for i in range(n)], [f"Y{i}" for i in range(n)]
+    src, tgt = unary_chain("src", xs), unary_chain("tgt", ys)
+    identity = abstraction("a", src, tgt, dict(zip(xs, ys)))
+    assert detect_types(identity, src, tgt)["structural"] == ["identity"]
+    flipped = unary_chain("tgt", ys[::-1])
+    permutation = abstraction("a", src, flipped, dict(zip(xs, ys[::-1])), pairs=dict(zip(xs, ys)))
+    assert detect_types(permutation, src, flipped)["structural"] == ["node-permutation"]
+    assert calls == []
+
+    # a six-node chain with a shortcut at the top; X3 -> X5 only in one graph
+    xs, ys = xs[:6], ys[:6]
+    rename = dict(zip(xs, ys))
+    base = {u: [v] for u, v in zip(xs, xs[1:])} | {xs[-1]: []}
+    base["X0"].append("X2")
+    deeper = {u: vs + ["X5"] * (u == "X3") for u, vs in base.items()}
+    above = {"X0", "X1", "X2", "X3", "Y0", "Y1", "Y2", "Y3"}
+    for micro, macro, label, ends in ((base, deeper, "edge-embedding", set()),
+                                      (deeper, base, "edge-coarsening", {"Y3", "Y5"})):
+        src = unary_dag("src", micro)
+        tgt = unary_dag("tgt", {rename[u]: [rename[v] for v in vs] for u, vs in macro.items()})
+        calls.clear()
+        assert detect_types(abstraction("a", src, tgt, rename), src, tgt)["structural"] == [label]
+        assert set().union(*calls) == above | ends
+        assert len(calls) == 1 + 2 * 4 + len(ends)
+
+
+SHAPES = ("bijection", "permutation", "dropped", "merged", "embedded")
+RELATIONS = ("equal", "add", "remove", "independent")
+PAIRS6 = list(itertools.combinations(range(6), 2))
+
+
+def _bits(*pairs: tuple[int, int]) -> int:
+    """The `bits` that give a source DAG these edges."""
+    return sum(1 << PAIRS6.index(p) for p in pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), bits=st.integers(0, 2 ** len(PAIRS6) - 1),
+       shape=st.sampled_from(SHAPES), relation=st.sampled_from(RELATIONS),
+       flip=st.integers(0, 20), seed=st.integers(0, 2 ** 16))
+# the chain x0 -> ... -> x5 with the shortcut x0 -> x2; the target also has
+# y3 -> y5, below four ancestors in each graph
+@example(n=6, bits=_bits((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)),
+         shape="bijection", relation="add", flip=8, seed=0)
+def test_detect_types_matches_the_hom_set_oracle(n, bits, shape, relation, flip, seed):
+    """Random six-node DAGs: the target is the source's image, that image
+    with one edge added or removed, or an independent DAG; the map is a
+    bijection, a permutation, or drops, merges or adds a node."""
+    rng = random.Random(seed)
+    src_edges = [(a, b) for k, (a, b) in enumerate(PAIRS6) if b < n and bits >> k & 1]
+    src_adj = {f"x{i}": [f"x{b}" for a, b in src_edges if a == i] for i in range(n)}
+    order = list(range(n))
+    if shape == "permutation":
+        rng.shuffle(order)
+    image = dict(enumerate(order))  # source index -> target index
+    if shape == "dropped":
+        del image[rng.randrange(n)]
+    if shape == "merged" and n > 1:
+        a, b = rng.sample(range(n), 2)
+        image[b] = image[a]
+    # the target nodes ranked by their first preimage; an added node last
+    rank = {k: i for i, k in reversed(image.items())} | ({n: n} if shape == "embedded" else {})
+    image_edges = {(image[a], image[b]) for a, b in src_edges if a in image and b in image}
+    forward = sorted((a, b) for a in rank for b in rank if rank[a] < rank[b])
+    edges = {(a, b) for a, b in image_edges if rank[a] < rank[b]}
+    absent = [p for p in forward if p not in edges]
+    if relation == "add" and absent:
+        edges.add(absent[flip % len(absent)])
+    if relation == "remove" and edges:
+        edges.discard(sorted(edges)[flip % len(edges)])
+    if relation == "independent":
+        edges = {p for p in forward if rng.random() < 0.4}
+    tgt_adj = {f"y{k}": [f"y{b}" for a, b in sorted(edges) if a == k] for k in sorted(rank)}
+    pi = {f"x{i}": f"y{k}" for i, k in image.items()}
+    src, tgt = unary_dag("src", src_adj), unary_dag("tgt", tgt_adj)
+    got = detect_types(abstraction("a", src, tgt, pi), src, tgt)["structural"]
+    assert got == structural_types(src_adj, tgt_adj, pi)

@@ -28,6 +28,10 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   complete DAG on seven nodes whose names sort apart from their
   declaration order (`complete_dag`), so a change in the order of a listed
   hom-set shows: no shipped hom-set holds more than two paths;
+* classify on each generated bijection between seven-node DAGs that differ
+  by one deep edge, or correspond under a permutation (`bijections`), so
+  the hom-set comparisons of type detection show: no shipped bijection
+  has more than three nodes;
 * per abstraction: graph --dot --abs, audit, classify, push and
   push --renormalize;
 * tables with each --which, and tables --truth (the shipped tables) with
@@ -76,6 +80,16 @@ EDGES_OPEN = re.compile(r"^\s*edges\s+\{\s*$")
 SCM_OPEN = re.compile(r"^\s*scm\s+(\S+)\s*\{\s*$")
 COMPLETE = ("z", "n10", "n9", "b", "n2", "a", "m")  # declaration order
 COMPLETE_FILE = "generated/complete7.scm"
+DEEP = tuple(f"p{i}" for i in range(7))
+DEEP_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 2), (1, 3), (3, 5))
+# map name -> (its target's edges, the target node of each node of DEEP), by index
+BIJECTIONS = {
+    "plus": (DEEP_EDGES + ((4, 6),), range(7)),
+    "minus": (DEEP_EDGES[:-1], range(7)),
+    "flip": (DEEP_EDGES[:4] + ((5, 4),) + DEEP_EDGES[5:], range(7)),
+    "perm": (tuple((6 - a, 6 - b) for a, b in DEEP_EDGES), range(6, -1, -1)),
+}
+BIJECTIONS_FILE = "generated/bijections.abs"
 
 
 def call(main, argv: list[str]) -> str:
@@ -109,18 +123,41 @@ def shuffle_dist(text: str, rng: random.Random) -> str:
     return "\n".join(out + (block or []))
 
 
+def unary_scm(name: str, nodes: tuple[str, ...], edges) -> list[str]:
+    """The lines of a model over `nodes` with an edge `nodes[a] -> nodes[b]`
+    for each index pair (a, b) of `edges`; every value and noise term is 0."""
+    parents = {v: [nodes[a] for a, b in sorted(edges) if nodes[b] == v] for v in nodes}
+    out = [f"scm {name} {{"]
+    out += [f"  var {v} : 0" + (f" parents {' '.join(parents[v])}" if parents[v] else "")
+            for v in nodes]
+    out += [f"  exo U_{v} : 0 for {v}" for v in nodes]
+    out += ["  dist " + " ".join(f"U_{v}" for v in nodes) + " {",
+            "    " + "0 " * len(nodes) + ": 1", "  }"]
+    for v in nodes:
+        out += [f"  mech {v} {{", "    " + "0 " * (len(parents[v]) + 1) + ": 0", "  }"]
+    return out + ["}"]
+
+
 def complete_dag() -> str:
     """A model whose graph is the complete DAG over `COMPLETE`: each node
-    has every earlier one as a parent, and every value and noise term is 0."""
-    out = ["absaudit-format 1", "", "scm complete7 {"]
-    out += [f"  var {v} : 0" + (f" parents {' '.join(COMPLETE[:i])}" if i else "")
-            for i, v in enumerate(COMPLETE)]
-    out += [f"  exo U_{v} : 0 for {v}" for v in COMPLETE]
-    out += ["  dist " + " ".join(f"U_{v}" for v in COMPLETE) + " {",
-            "    " + "0 " * len(COMPLETE) + ": 1", "  }"]
-    for i, v in enumerate(COMPLETE):
-        out += [f"  mech {v} {{", "    " + "0 " * (i + 1) + ": 0", "  }"]
-    return "\n".join(out + ["}", ""])
+    has every earlier one as a parent."""
+    edges = [(a, b) for b in range(len(COMPLETE)) for a in range(b)]
+    return "\n".join(["absaudit-format 1", "", *unary_scm("complete7", COMPLETE, edges), ""])
+
+
+def bijections() -> str:
+    """Bijections from the seven-node DAG over `DEEP` (a chain with three
+    shortcuts), one per entry of `BIJECTIONS`: onto copies with one deep
+    edge more, one fewer or one reversed, and a permutation onto a copy
+    whose edges correspond."""
+    out = ["absaudit-format 1", "", *unary_scm("deep7", DEEP, DEEP_EDGES)]
+    nodes = tuple(f"q{i}" for i in range(len(DEEP)))
+    for name, (edges, image) in BIJECTIONS.items():
+        out += ["", *unary_scm(f"{name}7", nodes, edges), "", f"abs {name} {{",
+                "  source deep7", f"  target {name}7", "  direction micro-to-macro", "  nodes {"]
+        out += [f"    {u} : {nodes[k]} 1.0" for u, k in zip(DEEP, image)]
+        out += ["  }", "}"]
+    return "\n".join(out + [""])
 
 
 def cuts(text: str) -> list[tuple[str, str, str]]:
@@ -198,6 +235,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
                       ["classify", path, *pick], ["push", path, *pick],
                       ["push", path, "--renormalize", *pick]]
     plain += [["graph", COMPLETE_FILE, "--hom", s, t] for s in COMPLETE for t in COMPLETE]
+    plain += [["classify", BIJECTIONS_FILE, "--abs", name] for name in BIJECTIONS]
     plain += [[command, path] for command, path in cut]
     for path, model in noisy:
         plain += [["validate", path], ["dist", path, "--model", model]]
@@ -257,6 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         complete = pathlib.Path(scratch, COMPLETE_FILE)
         complete.parent.mkdir()
         complete.write_text(complete_dag(), encoding="utf-8")
+        pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
         names, cut, noisy = [], [], []
         for path in files:
             name = path.relative_to(data) if path.is_relative_to(data) else path.name
