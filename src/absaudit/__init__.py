@@ -14,7 +14,6 @@ from .abstraction import (
     Direction,
     OutcomeMap,
     StructuralMap,
-    compose_abstractions,
     preimage,
     pushforward,
     validate_abstraction,
@@ -30,7 +29,6 @@ from .audit import (
 from .errors import (
     AbsauditError,
     CapacityError,
-    GranularityError,
     KernelUndefinedError,
     ModelError,
     ParseError,
@@ -82,7 +80,6 @@ __all__ = [
     "DistributionalType",
     "Document",
     "Exogenous",
-    "GranularityError",
     "Kernel",
     "KernelUndefinedError",
     "ModelError",
@@ -102,7 +99,6 @@ __all__ = [
     "audit_node_map",
     "audit_outcome_map",
     "canonical_witness",
-    "compose_abstractions",
     "detect_types",
     "distributional_matrix",
     "emit_document",

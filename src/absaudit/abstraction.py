@@ -22,11 +22,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, TypeVar
 
-from .errors import TOL, GranularityError, ModelError, RenormalizationRequiredError
-from .scm import Distribution, Scm, ValidationReport, out_of_range, row_major, rows_of
+from .errors import TOL, DEFAULT_EXO_CAP, CapacityError, ModelError, enum_cap
+from .errors import RenormalizationRequiredError
+from .scm import Distribution, Scm, ValidationReport, out_of_range, rows_of
 from .scm import underlying_graph
 from . import freecat
 
@@ -120,9 +122,6 @@ class Abstraction:
     def outcome_maps_by_target(self) -> dict[str, OutcomeMap]:
         """Each target's first outcome map, by target name."""
         return {om.target: om for om in reversed(self.outcome_maps)}
-
-    def outcome_map_for(self, target: str) -> OutcomeMap | None:
-        return self.outcome_maps_by_target().get(target)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +288,14 @@ def validate_abstraction(
 # ---------------------------------------------------------------------------
 
 def _row_product(
-    mass: float, rows: Sequence[Mapping[tuple, float] | None]
+    mass: float, rows: Sequence[Mapping[tuple, float]]
 ) -> Iterator[tuple[tuple, float]]:
     """Each key of the outer product of `rows`, with `mass` times its
     weights multiplied left to right.
 
     A key joins one row value per row, in the rows' order.  A row that is
-    None is unmapped, and then all the mass is lost: nothing is yielded.
+    empty is unmapped, and then all the mass is lost: nothing is yielded.
     """
-    if None in rows:
-        return
     for cells in itertools.product(*(row.items() for row in rows)):
         key, m = [], mass  # a list, so that a wide key is joined in linear time
         for val, w in cells:
@@ -323,7 +320,10 @@ def pushforward(
     every supported outcome) is built once and looked up in its supported
     rows, and each outcome walks the product of its rows.  Mass landing on
     unmapped outcome rows is lost; that raises an error unless `renormalize`
-    is set, in which case the remaining mass is scaled back to one.
+    is set, in which case the remaining mass is scaled back to one.  Raises
+    CapacityError, before the walk, when the cells it would walk (per
+    outcome, the product of its rows' support sizes) exceed the joint's cap
+    (default 10^7, env-overridable).
     """
     if dist.scope != source.variable_names:
         raise ModelError("the distribution scope must match the source model")
@@ -341,11 +341,18 @@ def pushforward(
     outcomes = [outcome for outcome, p in dist.probs.items() if p != 0.0]
     weights = [p for p in dist.probs.values() if p != 0.0]
     places = {name: list(map(itemgetter(i), outcomes)) for i, name in enumerate(dist.scope)}
-    row_columns = [  # the supported row each outcome picks in each map, or None
+    row_columns = [  # the supported row each outcome picks in each map, or {} if unmapped
         list(map(om.supported_rows().get, rows_of(
-            [places[s] for s in om.sources], len(outcomes))))
+            [places[s] for s in om.sources], len(outcomes)), itertools.repeat({})))
         for om in maps
     ]
+    count = sum(map(prod, rows_of([map(len, c) for c in row_columns], len(weights))))
+    limit = enum_cap(DEFAULT_EXO_CAP)
+    if count > limit:
+        raise CapacityError(
+            f"pushforward through {abstraction.name!r} walks {count} outcome cells, "
+            f"exceeding the enumeration cap of {limit}"
+        )
     probs: dict[tuple, float] = {}
     for p, rows in zip(weights, rows_of(row_columns, len(weights))):
         for k, mass in _row_product(p, rows):
@@ -362,97 +369,3 @@ def pushforward(
             raise ModelError("the pushforward has no mass left to renormalize")
         probs = {k: v / total for k, v in probs.items()}
     return Distribution(scope=out_scope, domains=out_domains, probs=probs)
-
-
-# ---------------------------------------------------------------------------
-# Composition
-# ---------------------------------------------------------------------------
-
-def _then(first: dict | None, second: dict | None) -> dict | None:
-    """Two partial maps, `first` then `second`; None when either is None."""
-    if first is None or second is None:
-        return None
-    return {k: second[v] for k, v in first.items() if v in second}
-
-
-def compose_abstractions(
-    first: Abstraction,
-    second: Abstraction,
-    lower: Scm,
-    mid: Scm,
-    upper: Scm,
-    name: str | None = None,
-) -> Abstraction:
-    """Compose two abstractions sharing a middle model (first, then second).
-
-    Node rows compose by matrix product; the morphism layer composes where
-    both layers are defined; per-variable outcome maps compose block by
-    block when both legs are deterministic on nodes, walking the product of
-    the legs' supported keys (not the block's domains) and keeping the keys
-    in range in row-major order.  Directions must agree.
-    """
-    if first.target_ref != second.source_ref:
-        raise ModelError(
-            f"cannot compose {first.name!r} with {second.name!r}: "
-            "the middle model differs"
-        )
-    if first.direction != second.direction:
-        raise ModelError("cannot compose abstractions running opposite ways")
-
-    rows: dict[str, dict[str, float]] = {}
-    mid_rows = second.structure.supported_rows()
-    for u, row in first.structure.supported_rows().items():
-        if any(m not in mid_rows for m in row):
-            continue
-        out: dict[str, float] = {}
-        for m, w in row.items():
-            for x, w2 in mid_rows[m].items():
-                out[x] = out.get(x, 0.0) + w * w2
-        rows[u] = out
-
-    edge_map = _then(first.structure.edge_map, second.structure.edge_map)
-    pairing = _then(first.structure.pairing, second.structure.pairing)
-    composed = Abstraction(
-        name=name or f"{second.name}*{first.name}",
-        source_ref=first.source_ref,
-        target_ref=second.target_ref,
-        direction=first.direction,
-        structure=StructuralMap(rows=rows, edge_map=edge_map, pairing=pairing),
-        outcome_maps=[],
-    )
-
-    if first.outcome_maps and second.outcome_maps:
-        firsts, seconds = first.outcome_maps_by_target(), second.outcome_maps_by_target()
-        if GLOBAL in firsts or GLOBAL in seconds:
-            raise GranularityError(
-                "outcome layers compose per variable; a global outcome map "
-                "has no per-variable blocks to compose through"
-            )
-        for z in upper.variable_names:
-            om2 = seconds.get(z)
-            if om2 is None:
-                continue
-            legs: list = [firsts.get(y) for y in om2.sources]
-            if None in legs:
-                continue
-            names = [s for leg in legs for s in leg.sources]
-            srcs = tuple(v for v in lower.variable_names if v in names)
-            tables = [leg.supported_rows() for leg in legs]
-            upper_rows = om2.supported_rows()
-            out_rows: dict[tuple, dict[tuple, float]] = {}
-            for keys in itertools.product(*tables):  # one supported key per leg
-                joined = dict(zip(names, itertools.chain(*keys)))
-                if any(tuple(map(joined.get, leg.sources)) != k for leg, k in zip(legs, keys)):
-                    continue  # a key of the wrong length, or legs that disagree
-                out: dict[tuple, float] = {}
-                for mid_key, mass in _row_product(1.0, [t[k] for t, k in zip(tables, keys)]):
-                    for val, w in _row_product(mass, [upper_rows.get(mid_key)]):
-                        out[val] = out.get(val, 0.0) + w
-                if out:
-                    out_rows[tuple(map(joined.get, srcs))] = out
-            domains = [lower.domain_of(v) for v in srcs]
-            out_rows = {key: row for _, key, row in row_major(out_rows, domains)}
-            composed.outcome_maps.append(
-                OutcomeMap(target=z, sources=srcs, rows=out_rows)
-            )
-    return composed

@@ -49,7 +49,7 @@ def _pick(loaded: dict, name: str | None, kind: str, flag: str):
 def _reported_ok(report: ValidationReport) -> bool:
     """Whether `report` is ok; its issues go to stderr."""
     for issue in report.issues:
-        print(f"[{issue.code}] {issue.message}", file=sys.stderr)
+        print(issue, file=sys.stderr)
     return report.ok
 
 
@@ -132,7 +132,7 @@ def _cmd_validate(args) -> int:
             status = "ok" if report.ok else "INVALID"
             print(f"{kind} {name}: {status}")
             for issue in report.issues:
-                print(f"  [{issue.code}] {issue.message}")
+                print(f"  {issue}")
     return OK if ok else FAIL
 
 

@@ -37,10 +37,6 @@ class RenormalizationRequiredError(ModelError):
     """Raised when pushing a distribution through a partial outcome map."""
 
 
-class GranularityError(ModelError):
-    """Raised when composing outcome maps of incompatible granularity."""
-
-
 class ParseError(AbsauditError):
     """A text-format error with its position.
 

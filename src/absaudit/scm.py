@@ -246,7 +246,7 @@ class ValidationIssue:
     code: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"[{self.code}] {self.message}"
 
 

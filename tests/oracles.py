@@ -312,6 +312,24 @@ def plain_pushforward(
     return out
 
 
+def pushforward_cells(
+    dist: Mapping[tuple, float],
+    maps: Sequence[tuple[Sequence[int], Mapping[tuple, Mapping[tuple, float]]]],
+    tol: float = 1e-9,
+) -> int:
+    """How many (outcome, joined value) cells `plain_pushforward` reaches on
+    the same arguments, by listing them: every outcome of nonzero mass
+    joins one counted value per map in every way."""
+    cells = 0
+    for outcome, p in dist.items():
+        if p != 0.0:
+            picks = [[value for value, w in rows.get(tuple(outcome[i] for i in positions),
+                                                     {}).items() if w > tol]
+                     for positions, rows in maps]
+            cells += sum(1 for _ in itertools.product(*picks))
+    return cells
+
+
 # ---------------------------------------------------------------------------
 # Dense-product walks over sparse tables
 # ---------------------------------------------------------------------------

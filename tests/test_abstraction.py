@@ -1,9 +1,11 @@
-"""Abstraction layers: validation, preimages, pushforward, composition."""
+"""Abstraction layers: validation, preimages, pushforward."""
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,21 +18,21 @@ from absaudit.abstraction import (
     Direction,
     OutcomeMap,
     StructuralMap,
-    compose_abstractions,
     preimage,
     pushforward,
     validate_abstraction,
 )
 from absaudit.errors import (
-    GranularityError,
+    ENUM_CAP_ENV,
+    CapacityError,
     ModelError,
     RenormalizationRequiredError,
 )
 from absaudit.audit import audit_abstraction
 from absaudit.scm import Exogenous, Scm, Variable, joint_distribution
 
-from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, random_model, xor
-from oracles import block, plain_pushforward
+from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, random_model
+from oracles import block, plain_pushforward, pushforward_cells
 
 TOL = 1e-9
 
@@ -374,7 +376,7 @@ def test_pushforward_global_map(micro, macro):
 
 
 # ---------------------------------------------------------------------------
-# Pushforward and composition against the plain oracle
+# Pushforward against the plain oracle
 # ---------------------------------------------------------------------------
 
 LAYERS = ("deterministic", "stochastic", "partial", "global")
@@ -431,7 +433,8 @@ def _random_layer(rng, source, target, kind):
 @given(seed=st.integers(min_value=0, max_value=2**30), kind=st.sampled_from(LAYERS))
 def test_pushforward_matches_plain_oracle(seed, kind):
     """The oracle's floats in the oracle's order, exactly; a partial layer
-    raises without `renormalize` and is rescaled with it."""
+    raises without `renormalize` and is rescaled with it.  The cells walked
+    are counted first: a cap of one cell fewer than the oracle lists raises."""
     rng = random.Random(seed)
     source = random_model(rng)
     target = _random_target(rng, "tgt", "Y")
@@ -441,203 +444,27 @@ def test_pushforward_matches_plain_oracle(seed, kind):
     index = {v: i for i, v in enumerate(source.variable_names)}
     maps = [([index[s] for s in om.sources], om.rows) for om in a.outcome_maps]
     want = plain_pushforward(dist.probs, maps)
-    total = sum(want.values())
-    if abs(total - dist.total) <= TOL:
-        got = pushforward(a, dist, source, target)
-        assert list(got.probs.items()) == list(want.items())
-    else:
-        with pytest.raises(RenormalizationRequiredError):
-            pushforward(a, dist, source, target)
-        if total <= TOL:
-            with pytest.raises(ModelError, match="no mass left"):
+    cells = pushforward_cells(dist.probs, maps)
+    words = f"^pushforward through 'a' walks {cells} outcome cells, exceeding .* of {cells - 1}$"
+    if cells > 1:  # the override must be positive
+        with mock.patch.dict(os.environ, {ENUM_CAP_ENV: str(cells - 1)}):
+            with pytest.raises(CapacityError, match=words):
                 pushforward(a, dist, source, target, renormalize=True)
-            return
-        want = {k: p / total for k, p in want.items()}
-    got = pushforward(a, dist, source, target, renormalize=True)
+    total = sum(want.values())
+    with mock.patch.dict(os.environ, {ENUM_CAP_ENV: str(max(cells, 1))}):
+        if abs(total - dist.total) <= TOL:
+            got = pushforward(a, dist, source, target)
+            assert list(got.probs.items()) == list(want.items())
+        else:
+            with pytest.raises(RenormalizationRequiredError):
+                pushforward(a, dist, source, target)
+            if total <= TOL:
+                with pytest.raises(ModelError, match="no mass left"):
+                    pushforward(a, dist, source, target, renormalize=True)
+                return
+            want = {k: p / total for k, p in want.items()}
+        got = pushforward(a, dist, source, target, renormalize=True)
     assert list(got.probs.items()) == list(want.items())
-
-
-def _overlapping_layer(rng, source, target):
-    """Unvalidated outcome maps: each target variable reads its own random
-    block, so blocks may share variables, and each map has a few rows whose
-    keys are out of range (an unknown value, one value too many or too few)."""
-    maps = []
-    for y in target.variable_names:
-        sources = tuple(v for v in source.variable_names if rng.random() < 0.5)
-        values = [(x,) for x in target.domain_of(y)]
-        rows = {key: _random_row(rng, values, "stochastic") for key in block(source, sources)}
-        for _ in range(rng.randint(0, 2)):
-            key = list(rng.choice(list(rows)))
-            if key and rng.random() < 0.4:
-                key[rng.randrange(len(key))] = "9"
-            else:
-                key = key + ["0"] if rng.random() < 0.5 or not key else key[:-1]
-            rows[tuple(key)] = _random_row(rng, values, "deterministic")
-        maps.append(OutcomeMap(target=y, sources=sources, rows=rows))
-    return maps
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**30),
-       kind=st.sampled_from(LAYERS[:3] + ("overlapping",)))
-def test_compose_outcome_rows_match_plain_oracle(seed, kind):
-    """Each composed row is the point mass on its key pushed through the
-    legs, then through the upper map, exactly and in the same order; legs
-    that share a variable or hold keys out of range change nothing else."""
-    rng = random.Random(seed)
-    lower = random_model(rng)
-    mid = _random_target(rng, "mid", "X")
-    upper = _random_target(rng, "top", "Y")
-    if kind == "overlapping":
-        first = abstraction("f", lower, mid, {}, outcomes=_overlapping_layer(rng, lower, mid))
-        kind = "stochastic"
-    else:
-        first = abstraction("f", lower, mid, {}, outcomes=_random_layer(rng, lower, mid, kind))
-    second = abstraction("g", mid, upper, {}, outcomes=_random_layer(rng, mid, upper, kind))
-    both = compose_abstractions(first, second, lower, mid, upper)
-    assert [om.target for om in both.outcome_maps] == list(upper.variable_names)
-    for om2, om in zip(second.outcome_maps, both.outcome_maps):
-        legs = [first.outcome_map_for(x) for x in om2.sources]
-        used = {s for leg in legs for s in leg.sources}
-        assert om.sources == tuple(v for v in lower.variable_names if v in used)
-        legs_plain = [([om.sources.index(s) for s in leg.sources], leg.rows) for leg in legs]
-        upper_plain = [(range(len(legs)), om2.rows)]
-        want = {}
-        for key in itertools.product(*(lower.domain_of(v) for v in om.sources)):
-            row = plain_pushforward(plain_pushforward({key: 1.0}, legs_plain), upper_plain)
-            if row:
-                want[key] = row
-        assert [(k, list(r.items())) for k, r in om.rows.items()] == [
-            (k, list(r.items())) for k, r in want.items()
-        ]
-
-
-# ---------------------------------------------------------------------------
-# Composition
-# ---------------------------------------------------------------------------
-
-def test_compose_node_rows_and_edges(micro, macro):
-    mid = chain("mid", ["X", "Y", "Z"])
-    first = abstraction(
-        "f", micro, mid, {"S": "X", "T": "Y", "C": "Z"},
-        edges={M("S"): M("X"), M("S", "T"): M("X", "Y")},
-        pairs={"S": "X", "T": "Y", "C": "Z"},
-    )
-    second = abstraction(
-        "g", mid, macro, {"X": "S'", "Y": "S'", "Z": "C'"},
-        edges={M("X"): M("S'"), M("X", "Y"): M("S'")},
-        pairs={"X": "S'", "Y": "S'", "Z": "C'"},
-    )
-    both = compose_abstractions(first, second, micro, mid, macro)
-    assert both.name == "g*f"
-    assert both.source_ref == "micro" and both.target_ref == "macro"
-    assert both.structure.rows == {
-        "S": {"S'": 1.0}, "T": {"S'": 1.0}, "C": {"C'": 1.0}
-    }
-    assert both.structure.edge_map == {
-        M("S"): M("S'"), M("S", "T"): M("S'")
-    }
-    assert both.structure.pairing == {"S": "S'", "T": "S'", "C": "C'"}
-
-
-def test_compose_stochastic_rows_matrix_product(micro, macro):
-    mid = chain("mid", ["X", "Y"])
-    first = abstraction("f", micro, mid, {"S": {"X": 0.5, "Y": 0.5}})
-    second = abstraction("g", mid, macro, {"X": {"S'": 1.0}, "Y": {"S'": 0.5, "C'": 0.5}})
-    both = compose_abstractions(first, second, micro, mid, macro)
-    row = both.structure.rows["S"]
-    assert abs(row["S'"] - 0.75) <= TOL
-    assert abs(row["C'"] - 0.25) <= TOL
-
-
-def test_compose_drops_rows_through_unmapped_middle(micro, macro):
-    mid = chain("mid", ["X", "Y"])
-    first = abstraction("f", micro, mid, {"S": "X", "T": "Y"})
-    second = abstraction("g", mid, macro, {"X": "S'"})
-    both = compose_abstractions(first, second, micro, mid, macro)
-    assert both.structure.rows == {"S": {"S'": 1.0}}
-
-
-def test_compose_model_mismatch(micro, macro):
-    first = abstraction("f", micro, macro, {"S": "S'"})
-    second = abstraction("g", "other", "macro", {"S'": "S'"})
-    with pytest.raises(ModelError, match="middle model"):
-        compose_abstractions(first, second, micro, macro, macro)
-
-
-def test_compose_direction_mismatch(micro, macro):
-    from absaudit.abstraction import Direction
-
-    first = abstraction("f", micro, macro, {"S": "S'"})
-    second = abstraction(
-        "g", macro, micro, {"S'": "S"}, direction=Direction.MACRO_TO_MICRO
-    )
-    with pytest.raises(ModelError, match="opposite ways"):
-        compose_abstractions(first, second, micro, macro, micro)
-
-
-def test_compose_outcome_maps_blockwise(micro, macro):
-    # micro (S,T,C) --project--> mid (X,Y) --merge--> macro's S' only.
-    mid = chain("mid", ["X", "Y"])
-    top = model("top", [("S'", BIN, (), xor)], {"S'": U2})
-    first = abstraction(
-        "f", micro, mid, {"S": "X", "T": "X", "C": "Y"},
-        outcomes=[
-            det_outcomes(
-                "X", ("S", "T"),
-                {
-                    ("0", "0"): ("0",),
-                    ("0", "1"): ("0",),
-                    ("1", "0"): ("1",),
-                    ("1", "1"): ("1",),
-                },
-            ),
-            det_outcomes("Y", ("C",), {("0",): ("0",), ("1",): ("1",)}),
-        ],
-    )
-    second = abstraction(
-        "g", mid, top, {"X": "S'", "Y": "S'"},
-        outcomes=[
-            det_outcomes(
-                "S'", ("X", "Y"),
-                {
-                    ("0", "0"): ("0",),
-                    ("0", "1"): ("0",),
-                    ("1", "0"): ("1",),
-                    ("1", "1"): ("1",),
-                },
-            )
-        ],
-    )
-    both = compose_abstractions(first, second, micro, mid, top)
-    om = both.outcome_map_for("S'")
-    assert om is not None
-    assert om.sources == ("S", "T", "C")
-    assert om.rows[("1", "0", "0")] == {("1",): 1.0}
-    assert om.rows[("0", "1", "1")] == {("0",): 1.0}
-    # The composite agrees with pushing forward in two hops.
-    dist = joint_distribution(micro)
-    one_hop = pushforward(both, dist, micro, top)
-    two_hop = pushforward(second, pushforward(first, dist, micro, mid), mid, top)
-    assert (one_hop.scope, one_hop.domains) == (two_hop.scope, two_hop.domains)
-    assert all(abs(one_hop.prob(k) - two_hop.prob(k)) <= TOL
-               for k in one_hop.probs.keys() | two_hop.probs.keys())
-
-
-def test_compose_global_granularity_mismatch(micro, macro):
-    mid = chain("mid", ["X"])
-    gom = OutcomeMap(
-        target=GLOBAL, sources=("S", "T", "C"),
-        rows={key: {("0",): 1.0} for key in block(micro, ("S", "T", "C"))},
-        onto=("X",),
-    )
-    first = abstraction("f", micro, mid, {"S": "X"}, outcomes=[gom])
-    second = abstraction(
-        "g", mid, macro, {"X": "S'"},
-        outcomes=[det_outcomes("S'", ("X",), {("0",): ("0",), ("1",): ("1",)})],
-    )
-    with pytest.raises(GranularityError):
-        compose_abstractions(first, second, micro, mid, macro)
 
 
 # ---------------------------------------------------------------------------

@@ -667,3 +667,42 @@ def test_push_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["probs"]["0"] == pytest.approx(0.375, abs=1e-9)
     assert payload["probs"]["1"] == pytest.approx(0.625, abs=1e-9)
+
+
+def _splitting(n: int) -> str:
+    """n parentless binary X_j whose noise has one row, all zeros, mapped
+    onto n binary Y_j by outcome maps that split 0 evenly between 0 and 1:
+    the joint has one outcome, and pushing it forward walks 2^n cells."""
+    lines = ["absaudit-format 1", ""]
+    for model, prefix in (("micro", "X"), ("macro", "Y")):
+        vs = [f"{prefix}{j}" for j in range(n)]
+        lines += [f"scm {model} {{", *(f"  var {v} : 0 1" for v in vs)]
+        lines += [f"  exo U_{v} : 0 1 for {v}" for v in vs]
+        lines += [f"  dist {' '.join('U_' + v for v in vs)} {{", f"    {'0 ' * n}: 1.0", "  }"]
+        for v in vs:
+            lines += [f"  mech {v} {{", "    0 : 0", "    1 : 1", "  }"]
+        lines += ["}", ""]
+    lines += ["abs split {", "  source micro", "  target macro", "  direction micro-to-macro",
+              "  nodes {", *(f"    X{j} : Y{j} 1.0" for j in range(n)), "  }"]
+    for j in range(n):
+        lines += [f"  outcomes Y{j} from X{j} {{", "    0 : 0 0.5 1 0.5", "    1 : 1 1.0", "  }"]
+    return "\n".join(lines + ["}", ""])
+
+
+def test_push_counts_its_cells_before_the_walk(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "split.abs"
+    path.write_text(_splitting(12))
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", str(2 ** 12 - 1))  # the joint's one row fits
+    assert main(["push", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("capacity: pushforward through 'split' walks 4096 outcome cells, "
+                   "exceeding the enumeration cap of 4095\n")
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", str(2 ** 12))
+    assert main(["push", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 ** 12 + 1
+    # 2^40 cells under the default cap: refused after counting, not walked
+    path.write_text(_splitting(40))
+    monkeypatch.delenv("ABSAUDIT_ENUM_CAP")
+    assert main(["push", str(path)]) == 3
+    assert f"walks {2 ** 40} outcome cells" in capsys.readouterr().err

@@ -1,13 +1,19 @@
 """The output-diff sweep runs, with its invalid-noise copies, its edited
-copies and kernel lines, and shuffling the dist rows changes no line."""
+copies and kernel lines, shuffling the dist rows changes no line, and the
+full sweep prints the lines of the golden file."""
 
 from __future__ import annotations
 
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
+import pytest
+
 from absaudit.abstraction import validate_abstraction
+from absaudit.cli import build_parser, main
 from absaudit.freecat import hom_set
 from absaudit.scm import underlying_graph, validate_scm
 from absaudit.taxonomy import detect_types
@@ -16,6 +22,7 @@ from absaudit.textfmt import parse_document
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "absaudit" / "data"
 FILES = [str(DATA / "models" / "chain3_micro.scm"), str(DATA / "figures" / "fig3a.abs")]
+GOLDEN = ROOT / "tests" / "sweep.golden"
 
 
 def _sweep(*args: str) -> list[str]:
@@ -139,3 +146,64 @@ def test_sweep_classifies_the_generated_bijections():
     assert types == {"plus": ["edge-embedding"], "minus": ["edge-coarsening"],
                      "flip": ["edge-coarsening", "edge-embedding", "causal-reversal"],
                      "perm": ["node-permutation"]}
+
+
+def _differing_argvs(got: list[str], want: list[str]) -> list[str]:
+    """The argv of each sweep line that is in one list and not in the other."""
+    old = {line.split(" ", 2)[2]: line for line in want}
+    new = {line.split(" ", 2)[2]: line for line in got}
+    return [argv for argv in {**old, **new} if old.get(argv) != new.get(argv)]
+
+
+def _without_argparse_bytes(lines: list[str], argparse_argvs: set[str]) -> list[str]:
+    """`lines` with the digest of each call in `argparse_argvs` blanked."""
+    calls = [line.split(" ", 2) for line in lines]
+    return [" ".join((code, "-" if argv in argparse_argvs else digest, argv))
+            for code, digest, argv in calls]
+
+
+@pytest.mark.parametrize("args", [[], ["--shuffle-dist", "1"]])
+def test_sweep_matches_the_golden_file(args, monkeypatch, capsys):
+    """The full sweep, run in this process, prints the lines of
+    `tests/sweep.golden` exactly: every exit code and output byte of every
+    command on the shipped files, copies and generated files.  Of the usage
+    errors and help, whose bytes argparse writes in words that change
+    between Python versions, only the exit code is compared here; the next
+    test checks their output.  Regenerate the file with
+    `python3 tools/sweep.py > tests/sweep.golden` when output changes on
+    purpose."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # undone with the sweep's own --src
+    import sweep
+
+    monkeypatch.setenv("COLUMNS", "80")  # the sweep sets it for the help text
+    monkeypatch.delenv("ABSAUDIT_ENUM_CAP", raising=False)
+    assert sweep.main(args) == 0
+    owned = {shlex.join(argv) for cmd in sweep.ARGPARSE
+             for argv in (cmd, ("--format", "json", *cmd))}
+    got = _without_argparse_bytes(capsys.readouterr().out.splitlines(), owned)
+    want = _without_argparse_bytes(GOLDEN.read_text(encoding="utf-8").splitlines(), owned)
+    differ = _differing_argvs(got, want)
+    assert not differ, "lines that differ from the golden file:\n" + "\n".join(differ)
+    assert got == want, "the golden file's lines, in another order"
+
+
+def test_sweep_usage_errors_and_help_print_the_parsers_own_text(monkeypatch):
+    """Each help call of the sweep prints its parser's own help and nothing
+    else; each usage error prints nothing on stdout, the usage of
+    `absaudit` on stderr and ends with the program's `error:` line."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    for cmd in sweep.ARGPARSE:
+        for argv in (list(cmd), ["--format", "json", *cmd]):
+            code, out, err = sweep.run(main, argv)
+            if argv[-1] == "--help":
+                helped = commands["dist"] if "dist" in argv else parser
+                assert (code, out, err) == (0, helped.format_help(), ""), argv
+            else:
+                assert (code, out) == (2, ""), argv
+                assert err.startswith("usage: absaudit "), argv
+                assert re.match(r"absaudit( dist)?: error: ", err.splitlines()[-1]), argv

@@ -37,7 +37,8 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
 * tables with each --which, and tables --truth (the shipped tables) with
   and without --which;
 * the usage errors (unknown command, missing FILE, --format xml) and the
-  help of the program and of dist.
+  help of the program and of dist (`ARGPARSE`); argparse writes their
+  bytes, and its wording differs between Python versions.
 
 Last comes one line per variable of every model of every file, for the
 library call `mechanism_kernel(model, variable)`:
@@ -54,6 +55,7 @@ With `--shuffle-dist SEED` the rows of every `dist` block of the copies are
 shuffled first, which changes no answer.  Run from a checkout's root:
 
     python3 tools/sweep.py > sweep.txt
+    python3 tools/sweep.py > tests/sweep.golden  # after a change of output on purpose
     python3 tools/sweep.py --src ../other/src > other.txt && diff sweep.txt other.txt
     python3 tools/sweep.py --shuffle-dist 1 src/absaudit/data/figures/fig3a.abs
 """
@@ -90,10 +92,13 @@ BIJECTIONS = {
     "perm": (tuple((6 - a, 6 - b) for a, b in DEEP_EDGES), range(6, -1, -1)),
 }
 BIJECTIONS_FILE = "generated/bijections.abs"
+# the calls whose output argparse writes: usage errors, then help
+ARGPARSE = (("no-such-command",), ("dist",), ("--format", "xml", "validate", "x.abs"),
+            ("--help",), ("dist", "--help"))
 
 
-def call(main, argv: list[str]) -> str:
-    """One sweep line for `main(argv)`."""
+def run(main, argv: list[str]) -> tuple[object, str, str]:
+    """The exit code, stdout and stderr of `main(argv)`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -102,7 +107,13 @@ def call(main, argv: list[str]) -> str:
             code = exc.code
         except Exception as exc:  # a traceback is an answer to compare too
             code = f"raised {type(exc).__name__}: {exc}"
-    blob = "\0".join((out.getvalue(), err.getvalue(), str(code))).encode()
+    return code, out.getvalue(), err.getvalue()
+
+
+def call(main, argv: list[str]) -> str:
+    """One sweep line for `main(argv)`."""
+    code, out, err = run(main, argv)
+    blob = "\0".join((out, err, str(code))).encode()
     return f"{code} {hashlib.sha256(blob).hexdigest()} {shlex.join(argv)}"
 
 
@@ -246,8 +257,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
     plain += [["tables", "--truth", "tables/structural.tbl"]]
     plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
               for w in ("structural", "distributional")]
-    plain += [["no-such-command"], ["dist"], ["--format", "xml", "validate", "x.abs"],
-              ["--help"], ["dist", "--help"]]
+    plain += [list(argv) for argv in ARGPARSE]
     return [argv for cmd in plain for argv in (cmd, ["--format", "json", *cmd])]
 
 
