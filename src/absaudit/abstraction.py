@@ -26,7 +26,7 @@ from math import prod
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, TypeVar
 
-from .errors import TOL, DEFAULT_EXO_CAP, CapacityError, ModelError, enum_cap
+from .errors import TOL, DEFAULT_EXO_CAP, ModelError, check_cap
 from .errors import RenormalizationRequiredError
 from .scm import Distribution, Scm, ValidationReport, out_of_range, rows_of
 from .scm import underlying_graph
@@ -323,7 +323,7 @@ def pushforward(
     is set, in which case the remaining mass is scaled back to one.  Raises
     CapacityError, before the walk, when the cells it would walk (per
     outcome, the product of its rows' support sizes) exceed the joint's cap
-    (default 10^7, env-overridable).
+    (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`).
     """
     if dist.scope != source.variable_names:
         raise ModelError("the distribution scope must match the source model")
@@ -347,12 +347,8 @@ def pushforward(
         for om in maps
     ]
     count = sum(map(prod, rows_of([map(len, c) for c in row_columns], len(weights))))
-    limit = enum_cap(DEFAULT_EXO_CAP)
-    if count > limit:
-        raise CapacityError(
-            f"pushforward through {abstraction.name!r} walks {count} outcome cells, "
-            f"exceeding the enumeration cap of {limit}"
-        )
+    check_cap(count, DEFAULT_EXO_CAP,
+              f"pushforward through {abstraction.name!r} walks {count} outcome cells")
     probs: dict[tuple, float] = {}
     for p, rows in zip(weights, rows_of(row_columns, len(weights))):
         for k, mass in _row_product(p, rows):

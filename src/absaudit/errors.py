@@ -52,15 +52,16 @@ class ParseError(AbsauditError):
         self.column = column
 
 
-def enum_cap(default: int) -> int:
-    """Effective enumeration cap: the env override if set, else `default`."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return default
+def check_cap(count: int, default: int, what: str) -> None:
+    """Raise CapacityError when an enumeration's `count` exceeds its cap:
+    `ABSAUDIT_ENUM_CAP` if set, else `default`.  `what` names the
+    enumeration and its count, and opens the message."""
+    raw = os.environ.get(ENUM_CAP_ENV, default)
     try:
-        value = int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise AbsauditError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise AbsauditError(f"{ENUM_CAP_ENV} must be positive, got {value}")
-    return value
+    if limit <= 0:
+        raise AbsauditError(f"{ENUM_CAP_ENV} must be positive, got {limit}")
+    if count > limit:
+        raise CapacityError(f"{what}, exceeding the enumeration cap of {limit}")

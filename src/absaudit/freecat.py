@@ -19,10 +19,10 @@ in C, and checks them one by one with ``is_path`` only to name failures.
 
 from __future__ import annotations
 
-from itertools import chain, pairwise, product
+from itertools import chain, pairwise
 from typing import Collection, Sequence
 
-from .errors import DEFAULT_HOM_CAP, CapacityError, ModelError, enum_cap
+from .errors import DEFAULT_HOM_CAP, ModelError, check_cap
 from .scm import Dag
 
 
@@ -55,23 +55,20 @@ def path_counts(dag: Dag, *sources: str) -> dict[str, int]:
     return counts
 
 
-def hom_set(dag: Dag, source: str, target: str,
-            cap: int | None = None) -> tuple[tuple[str, ...], ...]:
+def hom_set(dag: Dag, source: str, target: str) -> tuple[tuple[str, ...], ...]:
     """All morphisms from source to target, sorted lexicographically.
 
     The identity is included when source == target.  Raises CapacityError
-    when the hom-set exceeds the enumeration cap (default 10^5,
-    env-overridable).  The hom-set is counted before it is listed, and the
-    walk enters only nodes that reach `target`, so the cap bounds the work.
+    when the hom-set exceeds the enumeration cap (`errors.check_cap`: 10^5
+    or `ABSAUDIT_ENUM_CAP`).  The hom-set is counted before it is listed,
+    and the walk enters only nodes that reach `target`, so the cap bounds
+    the work.
     """
     if source not in dag.node_set:
         raise ModelError(f"unknown node {source!r}")
     to_target = path_counts(dag.opposite, target)
-    limit = cap if cap is not None else enum_cap(DEFAULT_HOM_CAP)
-    if to_target[source] > limit:
-        raise CapacityError(
-            f"hom-set from {source} to {target} exceeds the enumeration cap of {limit}"
-        )
+    count = to_target[source]
+    check_cap(count, DEFAULT_HOM_CAP, f"hom-set from {source} to {target} has {count} morphisms")
     # The successors that reach `target` as 1-tuples, largest first: the stack pops the smallest.
     toward = {u: sorted(((v,) for v in dag.successors(u) if to_target[v]), reverse=True)
               for u in dag.nodes}
@@ -86,14 +83,23 @@ def hom_set(dag: Dag, source: str, target: str,
     return tuple(found)
 
 
-def all_morphisms(dag: Dag, cap: int | None = None) -> tuple[tuple[str, ...], ...]:
+def all_morphisms(dag: Dag) -> tuple[tuple[str, ...], ...]:
     """Every morphism of the free category, ordered by (source, target) pair.
 
     Pairs follow the node declaration order; within a pair the hom-set order
-    is lexicographic.  The cap applies to the total count, taken first.
+    is lexicographic.  The cap applies to the total count, taken first.  One
+    walk from each source, into the smallest name first, lists its paths in
+    lexicographic order; a stable sort then groups them by target.
     """
-    limit = cap if cap is not None else enum_cap(DEFAULT_HOM_CAP)
-    if sum(path_counts(dag, *dag.nodes).values()) > limit:
-        raise CapacityError(f"the free category has more than {limit} morphisms")
-    pairs = product(dag.nodes, dag.nodes)
-    return tuple(m for s, t in pairs for m in hom_set(dag, s, t, cap=limit))
+    count = sum(path_counts(dag, *dag.nodes).values())
+    check_cap(count, DEFAULT_HOM_CAP, f"the free category has {count} morphisms")
+    rank = {u: i for i, u in enumerate(dag.nodes)}
+    # Each node's successors as 1-tuples, largest first: the stack pops the smallest.
+    later = {u: sorted(((v,) for v in dag.successors(u)), reverse=True) for u in dag.nodes}
+    found: list[tuple[str, ...]] = []
+    stack = [(u,) for u in reversed(dag.nodes)]  # each source's walk ends before the next's
+    while stack:
+        path = stack.pop()
+        found.append(path)
+        stack.extend(map(path.__add__, later[path[-1]]))
+    return tuple(sorted(found, key=lambda p: (rank[p[0]], rank[p[-1]])))

@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import contains, getitem, is_, itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import TOL, DEFAULT_EXO_CAP, CapacityError, KernelUndefinedError, ModelError, enum_cap
+from .errors import TOL, DEFAULT_EXO_CAP, KernelUndefinedError, ModelError, check_cap
 
 Value = object  # outcome labels: strings or small integers
 
@@ -448,7 +448,7 @@ def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:
 # Distributions
 # ---------------------------------------------------------------------------
 
-def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
+def joint_distribution(model: Scm) -> Distribution:
     """Joint endogenous distribution by enumeration of the exogenous support.
 
     Walks the nonzero entries of `exo_table` that lie in the exogenous
@@ -458,18 +458,14 @@ def joint_distribution(model: Scm, cap: int | None = None) -> Distribution:
     outcomes zip the columns in declaration order and are summed in entry
     order, so every sum and the outcome order are those of a walk over the
     dense product of the domains.  Raises CapacityError, before any
-    mechanism is read, when the supported entries exceed the cap (default
-    10^7, env-overridable), and ModelError, in `validate`'s words, on an
-    unknown exo term, an unknown parent, a mechanism value outside its
-    variable's domain (checked over the mechanism's rows before its column
-    is built) or a mechanism gap."""
-    limit = cap if cap is not None else enum_cap(DEFAULT_EXO_CAP)
+    mechanism is read, when the supported entries exceed the enumeration
+    cap (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`), and ModelError,
+    in `validate`'s words, on an unknown exo term, an unknown parent, a
+    mechanism value outside its variable's domain (checked over the
+    mechanism's rows before its column is built) or a mechanism gap."""
     entries = [e for e in model.ranked_noise() if e[2] != 0.0]
-    if len(entries) > limit:
-        raise CapacityError(
-            f"exogenous table of {model.name!r} has {len(entries)} supported "
-            f"assignments, exceeding the enumeration cap of {limit}"
-        )
+    check_cap(len(entries), DEFAULT_EXO_CAP,
+              f"exogenous table of {model.name!r} has {len(entries)} supported assignments")
     combos = [combo for _, combo, _ in entries]
     weights = [p for _, _, p in entries]
     index = model._index

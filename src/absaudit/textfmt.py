@@ -131,8 +131,8 @@ class _Lines:
             if tokens:
                 yield tokens
 
-    def fail(self, reason: str, column: int = 1) -> ParseError:
-        return ParseError(reason, max(self.line_no, 1), column)
+    def fail(self, reason: str) -> ParseError:
+        return ParseError(reason, max(self.line_no, 1))
 
 
 _CLOSE = ["}"]  # the closing row, built once rather than per row

@@ -291,6 +291,22 @@ def test_graph_hom_capacity_exit(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("capacity: ")
 
 
+@pytest.mark.parametrize("raw, words", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("0", "must be positive, got 0"),
+    ("-3", "must be positive, got -3"),
+])
+@pytest.mark.parametrize("argv", [
+    ["dist", CHAIN],
+    ["graph", EDGE_COARSEN, "--model", "w3direct_micro", "--hom", "A", "C"],
+    ["push", DROPPING],
+])
+def test_a_cap_that_is_not_a_positive_integer_is_an_error(monkeypatch, capsys, raw, words, argv):
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", raw)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: ABSAUDIT_ENUM_CAP {words}\n")
+
+
 @pytest.mark.parametrize("command", ["audit", "classify"])
 def test_audit_and_classify_ignore_the_enumeration_cap(monkeypatch, capsys, command):
     # Both count paths; neither lists a hom-set, so no cap applies.
@@ -602,6 +618,20 @@ def test_tables_truth_mismatch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "MISMATCH against ground truth:" in out
     assert "(Fullness, Edge embedding): × vs ✓" in out
+
+
+@pytest.mark.parametrize("label, words", [
+    ("row Fullness", "row labels differ"),
+    ("col Edge embedding", "column labels differ"),
+])
+def test_tables_truth_with_other_labels_compares_no_cell(tmp_path, capsys, label, words):
+    from absaudit.taxonomy import shipped_table
+
+    p = tmp_path / "truth.tbl"
+    p.write_text(shipped_table("structural").to_tbl().replace(label, label + "s"))
+    assert main(["tables", "--which", "structural", "--truth", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(f"MISMATCH against ground truth:\n  {words}\n\n")
 
 
 def test_tables_truth_needs_single_which(capsys):

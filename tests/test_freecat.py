@@ -53,12 +53,18 @@ def test_hom_set_sorted_lexicographically():
 def test_hom_set_unknown_node():
     with pytest.raises(ModelError, match="unknown node"):
         hom_set(DIAMOND, "A", "Q")
+    with pytest.raises(ModelError, match="^unknown node 'Q'$"):
+        hom_set(DIAMOND, "Q", "A")
 
 
-def test_hom_set_cap():
-    with pytest.raises(CapacityError):
-        hom_set(DIAMOND, "A", "D", cap=1)
-    assert len(hom_set(DIAMOND, "A", "D", cap=2)) == 2
+def test_hom_set_cap(monkeypatch):
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "1")
+    with pytest.raises(CapacityError) as exc:
+        hom_set(DIAMOND, "A", "D")
+    assert str(exc.value) == (
+        "hom-set from A to D has 2 morphisms, exceeding the enumeration cap of 1")
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "2")
+    assert len(hom_set(DIAMOND, "A", "D")) == 2
 
 
 def test_hom_set_env_cap(monkeypatch):
@@ -123,9 +129,14 @@ def test_all_morphisms_and_generators():
     assert {m for m in ms if len(m) == 2} == set(DIAMOND.edges)  # the generators
 
 
-def test_all_morphisms_cap():
-    with pytest.raises(CapacityError):
-        all_morphisms(DIAMOND, cap=5)
+def test_all_morphisms_cap(monkeypatch):
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "9")
+    with pytest.raises(CapacityError) as exc:
+        all_morphisms(DIAMOND)
+    assert str(exc.value) == (
+        "the free category has 10 morphisms, exceeding the enumeration cap of 9")
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "10")
+    assert len(all_morphisms(DIAMOND)) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +165,8 @@ def test_hom_set_matches_oracle_on_random_dags():
 def test_hom_set_is_sorted_whatever_the_declaration_order():
     """Node names that sort apart from the order they are declared in (`n10`
     before `n2`, names dealt at random), and successors declared in a
-    shuffled order: the listing is still the sorted oracle listing."""
+    shuffled order: each hom-set is still the sorted oracle listing, and
+    `all_morphisms` lists them pair by pair in declaration order."""
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 12)
@@ -168,6 +180,21 @@ def test_hom_set_is_sorted_whatever_the_declaration_order():
             for dst in adj:
                 got = list(hom_set(dag, src, dst))
                 assert got == sorted(all_paths(adj, src, dst))
+        assert list(all_morphisms(dag)) == [
+            p for src in adj for dst in adj for p in sorted(all_paths(adj, src, dst))]
+
+
+def test_all_morphisms_reads_successors_at_most_once_per_morphism(monkeypatch):
+    """On a 60-chain (1830 morphisms) the listing's work follows its output:
+    a hom-set query per pair would read successors about 60^3 times."""
+    nodes = tuple(f"x{i}" for i in range(60))
+    dag = Dag(nodes=nodes, edges=tuple(zip(nodes, nodes[1:])))
+    reads = []
+    successors = Dag.successors
+    monkeypatch.setattr(Dag, "successors", lambda self, u: reads.append(u) or successors(self, u))
+    morphisms = all_morphisms(dag)
+    assert len(morphisms) == 60 * 61 // 2
+    assert len(reads) <= len(morphisms)
 
 
 def test_path_counts_from_several_sources_sum_the_single_source_counts():

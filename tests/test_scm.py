@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from absaudit.cli import _print_dist
-from absaudit.errors import CapacityError, KernelUndefinedError, ModelError
+from absaudit.errors import AbsauditError, CapacityError, KernelUndefinedError, ModelError
+from absaudit.freecat import all_morphisms, hom_set
 from absaudit.scm import (
     Exogenous,
     Scm,
@@ -77,6 +78,14 @@ def test_validate_empty_and_duplicate_domain():
     assert "empty-domain" in codes(validate_scm(m))
     m.variables = (Variable("A", ("0", "0"), (), "U_A"),)
     assert "dup-outcome" in codes(validate_scm(m))
+
+
+def test_validate_empty_and_duplicate_exogenous_domain():
+    m = chain("m", ["A"])
+    for domain, issue in (((), ("empty-domain", "exogenous U_A has an empty domain")),
+                          (("0", "0"), ("dup-outcome", "exogenous U_A repeats a domain value"))):
+        m.exogenous = (Exogenous("U_A", domain, "A"),)
+        assert issue in [(i.code, i.message) for i in validate_scm(m).issues]
 
 
 def test_validate_unknown_and_self_parent():
@@ -301,10 +310,12 @@ def test_marginal_unknown_variable(chain3):
         marginal(joint_distribution(chain3), ["Q"])
 
 
-def test_capacity_cap(chain3):
+def test_capacity_cap(chain3, monkeypatch):
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "7")
     with pytest.raises(CapacityError):
-        joint_distribution(chain3, cap=7)
-    assert joint_distribution(chain3, cap=8).total == pytest.approx(1.0)
+        joint_distribution(chain3)
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "8")
+    assert joint_distribution(chain3).total == pytest.approx(1.0)
 
 
 class _Unread:
@@ -317,11 +328,12 @@ class _Unread:
         raise AssertionError(f"a mechanism was read ({key!r})")
 
 
-def test_capacity_is_checked_before_any_mechanism_is_read():
+def test_capacity_is_checked_before_any_mechanism_is_read(monkeypatch):
     m = chain("m", ["A"])
     m.mechanisms = _Unread()
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "1")
     with pytest.raises(CapacityError, match="2 supported assignments"):
-        joint_distribution(m, cap=1)
+        joint_distribution(m)
 
 
 def test_joint_of_a_model_without_variables():
@@ -333,6 +345,24 @@ def test_joint_of_a_model_without_variables():
 def test_joint_of_an_all_zero_noise_table_is_empty(chain3):
     chain3.exo_table = dict.fromkeys(chain3.exo_table, 0.0)
     assert joint_distribution(chain3).probs == {}
+
+
+@pytest.mark.parametrize("raw, words", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("0", "must be positive, got 0"),
+    ("-3", "must be positive, got -3"),
+])
+def test_a_cap_that_is_not_a_positive_integer_is_refused(chain3, monkeypatch, raw, words):
+    """Every enumeration reads the cap through one check, even when its count
+    is far under any cap."""
+    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", raw)
+    dag = underlying_graph(chain3)
+    for call in (lambda: joint_distribution(chain3), lambda: all_morphisms(dag),
+                 lambda: hom_set(dag, "S", "C")):
+        with pytest.raises(AbsauditError) as exc:
+            call()
+        assert type(exc.value) is AbsauditError
+        assert str(exc.value) == f"ABSAUDIT_ENUM_CAP {words}"
 
 
 def test_capacity_env_override(chain3, monkeypatch):

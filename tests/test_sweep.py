@@ -110,15 +110,20 @@ def test_sweep_validates_a_copy_per_swapped_edge_row():
 
 def test_sweep_lists_the_hom_sets_of_a_generated_complete_dag():
     """`graph --hom` on every ordered pair of the generated seven-node
-    complete DAG, in both formats.  The model is valid, and its largest
-    hom-set, from the first node declared to the last, holds 2^5 paths."""
+    complete DAG, in both formats, then on its largest hom-set under a cap
+    of 1 and of 0.  The model is valid, and that hom-set, from the first
+    node declared to the last, holds 2^5 paths."""
     sys.path.insert(0, str(ROOT / "tools"))
     import sweep
 
-    argvs = [line.split(" ", 2)[2] for line in _sweep() if "complete7" in line]
+    calls = [line.split(" ", 2) for line in _sweep() if "complete7" in line]
     pairs = [(s, t) for s in sweep.COMPLETE for t in sweep.COMPLETE]
-    assert argvs == [f"{fmt}graph generated/complete7.scm --hom {s} {t}"
-                     for s, t in pairs for fmt in ("", "--format json ")]
+    assert [argv for _, _, argv in calls] == [
+        f"{fmt}graph generated/complete7.scm --hom {s} {t}"
+        for s, t in pairs for fmt in ("", "--format json ")] + [
+        f"ABSAUDIT_ENUM_CAP={cap} {fmt}graph generated/complete7.scm --hom z m"
+        for cap in ("1", "0") for fmt in ("", "--format json ")]
+    assert [code for code, _, _ in calls[-4:]] == ["3", "3", "1", "1"]
     assert sorted(sweep.COMPLETE) != list(sweep.COMPLETE)
     model = parse_document(sweep.complete_dag()).models["complete7"]
     assert validate_scm(model).ok

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from absaudit import taxonomy
 from absaudit.audit import audit_node_map
 from absaudit.errors import ModelError, ParseError
 from absaudit.freecat import path_counts
+from absaudit.textfmt import Document
 from absaudit.taxonomy import (
     DISTRIBUTIONAL_ROWS,
     STRUCTURAL_ROWS,
@@ -111,6 +113,23 @@ def test_structural_witness_detects_itself(t):
 def test_distributional_witness_detects_itself(t):
     detected = detect_types(*canonical_witness(t))
     assert t.value in detected["distributional"]
+
+
+def test_a_witness_needs_one_abstraction_and_the_layer_its_table_reads(monkeypatch):
+    """A witness file with a second abstraction is refused, and so is a
+    witness without outcome maps in the distributional table."""
+    t = StructuralType.NODE_COARSENING
+    profile = witness_profile(t)
+    assert profile.outcome_summary is None
+    with pytest.raises(ModelError, match="^a distributional witness needs an outcome layer$"):
+        taxonomy._property_cells(profile, structural=False)
+    doc = Document()
+    doc.merge(taxonomy.witness_document("structural", t.value))  # a copy: the shipped one is cached
+    a = next(iter(doc.abstractions.values()))
+    doc.add_abstraction(dataclasses.replace(a, name=a.name + "_again"))
+    monkeypatch.setattr(taxonomy, "witness_document", lambda kind, name: doc)
+    with pytest.raises(ModelError, match="^witness file for node-coarsening must hold one"):
+        canonical_witness(t)
 
 
 def test_witness_profiles_are_cached_and_consistent():

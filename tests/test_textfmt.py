@@ -215,6 +215,13 @@ def test_document_duplicate_names():
         doc.merge(parse_document(MINI))
 
 
+def test_parse_duplicate_abstraction_name():
+    text = PAIR + PAIR[PAIR.index("abs lift {"):]
+    with pytest.raises(ModelError) as err:
+        parse_document(text)
+    assert str(err.value) == "duplicate abstraction name 'lift'"
+
+
 def test_document_resolve_unknown_reference():
     doc = parse_document(PAIR)
     lift = doc.abstractions["lift"]
@@ -375,6 +382,47 @@ def test_parse_error_pins_line_and_column(text, message):
     with pytest.raises(ParseError) as err:
         parse_document(text)
     assert str(err.value) == message
+
+
+MECH_A = "  mech A {\n    0 : 0\n    1 : 1\n  }\n"
+DIST_A = "  dist U_A {\n    0 : 0.5\n    1 : 0.5\n  }\n"
+
+
+@pytest.mark.parametrize(
+    "text, reason, line",
+    [
+        (MINI.replace("dist U_A {", "dist U_A"), "expected 'dist NAME... {'", 6),
+        (MINI.replace("dist U_A {", "dist {"),
+         "the dist block must list every exogenous variable in declaration order", 6),
+        (MINI.replace(MECH_A, MECH_A + MECH_A), "duplicate mechanism for A", 14),
+        (MINI.replace(DIST_A, ""), "model 'mini' has no dist block", 10),
+        (PAIR.replace("    A^A : B^B\n", "    A^A : B^B\n    A^A : B^B\n"),
+         "duplicate edge row A^A", 38),
+        (PAIR.replace("outcomes B from A {", "outcomes B of A {"),
+         "expected 'outcomes NAME from NAME... {' or 'outcomes * from NAME... onto NAME... {'",
+         42),
+        (PAIR.replace("outcomes B from A {", "outcomes * from A onto {"),
+         "empty from/onto clause", 42),
+        (PAIR.replace("outcomes B from A {", "outcomes * from onto B {"),
+         "empty from/onto clause", 42),
+        (PAIR.replace("    0 : 1 1.0\n", "    0 0 : 1 1.0\n"),
+         "expected 1 value(s) before the ':'", 43),
+        (PAIR.replace("    1 : 0 1.0\n", "    0 : 0 1.0\n"), "duplicate outcome row 0", 44),
+        (PAIR.replace("  source mini\n", ""),
+         "abstraction 'lift' needs source, target and direction lines", 45),
+        (PAIR.replace("  target mini2\n", ""),
+         "abstraction 'lift' needs source, target and direction lines", 45),
+        (PAIR.replace("  direction micro-to-macro\n", ""),
+         "abstraction 'lift' needs source, target and direction lines", 45),
+    ],
+    ids=["dist-no-brace", "dist-header", "mech-twice", "no-dist", "edge-row-twice",
+         "outcomes-header", "empty-onto", "empty-from", "key-arity", "outcome-row-twice",
+         "no-source", "no-target", "no-direction"],
+)
+def test_parse_error_names_its_reason_and_line(text, reason, line):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.reason, err.value.line, err.value.column) == (reason, line, 1)
 
 
 TWO_TERMS = """\

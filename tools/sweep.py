@@ -38,16 +38,24 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   and without --which;
 * the usage errors (unknown command, missing FILE, --format xml) and the
   help of the program and of dist (`ARGPARSE`); argparse writes their
-  bytes, and its wording differs between Python versions.
+  bytes, and its wording differs between Python versions;
+* calls under a lowered or invalid `ABSAUDIT_ENUM_CAP` (`CAPPED`), so the
+  capacity exit of the hom-set, the joint and the pushforward shows, and
+  the refusal of a cap that is not a positive integer: such a line's argv
+  opens with `ABSAUDIT_ENUM_CAP=N`, and the call runs with that variable
+  set.
 
-Last comes one line per variable of every model of every file, for the
-library call `mechanism_kernel(model, variable)`:
+Last come, for each parsable file, one line for the library call
+`emit_document(parse_path(file))` and one line per variable of each of its
+models for `mechanism_kernel(model, variable)`:
 
+    <0 or the error's class> <sha256> emit <file>
     <0 or the error's class> <sha256> kernel <file> --model <model> <variable>
 
-where the hash is of the kernel's rows, or of the error's class and words;
-the variables of one model are asked in declaration order of one parsed
-model, so its later kernels reuse the ranked noise table.
+where the hash is of the emitted text or the kernel's rows, or of the
+error's class and words; the variables of one model are asked in
+declaration order of one parsed model, so its later kernels reuse the
+ranked noise table.
 
 The files are copied into a scratch directory and named by their path under
 the data directory, so the lines do not depend on where a checkout lives.
@@ -74,6 +82,7 @@ import shutil
 import sys
 import tempfile
 from typing import Iterator
+from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DIST_OPEN = re.compile(r"^\s*dist\b.*\{\s*$")
@@ -95,12 +104,23 @@ BIJECTIONS_FILE = "generated/bijections.abs"
 # the calls whose output argparse writes: usage errors, then help
 ARGPARSE = (("no-such-command",), ("dist",), ("--format", "xml", "validate", "x.abs"),
             ("--help",), ("dist", "--help"))
+CAP_ENV = "ABSAUDIT_ENUM_CAP"
+# (cap, argv): each phase just over its cap, then two caps that are refused
+CAPPED = (("1", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
+          ("1", ("dist", "models/chain3_micro.scm")),
+          ("2", ("push", "witnesses/distributional/outcome-splitting.abs")),
+          ("0", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
+          ("abc", ("dist", "models/chain3_micro.scm")))
 
 
 def run(main, argv: list[str]) -> tuple[object, str, str]:
-    """The exit code, stdout and stderr of `main(argv)`."""
+    """The exit code, stdout and stderr of `main(argv)`; a first token
+    `ABSAUDIT_ENUM_CAP=N` sets that variable for the call instead."""
+    env, argv = split_cap(argv)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (mock.patch.dict(os.environ, (a.split("=", 1) for a in env)),
+          contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
@@ -258,26 +278,52 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
     plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
               for w in ("structural", "distributional")]
     plain += [list(argv) for argv in ARGPARSE]
-    return [argv for cmd in plain for argv in (cmd, ["--format", "json", *cmd])]
+    plain += [[f"{CAP_ENV}={cap}", *argv] for cap, argv in CAPPED
+              if argv[1] in (COMPLETE_FILE, *files)]
+    return [argv for cmd in plain for argv in (cmd, in_json(cmd))]
 
 
-def kernel_lines(files: list[str], parse_path, mechanism_kernel) -> Iterator[str]:
-    """One line per (model, variable) of each parsable file in `files`."""
+def split_cap(argv: list[str]) -> tuple[list[str], list[str]]:
+    """A leading `ABSAUDIT_ENUM_CAP=N` token of `argv` (as a list of zero
+    or one tokens), and the rest."""
+    n = int(bool(argv) and argv[0].startswith(f"{CAP_ENV}="))
+    return argv[:n], argv[n:]
+
+
+def in_json(argv: list[str]) -> list[str]:
+    """`argv` with `--format json` after its `ABSAUDIT_ENUM_CAP=N`, if any."""
+    env, rest = split_cap(argv)
+    return [*env, "--format", "json", *rest]
+
+
+def library_lines(files: list[str], parse_path, emit_document,
+                  mechanism_kernel) -> Iterator[str]:
+    """The emit line, then one kernel line per (model, variable), of each
+    parsable file in `files`."""
     for path in files:
         try:
             doc = parse_path(path)
         except Exception:  # the per-file calls report it
             continue
+        yield hashed(lambda: emit_document(doc), ["emit", path])
         for name, model in doc.models.items():
             for var in model.variable_names:
-                try:
-                    k = mechanism_kernel(model, var)
-                    code, blob = "0", repr((k.row_scope, [(key, list(row.items()))
-                                                          for key, row in k.rows.items()]))
-                except Exception as exc:  # a refusal is an answer to compare too
-                    code, blob = type(exc).__name__, f"{type(exc).__name__}: {exc}"
-                digest = hashlib.sha256(blob.encode()).hexdigest()
-                yield f"{code} {digest} {shlex.join(['kernel', path, '--model', name, var])}"
+                yield hashed(lambda: kernel_text(mechanism_kernel(model, var)),
+                             ["kernel", path, "--model", name, var])
+
+
+def kernel_text(k) -> str:
+    """The scope and rows of a kernel, as hashed."""
+    return repr((k.row_scope, [(key, list(row.items())) for key, row in k.rows.items()]))
+
+
+def hashed(answer, argv: list[str]) -> str:
+    """One sweep line for the library call `answer()`, named by `argv`."""
+    try:
+        code, blob = "0", answer()
+    except Exception as exc:  # a refusal is an answer to compare too
+        code, blob = type(exc).__name__, f"{type(exc).__name__}: {exc}"
+    return f"{code} {hashlib.sha256(blob.encode()).hexdigest()} {shlex.join(argv)}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -291,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
     from absaudit.cli import main as absaudit_main
     from absaudit.scm import mechanism_kernel
-    from absaudit.textfmt import parse_path
+    from absaudit.textfmt import emit_document, parse_path
 
     data = ROOT / "src" / "absaudit" / "data"
     files = [pathlib.Path(f).resolve() for f in args.files] or sorted(
@@ -332,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             for line_argv in calls(names, parse_path, cut, noisy):
                 print(call(absaudit_main, line_argv))
-            for line in kernel_lines(names, parse_path, mechanism_kernel):
+            for line in library_lines(names, parse_path, emit_document, mechanism_kernel):
                 print(line)
         finally:
             os.chdir(here)
