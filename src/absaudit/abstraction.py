@@ -150,6 +150,12 @@ def preimage(abstraction: Abstraction, source_model: Scm, target_node: str) -> t
     return _blocks(images, source_model).get(target_node, ())
 
 
+def edge_map_non_paths(edge_map: Mapping, source: Scm, target: Scm) -> tuple[set, set]:
+    """Keys of `edge_map` that are not source paths, and images that are not target paths."""
+    return (set(freecat.non_paths(underlying_graph(source), edge_map)),
+            set(freecat.non_paths(underlying_graph(target), edge_map.values())))
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -199,8 +205,7 @@ def validate_abstraction(
                 "edge-map-stochastic",
                 "a morphism layer requires a deterministic node map",
             )
-        src_bad = set(freecat.non_paths(underlying_graph(source), sm.edge_map))
-        tgt_bad = set(freecat.non_paths(underlying_graph(target), sm.edge_map.values()))
+        src_bad, tgt_bad = edge_map_non_paths(sm.edge_map, source, target)
         for m, n in sm.edge_map.items() if src_bad or tgt_bad else ():
             for side, path, bad in (("source", m, src_bad), ("target", n, tgt_bad)):
                 if path in bad:

@@ -21,8 +21,8 @@ reading (see taxonomy).
 The functor audit reads the edge map once, as a table of node tuples.  It
 is total when its keys that are source paths between mapped nodes are as
 many as those paths, and full when its distinct images that are target
-paths between image nodes are as many as those (``freecat.non_paths``
-tests the keys, then the images, all at once; ``freecat.path_counts``
+paths between image nodes are as many as those (``edge_map_non_paths``
+names the non-paths, one test per side and command; ``path_counts``
 counts both).  Composites split only at mapped nodes, so composition is
 ``F(m) == F(prefix) + F(suffix)[1:]`` with each path ``m`` cut at its last
 mapped inner node, found scanning from the end; by induction every other
@@ -37,9 +37,9 @@ from dataclasses import asdict, dataclass
 import math
 from typing import Callable, Collection, Optional, Sequence
 
-from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
-from .freecat import non_paths, path_counts
-from .scm import Dag, Scm, out_of_range, underlying_graph
+from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap, edge_map_non_paths
+from .freecat import path_counts
+from .scm import Scm, out_of_range, underlying_graph
 
 Verdict = Optional[bool]
 
@@ -160,9 +160,9 @@ class FunctorAudit:
     fully_faithful: Verdict = None
 
 
-def _hom_total(dag: Dag, nodes: Collection[str]) -> int:
-    """The number of morphisms from one of `nodes` to another."""
-    counts = path_counts(dag, *nodes)
+def _hom_total(model: Scm, nodes: Collection[str]) -> int:
+    """The number of morphisms from one of `nodes` to another in `model`'s graph."""
+    counts = path_counts(underlying_graph(model), *nodes)
     return sum(counts[t] for t in nodes)
 
 
@@ -177,14 +177,15 @@ def _composes(table: dict[tuple, tuple], domain: list[tuple], mapped: Collection
     return True
 
 
-def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> FunctorAudit:
+def audit_functor(abstraction: Abstraction, source: Scm, target: Scm, *,
+                  non_paths: tuple[Collection, Collection] | None = None) -> FunctorAudit:
+    """The morphism-layer verdicts.  `non_paths` is `edge_map_non_paths` of the map, run here
+    when None; a caller that has validated the map passes two empty sets."""
     sm = abstraction.structure
     images = sm.images()
     if sm.edge_map is None or images is None:
         return FunctorAudit(declared=sm.edge_map is not None)
 
-    src_dag = underlying_graph(source)
-    tgt_dag = underlying_graph(target)
     pi = {u: images[u] for u in source.variable_names if u in images}  # the mapped nodes
     table = sm.edge_map
 
@@ -194,19 +195,19 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm) -> Functor
     # an empty image ends nowhere: neither comes from validated input.
     entries = [(m, n, pi[m[0]], pi[m[-1]]) for m, n in table.items()
                if m and m[0] in pi and m[-1] in pi]
+    bad_keys, bad_images = non_paths or edge_map_non_paths(table, source, target)
     # The declared morphisms of the audited subcategory: source paths
     # between mapped nodes, which may pass through unmapped ones.
-    bad = set(non_paths(src_dag, keys := [m for m, _, _, _ in entries]))
-    domain = [m for m in keys if m not in bad]
+    domain = [m for m, _, _, _ in entries if m not in bad_keys]
     functorial = (
         len(entries) == len(table)
         and all(n and n[0] == s and n[-1] == t for _, n, s, t in entries)
         and all(table.get((u,)) == (x,) for u, x in pi.items())
-        and len(domain) == _hom_total(src_dag, pi)
+        and len(domain) == _hom_total(source, pi)
         and _composes(table, domain, pi)
     )
     hit = {n for _, n, s, t in entries if n and n[0] == s and n[-1] == t}
-    full = len(hit) - len(non_paths(tgt_dag, hit)) == _hom_total(tgt_dag, set(pi.values()))
+    full = len(hit.difference(bad_images)) == _hom_total(target, set(pi.values()))
     faithful = len({(s, t, n) for _, n, s, t in entries}) == len(entries)
     faithful_parallel = len({(m[0], m[-1], n) for m, n, _, _ in entries}) == len(entries)
 
@@ -310,9 +311,11 @@ class PropertyProfile:
         return "\n".join(lines)
 
 
-def audit_abstraction(abstraction: Abstraction, source: Scm, target: Scm) -> PropertyProfile:
+def audit_abstraction(abstraction: Abstraction, source: Scm, target: Scm, *,
+                      non_paths: tuple[Collection, Collection] | None = None) -> PropertyProfile:
+    """Every verdict of `abstraction`; `non_paths` goes to `audit_functor`."""
     node = audit_node_map(abstraction, source, target)
-    functor = audit_functor(abstraction, source, target)
+    functor = audit_functor(abstraction, source, target, non_paths=non_paths)
     outcome_audits = [
         audit_outcome_map(om, source, target) for om in abstraction.outcome_maps
     ]

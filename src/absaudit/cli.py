@@ -188,7 +188,7 @@ def _cmd_dist(args) -> int:
 
 @_on_valid_abstraction
 def _cmd_audit(args, abstraction, source, target) -> int:
-    profile = audit_abstraction(abstraction, source, target)
+    profile = audit_abstraction(abstraction, source, target, non_paths=(set(), set()))
     if args.format == "json":
         print(json.dumps(profile.to_dict(), sort_keys=True))
     else:

@@ -13,8 +13,8 @@ capped.  ``hom_set`` walks depth first, always into the smallest name
 first, so its paths come out sorted by construction: in a DAG no path to
 the target extends another.  The audits need hom-set sizes alone, which
 ``path_counts`` gives for every target of one or more sources in a single
-pass.  ``non_paths`` tests all the paths of one side of an edge map at once,
-in C, and checks them one by one with ``is_path`` only to name failures.
+pass.  ``non_paths`` tests one side of an edge map at once, in C, once per
+command, and checks path by path with ``is_path`` only to name failures.
 """
 
 from __future__ import annotations

@@ -242,19 +242,21 @@ def data_text(*parts: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def witness_document(kind: str, name: str) -> Document:
+def _parsed_witness(kind: str, name: str) -> Document:
     return parse_document(data_text("witnesses", kind, f"{name}.abs"))
+
+
+def witness_document(kind: str, name: str) -> Document:
+    """A new document over the cached parse of a witness file: adding to it changes no other."""
+    parsed = _parsed_witness(kind, name)
+    return Document(dict(parsed.models), dict(parsed.abstractions))
 
 
 def canonical_witness(
     abstraction_type: "StructuralType | DistributionalType",
 ) -> tuple[Abstraction, Scm, Scm]:
     """The shipped witness for a type: (abstraction, source, target)."""
-    kind = (
-        "structural"
-        if isinstance(abstraction_type, StructuralType)
-        else "distributional"
-    )
+    kind = "structural" if isinstance(abstraction_type, StructuralType) else "distributional"
     doc = witness_document(kind, abstraction_type.value)
     if len(doc.abstractions) != 1:
         raise ModelError(

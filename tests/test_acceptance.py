@@ -106,7 +106,7 @@ def _close(a: dict, b: dict, tol: float = TOL) -> bool:
 
 def test_criterion_1_structural_table(acceptance):
     acceptance(1, "structural table reproduction", False)
-    taxonomy.witness_document.cache_clear()
+    taxonomy._parsed_witness.cache_clear()
     start = time.perf_counter()
     computed = taxonomy.structural_matrix()
     elapsed = time.perf_counter() - start
@@ -121,7 +121,7 @@ def test_criterion_1_structural_table(acceptance):
 
 def test_criterion_2_distributional_table(acceptance):
     acceptance(2, "distributional table reproduction", False)
-    taxonomy.witness_document.cache_clear()
+    taxonomy._parsed_witness.cache_clear()
     start = time.perf_counter()
     computed = taxonomy.distributional_matrix()
     elapsed = time.perf_counter() - start

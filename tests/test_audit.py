@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from absaudit.abstraction import (
     GLOBAL,
     Direction,
     OutcomeMap,
+    edge_map_non_paths,
     preimage,
     pushforward,
     validate_abstraction,
@@ -25,11 +27,12 @@ from absaudit.audit import (
     summarize_outcomes,
     tri_and,
 )
+from absaudit.cli import main
 from absaudit.errors import AbsauditError
 from absaudit.freecat import is_path
-from absaudit.scm import Scm, Variable, joint_distribution, underlying_graph
+from absaudit.scm import Dag, Scm, Variable, joint_distribution, underlying_graph
 from absaudit.taxonomy import detect_types
-from absaudit.textfmt import emit_document, parse_document
+from absaudit.textfmt import Document, emit_document, parse_document
 
 from helpers import (
     BIN,
@@ -336,8 +339,12 @@ def _mutate(rng, edges, kind, src_adj, tgt_adj, pi):
     mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
 )
 @example(seed=4, n=4, coarse=False, mutations=["break"])
+@example(seed=0, n=3, coarse=False, mutations=["non-path"])  # the key n1^ghost
 @example(seed=3, n=5, coarse=False, mutations=["unmap"])  # n3 unmapped: n0^n1^n3^n4 cut at n1
 def test_functor_audit_matches_all_pairs_definition(seed, n, coarse, mutations):
+    """The audit, testing the paths itself or fed the sets of
+    `edge_map_non_paths`, gives the all-pairs verdicts, also on the invalid
+    maps that some mutations make."""
     rng = random.Random(seed)
     src_adj = random_dag(rng, n)
     pi, tgt_adj, edges = _full_edge_map(src_adj, coarse)
@@ -347,27 +354,36 @@ def test_functor_audit_matches_all_pairs_definition(seed, n, coarse, mutations):
     a = abstraction(
         "a", src, tgt, pi, edges={M(*m): M(*img) for m, img in edges.items()}
     )
-    f = audit_functor(a, src, tgt)
     want = functor_verdicts(src_adj, tgt_adj, pi, edges)
-    got = {key: getattr(f, key) for key in want}
-    assert got == want
+    for non_paths in (None, edge_map_non_paths(a.structure.edge_map, src, tgt)):
+        f = audit_functor(a, src, tgt, non_paths=non_paths)
+        assert {key: getattr(f, key) for key in want} == want
     if not mutations:  # a functor, and an isomorphism unless it coarsens
         assert want["functorial"] and (coarse or all(want.values()))
 
 
-def _chain_identity(n: int):
-    """The identity of an `n`-chain with its full edge map: (src, tgt, edges, map)."""
+def _chain_identity(n: int, build=unary_chain):
+    """The identity of an `n`-chain with its full edge map: (src, tgt, edges,
+    map); `build(name, nodes)` makes each chain."""
     xs, ys = [f"X{i}" for i in range(n)], [f"Y{i}" for i in range(n)]
-    src, tgt = unary_chain("src", xs), unary_chain("tgt", ys)
+    src, tgt = build("src", xs), build("tgt", ys)
     edges = {M(*xs[i : j + 1]): M(*ys[i : j + 1]) for i in range(n) for j in range(i, n)}
     return src, tgt, edges, abstraction("a", src, tgt, dict(zip(xs, ys)), edges=edges)
 
 
-def _count_edge_tests(monkeypatch, src, tgt) -> tuple[list, list]:
-    """Count the work of the path tests on `src` and `tgt`: each model's
-    `Dag` gets an `edge_set` that lists the pairs it is asked about, and
-    `freecat.is_path`, the per-path check, is counted too.  Returns the
-    (side, pairs asked) of each edge-set test and the per-path checks."""
+def _constant_chain(name: str, nodes: list[str]):
+    """A chain over `nodes` with one value and one noise value each: a model
+    that can be written to a file."""
+    spec = [(v, ("0",), nodes[i - 1 : i], lambda *_: "0") for i, v in enumerate(nodes)]
+    return model(name, spec, {v: (("0", 1.0),) for v in nodes})
+
+
+def _count_edge_tests(monkeypatch) -> tuple[list, list]:
+    """Count the work of the path tests: every `Dag`'s `edge_set` lists the
+    pairs it is asked about, as the source's when its first node is named
+    `X…` and the target's otherwise, and `freecat.is_path`, the per-path
+    check, is counted too.  Returns the (side, pairs asked) of each
+    edge-set test and the per-path checks."""
     tests, per_path = [], []
 
     class Edges(frozenset):
@@ -376,10 +392,12 @@ def _count_edge_tests(monkeypatch, src, tgt) -> tuple[list, list]:
             tests.append((self.side, len(pairs)))
             return frozenset.issuperset(self, pairs)
 
-    for side, m in (("source", src), ("target", tgt)):
-        edges = Edges(underlying_graph(m).edges)
-        edges.side = side
-        underlying_graph(m).__dict__["edge_set"] = edges
+    def edge_set(dag):
+        edges = Edges(dag.edges)
+        edges.side = "source" if dag.nodes[0].startswith("X") else "target"
+        return edges
+
+    monkeypatch.setattr(Dag, "edge_set", property(edge_set))
     monkeypatch.setattr(freecat, "is_path",
                         lambda dag, nodes: per_path.append(nodes) or is_path(dag, nodes))
     return tests, per_path
@@ -392,7 +410,7 @@ def test_functor_audit_work_is_linear_in_entries(monkeypatch):
     n = 30
     src, tgt, edges, a = _chain_identity(n)
     assert len(edges) == n * (n + 1) // 2
-    tests, per_path = _count_edge_tests(monkeypatch, src, tgt)
+    tests, per_path = _count_edge_tests(monkeypatch)
     f = audit_functor(a, src, tgt)
     assert f.functorial and f.fully_faithful and f.faithful_parallel
     steps = sum(len(m) - 1 for m in edges)
@@ -415,17 +433,34 @@ def test_empty_path_is_not_functorial_and_raises_nothing():
 
 
 def test_validation_and_audit_check_each_path_once(monkeypatch):
-    """On the same 30-chain identity, `validate_abstraction` then
-    `audit_functor` each test every step of every key against the source
-    graph's edges once, and every step of every distinct image against the
-    target graph's: one bulk test per side, and no per-path check."""
+    """On the same 30-chain identity, `validate_abstraction` tests every
+    step of every key against the source graph's edges once, and every step
+    of every image against the target graph's; the audit, fed the two empty
+    sets of non-paths that a clean report implies, tests nothing again: one
+    bulk test per side in all, and no per-path check."""
     src, tgt, edges, a = _chain_identity(30)
-    tests, per_path = _count_edge_tests(monkeypatch, src, tgt)
+    tests, per_path = _count_edge_tests(monkeypatch)
     assert validate_abstraction(a, src, tgt).ok
-    f = audit_functor(a, src, tgt)
+    f = audit_abstraction(a, src, tgt, non_paths=(set(), set())).functor
     assert f.functorial and f.fully_faithful and f.faithful_parallel
     steps = sum(len(m) - 1 for m in edges)
-    assert tests == [("source", steps), ("target", steps)] * 2 and per_path == []
+    assert tests == [("source", steps), ("target", steps)] and per_path == []
+
+
+def test_cli_audit_checks_each_path_once(monkeypatch, tmp_path, capsys):
+    """`absaudit audit` on a file holding the 30-chain identity with its full
+    edge map validates the map, then audits it without testing a path
+    again: each graph's edge set is asked once, about every step."""
+    src, tgt, edges, a = _chain_identity(30, _constant_chain)
+    doc = Document({"src": src, "tgt": tgt}, {"a": a})
+    path = tmp_path / "chain30.abs"
+    path.write_text(emit_document(doc), encoding="utf-8")
+    tests, per_path = _count_edge_tests(monkeypatch)
+    assert main(["--format", "json", "audit", str(path)]) == 0
+    functor = json.loads(capsys.readouterr().out)["functor"]
+    assert functor["functorial"] and functor["fully_faithful"] and functor["faithful_parallel"]
+    steps = sum(len(m) - 1 for m in edges)
+    assert tests == [("source", steps), ("target", steps)] and per_path == []
 
 
 # ---------------------------------------------------------------------------

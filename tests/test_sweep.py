@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from absaudit.abstraction import validate_abstraction
+from absaudit.audit import audit_abstraction
 from absaudit.cli import build_parser, main
 from absaudit.freecat import hom_set
 from absaudit.scm import underlying_graph, validate_scm
@@ -151,6 +152,33 @@ def test_sweep_classifies_the_generated_bijections():
     assert types == {"plus": ["edge-embedding"], "minus": ["edge-coarsening"],
                      "flip": ["edge-coarsening", "edge-embedding", "causal-reversal"],
                      "perm": ["node-permutation"]}
+
+
+def test_sweep_audits_and_classifies_the_generated_chain_maps():
+    """`audit` and `classify`, in both formats, on each generated map from
+    the twelve-node chain.  The maps are valid and list all 78 paths; the
+    identity is a fully faithful functor, and the pair coarsening a full
+    functor that is faithful only hom-set-wise."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    calls = [line.split(" ", 2) for line in _sweep() if "chain-maps" in line]
+    assert [argv for _, _, argv in calls] == [
+        f"{fmt}{command} generated/chain-maps.abs --abs {name}"
+        for name in sweep.CHAIN_MAPS for command in ("audit", "classify")
+        for fmt in ("", "--format json ")]
+    assert {code for code, _, _ in calls} == {"0"}
+    doc = parse_document(sweep.chain_maps())
+    verdicts, types = {}, {}
+    for name, a in doc.abstractions.items():
+        assert validate_abstraction(a, *doc.resolve(a)).ok
+        assert len(a.structure.edge_map) == 78
+        verdicts[name] = audit_abstraction(a, *doc.resolve(a)).functor
+        types[name] = detect_types(a, *doc.resolve(a))["structural"]
+    assert verdicts["identity"].fully_faithful and verdicts["identity"].functorial
+    pairs = verdicts["pairs"]
+    assert pairs.functorial and pairs.full and pairs.faithful_parallel and not pairs.faithful
+    assert types == {"identity": ["identity"], "pairs": ["node-coarsening"]}
 
 
 def _differing_argvs(got: list[str], want: list[str]) -> list[str]:

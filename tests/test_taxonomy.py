@@ -132,6 +132,18 @@ def test_a_witness_needs_one_abstraction_and_the_layer_its_table_reads(monkeypat
         canonical_witness(t)
 
 
+def test_witness_document_is_a_new_document_each_call():
+    """The witness parse is cached, but each call returns its own document:
+    adding an abstraction to one leaves the next call's unchanged."""
+    doc = taxonomy.witness_document("structural", "node-coarsening")
+    a = next(iter(doc.abstractions.values()))
+    doc.add_abstraction(dataclasses.replace(a, name=a.name + "_again"))
+    again = taxonomy.witness_document("structural", "node-coarsening")
+    assert list(again.abstractions) == [a.name] and again.abstractions[a.name] is a
+    assert again.models == doc.models and again.models is not doc.models
+    assert canonical_witness(StructuralType.NODE_COARSENING)[0] is a
+
+
 def test_witness_profiles_are_cached_and_consistent():
     p = witness_profile(StructuralType.NODE_COARSENING)
     assert p.node.surjective is True and p.node.injective is False

@@ -32,6 +32,10 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   by one deep edge, or correspond under a permutation (`bijections`), so
   the hom-set comparisons of type detection show: no shipped bijection
   has more than three nodes;
+* audit and classify on each generated map from a twelve-node chain with a
+  full edge map, an identity and a coarsening of consecutive pairs
+  (`chain_maps`), so the functor audit's path tests show on 78 entries: no
+  shipped edge map has more than three;
 * per abstraction: graph --dot --abs, audit, classify, push and
   push --renormalize;
 * tables with each --which, and tables --truth (the shipped tables) with
@@ -81,6 +85,7 @@ import shlex
 import shutil
 import sys
 import tempfile
+from itertools import combinations_with_replacement, groupby, pairwise
 from typing import Iterator
 from unittest import mock
 
@@ -101,6 +106,10 @@ BIJECTIONS = {
     "perm": (tuple((6 - a, 6 - b) for a, b in DEEP_EDGES), range(6, -1, -1)),
 }
 BIJECTIONS_FILE = "generated/bijections.abs"
+CHAIN = tuple(f"x{i}" for i in range(12))
+# map name -> the target node of each node of CHAIN, by index
+CHAIN_MAPS = {"identity": range(12), "pairs": [i // 2 for i in range(12)]}
+CHAIN_MAPS_FILE = "generated/chain-maps.abs"
 # the calls whose output argparse writes: usage errors, then help
 ARGPARSE = (("no-such-command",), ("dist",), ("--format", "xml", "validate", "x.abs"),
             ("--help",), ("dist", "--help"))
@@ -191,6 +200,31 @@ def bijections() -> str:
     return "\n".join(out + [""])
 
 
+def chain_maps() -> str:
+    """Maps from the chain over `CHAIN`, one per entry of `CHAIN_MAPS`, each
+    onto a chain over the images, with a full edge map: every path of the
+    source goes onto the path its nodes land on, consecutive repeats merged."""
+    def chain(name: str, nodes: tuple[str, ...]) -> list[str]:
+        return unary_scm(name, nodes, list(pairwise(range(len(nodes)))))
+
+    def token(path: list[str]) -> str:
+        return "^".join(path * 2 if len(path) == 1 else path)
+
+    out = ["absaudit-format 1", "", *chain("chain12", CHAIN)]
+    for name, image in CHAIN_MAPS.items():
+        nodes = tuple(f"{name}{k}" for k in range(max(image) + 1))
+        out += ["", *chain(f"{name}12", nodes), "",
+                f"abs {name} {{", "  source chain12", f"  target {name}12",
+                "  direction micro-to-macro", "  nodes {"]
+        out += [f"    {u} : {nodes[k]} 1.0" for u, k in zip(CHAIN, image)]
+        out += ["  }", "  edges {"]
+        for i, j in combinations_with_replacement(range(len(CHAIN)), 2):
+            landed = [nodes[k] for k, _ in groupby(image[i : j + 1])]
+            out.append(f"    {token(list(CHAIN[i : j + 1]))} : {token(landed)}")
+        out += ["  }", "}"]
+    return "\n".join(out + [""])
+
+
 def cuts(text: str) -> list[tuple[str, str, str]]:
     """(command, tag, copy of `text` with one line changed) for every line
     that is a lone `}` (validate without it, tag `no-brace-N`, N the line
@@ -267,6 +301,8 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
                       ["push", path, "--renormalize", *pick]]
     plain += [["graph", COMPLETE_FILE, "--hom", s, t] for s in COMPLETE for t in COMPLETE]
     plain += [["classify", BIJECTIONS_FILE, "--abs", name] for name in BIJECTIONS]
+    plain += [[command, CHAIN_MAPS_FILE, "--abs", name]
+              for name in CHAIN_MAPS for command in ("audit", "classify")]
     plain += [[command, path] for command, path in cut]
     for path, model in noisy:
         plain += [["validate", path], ["dist", path, "--model", model]]
@@ -352,6 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         complete.parent.mkdir()
         complete.write_text(complete_dag(), encoding="utf-8")
         pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
+        pathlib.Path(scratch, CHAIN_MAPS_FILE).write_text(chain_maps(), encoding="utf-8")
         names, cut, noisy = [], [], []
         for path in files:
             name = path.relative_to(data) if path.is_relative_to(data) else path.name
