@@ -20,15 +20,15 @@ partial.  Row totals and negative weights are checked by
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
+from itertools import chain, product, repeat
 from math import prod
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import Mapping, TypeVar
 
 from .errors import TOL, DEFAULT_EXO_CAP, ModelError, check_cap
 from .errors import RenormalizationRequiredError
-from .scm import Distribution, Scm, ValidationReport, out_of_range, rows_of
+from .scm import Dag, Distribution, Scm, ValidationReport, out_of_range, rows_of
 from .scm import underlying_graph
 from . import freecat
 
@@ -150,10 +150,22 @@ def preimage(abstraction: Abstraction, source_model: Scm, target_node: str) -> t
     return _blocks(images, source_model).get(target_node, ())
 
 
+def is_node_tuple(path) -> bool:
+    """Whether `path` has the shape of a path: a tuple of node names."""
+    return isinstance(path, tuple) and set(map(type, path)) <= {str}
+
+
 def edge_map_non_paths(edge_map: Mapping, source: Scm, target: Scm) -> tuple[set, set]:
-    """Keys of `edge_map` that are not source paths, and images that are not target paths."""
-    return (set(freecat.non_paths(underlying_graph(source), edge_map)),
-            set(freecat.non_paths(underlying_graph(target), edge_map.values())))
+    """The keys of `edge_map` that are not source paths, and those whose
+    images are not target paths: each side is tested at once, and entry by
+    entry only when that test fails.  Here only a node tuple is a path."""
+    def bad(graph: Dag, paths) -> set:
+        if set(map(type, paths)) <= {tuple} and freecat.are_paths(graph, paths):
+            return set()
+        return {m for m, p in zip(edge_map, paths)
+                if not (is_node_tuple(p) and freecat.is_path(graph, p))}
+    return (bad(underlying_graph(source), edge_map),
+            bad(underlying_graph(target), edge_map.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +220,10 @@ def validate_abstraction(
         src_bad, tgt_bad = edge_map_non_paths(sm.edge_map, source, target)
         for m, n in sm.edge_map.items() if src_bad or tgt_bad else ():
             for side, path, bad in (("source", m, src_bad), ("target", n, tgt_bad)):
-                if path in bad:
-                    report.add(f"edge-map-{side}", f"{'^'.join(path) or '()'} "
-                               f"is not a morphism of the {side} graph")
+                if m in bad:
+                    words = "^".join(path) or "()" if is_node_tuple(path) else repr(path)
+                    report.add(f"edge-map-{side}",
+                               f"{words} is not a morphism of the {side} graph")
 
     seen_targets: set[str] = set()
     has_global = any(om.is_global for om in abstraction.outcome_maps)
@@ -292,23 +305,6 @@ def validate_abstraction(
 # Pushforward
 # ---------------------------------------------------------------------------
 
-def _row_product(
-    mass: float, rows: Sequence[Mapping[tuple, float]]
-) -> Iterator[tuple[tuple, float]]:
-    """Each key of the outer product of `rows`, with `mass` times its
-    weights multiplied left to right.
-
-    A key joins one row value per row, in the rows' order.  A row that is
-    empty is unmapped, and then all the mass is lost: nothing is yielded.
-    """
-    for cells in itertools.product(*(row.items() for row in rows)):
-        key, m = [], mass  # a list, so that a wide key is joined in linear time
-        for val, w in cells:
-            key += val
-            m *= w
-        yield tuple(key), m
-
-
 def pushforward(
     abstraction: Abstraction,
     dist: Distribution,
@@ -322,13 +318,14 @@ def pushforward(
     pattern of its preimage block and the results multiply; unmapped source
     variables are marginalised out.  With a global map the full joint is
     rewritten row by row.  Each map's key column (its sources' values at
-    every supported outcome) is built once and looked up in its supported
-    rows, and each outcome walks the product of its rows.  Mass landing on
-    unmapped outcome rows is lost; that raises an error unless `renormalize`
-    is set, in which case the remaining mass is scaled back to one.  Raises
-    CapacityError, before the walk, when the cells it would walk (per
-    outcome, the product of its rows' support sizes) exceed the joint's cap
-    (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`).
+    every supported outcome) looks up its supported rows, read once as
+    (value, weight) cells; each outcome walks the product of its rows, one
+    value per map with the weights multiplied left to right.  Mass landing
+    on unmapped (empty) rows is lost; that raises an error unless
+    `renormalize` is set, in which case the remaining mass is scaled back
+    to one.  Raises CapacityError, before the walk, when the cells it would
+    walk (per outcome, the product of its rows' support sizes) exceed the
+    joint's cap (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`).
     """
     if dist.scope != source.variable_names:
         raise ModelError("the distribution scope must match the source model")
@@ -346,18 +343,21 @@ def pushforward(
     outcomes = [outcome for outcome, p in dist.probs.items() if p != 0.0]
     weights = [p for p in dist.probs.values() if p != 0.0]
     places = {name: list(map(itemgetter(i), outcomes)) for i, name in enumerate(dist.scope)}
-    row_columns = [  # the supported row each outcome picks in each map, or {} if unmapped
-        list(map(om.supported_rows().get, rows_of(
-            [places[s] for s in om.sources], len(outcomes)), itertools.repeat({})))
-        for om in maps
-    ]
+    row_columns = []  # the cells of the supported row each outcome picks in each map, or ()
+    for om in maps:
+        cells = {key: tuple(row.items()) for key, row in om.supported_rows().items()}
+        keys = rows_of([places[s] for s in om.sources], len(outcomes))
+        row_columns.append(list(map(cells.get, keys, repeat(()))))
     count = sum(map(prod, rows_of([map(len, c) for c in row_columns], len(weights))))
     check_cap(count, DEFAULT_EXO_CAP,
               f"pushforward through {abstraction.name!r} walks {count} outcome cells")
     probs: dict[tuple, float] = {}
     for p, rows in zip(weights, rows_of(row_columns, len(weights))):
-        for k, mass in _row_product(p, rows):
-            probs[k] = probs.get(k, 0.0) + mass
+        # the mass leads as a cell of no value, so that reading no map still walks one cell
+        for cells in product((((), p),), *rows):
+            vals, ws = zip(*cells)
+            k = tuple(chain.from_iterable(vals))
+            probs[k] = probs.get(k, 0.0) + prod(ws)
 
     total = sum(probs.values())
     if abs(total - dist.total) > TOL:

@@ -38,6 +38,7 @@ import math
 from typing import Callable, Collection, Optional, Sequence
 
 from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap, edge_map_non_paths
+from .abstraction import is_node_tuple
 from .freecat import path_counts
 from .scm import Scm, out_of_range, underlying_graph
 
@@ -192,10 +193,13 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm, *,
     # Coverage and collision verdicts are computed over the declared
     # entries whose endpoints are mapped, independently of totality, each
     # with the images of its endpoints.  An empty key has no endpoints, and
-    # an empty image ends nowhere: neither comes from validated input.
-    entries = [(m, n, pi[m[0]], pi[m[-1]]) for m, n in table.items()
-               if m and m[0] in pi and m[-1] in pi]
+    # an empty image ends nowhere: neither comes from validated input, nor
+    # does an entry whose key or image is no node tuple, which is no entry.
     bad_keys, bad_images = non_paths or edge_map_non_paths(table, source, target)
+    junk = {m for m in (*bad_keys, *bad_images)
+            if not (is_node_tuple(m) and is_node_tuple(table[m]))}
+    entries = [(m, n, pi[m[0]], pi[m[-1]]) for m, n in table.items()
+               if not (junk and m in junk) and m and m[0] in pi and m[-1] in pi]
     # The declared morphisms of the audited subcategory: source paths
     # between mapped nodes, which may pass through unmapped ones.
     domain = [m for m, _, _, _ in entries if m not in bad_keys]
@@ -206,8 +210,9 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm, *,
         and len(domain) == _hom_total(source, pi)
         and _composes(table, domain, pi)
     )
-    hit = {n for _, n, s, t in entries if n and n[0] == s and n[-1] == t}
-    full = len(hit.difference(bad_images)) == _hom_total(target, set(pi.values()))
+    hit = {n for m, n, s, t in entries
+           if n and n[0] == s and n[-1] == t and not (bad_images and m in bad_images)}
+    full = len(hit) == _hom_total(target, set(pi.values()))
     faithful = len({(s, t, n) for _, n, s, t in entries}) == len(entries)
     faithful_parallel = len({(m[0], m[-1], n) for m, n, _, _ in entries}) == len(entries)
 

@@ -19,7 +19,7 @@ from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
 from .scm import Distribution, Scm, ValidationReport, intervene, joint_distribution, marginal
 from .scm import row_major, underlying_graph, validate_scm
-from .textfmt import Document, parse_path
+from .textfmt import Document, join_labels, parse_path
 
 OK, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
 
@@ -79,15 +79,17 @@ def _intervened(model: Scm, items: list[str]) -> Scm:
 
 
 def _dist_rows(dist: Distribution) -> list[tuple[str, float]]:
-    return [(" ".join(str(x) for x in outcome), p)
+    return [(join_labels(outcome), p)
             for _, outcome, p in row_major(dist.probs, dist.domains) if p != 0.0]
 
 
 def _print_dist(dist: Distribution, as_json: bool) -> None:
+    """The scope, then the nonzero outcomes: in text in row-major order; in
+    JSON by `sort_keys` alone, since parsed labels join to distinct keys."""
     if as_json:
         payload = {
             "scope": list(dist.scope),
-            "probs": {k: v for k, v in _dist_rows(dist)},
+            "probs": {join_labels(k): p for k, p in dist.probs.items() if p != 0.0},
         }
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -13,12 +13,13 @@ capped.  ``hom_set`` walks depth first, always into the smallest name
 first, so its paths come out sorted by construction: in a DAG no path to
 the target extends another.  The audits need hom-set sizes alone, which
 ``path_counts`` gives for every target of one or more sources in a single
-pass.  ``non_paths`` tests one side of an edge map at once, in C, once per
-command, and checks path by path with ``is_path`` only to name failures.
+pass.  ``are_paths`` tests one side of an edge map at once, in C, once per
+command; ``non_paths`` names the failures, checking path by path.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import chain, pairwise
 from typing import Collection, Sequence
 
@@ -28,17 +29,24 @@ from .scm import Dag
 
 def is_path(dag: Dag, nodes: Sequence[str]) -> bool:
     """True when the node sequence is a morphism of the free category."""
-    return (bool(nodes) and dag.node_set.issuperset(nodes)
-            and dag.edge_set.issuperset(pairwise(nodes)))
+    with suppress(TypeError):  # raised by no sequence, or one holding an unhashable value
+        return (bool(nodes) and dag.node_set.issuperset(nodes)
+                and dag.edge_set.issuperset(pairwise(nodes)))
+    return False
+
+
+def are_paths(dag: Dag, paths: Collection[Sequence[str]]) -> bool:
+    """True when every entry of `paths` is a morphism, all tested at once in C."""
+    with suppress(TypeError):  # raised by an entry that is no sequence of hashables
+        return bool(all(paths) and dag.node_set.issuperset(chain.from_iterable(paths))
+                    and dag.edge_set.issuperset(chain.from_iterable(map(pairwise, paths))))
+    return False
 
 
 def non_paths(dag: Dag, paths: Collection[Sequence[str]]) -> list:
     """The entries of `paths`, in order, that are not morphisms: all are
-    tested at once in C, and path by path only when that test fails."""
-    if (all(paths) and dag.node_set.issuperset(chain.from_iterable(paths))
-            and dag.edge_set.issuperset(chain.from_iterable(map(pairwise, paths)))):
-        return []
-    return [p for p in paths if not is_path(dag, p)]
+    tested at once, and path by path only when that test fails."""
+    return [] if are_paths(dag, paths) else [p for p in paths if not is_path(dag, p)]
 
 
 def path_counts(dag: Dag, *sources: str) -> dict[str, int]:

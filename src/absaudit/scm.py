@@ -516,8 +516,8 @@ def marginal(dist: Distribution, variables: Iterable[str]) -> Distribution:
         raise ModelError(f"unknown variables in marginal: {sorted(unknown)}")
     keep = [i for i, name in enumerate(dist.scope) if name in wanted]
     probs: dict[tuple, float] = {}
-    for outcome, p in dist.probs.items():
-        key = tuple(outcome[i] for i in keep)
+    keys = rows_of([map(itemgetter(i), dist.probs) for i in keep], len(dist.probs))
+    for key, p in zip(keys, dist.probs.values()):
         probs[key] = probs.get(key, 0.0) + p
     return Distribution(
         scope=tuple(dist.scope[i] for i in keep),
@@ -547,16 +547,19 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     own: dict[Value, float] = dict.fromkeys(exo.domain, 0.0)
     rest: dict[int, float] = {}
     for r, key, p in ranked:
-        own[key[i]] += p
-        r -= offset[key[i]]
+        x = key[i]
+        own[x] += p
+        r -= offset[x]
         rest[r] = rest.get(r, 0.0) + p
-    dependent = any(abs(p - own[k[i]] * rest[r - offset[k[i]]]) > TOL for r, k, p in ranked)
-    if not dependent and len(ranked) < len(rest) * len(exo.domain):  # pairs are missing
+    for r, key, p in ranked:
+        x = key[i]
+        if abs(p - own[x] * rest[r - offset[x]]) > TOL:
+            raise KernelUndefinedError("kernel undefined under exogenous dependence")
+    if len(ranked) < len(rest) * len(exo.domain):  # pairs are missing
         present = {r for r, _, _ in ranked}
-        dependent = any(abs(w * q) > TOL for r, q in rest.items() for val, w in own.items()
-                        if r + offset[val] not in present)
-    if dependent:
-        raise KernelUndefinedError("kernel undefined under exogenous dependence")
+        if any(abs(w * q) > TOL for r, q in rest.items() for val, w in own.items()
+               if r + offset[val] not in present):
+            raise KernelUndefinedError("kernel undefined under exogenous dependence")
 
     for words in _strays(v, model.mechanisms.get(v.name, {})):
         raise ModelError(words)

@@ -394,8 +394,12 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-def _join(values) -> str:
-    return " ".join(map(str, values))
+def join_labels(values: tuple) -> str:
+    """A row's labels as the text format writes them: `str` of each, space-separated."""
+    try:
+        return " ".join(values)
+    except TypeError:  # an integer label
+        return " ".join(map(str, values))
 
 
 def _path_token(m: tuple[str, ...]) -> str:
@@ -405,21 +409,21 @@ def _path_token(m: tuple[str, ...]) -> str:
 def emit_scm(model: Scm) -> list[str]:
     out = [f"scm {model.name} {{"]
     for v in model.variables:
-        line = f"  var {v.name} : {_join(v.domain)}"
+        line = f"  var {v.name} : {join_labels(v.domain)}"
         if v.parents:
-            line += f" parents {_join(v.parents)}"
+            line += f" parents {join_labels(v.parents)}"
         out.append(line)
     for u in model.exogenous:
-        out.append(f"  exo {u.name} : {_join(u.domain)} for {u.endogenous}")
+        out.append(f"  exo {u.name} : {join_labels(u.domain)} for {u.endogenous}")
     if model.exogenous:
-        out.append(f"  dist {_join(model.exogenous_names)} {{")
+        out.append(f"  dist {join_labels(model.exogenous_names)} {{")
         for _, combo, p in model.ranked_noise():
-            out.append(f"    {_join(combo)} : {_num(p)}")
+            out.append(f"    {join_labels(combo)} : {_num(p)}")
         out.append("  }")
     for v in model.variables:
         out.append(f"  mech {v.name} {{")
         for key, value in mechanism_rows(model, v):
-            out.append(f"    {_join(key)} : {value}")
+            out.append(f"    {join_labels(key)} : {value}")
         out.append("  }")
     out.append("}")
     return out
@@ -448,12 +452,14 @@ def emit_abstraction(abstraction: Abstraction) -> list[str]:
         out.append("  }")
     for om in abstraction.outcome_maps:
         if om.is_global:
-            out.append(f"  outcomes * from {_join(om.sources)} onto {_join(om.onto)} {{")
+            out.append(f"  outcomes * from {join_labels(om.sources)} "
+                       f"onto {join_labels(om.onto)} {{")
         else:
-            out.append(f"  outcomes {om.target} from {_join(om.sources)} {{")
+            out.append(f"  outcomes {om.target} from {join_labels(om.sources)} {{")
         for key in sorted(om.rows):
-            cells = " ".join(f"{_join(val)} {_num(w)}" for val, w in sorted(om.rows[key].items()))
-            out.append(f"    {_join(key)} : {cells}")
+            cells = " ".join(f"{join_labels(val)} {_num(w)}"
+                             for val, w in sorted(om.rows[key].items()))
+            out.append(f"    {join_labels(key)} : {cells}")
         out.append("  }")
     out.append("}")
     return out

@@ -324,6 +324,16 @@ def test_pushforward_needs_every_target_variable(micro, macro):
         pushforward(a, joint_distribution(micro), micro, macro)
 
 
+def test_pushforward_onto_a_model_without_variables(micro):
+    """A target without variables reads no map (here the unvalidated map
+    has one for an unknown variable), so every outcome walks the product of
+    no rows, one empty cell, and all the mass lands on the empty outcome."""
+    empty = Scm("empty", [], [], {}, {(): 1.0})
+    a = abstraction("a", micro, empty, {}, outcomes=[proj_outcomes()[0]])
+    pushed = pushforward(a, joint_distribution(micro), micro, empty)
+    assert (pushed.scope, list(pushed.probs.items())) == ((), [((), 1.0)])
+
+
 def test_pushforward_partial_raises_then_renormalizes(micro, macro):
     maps = proj_outcomes()
     del maps[1].rows[("1",)]  # lose the C=1 half of the mass
@@ -379,7 +389,7 @@ def test_pushforward_global_map(micro, macro):
 # Pushforward against the plain oracle
 # ---------------------------------------------------------------------------
 
-LAYERS = ("deterministic", "stochastic", "partial", "global")
+LAYERS = ("deterministic", "stochastic", "partial", "global", "cells")
 
 
 def _random_target(rng, name, prefix):
@@ -393,7 +403,16 @@ def _random_target(rng, name, prefix):
 
 def _random_row(rng, values, kind):
     """One entry of weight one, or weights summing to one over a few values
-    with an explicit zero beside them; for "partial", sometimes all zero."""
+    with an explicit zero beside them; for "partial", sometimes all zero.
+    For "cells", 0, 1 or 3 supported entries (as many as there are values)
+    with integer weights, and sometimes an integer zero beside them."""
+    if kind == "cells":
+        picked = rng.sample(values, min(rng.choice((0, 1, 3)), len(values)))
+        row = {v: rng.randint(1, 3) for v in picked}
+        spare = [v for v in values if v not in row]
+        if spare and rng.random() < 0.5:
+            row[rng.choice(spare)] = 0
+        return row
     if kind == "partial" and rng.random() < 0.1:
         return {rng.choice(values): 0.0}
     if kind == "deterministic" or rng.random() < 0.3:
@@ -410,7 +429,8 @@ def _random_row(rng, values, kind):
 def _random_layer(rng, source, target, kind):
     """Outcome maps from `source` onto `target`.  Each target variable reads
     a random block of source variables (some are read by none); "global" is
-    one map between every variable of both.  "partial" omits some rows."""
+    one map between every variable of both.  "partial" and "cells" omit
+    some rows."""
     if kind == "global":
         values = list(block(target, target.variable_names))
         rows = {key: _random_row(rng, values, "partial")
@@ -424,7 +444,7 @@ def _random_layer(rng, source, target, kind):
         values = [(x,) for x in target.domain_of(y)]
         rows = {key: _random_row(rng, values, kind)
                 for key in block(source, sources)
-                if kind != "partial" or rng.random() < 0.9}
+                if kind not in ("partial", "cells") or rng.random() < 0.9}
         maps.append(OutcomeMap(target=y, sources=sources, rows=rows))
     return maps
 
@@ -432,9 +452,10 @@ def _random_layer(rng, source, target, kind):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**30), kind=st.sampled_from(LAYERS))
 def test_pushforward_matches_plain_oracle(seed, kind):
-    """The oracle's floats in the oracle's order, exactly; a partial layer
-    raises without `renormalize` and is rescaled with it.  The cells walked
-    are counted first: a cap of one cell fewer than the oracle lists raises."""
+    """The oracle's floats in the oracle's order, exactly, also for rows of
+    0, 1 or 3 cells with integer weights; a partial layer raises without
+    `renormalize` and is rescaled with it.  The cells walked are counted
+    first: a cap of one cell fewer than the oracle lists raises."""
     rng = random.Random(seed)
     source = random_model(rng)
     target = _random_target(rng, "tgt", "Y")

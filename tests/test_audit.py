@@ -32,7 +32,7 @@ from absaudit.errors import AbsauditError
 from absaudit.freecat import is_path
 from absaudit.scm import Dag, Scm, Variable, joint_distribution, underlying_graph
 from absaudit.taxonomy import detect_types
-from absaudit.textfmt import Document, emit_document, parse_document
+from absaudit.textfmt import Document, emit_document, parse_document, parse_path
 
 from helpers import (
     BIN,
@@ -430,6 +430,48 @@ def test_empty_path_is_not_functorial_and_raises_nothing():
         assert audit_abstraction(a, src, tgt).functor.functorial is False
         assert [(i.code, i.message) for i in validate_abstraction(a, src, tgt).issues] == [
             (f"edge-map-{side}", f"() is not a morphism of the {side} graph")]
+
+
+_NAMES = st.sampled_from(["S'", "T'", "C'", "Q"])
+_HASHABLE_JUNK = st.one_of(st.none(), st.integers(-2, 2), st.just(()), st.text(max_size=3),
+                           st.tuples(_NAMES, st.integers(0, 1)))
+_JUNK = st.one_of(_HASHABLE_JUNK, st.lists(_NAMES, max_size=3),
+                  st.lists(st.lists(_NAMES, max_size=2), max_size=2),
+                  st.lists(_NAMES, min_size=1, max_size=2).map(lambda xs: (xs,)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(images=st.lists(st.tuples(st.integers(0, 5), _JUNK), max_size=4),
+       keys=st.lists(st.tuples(_HASHABLE_JUNK, st.one_of(st.just(("C'",)), _JUNK)),
+                     max_size=3))
+def test_junk_edge_map_entries_are_reported_and_audited(images, keys):
+    """Edge-map entries that are not tuples of names (None, integers, lists,
+    nested lists, strings, a tuple holding a list or an integer, and `()`),
+    as images of fig2a's entries or as added keys: validation names each,
+    by its repr (`()` as such), in table order, and the audit returns
+    verdicts, with and without the sets of non-paths: nothing is raised."""
+    doc = parse_path(DATA / "figures" / "fig2a.abs")
+    a = doc.abstractions["fig2a"]
+    source, target = doc.resolve(a)
+    table = a.structure.edge_map
+    for i, junk in images:
+        table[list(table)[i]] = junk
+    table.update(keys)
+
+    def words(path):
+        return "()" if path == () else repr(path)
+
+    want = []
+    for m, n in table.items():
+        if not (isinstance(m, tuple) and m and set(map(type, m)) <= {str}):
+            want.append(("edge-map-source", f"{words(m)} is not a morphism of the source graph"))
+        if not (isinstance(n, tuple) and n and set(map(type, n)) <= {str}):
+            want.append(("edge-map-target", f"{words(n)} is not a morphism of the target graph"))
+    report = validate_abstraction(a, source, target)
+    assert [(i.code, i.message) for i in report.issues] == want
+    for non_paths in (None, edge_map_non_paths(table, source, target)):
+        functor = audit_abstraction(a, source, target, non_paths=non_paths).functor
+        assert functor.functorial is (not want)
 
 
 def test_validation_and_audit_check_each_path_once(monkeypatch):

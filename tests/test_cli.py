@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.resources
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import absaudit
+from absaudit.abstraction import OutcomeMap, pushforward
 from absaudit.cli import _dist_rows, build_parser, main
-from absaudit.scm import Distribution
-from absaudit.textfmt import emit_document, parse_document
+from absaudit.scm import Distribution, intervene, joint_distribution, marginal
+from absaudit.textfmt import Document, emit_document, parse_document
+
+from helpers import abstraction, random_model
+from oracles import block
 
 DATA = importlib.resources.files("absaudit") / "data"
 CHAIN = str(DATA / "models" / "chain3_micro.scm")
@@ -408,6 +416,62 @@ def test_dist_rows_follow_the_domains_and_skip_zeros():
                ("0", "x"): 0.25, ("1", "x"): 0.5},
     )
     assert _dist_rows(dist) == [("1 x", 0.5), ("0 x", 0.25), ("0 y", 0.25)]
+
+
+def _random_push_file(rng: random.Random, directory: str) -> str:
+    """A file holding a random model `rnd`, a random model `tgt` and a map
+    `a` between them: the variables of `rnd` go onto those of `tgt`, each
+    hit, and the outcome map of each sends every outcome of its block to one
+    value or to two, with weights that sum to one exactly."""
+    source = random_model(rng)
+    target = dataclasses.replace(random_model(rng, len(source.variables)), name="tgt")
+    names = rng.sample(source.variable_names, len(source.variables))
+    owner = dict(zip(names, target.variable_names))  # a block holds at least one variable
+    owner.update((v, rng.choice(target.variable_names)) for v in names[len(owner):])
+    maps = []
+    for y in target.variable_names:
+        sources = tuple(v for v in source.variable_names if owner[v] == y)
+        values = [(x,) for x in target.domain_of(y)]
+        rows = {}
+        for key in block(source, sources):
+            picked = rng.sample(values, 2)
+            rows[key] = rng.choice(({picked[0]: 1.0}, dict(zip(picked, (0.25, 0.75)))))
+        maps.append(OutcomeMap(target=y, sources=sources, rows=rows))
+    a = abstraction("a", source, target, owner, outcomes=maps)
+    path = os.path.join(directory, "push.abs")
+    Path(path).write_text(emit_document(Document({"rnd": source, "tgt": target}, {"a": a})),
+                          encoding="utf-8")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30))
+def test_json_distributions_equal_the_ranked_rows(seed):
+    """`--format json` of dist, dist --do, dist --marginal and push on a
+    random file prints the JSON built from the ranked rows of `_dist_rows`."""
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as directory:
+        path = _random_push_file(rng, directory)
+        doc = parse_document(Path(path).read_text(encoding="utf-8"))
+        source, target = doc.models["rnd"], doc.models["tgt"]
+        v = rng.choice(source.variables)
+        x = rng.choice(v.domain)
+        kept = rng.sample(source.variable_names, rng.randint(1, len(source.variables)))
+        joint = joint_distribution(source)
+        cases = [
+            (["dist", path, "--model", "rnd"], joint),
+            (["dist", path, "--model", "rnd", "--do", f"{v.name}={x}"],
+             joint_distribution(intervene(source, {v.name: x}))),
+            (["dist", path, "--model", "rnd", "--marginal", ",".join(kept)],
+             marginal(joint, kept)),
+            (["push", path], pushforward(doc.abstractions["a"], joint, source, target)),
+        ]
+        for argv, dist in cases:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["--format", "json", *argv]) == 0
+            want = {"scope": list(dist.scope), "probs": dict(_dist_rows(dist))}
+            assert out.getvalue() == json.dumps(want, sort_keys=True) + "\n", argv
 
 
 def test_dist_capacity(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from absaudit import freecat
 from absaudit.errors import CapacityError, ModelError
-from absaudit.freecat import all_morphisms, hom_set, is_path, non_paths, path_counts
+from absaudit.freecat import all_morphisms, are_paths, hom_set, is_path, non_paths, path_counts
 from absaudit.scm import Dag, underlying_graph
 
 from helpers import chain, random_dag
@@ -114,6 +114,16 @@ def test_non_paths_checks_path_by_path_only_to_name_the_failures(monkeypatch):
     paths = good + [("A", "D"), (), ("Q",), ("B", "A"), ("A", "B", "D")]
     assert non_paths(DIAMOND, paths) == [("A", "D"), (), ("Q",), ("B", "A")]
     assert checked == paths
+
+
+def test_entries_that_are_no_sequence_of_names_are_non_paths():
+    """An entry that is no sequence, or holds an unhashable value, is no
+    path: the bulk test and the per-path check return False, not raise."""
+    junk = [None, 5, (["A"],), [["A", "B"]], ("A", ["B"])]
+    assert not any(is_path(DIAMOND, p) for p in junk)
+    for p in junk:
+        assert not are_paths(DIAMOND, [("A", "B"), p])
+        assert non_paths(DIAMOND, [("A", "B"), p, ("A",)]) == [p]
 
 
 @settings(max_examples=60, deadline=None)

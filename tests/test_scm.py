@@ -401,6 +401,21 @@ def test_kernel_undefined_under_dependence():
         mechanism_kernel(m, "B")
 
 
+@pytest.mark.parametrize("table", [
+    {("0", "0"): 0.25, ("0", "1"): 0.25, ("1", "0"): 0.25, ("1", "1"): 0.25 + 1e-6},
+    {("0", "0"): 0.4, ("0", "1"): 0.1, ("1", "0"): 0.1, ("1", "1"): 0.4},
+    {("0", "1"): 0.5, ("1", "0"): 0.5},
+])
+def test_kernel_undefined_wherever_the_dependence_shows(table):
+    """Dependent noise has no kernel for either term: a small or a large
+    departure from the product of the marginals, or only the anti-diagonal."""
+    m = chain("m", ["A", "B"])
+    m.exo_table = table
+    for v in ("A", "B"):
+        with pytest.raises(KernelUndefinedError, match="exogenous dependence"):
+            mechanism_kernel(m, v)
+
+
 def test_kernel_checks_pairs_missing_from_the_table():
     # Unnormalised, so each stored pair factors (1 == 1 * 1), but the
     # missing pair (0, 1) weighs 0 where the marginals multiply to 1.

@@ -45,6 +45,16 @@ def test_sweep_on_two_files():
     codes = {argv: code for code, _, argv in calls}
     assert codes["audit figures/fig3a.abs"] == "0"
     assert codes["no-such-command"] == "2"
+    # dist --do at each variable's first and last value, dist --marginal of
+    # each variable and of all in reverse, and push --do at each source
+    # variable's first value, plain and with --renormalize
+    do = [argv for argv in argvs if argv.startswith("dist models/chain3_micro.scm --model")]
+    assert do == [f"dist models/chain3_micro.scm --model chain3_micro{rest}" for rest in (
+        "", *(f" --do {v}={x}" for v in "STC" for x in "01"),
+        *(f" --marginal {vs}" for vs in ("S", "T", "C", "C,T,S")))]
+    for argv in ("push figures/fig3a.abs --abs fig3a --do T=0",
+                 "--format json push figures/fig3a.abs --abs fig3a --renormalize --do C=0"):
+        assert codes[argv] == "0"
     # chain3_micro.scm without line 19, the closing brace of its dist block
     assert codes["validate models/chain3_micro.scm.no-brace-19"] == "1"
     # chain3_micro.scm without line 25, the row `0 0 : 0` of T's mechanism

@@ -16,6 +16,7 @@ from absaudit.textfmt import (
     emit_abstraction,
     emit_document,
     emit_scm,
+    join_labels,
     parse_document,
     parse_path,
 )
@@ -589,3 +590,11 @@ def test_edge_rows_read_as_split_at_the_first_colon(rows):
         with pytest.raises(ParseError) as err:
             parse_document(text)
         assert (err.value.reason, err.value.line, err.value.column) == (*want, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.one_of(st.lists(st.text(max_size=3)), st.lists(st.integers()),
+                        st.lists(st.one_of(st.text(max_size=3), st.integers()))).map(tuple))
+def test_join_is_str_of_each_label_joined(values):
+    """Labels are joined as `str` writes each: strings, integers, or both."""
+    assert join_labels(values) == " ".join(map(str, values))

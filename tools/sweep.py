@@ -23,7 +23,9 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   dist --model, and push --abs for every abstraction reading that model as
   its source;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
-  pair of its nodes;
+  pair of its nodes; dist --do VAR=VALUE for each variable at the first
+  and the last value of its domain; dist --marginal for each variable
+  alone and for all variables listed in reverse order;
 * graph --hom for every ordered pair of nodes of one generated model, a
   complete DAG on seven nodes whose names sort apart from their
   declaration order (`complete_dag`), so a change in the order of a listed
@@ -37,7 +39,9 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   (`chain_maps`), so the functor audit's path tests show on 78 entries: no
   shipped edge map has more than three;
 * per abstraction: graph --dot --abs, audit, classify, push and
-  push --renormalize;
+  push --renormalize, then push --do VAR=VALUE and push --do VAR=VALUE
+  --renormalize for each variable of its source (when the file declares
+  it) at the first value of its domain;
 * tables with each --which, and tables --truth (the shipped tables) with
   and without --which;
 * the usage errors (unknown command, missing FILE, --format xml) and the
@@ -294,11 +298,19 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
                       ["dist", path, *pick]]
             nodes = model.variable_names
             plain += [["graph", path, *pick, "--hom", s, t] for s in nodes for t in nodes]
-        for name in doc.abstractions:
+            plain += [["dist", path, *pick, "--do", f"{v.name}={x}"] for v in model.variables
+                      for x in dict.fromkeys(v.domain[:1] + v.domain[-1:])]
+            plain += [["dist", path, *pick, "--marginal", ",".join(vs)]
+                      for vs in [*zip(nodes), nodes[::-1]]]
+        for name, a in doc.abstractions.items():
             pick = ["--abs", name]
             plain += [["graph", path, "--dot", *pick], ["audit", path, *pick],
                       ["classify", path, *pick], ["push", path, *pick],
                       ["push", path, "--renormalize", *pick]]
+            source = doc.models.get(a.source_ref)
+            plain += [["push", path, *pick, *flag, "--do", f"{v.name}={v.domain[0]}"]
+                      for v in (source.variables if source else ()) if v.domain
+                      for flag in ([], ["--renormalize"])]
     plain += [["graph", COMPLETE_FILE, "--hom", s, t] for s in COMPLETE for t in COMPLETE]
     plain += [["classify", BIJECTIONS_FILE, "--abs", name] for name in BIJECTIONS]
     plain += [[command, CHAIN_MAPS_FILE, "--abs", name]
