@@ -6,7 +6,14 @@ two-layer abstraction maps (nodes/morphisms plus outcome matrices), audits
 them against a catalog of structural and distributional properties, and
 classifies them against a taxonomy of abstraction types whose canonical
 witnesses reproduce the shipped admissibility tables.
+
+`audit`, `taxonomy` and `dot` are registered in `sys.modules` at import but
+run on first attribute access, so a command that does not use them does not
+pay for them; their re-exported names below are forwarded on first use.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .abstraction import (
     GLOBAL,
@@ -17,14 +24,6 @@ from .abstraction import (
     preimage,
     pushforward,
     validate_abstraction,
-)
-from .audit import (
-    PropertyProfile,
-    audit_abstraction,
-    audit_functor,
-    audit_node_map,
-    audit_outcome_map,
-    tri_and,
 )
 from .errors import (
     AbsauditError,
@@ -52,18 +51,42 @@ from .scm import (
     underlying_graph,
     validate_scm,
 )
-from .taxonomy import (
-    Admissibility,
-    DistributionalType,
-    PropertyMatrix,
-    StructuralType,
-    canonical_witness,
-    detect_types,
-    distributional_matrix,
-    shipped_table,
-    structural_matrix,
-)
 from .textfmt import Document, emit_document, parse_document, parse_path
+
+
+def _lazy(name: str):
+    """The submodule `name`, in `sys.modules` with its body not yet run."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+audit = _lazy("audit")
+dot = _lazy("dot")
+taxonomy = _lazy("taxonomy")
+
+_FORWARDED = {
+    **dict.fromkeys(("PropertyProfile", "audit_abstraction", "audit_functor",
+                     "audit_node_map", "audit_outcome_map", "tri_and"), audit),
+    **dict.fromkeys(("Admissibility", "DistributionalType", "PropertyMatrix",
+                     "StructuralType", "canonical_witness", "detect_types",
+                     "distributional_matrix", "shipped_table", "structural_matrix"),
+                    taxonomy),
+}
+
+
+def __getattr__(name: str):
+    if name in _FORWARDED:
+        return getattr(_FORWARDED[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_FORWARDED})
+
 
 __version__ = "1.0.0"
 

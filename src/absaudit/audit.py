@@ -33,7 +33,7 @@ mapped nodes, of (image source, image target, image) triples, or of
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, is_dataclass
 import math
 from typing import Callable, Collection, Optional, Sequence
 
@@ -284,7 +284,16 @@ class PropertyProfile:
         }
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, each audit among them as the dict of its own fields.
+
+        Equal to `dataclasses.asdict`, without its deep copy of every leaf:
+        the audits hold only str, bool and None.
+        """
+        def plain(value):
+            if isinstance(value, list):
+                return [plain(v) for v in value]
+            return dict(vars(value)) if is_dataclass(value) else value
+        return {key: plain(value) for key, value in vars(self).items()}
 
     def to_text(self) -> str:
         lines = [f"audit of {self.abstraction}"]

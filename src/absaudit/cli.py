@@ -11,10 +11,10 @@ import functools
 import json
 import sys
 
-from . import taxonomy
+# Lazily loaded (see the package docstring): read their attributes at call
+# time, so a command runs only the modules it uses.
+from . import audit, dot, taxonomy
 from .abstraction import pushforward, validate_abstraction
-from .audit import audit_abstraction
-from .dot import abstraction_dot, model_dot
 from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
 from .scm import Distribution, Scm, ValidationReport, intervene, joint_distribution, marginal
@@ -145,12 +145,12 @@ def _cmd_graph(args) -> int:
             raise ModelError("--abs on the graph command requires --dot")
         abstraction = _pick(doc.abstractions, args.abs_map, "abstraction", "--abs")
         source, target = doc.resolve(abstraction)
-        sys.stdout.write(abstraction_dot(abstraction, source, target))
+        sys.stdout.write(dot.abstraction_dot(abstraction, source, target))
         return OK
     model = _pick(doc.models, args.model, "model", "--model")
     dag = underlying_graph(model)
     if args.dot:
-        sys.stdout.write(model_dot(model))
+        sys.stdout.write(dot.model_dot(model))
         return OK
     if args.hom:
         src, tgt = args.hom
@@ -190,7 +190,7 @@ def _cmd_dist(args) -> int:
 
 @_on_valid_abstraction
 def _cmd_audit(args, abstraction, source, target) -> int:
-    profile = audit_abstraction(abstraction, source, target, non_paths=(set(), set()))
+    profile = audit.audit_abstraction(abstraction, source, target, non_paths=(set(), set()))
     if args.format == "json":
         print(json.dumps(profile.to_dict(), sort_keys=True))
     else:

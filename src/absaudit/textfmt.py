@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from .abstraction import (
@@ -371,7 +370,8 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
 
 def read_text(path) -> str:
     """The text of the UTF-8 file at `path`, or a `ParseError` at its first bad byte."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

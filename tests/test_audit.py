@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import json
+import pathlib
 import random
 
 import pytest
@@ -647,6 +649,20 @@ def test_profile_flat_and_invertibility(micro, macro):
     assert flat["outcome-functional"] is None        # no outcome layer
     assert p.to_dict()["node"]["surjective"] is True
     assert "audit of a" in p.to_text()
+
+
+def test_profile_dict_equals_asdict_on_every_shipped_abstraction():
+    data = pathlib.Path(str(importlib.resources.files("absaudit") / "data"))
+    seen = 0
+    for path in sorted(data.rglob("*.abs")):
+        doc = parse_path(path)
+        for a in doc.abstractions.values():
+            p = audit_abstraction(a, *doc.resolve(a))
+            as_dict = p.to_dict()
+            assert as_dict == dataclasses.asdict(p), path
+            assert list(as_dict) == list(dataclasses.asdict(p))
+            seen += 1
+    assert seen == 41
 
 
 def test_profile_modalities(micro, macro):

@@ -30,6 +30,7 @@ DATA = importlib.resources.files("absaudit") / "data"
 CHAIN = str(DATA / "models" / "chain3_micro.scm")
 CONFOUNDED = str(DATA / "models" / "confounded_micro.scm")
 FIG3A = str(DATA / "figures" / "fig3a.abs")
+FIG7A = str(DATA / "figures" / "fig7a.abs")
 FIG9B = str(DATA / "figures" / "fig9b.abs")
 COARSEN = str(DATA / "witnesses" / "structural" / "node-coarsening.abs")
 EDGE_COARSEN = str(DATA / "witnesses" / "structural" / "edge-coarsening.abs")
@@ -207,19 +208,62 @@ def test_help_follows_the_terminal_width_at_call_time(monkeypatch, argv):
     assert texts[0] != texts[1]
 
 
-def test_importing_the_cli_builds_no_parser():
+def _fresh_python(code: str, *argv: str) -> str:
+    """The output of `code` run with `argv` in a new interpreter that
+    imports this absaudit."""
     src = str(Path(absaudit.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    return run.stdout
+
+
+def test_importing_the_cli_builds_no_parser():
     code = (
         "import absaudit.cli as cli; "
         "print(cli.build_parser.cache_info().currsize)"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    )
-    assert run.stdout.strip() == "0"
+    assert _fresh_python(code).strip() == "0"
+
+
+# Run in a fresh interpreter: which of the lazily loaded modules have run
+# their bodies after `import absaudit.cli`, and after one call of `main`.  A
+# module has run when its dict holds the function it defines; the dict is read
+# past the module's `__getattribute__`, which would run the body.
+_RUN_MODULES = """\
+import contextlib, io, json, sys
+import absaudit.cli
+
+DEFINES = {"audit": "audit_abstraction", "dot": "model_dot", "taxonomy": "detect_types"}
+
+def ran():
+    return sorted(name for name, func in DEFINES.items()
+                  if func in object.__getattribute__(sys.modules["absaudit." + name], "__dict__"))
+
+before = ran()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = absaudit.cli.main(sys.argv[1:])
+print(json.dumps([before, code, ran()]))
+"""
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (["validate", FIG7A], []),
+    (["dist", CHAIN], []),
+    (["push", "--renormalize", DROPPING], []),
+    (["graph", CHAIN], []),
+    (["graph", "--hom", "S", "C", CHAIN], []),
+    (["--format", "json", "audit", FIG7A], ["audit"]),
+    (["graph", "--dot", CHAIN], ["dot"]),
+    (["graph", "--dot", "--abs", "fig7a", FIG7A], ["dot"]),
+    (["classify", FIG7A], ["audit", "taxonomy"]),
+    (["tables", "--which", "structural"], ["audit", "taxonomy"]),
+])
+def test_a_command_runs_only_the_modules_it_uses(argv, runs):
+    assert json.loads(_fresh_python(_RUN_MODULES, *argv)) == [[], 0, runs]
 
 
 # ---------------------------------------------------------------------------
