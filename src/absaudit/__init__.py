@@ -34,7 +34,7 @@ from .errors import (
     RenormalizationRequiredError,
     TOL,
 )
-from .freecat import all_morphisms, hom_set, path_counts
+from .freecat import hom_set, path_counts
 from .scm import (
     Dag,
     Distribution,
@@ -116,7 +116,6 @@ __all__ = [
     "StructuralType",
     "ValidationReport",
     "Variable",
-    "all_morphisms",
     "audit_abstraction",
     "audit_functor",
     "audit_node_map",

@@ -232,16 +232,15 @@ def validate_abstraction(
             report.add("outcome-duplicate", f"two outcome maps for {om.target}")
         seen_targets.add(om.target)
         if om.is_global:
-            if tuple(om.sources) != source.variable_names:
-                report.add(
-                    "outcome-global-scope",
-                    "the global outcome map must read every source variable",
-                )
+            scoped = tuple(om.sources) == source.variable_names
+            if not scoped:
+                report.add("outcome-global-scope",
+                           "the global outcome map must read every source variable")
             if tuple(om.onto) != target.variable_names:
-                report.add(
-                    "outcome-global-onto",
-                    "the global outcome map must write every target variable",
-                )
+                report.add("outcome-global-onto",
+                           "the global outcome map must write every target variable")
+            if not scoped:
+                continue  # its keys may name variables the source lacks
             tgt_scope: tuple[str, ...] = target.variable_names
         else:
             if has_global:
@@ -345,6 +344,8 @@ def pushforward(
     places = {name: list(map(itemgetter(i), outcomes)) for i, name in enumerate(dist.scope)}
     row_columns = []  # the cells of the supported row each outcome picks in each map, or ()
     for om in maps:
+        if unknown := set(om.sources) - places.keys():
+            raise ModelError(f"outcome map for {om.target} reads unknown variable {min(unknown)!r}")
         cells = {key: tuple(row.items()) for key, row in om.supported_rows().items()}
         keys = rows_of([places[s] for s in om.sources], len(outcomes))
         row_columns.append(list(map(cells.get, keys, repeat(()))))

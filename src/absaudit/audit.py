@@ -37,8 +37,8 @@ from dataclasses import dataclass, is_dataclass
 import math
 from typing import Callable, Collection, Optional, Sequence
 
-from .abstraction import Abstraction, Direction, OutcomeMap, StructuralMap, edge_map_non_paths
-from .abstraction import is_node_tuple
+from .abstraction import (Abstraction, Direction, OutcomeMap, StructuralMap,
+                          edge_map_non_paths, is_node_tuple)
 from .freecat import path_counts
 from .scm import Scm, out_of_range, underlying_graph
 

@@ -8,13 +8,13 @@ composes ``f`` then ``g`` (concatenation with the shared endpoint written
 once), and ``()`` is no path.  Because the graph is acyclic, every hom-set
 is finite.
 
-Only ``hom_set`` and ``all_morphisms`` list paths, and only they are
-capped.  ``hom_set`` walks depth first, always into the smallest name
-first, so its paths come out sorted by construction: in a DAG no path to
-the target extends another.  The audits need hom-set sizes alone, which
-``path_counts`` gives for every target of one or more sources in a single
-pass.  ``are_paths`` tests one side of an edge map at once, in C, once per
-command; ``non_paths`` names the failures, checking path by path.
+Only ``hom_set`` lists paths, and only it is capped.  It walks depth
+first, always into the smallest name first, so its paths come out sorted by
+construction: in a DAG no path to the target extends another.  The audits
+need hom-set sizes alone, which ``path_counts`` gives for every target of
+one or more sources in a single pass.  ``is_path`` tests one node sequence;
+``are_paths`` tests one side of an edge map at once, in C, and agrees with
+``is_path`` on every entry.
 """
 
 from __future__ import annotations
@@ -41,12 +41,6 @@ def are_paths(dag: Dag, paths: Collection[Sequence[str]]) -> bool:
         return bool(all(paths) and dag.node_set.issuperset(chain.from_iterable(paths))
                     and dag.edge_set.issuperset(chain.from_iterable(map(pairwise, paths))))
     return False
-
-
-def non_paths(dag: Dag, paths: Collection[Sequence[str]]) -> list:
-    """The entries of `paths`, in order, that are not morphisms: all are
-    tested at once, and path by path only when that test fails."""
-    return [] if are_paths(dag, paths) else [p for p in paths if not is_path(dag, p)]
 
 
 def path_counts(dag: Dag, *sources: str) -> dict[str, int]:
@@ -89,25 +83,3 @@ def hom_set(dag: Dag, source: str, target: str) -> tuple[tuple[str, ...], ...]:
         else:
             stack.extend(map(path.__add__, toward[path[-1]]))
     return tuple(found)
-
-
-def all_morphisms(dag: Dag) -> tuple[tuple[str, ...], ...]:
-    """Every morphism of the free category, ordered by (source, target) pair.
-
-    Pairs follow the node declaration order; within a pair the hom-set order
-    is lexicographic.  The cap applies to the total count, taken first.  One
-    walk from each source, into the smallest name first, lists its paths in
-    lexicographic order; a stable sort then groups them by target.
-    """
-    count = sum(path_counts(dag, *dag.nodes).values())
-    check_cap(count, DEFAULT_HOM_CAP, f"the free category has {count} morphisms")
-    rank = {u: i for i, u in enumerate(dag.nodes)}
-    # Each node's successors as 1-tuples, largest first: the stack pops the smallest.
-    later = {u: sorted(((v,) for v in dag.successors(u)), reverse=True) for u in dag.nodes}
-    found: list[tuple[str, ...]] = []
-    stack = [(u,) for u in reversed(dag.nodes)]  # each source's walk ends before the next's
-    while stack:
-        path = stack.pop()
-        found.append(path)
-        stack.extend(map(path.__add__, later[path[-1]]))
-    return tuple(sorted(found, key=lambda p: (rank[p[0]], rank[p[-1]])))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.resources
 import itertools
 import os
 import random
@@ -30,6 +31,7 @@ from absaudit.errors import (
 )
 from absaudit.audit import audit_abstraction
 from absaudit.scm import Exogenous, Scm, Variable, joint_distribution
+from absaudit.textfmt import parse_document
 
 from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, random_model
 from oracles import block, plain_pushforward, pushforward_cells
@@ -294,6 +296,17 @@ def test_validate_global_outcome_map(micro, macro):
     assert "outcome-mixed" in codes(validate_abstraction(mixed, micro, macro))
 
 
+def test_validate_global_map_reading_an_unknown_variable():
+    """A global outcome map that reads a variable the source lacks is an
+    `outcome-global-scope` issue, and its rows are not checked against the
+    source's domains; the models are still read."""
+    path = importlib.resources.files("absaudit") / "data" / "witnesses" / "distributional"
+    text = (path / "abstraction-reversal.abs").read_text(encoding="utf-8")
+    doc = parse_document(text.replace("outcomes * from S' onto S", "outcomes * from Zed onto S"))
+    a = doc.abstractions["witness_abstraction_reversal"]
+    assert codes(validate_abstraction(a, *doc.resolve(a))) == {"outcome-global-scope"}
+
+
 # ---------------------------------------------------------------------------
 # Pushforward
 # ---------------------------------------------------------------------------
@@ -322,6 +335,17 @@ def test_pushforward_needs_every_target_variable(micro, macro):
     a = collapse(micro, macro, [proj_outcomes()[0]])
     with pytest.raises(ModelError, match="no outcome map for target variable C'"):
         pushforward(a, joint_distribution(micro), micro, macro)
+
+
+def test_pushforward_names_an_unknown_source_variable(micro, macro):
+    """An unvalidated outcome map that reads a variable the source lacks,
+    global or per variable, is refused by name."""
+    gom = OutcomeMap(target=GLOBAL, sources=("S", "Zed", "C"), rows={}, onto=("S'", "C'"))
+    per = det_outcomes("S'", ("S", "Zed"), {("0", "0"): ("0",)})
+    for outcomes, name in (([gom], r"\*"), ([per, proj_outcomes()[1]], "S'")):
+        a = collapse(micro, macro, outcomes)
+        with pytest.raises(ModelError, match=f"outcome map for {name} reads unknown variable 'Zed'"):
+            pushforward(a, joint_distribution(micro), micro, macro)
 
 
 def test_pushforward_onto_a_model_without_variables(micro):

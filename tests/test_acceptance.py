@@ -24,7 +24,7 @@ from absaudit.abstraction import (
 from absaudit.audit import audit_abstraction, tri_and
 from absaudit.cli import main
 from absaudit.errors import TOL
-from absaudit.freecat import all_morphisms, hom_set
+from absaudit.freecat import hom_set
 from absaudit.scm import (
     Dag,
     Distribution,
@@ -200,7 +200,7 @@ def _random_edge_map(rng, src, tgt, rows):
         if len(row) == 1 and abs(next(iter(row.values())) - 1.0) < 1e-12
     }
     mapped = [u for u in src.variable_names if u in rows]
-    pool = all_morphisms(tgt_dag)
+    pool = [m for x in tgt_dag.nodes for y in tgt_dag.nodes for m in hom_set(tgt_dag, x, y)]
     edge_map = {}
     for u in mapped:
         for v in mapped:

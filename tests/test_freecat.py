@@ -8,9 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from absaudit import freecat
 from absaudit.errors import CapacityError, ModelError
-from absaudit.freecat import all_morphisms, are_paths, hom_set, is_path, non_paths, path_counts
+from absaudit.freecat import are_paths, hom_set, is_path, path_counts
 from absaudit.scm import Dag, underlying_graph
 
 from helpers import chain, random_dag
@@ -102,51 +101,23 @@ def test_is_path():
     assert not is_path(DIAMOND, ())
 
 
-def test_non_paths_checks_path_by_path_only_to_name_the_failures(monkeypatch):
-    """Valid paths pass the bulk test with no per-path check; once it fails,
-    every path is checked and the failures come back in order."""
-    checked = []
-    monkeypatch.setattr(freecat, "is_path",
-                        lambda dag, nodes: checked.append(nodes) or is_path(dag, nodes))
-    good = [("A", "B", "D"), ("A",), ["A", "C", "D"], ("D",)]
-    assert non_paths(DIAMOND, good) == [] and checked == []
-    assert non_paths(DIAMOND, []) == [] and checked == []
-    paths = good + [("A", "D"), (), ("Q",), ("B", "A"), ("A", "B", "D")]
-    assert non_paths(DIAMOND, paths) == [("A", "D"), (), ("Q",), ("B", "A")]
-    assert checked == paths
-
-
 def test_entries_that_are_no_sequence_of_names_are_non_paths():
     """An entry that is no sequence, or holds an unhashable value, is no
     path: the bulk test and the per-path check return False, not raise."""
     junk = [None, 5, (["A"],), [["A", "B"]], ("A", ["B"])]
     assert not any(is_path(DIAMOND, p) for p in junk)
+    assert are_paths(DIAMOND, [("A", "B"), ("A",)])
     for p in junk:
         assert not are_paths(DIAMOND, [("A", "B"), p])
-        assert non_paths(DIAMOND, [("A", "B"), p, ("A",)]) == [p]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.sampled_from("ABCDQ"), max_size=4).map(tuple), max_size=6))
-def test_non_paths_agrees_with_is_path(paths):
-    assert non_paths(DIAMOND, paths) == [p for p in paths if not is_path(DIAMOND, p)]
-    assert non_paths(DIAMOND, set(paths)) == [p for p in set(paths) if not is_path(DIAMOND, p)]
-
-
-def test_all_morphisms_and_generators():
-    ms = all_morphisms(DIAMOND)
-    assert len(ms) == 4 + 4 + 2  # identities, edges, two long paths
-    assert {m for m in ms if len(m) == 2} == set(DIAMOND.edges)  # the generators
-
-
-def test_all_morphisms_cap(monkeypatch):
-    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "9")
-    with pytest.raises(CapacityError) as exc:
-        all_morphisms(DIAMOND)
-    assert str(exc.value) == (
-        "the free category has 10 morphisms, exceeding the enumeration cap of 9")
-    monkeypatch.setenv("ABSAUDIT_ENUM_CAP", "10")
-    assert len(all_morphisms(DIAMOND)) == 10
+def test_are_paths_agrees_with_is_path(paths):
+    """The test of a whole side of an edge map, which `edge_map_non_paths`
+    runs first, passes exactly when every entry is a path."""
+    assert are_paths(DIAMOND, paths) == all(is_path(DIAMOND, p) for p in paths)
+    assert are_paths(DIAMOND, set(paths)) == all(is_path(DIAMOND, p) for p in set(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +146,7 @@ def test_hom_set_matches_oracle_on_random_dags():
 def test_hom_set_is_sorted_whatever_the_declaration_order():
     """Node names that sort apart from the order they are declared in (`n10`
     before `n2`, names dealt at random), and successors declared in a
-    shuffled order: each hom-set is still the sorted oracle listing, and
-    `all_morphisms` lists them pair by pair in declaration order."""
+    shuffled order: each hom-set is still the sorted oracle listing."""
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 12)
@@ -190,21 +160,6 @@ def test_hom_set_is_sorted_whatever_the_declaration_order():
             for dst in adj:
                 got = list(hom_set(dag, src, dst))
                 assert got == sorted(all_paths(adj, src, dst))
-        assert list(all_morphisms(dag)) == [
-            p for src in adj for dst in adj for p in sorted(all_paths(adj, src, dst))]
-
-
-def test_all_morphisms_reads_successors_at_most_once_per_morphism(monkeypatch):
-    """On a 60-chain (1830 morphisms) the listing's work follows its output:
-    a hom-set query per pair would read successors about 60^3 times."""
-    nodes = tuple(f"x{i}" for i in range(60))
-    dag = Dag(nodes=nodes, edges=tuple(zip(nodes, nodes[1:])))
-    reads = []
-    successors = Dag.successors
-    monkeypatch.setattr(Dag, "successors", lambda self, u: reads.append(u) or successors(self, u))
-    morphisms = all_morphisms(dag)
-    assert len(morphisms) == 60 * 61 // 2
-    assert len(reads) <= len(morphisms)
 
 
 def test_path_counts_from_several_sources_sum_the_single_source_counts():
@@ -228,7 +183,7 @@ def test_hom_set_composition_closure(seed):
     adj = random_dag(rng, 5)
     nodes = tuple(adj)
     dag = Dag(nodes=nodes, edges=tuple((u, v) for u in nodes for v in adj[u]))
-    ms = all_morphisms(dag)
+    ms = [m for x in nodes for y in nodes for m in hom_set(dag, x, y)]
     for f in ms:
         for g in ms:
             if f[-1] == g[0]:

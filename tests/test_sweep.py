@@ -35,6 +35,9 @@ def _sweep(*args: str) -> list[str]:
 
 
 def test_sweep_on_two_files():
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
     lines = _sweep()
     calls = [line.split(" ", 2) for line in lines]
     assert all(len(digest) == 64 for _, digest, _ in calls)
@@ -52,6 +55,13 @@ def test_sweep_on_two_files():
     assert do == [f"dist models/chain3_micro.scm --model chain3_micro{rest}" for rest in (
         "", *(f" --do {v}={x}" for v in "STC" for x in "01"),
         *(f" --marginal {vs}" for vs in ("S", "T", "C", "C,T,S")))]
+    # audit --require with every property name, which no map satisfies, and
+    # with an unknown name
+    doc = parse_document((DATA / "figures" / "fig3a.abs").read_text(encoding="utf-8"))
+    a = doc.abstractions["fig3a"]
+    assert sweep.REQUIRE == ",".join(sorted(audit_abstraction(a, *doc.resolve(a)).flat()))
+    assert codes[f"audit figures/fig3a.abs --abs fig3a --require {sweep.REQUIRE}"] == "1"
+    assert codes["audit figures/fig3a.abs --require functorial,no-such-property"] == "1"
     for argv in ("push figures/fig3a.abs --abs fig3a --do T=0",
                  "--format json push figures/fig3a.abs --abs fig3a --renormalize --do C=0"):
         assert codes[argv] == "0"
@@ -174,10 +184,14 @@ def test_sweep_audits_and_classifies_the_generated_chain_maps():
 
     calls = [line.split(" ", 2) for line in _sweep() if "chain-maps" in line]
     assert [argv for _, _, argv in calls] == [
-        f"{fmt}{command} generated/chain-maps.abs --abs {name}"
-        for name in sweep.CHAIN_MAPS for command in ("audit", "classify")
+        f"{fmt}{command} generated/chain-maps.abs --abs {name}{extra}"
+        for name in sweep.CHAIN_MAPS
+        for command, extra in (("audit", ""), ("audit", f" --require {sweep.REQUIRE}"),
+                               ("classify", ""))
         for fmt in ("", "--format json ")]
-    assert {code for code, _, _ in calls} == {"0"}
+    # no map has every property: `deterministic` and `non-deterministic` exclude each other
+    assert [code for code, _, argv in calls] == [
+        "1" if "--require" in argv else "0" for _, _, argv in calls]
     doc = parse_document(sweep.chain_maps())
     verdicts, types = {}, {}
     for name, a in doc.abstractions.items():

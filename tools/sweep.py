@@ -38,10 +38,12 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   full edge map, an identity and a coarsening of consecutive pairs
   (`chain_maps`), so the functor audit's path tests show on 78 entries: no
   shipped edge map has more than three;
-* per abstraction: graph --dot --abs, audit, classify, push and
-  push --renormalize, then push --do VAR=VALUE and push --do VAR=VALUE
-  --renormalize for each variable of its source (when the file declares
-  it) at the first value of its domain;
+* per abstraction: graph --dot --abs, audit, audit --require with every
+  property name (`REQUIRE`), classify, push and push --renormalize, then
+  push --do VAR=VALUE and push --do VAR=VALUE --renormalize for each
+  variable of its source (when the file declares it) at the first value
+  of its domain; audit --require on each generated chain map too, and once
+  with an unknown property name (`UNKNOWN_REQUIRE`);
 * tables with each --which, and tables --truth (the shipped tables) with
   and without --which;
 * the usage errors (unknown command, missing FILE, --format xml) and the
@@ -117,6 +119,14 @@ CHAIN_MAPS_FILE = "generated/chain-maps.abs"
 # the calls whose output argparse writes: usage errors, then help
 ARGPARSE = (("no-such-command",), ("dist",), ("--format", "xml", "validate", "x.abs"),
             ("--help",), ("dist", "--help"))
+# every property name that audit --require accepts, in sorted order
+REQUIRE = ",".join((
+    "bijective", "deterministic", "faithful", "faithful-parallel", "full", "fully-faithful",
+    "functional", "functorial", "injective", "macro-to-micro", "non-deterministic",
+    "outcome-bijective", "outcome-deterministic", "outcome-functional", "outcome-injective",
+    "outcome-surjective", "perfect-edge-invertible", "perfect-node-invertible",
+    "set-edge-invertible", "set-node-invertible", "surjective"))
+UNKNOWN_REQUIRE = ("audit", "figures/fig3a.abs", "--require", "functorial,no-such-property")
 CAP_ENV = "ABSAUDIT_ENUM_CAP"
 # (cap, argv): each phase just over its cap, then two caps that are refused
 CAPPED = (("1", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
@@ -128,10 +138,12 @@ CAPPED = (("1", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
 
 def run(main, argv: list[str]) -> tuple[object, str, str]:
     """The exit code, stdout and stderr of `main(argv)`; a first token
-    `ABSAUDIT_ENUM_CAP=N` sets that variable for the call instead."""
+    `ABSAUDIT_ENUM_CAP=N` sets that variable for the call instead.  Only
+    such a call copies and restores `os.environ`, which costs about as much
+    as a small call itself."""
     env, argv = split_cap(argv)
     out, err = io.StringIO(), io.StringIO()
-    with (mock.patch.dict(os.environ, (a.split("=", 1) for a in env)),
+    with (mock.patch.dict(os.environ, [env[0].split("=", 1)]) if env else contextlib.nullcontext(),
           contextlib.redirect_stdout(out),
           contextlib.redirect_stderr(err)):
         try:
@@ -305,6 +317,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
         for name, a in doc.abstractions.items():
             pick = ["--abs", name]
             plain += [["graph", path, "--dot", *pick], ["audit", path, *pick],
+                      ["audit", path, *pick, "--require", REQUIRE],
                       ["classify", path, *pick], ["push", path, *pick],
                       ["push", path, "--renormalize", *pick]]
             source = doc.models.get(a.source_ref)
@@ -313,8 +326,9 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
                       for flag in ([], ["--renormalize"])]
     plain += [["graph", COMPLETE_FILE, "--hom", s, t] for s in COMPLETE for t in COMPLETE]
     plain += [["classify", BIJECTIONS_FILE, "--abs", name] for name in BIJECTIONS]
-    plain += [[command, CHAIN_MAPS_FILE, "--abs", name]
-              for name in CHAIN_MAPS for command in ("audit", "classify")]
+    plain += [[command, CHAIN_MAPS_FILE, "--abs", name, *extra] for name in CHAIN_MAPS
+              for command, extra in (("audit", []), ("audit", ["--require", REQUIRE]),
+                                     ("classify", []))]
     plain += [[command, path] for command, path in cut]
     for path, model in noisy:
         plain += [["validate", path], ["dist", path, "--model", model]]
@@ -325,6 +339,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
     plain += [["tables", "--truth", "tables/structural.tbl"]]
     plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
               for w in ("structural", "distributional")]
+    plain += [list(UNKNOWN_REQUIRE)] if UNKNOWN_REQUIRE[1] in files else []
     plain += [list(argv) for argv in ARGPARSE]
     plain += [[f"{CAP_ENV}={cap}", *argv] for cap, argv in CAPPED
               if argv[1] in (COMPLETE_FILE, *files)]
