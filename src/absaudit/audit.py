@@ -22,7 +22,8 @@ The functor audit reads the edge map once, as a table of node tuples.  It
 is total when its keys that are source paths between mapped nodes are as
 many as those paths, and full when its distinct images that are target
 paths between image nodes are as many as those (``edge_map_non_paths``
-names the non-paths, one test per side and command; ``path_counts``
+names the non-paths, one bulk test per side and command, which tests a key
+or image whose prefix is one too at its last step alone; ``path_counts``
 counts both).  Composites split only at mapped nodes, so composition is
 ``F(m) == F(prefix) + F(suffix)[1:]`` with each path ``m`` cut at its last
 mapped inner node, found scanning from the end; by induction every other
@@ -202,7 +203,7 @@ def audit_functor(abstraction: Abstraction, source: Scm, target: Scm, *,
                if not (junk and m in junk) and m and m[0] in pi and m[-1] in pi]
     # The declared morphisms of the audited subcategory: source paths
     # between mapped nodes, which may pass through unmapped ones.
-    domain = [m for m, _, _, _ in entries if m not in bad_keys]
+    domain = [m for m, _, _, _ in entries if not (bad_keys and m in bad_keys)]
     functorial = (
         len(entries) == len(table)
         and all(n and n[0] == s and n[-1] == t for _, n, s, t in entries)

@@ -191,26 +191,19 @@ def _cmd_dist(args) -> int:
 @_on_valid_abstraction
 def _cmd_audit(args, abstraction, source, target) -> int:
     profile = audit.audit_abstraction(abstraction, source, target, non_paths=(set(), set()))
+    required = [prop.strip() for prop in args.require.split(",")] if args.require else []
+    flat = profile.flat() if required else {}
+    for prop in required:
+        if prop not in flat:
+            raise ModelError(f"unknown property {prop!r}; choose from {', '.join(sorted(flat))}")
     if args.format == "json":
         print(json.dumps(profile.to_dict(), sort_keys=True))
     else:
         print(profile.to_text())
-    if args.require:
-        flat = profile.flat()
-        failed = []
-        for prop in args.require.split(","):
-            prop = prop.strip()
-            if prop not in flat:
-                raise ModelError(
-                    f"unknown property {prop!r}; choose from "
-                    f"{', '.join(sorted(flat))}"
-                )
-            if flat[prop] is not True:
-                failed.append(prop)
-        if failed:
-            print(f"required properties not satisfied: {', '.join(failed)}",
-                  file=sys.stderr)
-            return FAIL
+    failed = [prop for prop in required if flat[prop] is not True]
+    if failed:
+        print(f"required properties not satisfied: {', '.join(failed)}", file=sys.stderr)
+        return FAIL
     return OK
 
 

@@ -13,18 +13,22 @@ first, always into the smallest name first, so its paths come out sorted by
 construction: in a DAG no path to the target extends another.  The audits
 need hom-set sizes alone, which ``path_counts`` gives for every target of
 one or more sources in a single pass.  ``is_path`` tests one node sequence;
-``are_paths`` tests one side of an edge map at once, in C, and agrees with
-``is_path`` on every entry.
+``are_paths`` tests one side of an edge map at once, in C, by induction on
+length (an entry that extends another by one edge is tested at that edge),
+and agrees with ``is_path`` on every entry.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from itertools import chain, pairwise
+from itertools import chain, compress, pairwise
+from operator import itemgetter, not_
 from typing import Collection, Sequence
 
 from .errors import DEFAULT_HOM_CAP, ModelError, check_cap
 from .scm import Dag
+
+_PREFIX, _PENULT, _LAST = itemgetter(slice(None, -1)), itemgetter(-2), itemgetter(-1)
 
 
 def is_path(dag: Dag, nodes: Sequence[str]) -> bool:
@@ -36,10 +40,21 @@ def is_path(dag: Dag, nodes: Sequence[str]) -> bool:
 
 
 def are_paths(dag: Dag, paths: Collection[Sequence[str]]) -> bool:
-    """True when every entry of `paths` is a morphism, all tested at once in C."""
+    """True when every entry of `paths` is a morphism, all tested at once in C; an
+    entry whose prefix is an entry too is tested at its last step and node alone."""
     with suppress(TypeError):  # raised by an entry that is no sequence of hashables
-        return bool(all(paths) and dag.node_set.issuperset(chain.from_iterable(paths))
-                    and dag.edge_set.issuperset(chain.from_iterable(map(pairwise, paths))))
+        if not all(paths):  # so an entry that extends another has a last step
+            return False
+        try:  # an entry that cannot be sliced or hashed: test every entry in full
+            entries = paths if isinstance(paths, (dict, set, frozenset)) else set(paths)
+            grown = list(map(entries.__contains__, map(_PREFIX, paths)))
+        except (TypeError, LookupError):
+            grown = [False] * len(paths)
+        whole, steps = list(compress(paths, map(not_, grown))), list(compress(paths, grown))
+        ends = list(map(_LAST, steps))
+        return (dag.node_set.issuperset(chain(ends, chain.from_iterable(whole)))
+                and dag.edge_set.issuperset(chain(zip(map(_PENULT, steps), ends),
+                                                  chain.from_iterable(map(pairwise, whole)))))
     return False
 
 
@@ -64,22 +79,26 @@ def hom_set(dag: Dag, source: str, target: str) -> tuple[tuple[str, ...], ...]:
     when the hom-set exceeds the enumeration cap (`errors.check_cap`: 10^5
     or `ABSAUDIT_ENUM_CAP`).  The hom-set is counted before it is listed,
     and the walk enters only nodes that reach `target`, so the cap bounds
-    the work.
+    the work.  It extends one list of nodes, and copies it only into a path
+    that ends at `target`.
     """
     if source not in dag.node_set:
         raise ModelError(f"unknown node {source!r}")
     to_target = path_counts(dag.opposite, target)
     count = to_target[source]
     check_cap(count, DEFAULT_HOM_CAP, f"hom-set from {source} to {target} has {count} morphisms")
-    # The successors that reach `target` as 1-tuples, largest first: the stack pops the smallest.
-    toward = {u: sorted(((v,) for v in dag.successors(u) if to_target[v]), reverse=True)
-              for u in dag.nodes}
-    found: list[tuple[str, ...]] = []
-    stack = [(source,)]
+    # The successors that reach `target`, sorted; one iterator per node of `path` on the stack.
+    toward = {u: sorted(v for v in dag.successors(u) if to_target[v]) for u in dag.nodes}
+    found = [(source,)] if source == target else []
+    path, stack = [source], [iter(toward[source])]
     while stack:
-        path = stack.pop()
-        if path[-1] == target:
-            found.append(path)
+        for v in stack[-1]:
+            if v == target:
+                found.append((*path, v))
+            else:
+                path.append(v)
+                stack.append(iter(toward[v]))
+                break
         else:
-            stack.extend(map(path.__add__, toward[path[-1]]))
+            del path[-1], stack[-1]
     return tuple(found)

@@ -10,11 +10,24 @@ import itertools
 import random
 import zlib
 
+from hypothesis import strategies as st
+
 from absaudit.abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
 from absaudit.scm import Exogenous, Scm, Variable
 
 BIN = ("0", "1")
 U2 = (("0", 0.5), ("1", 0.5))
+
+# Edge-map entries that are not tuples of names (None, integers, strings,
+# `()`, a tuple holding an integer or a list, lists and nested lists), made
+# of fig2a's target node names and the unknown name Q.
+JUNK_NAMES = ("S'", "T'", "C'", "Q")
+HASHABLE_JUNK = st.one_of(st.none(), st.integers(-2, 2), st.just(()), st.text(max_size=3),
+                          st.tuples(st.sampled_from(JUNK_NAMES), st.integers(0, 1)))
+JUNK = st.one_of(HASHABLE_JUNK, st.lists(st.sampled_from(JUNK_NAMES), max_size=3),
+                 st.lists(st.lists(st.sampled_from(JUNK_NAMES), max_size=2), max_size=2),
+                 st.lists(st.sampled_from(JUNK_NAMES), min_size=1, max_size=2).map(
+                     lambda xs: (xs,)))
 
 
 def xor(parents: tuple[str, ...], u: str) -> str:

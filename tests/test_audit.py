@@ -38,6 +38,8 @@ from absaudit.textfmt import Document, emit_document, parse_document, parse_path
 
 from helpers import (
     BIN,
+    HASHABLE_JUNK,
+    JUNK,
     M,
     U2,
     abstraction,
@@ -407,17 +409,21 @@ def _count_edge_tests(monkeypatch) -> tuple[list, list]:
 
 def test_functor_audit_work_is_linear_in_entries(monkeypatch):
     """On a 30-chain identity with its full edge map, the audit asks each
-    graph's edge set once, about every step of every key, then of every
-    distinct image, and checks no path on its own."""
+    graph's edge set once, and checks no path on its own.  Every key but
+    the 30 identities extends a shorter key by one edge, so it is asked
+    about that last step alone, and so is every image: 435 pairs per side,
+    one per key that is no identity, where every step of every path would
+    be 4495."""
     n = 30
     src, tgt, edges, a = _chain_identity(n)
     assert len(edges) == n * (n + 1) // 2
     tests, per_path = _count_edge_tests(monkeypatch)
     f = audit_functor(a, src, tgt)
     assert f.functorial and f.fully_faithful and f.faithful_parallel
-    steps = sum(len(m) - 1 for m in edges)
-    assert steps == sum(len(m) - 1 for m in set(edges.values())) == 4495
-    assert tests == [("source", steps), ("target", steps)] and per_path == []
+    grown = sum(len(m) > 1 for m in edges)
+    assert grown == sum(len(m) > 1 for m in set(edges.values())) == 435
+    assert sum(len(m) - 1 for m in edges) == 4495
+    assert tests == [("source", grown), ("target", grown)] and per_path == []
 
 
 def test_empty_path_is_not_functorial_and_raises_nothing():
@@ -434,17 +440,9 @@ def test_empty_path_is_not_functorial_and_raises_nothing():
             (f"edge-map-{side}", f"() is not a morphism of the {side} graph")]
 
 
-_NAMES = st.sampled_from(["S'", "T'", "C'", "Q"])
-_HASHABLE_JUNK = st.one_of(st.none(), st.integers(-2, 2), st.just(()), st.text(max_size=3),
-                           st.tuples(_NAMES, st.integers(0, 1)))
-_JUNK = st.one_of(_HASHABLE_JUNK, st.lists(_NAMES, max_size=3),
-                  st.lists(st.lists(_NAMES, max_size=2), max_size=2),
-                  st.lists(_NAMES, min_size=1, max_size=2).map(lambda xs: (xs,)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(images=st.lists(st.tuples(st.integers(0, 5), _JUNK), max_size=4),
-       keys=st.lists(st.tuples(_HASHABLE_JUNK, st.one_of(st.just(("C'",)), _JUNK)),
+@given(images=st.lists(st.tuples(st.integers(0, 5), JUNK), max_size=4),
+       keys=st.lists(st.tuples(HASHABLE_JUNK, st.one_of(st.just(("C'",)), JUNK)),
                      max_size=3))
 def test_junk_edge_map_entries_are_reported_and_audited(images, keys):
     """Edge-map entries that are not tuples of names (None, integers, lists,
@@ -477,24 +475,27 @@ def test_junk_edge_map_entries_are_reported_and_audited(images, keys):
 
 
 def test_validation_and_audit_check_each_path_once(monkeypatch):
-    """On the same 30-chain identity, `validate_abstraction` tests every
-    step of every key against the source graph's edges once, and every step
-    of every image against the target graph's; the audit, fed the two empty
-    sets of non-paths that a clean report implies, tests nothing again: one
-    bulk test per side in all, and no per-path check."""
+    """On the same 30-chain identity, `validate_abstraction` asks the source
+    graph's edges once, about the last step of every key that is no
+    identity, and the target graph's about the last step of every such
+    image; the audit, fed the two empty sets of non-paths that a clean
+    report implies, tests nothing again: one bulk test per side in all, of
+    435 pairs, and no per-path check."""
     src, tgt, edges, a = _chain_identity(30)
     tests, per_path = _count_edge_tests(monkeypatch)
     assert validate_abstraction(a, src, tgt).ok
     f = audit_abstraction(a, src, tgt, non_paths=(set(), set())).functor
     assert f.functorial and f.fully_faithful and f.faithful_parallel
-    steps = sum(len(m) - 1 for m in edges)
-    assert tests == [("source", steps), ("target", steps)] and per_path == []
+    grown = sum(len(m) > 1 for m in edges)
+    assert tests == [("source", grown), ("target", grown)] == [("source", 435), ("target", 435)]
+    assert per_path == []
 
 
 def test_cli_audit_checks_each_path_once(monkeypatch, tmp_path, capsys):
     """`absaudit audit` on a file holding the 30-chain identity with its full
     edge map validates the map, then audits it without testing a path
-    again: each graph's edge set is asked once, about every step."""
+    again: each graph's edge set is asked once, about the last step of
+    each of the 435 keys or images that are no identity."""
     src, tgt, edges, a = _chain_identity(30, _constant_chain)
     doc = Document({"src": src, "tgt": tgt}, {"a": a})
     path = tmp_path / "chain30.abs"
@@ -503,8 +504,9 @@ def test_cli_audit_checks_each_path_once(monkeypatch, tmp_path, capsys):
     assert main(["--format", "json", "audit", str(path)]) == 0
     functor = json.loads(capsys.readouterr().out)["functor"]
     assert functor["functorial"] and functor["fully_faithful"] and functor["faithful_parallel"]
-    steps = sum(len(m) - 1 for m in edges)
-    assert tests == [("source", steps), ("target", steps)] and per_path == []
+    grown = sum(len(m) > 1 for m in edges)
+    assert tests == [("source", grown), ("target", grown)] == [("source", 435), ("target", 435)]
+    assert per_path == []
 
 
 # ---------------------------------------------------------------------------

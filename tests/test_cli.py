@@ -661,10 +661,18 @@ def test_audit_require_fail(capsys):
 
 
 def test_audit_require_unknown(capsys):
+    """Every name is checked before the profile is printed: an unknown one,
+    even after a known one, or a blank one, prints nothing on stdout."""
     assert main(["audit", FIG9B, "--require", "shiny"]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "unknown property 'shiny'" in err
     assert "bijective" in err  # lists the available names
+    assert out == ""
+    for fmt in ([], ["--format", "json"]):
+        for names, unknown in (("functorial,shiny", "shiny"), (" ", "")):
+            assert main([*fmt, "audit", FIG9B, "--require", names]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and f"error: unknown property {unknown!r}; choose from " in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from absaudit.errors import CapacityError, ModelError
 from absaudit.freecat import are_paths, hom_set, is_path, path_counts
 from absaudit.scm import Dag, underlying_graph
 
-from helpers import chain, random_dag
+from helpers import JUNK, JUNK_NAMES, chain, random_dag
 from oracles import all_paths, path_count
 
 DIAMOND = Dag(
@@ -120,6 +120,70 @@ def test_are_paths_agrees_with_is_path(paths):
     assert are_paths(DIAMOND, set(paths)) == all(is_path(DIAMOND, p) for p in set(paths))
 
 
+# A pool of node names, the junk's among them; a drawn graph holds some and
+# may have edges that name the others.
+_POOL = (*JUNK_NAMES, "n4", "n5")
+
+
+@st.composite
+def _graph_and_entries(draw):
+    """A `Dag` over some names of `_POOL`, with edges that may name a node
+    it does not hold, and a list of entries: the prefixes of random walks
+    along its edges (so a prefix-closed family of paths, or of non-paths
+    through a node not held), some of them dropped, one step of one of them
+    corrupted, then duplicates, `()` and junk, in a random order."""
+    order = draw(st.permutations(_POOL))
+    held = draw(st.one_of(st.just(_POOL),
+                          st.lists(st.sampled_from(_POOL), min_size=1, unique=True)))
+    pairs = list(itertools.combinations(order, 2))
+    edges = list(itertools.compress(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                         max_size=len(pairs)))))
+    family = []
+    for start, steps in draw(st.lists(st.tuples(st.sampled_from(_POOL), st.integers(0, 4)),
+                                      min_size=1, max_size=4)):
+        walk = [start]
+        while (after := [v for u, v in edges if u == walk[-1]]) and len(walk) <= steps:
+            walk.append(draw(st.sampled_from(after)))
+        family += [tuple(walk[:k]) for k in range(1, len(walk) + 1)]
+    kept = draw(st.lists(st.booleans(), min_size=len(family), max_size=len(family)))
+    if draw(st.booleans()):  # keep every prefix
+        kept = [True] * len(family)
+    entries = [p for p, keep in zip(family, kept) if keep]
+    if entries and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(entries) - 1))
+        k = draw(st.integers(0, len(entries[i]) - 1))
+        entries[i] = (*entries[i][:k], draw(st.sampled_from((*_POOL, "Z"))), *entries[i][k + 1:])
+    extra = st.one_of(st.just(()), JUNK, *([st.sampled_from(entries)] if entries else []))
+    entries += draw(st.lists(extra, max_size=2)) if draw(st.integers(0, 3)) == 0 else []
+    return Dag(tuple(held), tuple(edges)), draw(st.permutations(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_entries())
+def test_are_paths_agrees_with_is_path_on_random_graphs(drawn):
+    """Whatever the graph and the entries, and whether they come as a list,
+    a set, the keys of a dict or its values, the bulk test passes exactly
+    when every entry is a path."""
+    dag, entries = drawn
+    want = all(is_path(dag, p) for p in entries)
+    assert are_paths(dag, entries) == are_paths(dag, dict(enumerate(entries)).values()) == want
+    try:
+        keyed = dict.fromkeys(entries)
+    except TypeError:  # an unhashable entry
+        return
+    assert are_paths(dag, set(entries)) == are_paths(dag, keyed) == want
+
+
+def test_are_paths_tests_the_last_node_of_a_key_that_extends_another():
+    """An edge may name a node the graph does not hold: a path that takes
+    it is no path, though its prefix is a path and its last step an edge."""
+    dag = Dag(nodes=("A", "B"), edges=(("A", "B"), ("B", "Z")))
+    paths = [("A",), ("A", "B"), ("A", "B", "Z")]
+    assert not is_path(dag, paths[-1])
+    assert are_paths(dag, paths[:-1]) and not are_paths(dag, paths)
+    assert not are_paths(dag, dict.fromkeys(paths))
+
+
 # ---------------------------------------------------------------------------
 # Oracle agreement
 # ---------------------------------------------------------------------------
@@ -160,6 +224,23 @@ def test_hom_set_is_sorted_whatever_the_declaration_order():
             for dst in adj:
                 got = list(hom_set(dag, src, dst))
                 assert got == sorted(all_paths(adj, src, dst))
+
+
+def test_hom_set_of_a_long_chain_and_of_a_complete_dag():
+    """The walk uses no recursion: on a 1200-chain the one path from the
+    first node to the last is listed, and on the complete DAG over 16 nodes
+    the 2^14 paths from the first to the last come out sorted, as the
+    oracle lists them and `path_counts` counts them."""
+    names = tuple(f"X{i}" for i in range(1200))
+    long = Dag(nodes=names, edges=tuple(itertools.pairwise(names)))
+    assert hom_set(long, "X0", "X1199") == (names,)
+    assert path_counts(long, "X0")["X1199"] == 1
+    names = tuple(f"X{i}" for i in range(16))
+    edges = tuple(itertools.combinations(names, 2))
+    complete = Dag(nodes=names, edges=edges)
+    got = hom_set(complete, "X0", "X15")
+    assert len(got) == path_counts(complete, "X0")["X15"] == 2 ** 14
+    assert list(got) == sorted(got) == sorted(all_paths(adj_of(complete), "X0", "X15"))
 
 
 def test_path_counts_from_several_sources_sum_the_single_source_counts():

@@ -84,6 +84,17 @@ def test_sweep_on_two_files():
     assert _sweep("--shuffle-dist", "1") == lines
 
 
+def _chain_identity_cuts(kind: str) -> list[str]:
+    """The argv, in both formats, of each sweep call of `kind` (`no-edge-row`
+    or `swapped-edge-row`) on a copy of the generated identity chain map."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    return [f"{fmt}{command} {sweep.CHAIN_IDENTITY_FILE}.{tag}"
+            for command, tag, _ in sweep.cuts(sweep.chain_maps(["identity"]))
+            if tag.startswith(f"{kind}-") for fmt in ("", "--format json ")]
+
+
 def test_sweep_audits_a_copy_per_edge_row():
     fig9a = str(DATA / "figures" / "fig9a.abs")
     run = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep.py"), fig9a],
@@ -91,10 +102,13 @@ def test_sweep_audits_a_copy_per_edge_row():
     codes = {argv: (code, digest) for code, digest, argv in
              (line.split(" ", 2) for line in run.stdout.splitlines())}
     # lines 70-72 are the rows C^C, S^S and S^T^C of fig9a's edges block;
-    # without any one of them the morphism layer is not total
-    edge_cuts = sorted(argv for argv in codes if ".no-edge-row-" in argv)
+    # without any one of them the morphism layer is not total.  The other
+    # copies without an edge row are those of the generated identity chain map.
+    edge_cuts = sorted(argv for argv in codes if "fig9a.abs.no-edge-row-" in argv)
     assert edge_cuts == sorted(f"{fmt}audit figures/fig9a.abs.no-edge-row-{n}"
                                for fmt in ("", "--format json ") for n in (70, 71, 72))
+    assert sorted(argv for argv in codes if ".no-edge-row-" in argv) == sorted(
+        edge_cuts + _chain_identity_cuts("no-edge-row"))
     for argv in edge_cuts:
         whole = argv.replace(argv.split()[-1], "figures/fig9a.abs")
         assert codes[argv][0] == "0" and codes[argv][1] != codes[whole][1]
@@ -114,8 +128,9 @@ def test_sweep_validates_a_copy_per_swapped_edge_row():
     codes = {argv: code for code, _, argv in
              (line.split(" ", 2) for line in run.stdout.splitlines())}
     assert sorted(argv for argv in codes if ".swapped-edge-row-" in argv) == sorted(
-        f"{fmt}validate figures/fig9a.abs.swapped-edge-row-{n}"
-        for fmt in ("", "--format json ") for n in (70, 71, 72))
+        [f"{fmt}validate figures/fig9a.abs.swapped-edge-row-{n}"
+         for fmt in ("", "--format json ") for n in (70, 71, 72)]
+        + _chain_identity_cuts("swapped-edge-row"))
     swapped = [(tag, copy) for command, tag, copy in sweep.cuts(fig9a.read_text("utf-8"))
                if command == "validate" and tag.startswith("swapped-")]
     assert len(swapped) == 3
@@ -203,6 +218,34 @@ def test_sweep_audits_and_classifies_the_generated_chain_maps():
     pairs = verdicts["pairs"]
     assert pairs.functorial and pairs.full and pairs.faithful_parallel and not pairs.faithful
     assert types == {"identity": ["identity"], "pairs": ["node-coarsening"]}
+
+
+def test_sweep_cuts_each_edge_row_of_the_generated_identity_chain_map():
+    """Each of the 78 rows of the edges block of the generated identity
+    chain map gives two copies, each run in both formats: one without the
+    row, which validates and whose morphism layer is no functor, and one
+    with the row's two paths swapped, whose validation names both."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    golden = [line.split(" ", 2) for line in GOLDEN.read_text(encoding="utf-8").splitlines()
+              if sweep.CHAIN_IDENTITY_FILE in line]
+    picked = [(command, tag, copy)
+              for command, tag, copy in sweep.cuts(sweep.chain_maps(["identity"]))
+              if "edge-row" in tag]
+    assert len(picked) == 2 * 78
+    assert [(code, argv) for code, _, argv in golden] == [
+        ("0" if command == "audit" else "1",
+         f"{fmt}{command} {sweep.CHAIN_IDENTITY_FILE}.{tag}")
+        for command, tag, _ in picked for fmt in ("", "--format json ")]
+    for command, tag, copy in picked:
+        doc = parse_document(copy)
+        a = doc.abstractions["identity"]
+        issues = validate_abstraction(a, *doc.resolve(a)).issues
+        if command == "audit":
+            assert not issues and not audit_abstraction(a, *doc.resolve(a)).functor.functorial
+        else:
+            assert [i.code for i in issues] == ["edge-map-source", "edge-map-target"]
 
 
 def _differing_argvs(got: list[str], want: list[str]) -> list[str]:

@@ -38,6 +38,11 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   full edge map, an identity and a coarsening of consecutive pairs
   (`chain_maps`), so the functor audit's path tests show on 78 entries: no
   shipped edge map has more than three;
+* per row of the edges block of the generated identity chain map alone
+  (`CHAIN_IDENTITY_FILE`), the same two calls as per row of a shipped
+  `edges` block: audit without the row and validate with its two paths
+  swapped, so a key whose prefix is no key, and a non-path among 78
+  entries, show;
 * per abstraction: graph --dot --abs, audit, audit --require with every
   property name (`REQUIRE`), classify, push and push --renormalize, then
   push --do VAR=VALUE and push --do VAR=VALUE --renormalize for each
@@ -116,6 +121,7 @@ CHAIN = tuple(f"x{i}" for i in range(12))
 # map name -> the target node of each node of CHAIN, by index
 CHAIN_MAPS = {"identity": range(12), "pairs": [i // 2 for i in range(12)]}
 CHAIN_MAPS_FILE = "generated/chain-maps.abs"
+CHAIN_IDENTITY_FILE = "generated/chain-identity.abs"
 # the calls whose output argparse writes: usage errors, then help
 ARGPARSE = (("no-such-command",), ("dist",), ("--format", "xml", "validate", "x.abs"),
             ("--help",), ("dist", "--help"))
@@ -216,10 +222,11 @@ def bijections() -> str:
     return "\n".join(out + [""])
 
 
-def chain_maps() -> str:
-    """Maps from the chain over `CHAIN`, one per entry of `CHAIN_MAPS`, each
-    onto a chain over the images, with a full edge map: every path of the
-    source goes onto the path its nodes land on, consecutive repeats merged."""
+def chain_maps(names=tuple(CHAIN_MAPS)) -> str:
+    """Maps from the chain over `CHAIN`, one per entry of `CHAIN_MAPS` named
+    in `names`, each onto a chain over the images, with a full edge map:
+    every path of the source goes onto the path its nodes land on,
+    consecutive repeats merged."""
     def chain(name: str, nodes: tuple[str, ...]) -> list[str]:
         return unary_scm(name, nodes, list(pairwise(range(len(nodes)))))
 
@@ -227,7 +234,8 @@ def chain_maps() -> str:
         return "^".join(path * 2 if len(path) == 1 else path)
 
     out = ["absaudit-format 1", "", *chain("chain12", CHAIN)]
-    for name, image in CHAIN_MAPS.items():
+    for name in names:
+        image = CHAIN_MAPS[name]
         nodes = tuple(f"{name}{k}" for k in range(max(image) + 1))
         out += ["", *chain(f"{name}12", nodes), "",
                 f"abs {name} {{", "  source chain12", f"  target {name}12",
@@ -438,6 +446,10 @@ def main(argv: list[str] | None = None) -> int:
                     bad = shuffle_dist(bad, noise_rng)
                 noisy.append((f"{name}.{tag}", model))
                 pathlib.Path(scratch, noisy[-1][0]).write_text(bad, encoding="utf-8")
+        for command, tag, trimmed in cuts(chain_maps(["identity"])):
+            if "edge-row" in tag:
+                cut.append((command, f"{CHAIN_IDENTITY_FILE}.{tag}"))
+                pathlib.Path(scratch, cut[-1][1]).write_text(trimmed, encoding="utf-8")
         os.chdir(scratch)
         try:
             for line_argv in calls(names, parse_path, cut, noisy):
