@@ -41,6 +41,7 @@ class Direction(enum.Enum):
 
 
 GLOBAL = "*"  # target marker for a whole-model outcome map
+_ONTO = "the global outcome map must write every target variable in declaration order"
 
 K = TypeVar("K")
 
@@ -118,10 +119,6 @@ class Abstraction:
     direction: Direction
     structure: StructuralMap
     outcome_maps: list[OutcomeMap] = field(default_factory=list)
-
-    def outcome_maps_by_target(self) -> dict[str, OutcomeMap]:
-        """Each target's first outcome map, by target name."""
-        return {om.target: om for om in reversed(self.outcome_maps)}
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +234,7 @@ def validate_abstraction(
                 report.add("outcome-global-scope",
                            "the global outcome map must read every source variable")
             if tuple(om.onto) != target.variable_names:
-                report.add("outcome-global-onto",
-                           "the global outcome map must write every target variable")
+                report.add("outcome-global-onto", _ONTO)
             if not scoped:
                 continue  # its keys may name variables the source lacks
             tgt_scope: tuple[str, ...] = target.variable_names
@@ -335,7 +331,7 @@ def pushforward(
 
     out_scope = target.variable_names
     out_domains = tuple(v.domain for v in target.variables)
-    by_target = abstraction.outcome_maps_by_target()
+    by_target = {om.target: om for om in reversed(abstraction.outcome_maps)}  # first wins
     maps = [by_target[GLOBAL]] if GLOBAL in by_target else list(map(by_target.get, out_scope))
     if None in maps:
         raise ModelError(f"no outcome map for target variable {out_scope[maps.index(None)]}")
@@ -346,6 +342,8 @@ def pushforward(
     for om in maps:
         if unknown := set(om.sources) - places.keys():
             raise ModelError(f"outcome map for {om.target} reads unknown variable {min(unknown)!r}")
+        if om.is_global and tuple(om.onto) != out_scope:  # its values would be mislabelled
+            raise ModelError(_ONTO)
         cells = {key: tuple(row.items()) for key, row in om.supported_rows().items()}
         keys = rows_of([places[s] for s in om.sources], len(outcomes))
         row_columns.append(list(map(cells.get, keys, repeat(()))))

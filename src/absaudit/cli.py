@@ -116,18 +116,9 @@ def _cmd_validate(args) -> int:
         results.append(("abstraction", abstraction.name, report))
         ok &= report.ok
     if args.format == "json":
-        payload = [
-            {
-                "kind": kind,
-                "name": name,
-                "ok": report.ok,
-                "issues": [
-                    {"code": issue.code, "message": issue.message}
-                    for issue in report.issues
-                ],
-            }
-            for kind, name, report in results
-        ]
+        payload = [{"kind": kind, "name": name, "ok": report.ok,
+                    "issues": [vars(issue) for issue in report.issues]}
+                   for kind, name, report in results]
         print(json.dumps(payload, sort_keys=True))
     else:
         for kind, name, report in results:

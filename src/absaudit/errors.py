@@ -38,11 +38,11 @@ class RenormalizationRequiredError(ModelError):
 
 
 class ParseError(AbsauditError):
-    """A text-format error with its position.
+    """A text-format error with its position: a file that does not parse.
 
-    Both syntactic problems and in-file semantic problems (unknown variable,
-    non-normalised table, ...) are reported through this type so that every
-    diagnostic carries a line and column.
+    A file that parses but describes an invalid model or map (an unknown
+    variable, a table that does not normalise, ...) raises no ParseError:
+    such faults are the issues of `validate_scm` and `validate_abstraction`.
     """
 
     def __init__(self, reason: str, line: int, column: int = 1):

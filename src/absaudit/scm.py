@@ -64,9 +64,9 @@ def out_of_range(keys: Collection, domains: Sequence[Iterable]) -> list:
 
 
 def rows_of(columns: Sequence[Iterable], count: int) -> Iterator[tuple]:
-    """The first `count` rows of `columns` as tuples, also when there is no
-    column: a counter leads each row and is cut off."""
-    return map(itemgetter(slice(1, None)), zip(range(count), *columns))
+    """The rows of `columns`, each column `count` long, as tuples; `count`
+    empty rows when there is no column."""
+    return zip(*columns) if columns else itertools.repeat((), count)
 
 
 # The words of the validation issues that the walks also raise, by code.
@@ -76,6 +76,8 @@ _WORDS = {
     "missing-mechanism": "no mechanism for {}",
     "mechanism-gap": "mechanism for {} misses input {}",
     "mechanism-range": "mechanism for {} maps {} outside the domain: {!r}",
+    "mechanism-extra": "mechanism for {} has stray input {}",
+    "dist-key": "exogenous table key {!r} is out of range",
 }
 
 
@@ -99,11 +101,12 @@ class Exogenous:
 
 
 class _Index(NamedTuple):
-    """A model's names; the first declaration of a name wins."""
+    """A model's names, the first declaration of a name winning, and its graph."""
 
     by_name: dict[str, Variable]
     exo_by_name: dict[str, tuple[int, Exogenous]]  # name -> (position, term)
     names: tuple[str, ...]
+    dag: Dag
 
 
 @dataclass
@@ -114,7 +117,7 @@ class Scm:
     value) — one flat tuple — to the produced value.  `exo_table` is sparse:
     missing joint exogenous assignments have probability zero.  `variables`
     and `exogenous` are stored as tuples, and setting either drops the name
-    index and the model's one `Dag`, so lookups never go stale.
+    index, which holds the model's one `Dag`, so lookups never go stale.
     """
 
     name: str
@@ -128,8 +131,7 @@ class Scm:
     def __setattr__(self, attr: str, value) -> None:
         if attr in ("variables", "exogenous"):
             value = tuple(value)
-            for cached in ("_index", "_dag"):
-                self.__dict__.pop(cached, None)
+            self.__dict__.pop("_index", None)
         object.__setattr__(self, attr, value)
 
     def ranked_noise(self) -> tuple[tuple, ...]:
@@ -151,15 +153,11 @@ class Scm:
     @cached_property
     def _index(self) -> _Index:
         """Built on the first lookup after `variables` or `exogenous` is set."""
+        names = tuple(v.name for v in self.variables)
+        edges = tuple((p, v.name) for v in self.variables for p in v.parents)
         return _Index({v.name: v for v in reversed(self.variables)},
                       {u.name: (i, u) for i, u in reversed(tuple(enumerate(self.exogenous)))},
-                      tuple(v.name for v in self.variables))
-
-    @cached_property
-    def _dag(self) -> "Dag":
-        """Built on the first use after `variables` or `exogenous` is set."""
-        return Dag(self.variable_names,
-                   tuple((p, v.name) for v in self.variables for p in v.parents))
+                      names, Dag(names, edges))
 
     def variable(self, name: str) -> Variable:
         v = self._index.by_name.get(name)
@@ -306,7 +304,7 @@ def validate_scm(model: Scm) -> ValidationReport:
     less its inputs in range, and one `mechanism-gap` issue names the first
     missing input in row-major order and how many more there are."""
     report = ValidationReport()
-    by_name, exo_by_name, _ = model._index
+    by_name, exo_by_name, *_ = model._index
 
     if len(by_name) != len(model.variables):
         report.add("dup-variable", "duplicate endogenous variable names")
@@ -369,7 +367,7 @@ def validate_scm(model: Scm) -> ValidationReport:
             more = f" (and {gaps - 1} more)" if gaps > 1 else ""
             report.add("mechanism-gap", _WORDS["mechanism-gap"].format(v.name, first) + more)
         for key in extra:
-            report.add("mechanism-extra", f"mechanism for {v.name} has stray input {key}")
+            report.add("mechanism-extra", _WORDS["mechanism-extra"].format(v.name, key))
         for words in _strays(v, table):
             report.add("mechanism-range", words)
 
@@ -377,7 +375,7 @@ def validate_scm(model: Scm) -> ValidationReport:
     strays = set(out_of_range(model.exo_table, [u.domain for u in model.exogenous]))
     for combo, p in model.exo_table.items():
         if combo in strays:
-            report.add("dist-key", f"exogenous table key {combo!r} is out of range")
+            report.add("dist-key", _WORDS["dist-key"].format(combo))
         if p < -TOL:
             report.add("dist-negative", f"negative probability {p} at {combo!r}")
     total = sum(model.exo_table.values())
@@ -408,7 +406,7 @@ def topological_order(model: Scm) -> tuple[str, ...]:
 def underlying_graph(model: Scm) -> Dag:
     """The DAG over endogenous variables (edges parent -> child): the one the
     model keeps until `variables` or `exogenous` is set again."""
-    return model._dag
+    return model._index.dag
 
 
 def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:

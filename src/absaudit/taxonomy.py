@@ -48,7 +48,7 @@ from .audit import audit_outcome_map, summarize_outcomes
 from .errors import ModelError, ParseError
 from .freecat import path_counts
 from .scm import Scm, underlying_graph
-from .textfmt import Document, parse_document, read_text
+from .textfmt import Document, _Lines, parse_document, read_text
 
 
 class _Labelled(enum.Enum):
@@ -176,32 +176,27 @@ class PropertyMatrix:
         cols: list[str] = []
         rows: list[str] = []
         cells: dict[tuple[str, str], Admissibility] = {}
-        for no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            if line.startswith("absaudit-table "):
-                title = line[len("absaudit-table "):].strip()
-            elif line.startswith("col "):
-                cols.append(line[4:].strip())
-            elif line.startswith("row "):
-                try:
-                    label, cellpart = line[4:].split(" : ", 1)
-                except ValueError:
-                    raise ParseError("expected 'row LABEL : CELLS'", no) from None
-                letters = cellpart.split()
+        lines = _Lines(text)
+        for head, *rest in lines.rows:
+            if not rest or head not in ("absaudit-table", "col", "row"):
+                raise lines.fail("expected 'absaudit-table', 'col' or 'row'")
+            if head == "absaudit-table":
+                title = " ".join(rest)
+            elif head == "col":
+                cols.append(" ".join(rest))
+            else:
+                i = rest.index(":") if ":" in rest else 0
+                if not 0 < i < len(rest) - 1:
+                    raise lines.fail("expected 'row LABEL : CELLS'")
+                label, letters = " ".join(rest[:i]), rest[i + 1:]
                 if len(letters) != len(cols):
-                    raise ParseError(
-                        f"expected {len(cols)} cells, found {len(letters)}", no
-                    )
+                    raise lines.fail(f"expected {len(cols)} cells, found {len(letters)}")
                 rows.append(label)
                 for col, letter in zip(cols, letters):
                     try:
                         cells[(label, col)] = Admissibility.from_letter(letter)
                     except ValueError as exc:
-                        raise ParseError(str(exc), no) from None
-            else:
-                raise ParseError("expected 'absaudit-table', 'col' or 'row'", no)
+                        raise lines.fail(str(exc)) from None
         if title is None:
             raise ParseError("missing 'absaudit-table' header", 1)
         return cls(title=title, rows=tuple(rows), cols=tuple(cols), cells=cells)

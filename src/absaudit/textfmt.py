@@ -64,7 +64,7 @@ from .abstraction import (
     StructuralMap,
 )
 from .errors import ModelError, ParseError
-from .scm import Exogenous, Scm, Variable, mechanism_rows
+from .scm import _WORDS, Exogenous, Scm, Variable, mechanism_rows, out_of_range
 
 HEADER = "absaudit-format 1"
 
@@ -407,6 +407,9 @@ def _path_token(m: tuple[str, ...]) -> str:
 
 
 def emit_scm(model: Scm) -> list[str]:
+    if len(ranked := model.ranked_noise()) < len(model.exo_table):  # a key out of range
+        stray = out_of_range(model.exo_table, [u.domain for u in model.exogenous])
+        raise ModelError(_WORDS["dist-key"].format(stray[0]))
     out = [f"scm {model.name} {{"]
     for v in model.variables:
         line = f"  var {v.name} : {join_labels(v.domain)}"
@@ -417,14 +420,16 @@ def emit_scm(model: Scm) -> list[str]:
         out.append(f"  exo {u.name} : {join_labels(u.domain)} for {u.endogenous}")
     if model.exogenous:
         out.append(f"  dist {join_labels(model.exogenous_names)} {{")
-        for _, combo, p in model.ranked_noise():
+        for _, combo, p in ranked:
             out.append(f"    {join_labels(combo)} : {_num(p)}")
         out.append("  }")
     for v in model.variables:
-        out.append(f"  mech {v.name} {{")
-        for key, value in mechanism_rows(model, v):
-            out.append(f"    {join_labels(key)} : {value}")
-        out.append("  }")
+        rows = [f"    {join_labels(key)} : {value}" for key, value in mechanism_rows(model, v)]
+        if len(rows) < len(table := model.mechanisms.get(v.name, {})):  # a stray input
+            noise = model.exogenous_variable(v.exogenous).domain
+            stray = min(out_of_range(table, [*map(model.domain_of, v.parents), noise]), key=repr)
+            raise ModelError(_WORDS["mechanism-extra"].format(v.name, stray))  # validate's first
+        out += [f"  mech {v.name} {{", *rows, "  }"]
     out.append("}")
     return out
 

@@ -325,6 +325,68 @@ def test_pushforward_requires_outcome_layer(micro, macro):
         pushforward(a, joint_distribution(micro), micro, macro)
 
 
+def test_pushforward_refuses_a_global_map_onto_another_order():
+    """A global map that writes every target variable, but not in the
+    target's declaration order, is refused by `validate` and by the library
+    pushforward, which would otherwise put each value under another
+    variable's name."""
+    doc = parse_document("""absaudit-format 1
+scm src {
+  var A : 0 1
+  var B : 0
+  exo U_A : 0 1 for A
+  exo U_B : 0 for B
+  dist U_A U_B {
+    0 0 : 0.1
+    1 0 : 0.9
+  }
+  mech A {
+    0 : 0
+    1 : 1
+  }
+  mech B {
+    0 : 0
+  }
+}
+scm tgt {
+  var X : 0 1
+  var Y : a b c
+  exo U_X : 0 for X
+  exo U_Y : 0 for Y
+  dist U_X U_Y {
+    0 0 : 1.0
+  }
+  mech X {
+    0 : 0
+  }
+  mech Y {
+    0 : a
+  }
+}
+abs swap {
+  source src
+  target tgt
+  direction micro-to-macro
+  nodes {
+    A : X 1.0
+    B : Y 1.0
+  }
+  outcomes * from A B onto Y X {
+    0 0 : a 0 1.0
+    1 0 : b 1 1.0
+  }
+}
+""")
+    a = doc.abstractions["swap"]
+    src, tgt = doc.resolve(a)
+    words = "the global outcome map must write every target variable in declaration order"
+    assert ("outcome-global-onto", words) in {
+        (i.code, i.message) for i in validate_abstraction(a, src, tgt).issues}
+    with pytest.raises(ModelError) as refused:
+        pushforward(a, joint_distribution(src), src, tgt)
+    assert str(refused.value) == words
+
+
 def test_pushforward_scope_mismatch(micro, macro):
     a = collapse(micro, macro, proj_outcomes())
     with pytest.raises(ModelError, match="scope"):

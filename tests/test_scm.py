@@ -27,6 +27,7 @@ from absaudit.scm import (
     mechanism_kernel,
     out_of_range,
     row_major,
+    rows_of,
     topological_order,
     underlying_graph,
     validate_scm,
@@ -676,7 +677,8 @@ def _printed(dist, as_json: bool) -> str:
 def test_support_walk_matches_dense_product(seed, edits):
     """Joint, printed dist, emitted dist block and kernels are those of the
     dense walk, exactly and in the same order, whatever order the noise
-    table is written in; keys outside the domains are ignored."""
+    table is written in; keys outside the domains are ignored, except by
+    emit, which refuses the first of them in `validate`'s words."""
     rng = random.Random(seed)
     m = random_model(rng)
     for kind in edits:
@@ -697,11 +699,18 @@ def test_support_walk_matches_dense_product(seed, edits):
     payload = {"scope": list(dist.scope), "probs": dict(rows)}
     assert _printed(dist, True) == json.dumps(payload, sort_keys=True) + "\n"
 
-    lines = emit_scm(m)
-    start = lines.index(f"  dist {' '.join(m.exogenous_names)} {{")
     exo_domains = [plain["exo_domains"][u] for u in plain["exo_order"]]
-    block = [f"    {' '.join(k)} : {float(p)!r}" for k, p in dense_rows(plain["exo_dist"], exo_domains)]
-    assert lines[start + 1 : start + 2 + len(block)] == block + ["  }"]
+    strays = [k for k in m.exo_table if k not in set(itertools.product(*exo_domains))]
+    if strays:
+        with pytest.raises(ModelError) as refused:
+            emit_scm(m)
+        assert str(refused.value) == f"exogenous table key {strays[0]!r} is out of range"
+    else:
+        lines = emit_scm(m)
+        start = lines.index(f"  dist {' '.join(m.exogenous_names)} {{")
+        block = [f"    {' '.join(k)} : {float(p)!r}"
+                 for k, p in dense_rows(plain["exo_dist"], exo_domains)]
+        assert lines[start + 1 : start + 2 + len(block)] == block + ["  }"]
 
     for v in m.variable_names:
         try:
@@ -714,6 +723,16 @@ def test_support_walk_matches_dense_product(seed, edits):
         assert [(k, list(r.items())) for k, r in got.items()] == [
             (k, list(r.items())) for k, r in want.items()
         ]
+
+
+def test_rows_of_zips_its_columns_also_when_there_is_none():
+    """`rows_of` gives the rows that a counter-led zip cut off at the count
+    gives, for lists and for iterators, with 0 to 3 columns of 0 to 3 rows."""
+    for k, n in itertools.product(range(4), range(4)):
+        columns = [[f"{j}.{i}" for i in range(n)] for j in range(k)]
+        want = [row[1:] for row in zip(range(n), *columns)]
+        assert list(rows_of(columns, n)) == want
+        assert list(rows_of([iter(c) for c in columns], n)) == want
 
 
 # ---------------------------------------------------------------------------

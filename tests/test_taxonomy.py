@@ -217,6 +217,34 @@ def test_from_tbl_error_line_numbers():
     assert err.value.line == 4
 
 
+def test_from_tbl_reads_lines_as_the_model_format_does():
+    """A table line may be indented, a run of whitespace inside a title or
+    label reads as one space, and blank lines and `#` comments are skipped:
+    such a copy of the shipped structural table parses to that table."""
+    text = shipped_table("structural").to_tbl()
+    for old, new in (("col Node permutation", "   col Node  permutation"),
+                     ("row Fully Faithfulness :", "row Fully \t Faithfulness  :"),
+                     ("absaudit-table structural", "absaudit-table  structural  # the grid"),
+                     ("row Surjectivity", "\n  \nrow Surjectivity")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    assert PropertyMatrix.from_tbl(text) == shipped_table("structural")
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("# a table\n\ncol A\nrow R : Y\n", "missing 'absaudit-table' header", 1),
+    ("absaudit-table t\ncol A\n# R\nrow R :\n", "expected 'row LABEL : CELLS'", 4),
+    ("absaudit-table t\ncol A\nrow R : Y\n\nrow S : Y N\n", "expected 1 cells, found 2", 5),
+    ("absaudit-table t\n  col A\n  col B\nrow R : Y Q\n",
+     "unknown admissibility letter 'Q'", 4),
+    ("absaudit-table t\ncol A\ncol\n", "expected 'absaudit-table', 'col' or 'row'", 3),
+])
+def test_each_table_error_names_its_own_line(text, message, line):
+    with pytest.raises(ParseError) as err:
+        PropertyMatrix.from_tbl(text)
+    assert (err.value.reason, err.value.line) == (message, line)
+
+
 def test_admissibility_marks():
     assert A.mark == "✓" and X.mark == "×" and N.mark == "−"
     assert Admissibility.from_letter("Y") is A

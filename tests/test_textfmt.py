@@ -20,6 +20,7 @@ from absaudit.textfmt import (
     parse_document,
     parse_path,
 )
+from absaudit.scm import validate_scm
 from absaudit.taxonomy import load_table
 
 from helpers import M, abstraction, chain, det_outcomes, random_model
@@ -271,6 +272,24 @@ def test_emit_canonical_edge_order():
         "    B^C : X^Y",
         "    A^B^C : X^Y",
     ]
+
+
+@pytest.mark.parametrize("old, new, issue", [
+    ("    1 : 0.5\n  }", "    1 : 0.5\n    7 : 0.0\n  }",
+     "[dist-key] exogenous table key ('7',) is out of range"),
+    ("    1 : 1\n  }", "    1 : 1\n    2 : 0\n  }",
+     "[mechanism-extra] mechanism for A has stray input ('2',)"),
+])
+def test_emit_refuses_a_row_that_the_text_would_drop(old, new, issue):
+    """A noise key or a mechanism input out of range, which the emitted text
+    would leave out, is refused in the words of its `validate` issue, so that
+    emitting an invalid model never gives a valid one."""
+    assert MINI.count(old) == 1
+    doc = parse_document(MINI.replace(old, new))
+    assert [str(i) for i in validate_scm(doc.models["mini"]).issues] == [issue]
+    with pytest.raises(ModelError) as refused:
+        emit_document(doc)
+    assert issue.endswith(f"] {refused.value}")
 
 
 def test_emit_float_uses_repr():

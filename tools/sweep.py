@@ -60,9 +60,10 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   opens with `ABSAUDIT_ENUM_CAP=N`, and the call runs with that variable
   set.
 
-Last come, for each parsable file, one line for the library call
-`emit_document(parse_path(file))` and one line per variable of each of its
-models for `mechanism_kernel(model, variable)`:
+Last come, for each parsable file and then for each invalid-noise copy,
+one line for the library call `emit_document(parse_path(file))` and one
+line per variable of each of its models for `mechanism_kernel(model,
+variable)`:
 
     <0 or the error's class> <sha256> emit <file>
     <0 or the error's class> <sha256> kernel <file> --model <model> <variable>
@@ -454,7 +455,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             for line_argv in calls(names, parse_path, cut, noisy):
                 print(call(absaudit_main, line_argv))
-            for line in library_lines(names, parse_path, emit_document, mechanism_kernel):
+            for line in library_lines(names + [path for path, _ in noisy], parse_path,
+                                      emit_document, mechanism_kernel):
                 print(line)
         finally:
             os.chdir(here)
