@@ -290,11 +290,9 @@ class PropertyProfile:
         Equal to `dataclasses.asdict`, without its deep copy of every leaf:
         the audits hold only str, bool and None.
         """
-        def plain(value):
-            if isinstance(value, list):
-                return [plain(v) for v in value]
-            return dict(vars(value)) if is_dataclass(value) else value
-        return {key: plain(value) for key, value in vars(self).items()}
+        out = {key: dict(vars(v)) if is_dataclass(v) else v for key, v in vars(self).items()}
+        out["outcomes"] = [dict(vars(audit)) for audit in self.outcomes]
+        return out
 
     def to_text(self) -> str:
         lines = [f"audit of {self.abstraction}"]

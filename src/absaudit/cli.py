@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -79,8 +80,8 @@ def _intervened(model: Scm, items: list[str]) -> Scm:
 
 
 def _dist_rows(dist: Distribution) -> list[tuple[str, float]]:
-    return [(join_labels(outcome), p)
-            for _, outcome, p in row_major(dist.probs, dist.domains) if p != 0.0]
+    _, outcomes, probs = row_major(dist.probs, dist.domains)
+    return [(join_labels(outcome), p) for outcome, p in zip(outcomes, probs) if p != 0.0]
 
 
 def _print_dist(dist: Distribution, as_json: bool) -> None:
@@ -356,8 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code, with the cyclic garbage
+    collector paused meanwhile: a command leaves no cyclic garbage to find."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except CapacityError as exc:
@@ -369,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AbsauditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import contains, getitem, is_, itemgetter
+from operator import contains, getitem, is_, itemgetter, ne
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TOL, DEFAULT_EXO_CAP, KernelUndefinedError, ModelError, check_cap
@@ -28,9 +28,10 @@ from .errors import TOL, DEFAULT_EXO_CAP, KernelUndefinedError, ModelError, chec
 Value = object  # outcome labels: strings or small integers
 
 
-def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> list[tuple]:
-    """The (rank, key, value) of each entry of `table` whose key lies in
-    `domains`, in row-major order: the order of `itertools.product(*domains)`.
+def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """The entries of `table` whose keys lie in `domains`, in row-major
+    order (the order of `itertools.product(*domains)`), as three columns:
+    `(ranks, keys, values)`.
 
     A key's rank is its position in that product: the sum over places j of
     the index of `key[j]` in `domains[j]` times the joint values of the
@@ -39,15 +40,17 @@ def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> lis
     for d in reversed(domains):
         offsets.insert(0, {x: i * stride for i, x in enumerate(d)})
         stride *= len(d)
-    ranked = []
+    ranks, keys, values = [], [], []
     for key, value in table.items():
         if isinstance(key, tuple) and len(key) == len(offsets):
             try:
-                ranked.append((sum(map(getitem, offsets, key)), key, value))
+                ranks.append(sum(map(getitem, offsets, key)))
             except KeyError:  # a value outside its domain
-                pass
-    ranked.sort(key=itemgetter(0))
-    return ranked
+                continue
+            keys.append(key)
+            values.append(value)
+    order = sorted(range(len(ranks)), key=ranks.__getitem__)
+    return tuple(tuple(map(column.__getitem__, order)) for column in (ranks, keys, values))
 
 
 def out_of_range(keys: Collection, domains: Sequence[Iterable]) -> list:
@@ -125,7 +128,7 @@ class Scm:
     exogenous: tuple[Exogenous, ...]
     mechanisms: dict[str, dict[tuple, Value]]
     exo_table: dict[tuple, float]
-    # (exogenous, keys, values, ranking) of the last `ranked_noise` call
+    # (exogenous, table keys, table values, ranked columns) of the last `ranked_noise` call
     _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, attr: str, value) -> None:
@@ -139,13 +142,16 @@ class Scm:
         and kept for as long as the table holds the same key and value
         objects in the same order and `exogenous` is not set again: any
         insert, delete, reweight or reorder, and any new exogenous tuple,
-        ranks afresh."""
+        ranks afresh.  Raises ModelError, in `validate`'s words, on the
+        first key out of range, which the ranking would drop."""
         table = self.exo_table
         kept = self._ranked
         if not (kept and kept[0] is self.exogenous and len(kept[1]) == len(table)
                 and all(map(is_, kept[1], table)) and all(map(is_, kept[2], table.values()))):
-            kept = self._ranked = (self.exogenous, tuple(table), tuple(table.values()),
-                                   tuple(row_major(table, [u.domain for u in self.exogenous])))
+            ranked = row_major(table, domains := [u.domain for u in self.exogenous])
+            if len(ranked[0]) < len(table):  # a key out of range
+                raise ModelError(_WORDS["dist-key"].format(out_of_range(table, domains)[0]))
+            kept = self._ranked = (self.exogenous, tuple(table), tuple(table.values()), ranked)
         return kept[3]
 
     # -- lookups ----------------------------------------------------------
@@ -449,23 +455,23 @@ def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:
 def joint_distribution(model: Scm) -> Distribution:
     """Joint endogenous distribution by enumeration of the exogenous support.
 
-    Walks the nonzero entries of `exo_table` that lie in the exogenous
-    domains in row-major order (`Scm.ranked_noise`) by columns: in topological
-    order, each variable's column holds its value at every entry, read from
-    its mechanism with its parents' columns and its noise column.  The
-    outcomes zip the columns in declaration order and are summed in entry
-    order, so every sum and the outcome order are those of a walk over the
-    dense product of the domains.  Raises CapacityError, before any
-    mechanism is read, when the supported entries exceed the enumeration
-    cap (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`), and ModelError,
-    in `validate`'s words, on an unknown exo term, an unknown parent, a
-    mechanism value outside its variable's domain (checked over the
-    mechanism's rows before its column is built) or a mechanism gap."""
-    entries = [e for e in model.ranked_noise() if e[2] != 0.0]
-    check_cap(len(entries), DEFAULT_EXO_CAP,
-              f"exogenous table of {model.name!r} has {len(entries)} supported assignments")
-    combos = [combo for _, combo, _ in entries]
-    weights = [p for _, _, p in entries]
+    Walks the nonzero entries of `exo_table` in row-major order
+    (`Scm.ranked_noise`) by columns: in topological order, each variable's
+    column holds its value at every entry, read from its mechanism with its
+    parents' columns and its noise column.  The outcomes zip the columns in
+    declaration order and are summed in entry order, so every sum and the
+    outcome order are those of a walk over the dense product of the domains.
+    Raises CapacityError, before any mechanism is read, when the supported
+    entries exceed the enumeration cap (`errors.check_cap`: 10^7 or
+    `ABSAUDIT_ENUM_CAP`), and ModelError, in `validate`'s words, on a noise
+    key out of range, an unknown exo term, an unknown parent, a mechanism
+    value outside its variable's domain (checked over the mechanism's rows
+    before its column is built) or a mechanism gap."""
+    _, keys, values = model.ranked_noise()
+    supported = list(map(ne, values, itertools.repeat(0.0)))
+    combos, weights = (list(itertools.compress(c, supported)) for c in (keys, values))
+    check_cap(len(weights), DEFAULT_EXO_CAP,
+              f"exogenous table of {model.name!r} has {len(weights)} supported assignments")
     index = model._index
     columns: dict[str, list] = {}
     for v in map(index.by_name.__getitem__, topological_order(model)):
@@ -530,7 +536,8 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     Defined only when the variable's exogenous term is independent of the
     remaining exogenous variables under the joint exogenous table.  One pass
     over the ranked entries (`Scm.ranked_noise`) sums the term's marginal by value
-    and the rest's by rank: the entry's rank less the term's offset.
+    and the rest's by rank: the entry's rank less the term's offset.  Raises
+    ModelError, in `validate`'s words, on a noise key out of range.
     """
     v = model.variable(variable)
     exo = model.exogenous_variable(v.exogenous)
@@ -544,17 +551,17 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     # rests that occur are paired (a rest that never occurs weighs zero).
     own: dict[Value, float] = dict.fromkeys(exo.domain, 0.0)
     rest: dict[int, float] = {}
-    for r, key, p in ranked:
+    for r, key, p in zip(*ranked):
         x = key[i]
         own[x] += p
         r -= offset[x]
         rest[r] = rest.get(r, 0.0) + p
-    for r, key, p in ranked:
+    for r, key, p in zip(*ranked):
         x = key[i]
         if abs(p - own[x] * rest[r - offset[x]]) > TOL:
             raise KernelUndefinedError("kernel undefined under exogenous dependence")
-    if len(ranked) < len(rest) * len(exo.domain):  # pairs are missing
-        present = {r for r, _, _ in ranked}
+    if len(ranked[0]) < len(rest) * len(exo.domain):  # pairs are missing
+        present = set(ranked[0])
         if any(abs(w * q) > TOL for r, q in rest.items() for val, w in own.items()
                if r + offset[val] not in present):
             raise KernelUndefinedError("kernel undefined under exogenous dependence")

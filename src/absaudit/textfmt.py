@@ -407,9 +407,7 @@ def _path_token(m: tuple[str, ...]) -> str:
 
 
 def emit_scm(model: Scm) -> list[str]:
-    if len(ranked := model.ranked_noise()) < len(model.exo_table):  # a key out of range
-        stray = out_of_range(model.exo_table, [u.domain for u in model.exogenous])
-        raise ModelError(_WORDS["dist-key"].format(stray[0]))
+    _, keys, values = model.ranked_noise()  # refuses a key out of range first
     out = [f"scm {model.name} {{"]
     for v in model.variables:
         line = f"  var {v.name} : {join_labels(v.domain)}"
@@ -420,7 +418,7 @@ def emit_scm(model: Scm) -> list[str]:
         out.append(f"  exo {u.name} : {join_labels(u.domain)} for {u.endogenous}")
     if model.exogenous:
         out.append(f"  dist {join_labels(model.exogenous_names)} {{")
-        for _, combo, p in ranked:
+        for combo, p in zip(keys, values):
             out.append(f"    {join_labels(combo)} : {_num(p)}")
         out.append("  }")
     for v in model.variables:

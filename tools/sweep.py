@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Output-diff sweep: every CLI command on every shipped model and map file.
 
-Each call runs `absaudit.cli.main(argv)` in-process and prints one line:
+Each call runs `absaudit.cli.main(argv)` in-process, which must leave the
+garbage collector on or off as it found it (the sweep stops otherwise), and
+prints one line:
 
     <exit code> <sha256 of stdout, stderr and exit code> <argv>
 
@@ -87,6 +89,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import os
@@ -147,9 +150,11 @@ def run(main, argv: list[str]) -> tuple[object, str, str]:
     """The exit code, stdout and stderr of `main(argv)`; a first token
     `ABSAUDIT_ENUM_CAP=N` sets that variable for the call instead.  Only
     such a call copies and restores `os.environ`, which costs about as much
-    as a small call itself."""
+    as a small call itself.  Raises RuntimeError when the call leaves the
+    garbage collector switched otherwise than it found it."""
     env, argv = split_cap(argv)
     out, err = io.StringIO(), io.StringIO()
+    collecting = gc.isenabled()
     with (mock.patch.dict(os.environ, [env[0].split("=", 1)]) if env else contextlib.nullcontext(),
           contextlib.redirect_stdout(out),
           contextlib.redirect_stderr(err)):
@@ -159,6 +164,9 @@ def run(main, argv: list[str]) -> tuple[object, str, str]:
             code = exc.code
         except Exception as exc:  # a traceback is an answer to compare too
             code = f"raised {type(exc).__name__}: {exc}"
+    if gc.isenabled() != collecting:
+        raise RuntimeError(f"main({argv!r}) left the garbage collector "
+                           f"{'off' if collecting else 'on'}")
     return code, out.getvalue(), err.getvalue()
 
 
