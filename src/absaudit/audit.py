@@ -34,9 +34,9 @@ mapped nodes, of (image source, image target, image) triples, or of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 import math
-from typing import Callable, Collection, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .abstraction import (Abstraction, Direction, OutcomeMap, StructuralMap,
                           edge_map_non_paths, is_node_tuple)
@@ -57,6 +57,18 @@ def tri_and(*verdicts: Verdict) -> Verdict:
 
 def _fmt(verdict: Verdict) -> str:
     return {True: "yes", False: "no", None: "n/a"}[verdict]
+
+
+def _dashed(name: str) -> str:
+    """A verdict's field name as printed and required: `-` in place of `_`."""
+    return name.replace("_", "-")
+
+
+def _rows(audit, keys: Iterable[str], indent: int = 4) -> list[str]:
+    """One text line per verdict `keys` of `audit`: the dashed name, padded
+    with the indent to 22 characters, then yes, no or n/a."""
+    return [f"{' ' * indent}{_dashed(key):<{22 - indent}} {_fmt(getattr(audit, key))}"
+            for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +117,9 @@ class MapAudit:
         )
 
 
+_MAP_VERDICTS = tuple(f.name for f in fields(MapAudit))
+
+
 @dataclass
 class OutcomeAudit(MapAudit):
     target: str
@@ -136,14 +151,8 @@ def summarize_outcomes(audits: list[OutcomeAudit]) -> OutcomeAudit | None:
     """Conjunction of the per-map verdicts (None when no layer is present)."""
     if not audits:
         return None
-    return OutcomeAudit(
-        target="(all)",
-        functional=all(a.functional for a in audits),
-        deterministic=all(a.deterministic for a in audits),
-        surjective=all(a.surjective for a in audits),
-        injective=tri_and(*(a.injective for a in audits)),
-        bijective=tri_and(*(a.bijective for a in audits)),
-    )
+    verdicts = {key: tri_and(*(getattr(a, key) for a in audits)) for key in _MAP_VERDICTS}
+    return OutcomeAudit(target="(all)", **verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +169,9 @@ class FunctorAudit:
     faithful: Verdict = None
     faithful_parallel: Verdict = None
     fully_faithful: Verdict = None
+
+
+_FUNCTOR_VERDICTS = tuple(f.name for f in fields(FunctorAudit) if f.name != "declared")
 
 
 def _hom_total(model: Scm, nodes: Collection[str]) -> int:
@@ -249,10 +261,6 @@ class InvertibilityAudit:
 # Whole-abstraction profile
 # ---------------------------------------------------------------------------
 
-_MAP_VERDICTS = ("functional", "deterministic", "surjective", "injective", "bijective")
-_FUNCTOR_VERDICTS = ("functorial", "full", "faithful", "faithful_parallel", "fully_faithful")
-
-
 @dataclass
 class PropertyProfile:
     abstraction: str
@@ -264,25 +272,15 @@ class PropertyProfile:
     invertibility: InvertibilityAudit
 
     def flat(self) -> dict[str, Verdict]:
-        """Every verdict under one addressable name (for --require lookups)."""
-        s = self.outcome_summary
-        return {
-            **{key: getattr(self.node, key) for key in _MAP_VERDICTS},
-            **{
-                key.replace("_", "-"): getattr(self.functor, key)
-                for key in _FUNCTOR_VERDICTS
-            },
-            "non-deterministic": self.modalities.non_deterministic,
-            "macro-to-micro": self.modalities.macro_to_micro,
-            "perfect-node-invertible": self.invertibility.perfect_node,
-            "set-node-invertible": self.invertibility.set_node,
-            "perfect-edge-invertible": self.invertibility.perfect_edge,
-            "set-edge-invertible": self.invertibility.set_edge,
-            **{
-                f"outcome-{key}": None if s is None else getattr(s, key)
-                for key in _MAP_VERDICTS
-            },
-        }
+        """Every verdict under one addressable name (for --require lookups):
+        its field name dashed, with `-invertible` after an invertibility
+        verdict and `outcome-` before a verdict of the outcome summary."""
+        sections = ((self.node, _MAP_VERDICTS, "{}"), (self.functor, _FUNCTOR_VERDICTS, "{}"),
+                    (self.modalities, vars(self.modalities), "{}"),
+                    (self.invertibility, vars(self.invertibility), "{}-invertible"),
+                    (self.outcome_summary, _MAP_VERDICTS, "outcome-{}"))
+        return {label.format(_dashed(key)): None if audit is None else getattr(audit, key)
+                for audit, keys, label in sections for key in keys}
 
     def to_dict(self) -> dict:
         """The fields, each audit among them as the dict of its own fields.
@@ -295,32 +293,19 @@ class PropertyProfile:
         return out
 
     def to_text(self) -> str:
-        lines = [f"audit of {self.abstraction}"]
-        lines.append("  node layer:")
-        for key in _MAP_VERDICTS:
-            lines.append(f"    {key:<18} {_fmt(getattr(self.node, key))}")
-        lines.append("  morphism layer:")
+        lines = [f"audit of {self.abstraction}", "  node layer:", *_rows(self.node, _MAP_VERDICTS),
+                 "  morphism layer:"]
         if not self.functor.declared:
             lines.append("    (no edge map declared)")
-        for key in _FUNCTOR_VERDICTS:
-            label = key.replace("_", "-")
-            lines.append(f"    {label:<18} {_fmt(getattr(self.functor, key))}")
-        lines.append("  outcome layer:")
+        lines += [*_rows(self.functor, _FUNCTOR_VERDICTS), "  outcome layer:"]
         if not self.outcomes:
             lines.append("    (no outcome maps declared)")
-        for a in self.outcomes + (
-            [self.outcome_summary] if self.outcome_summary and len(self.outcomes) > 1 else []
-        ):
-            lines.append(f"    map onto {a.target}:")
-            for key in _MAP_VERDICTS:
-                lines.append(f"      {key:<16} {_fmt(getattr(a, key))}")
-        lines.append("  modalities:")
-        lines.append(f"    non-deterministic  {_fmt(self.modalities.non_deterministic)}")
-        lines.append(f"    macro-to-micro     {_fmt(self.modalities.macro_to_micro)}")
-        lines.append("  invertibility:")
-        for key in ("perfect_node", "set_node", "perfect_edge", "set_edge"):
-            label = key.replace("_", "-")
-            lines.append(f"    {label:<18} {_fmt(getattr(self.invertibility, key))}")
+        shown = self.outcomes + [self.outcome_summary] if len(self.outcomes) > 1 else self.outcomes
+        for a in shown:
+            lines += [f"    map onto {a.target}:", *_rows(a, _MAP_VERDICTS, indent=6)]
+        for section in ("modalities", "invertibility"):
+            audit = getattr(self, section)
+            lines += [f"  {section}:", *_rows(audit, vars(audit))]
         return "\n".join(lines)
 
 

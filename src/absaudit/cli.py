@@ -288,14 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments several subcommands share, each declared once
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("files", nargs="+")
+    model = argparse.ArgumentParser(add_help=False, parents=[files])
+    model.add_argument("--model", help="model name when several are loaded")
+    pick = argparse.ArgumentParser(add_help=False, parents=[files])
+    pick.add_argument("--abs", help="abstraction name when several are loaded")
 
-    p = sub.add_parser("validate", help="check files for well-formedness")
-    p.add_argument("files", nargs="+")
+    p = sub.add_parser("validate", parents=[files], help="check files for well-formedness")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("graph", help="show a model's graph")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--model", help="model name when several are loaded")
+    p = sub.add_parser("graph", parents=[model], help="show a model's graph")
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.add_argument(
         "--abs", dest="abs_map", metavar="NAME",
@@ -307,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("dist", help="compute the joint distribution")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--model", help="model name when several are loaded")
+    p = sub.add_parser("dist", parents=[model], help="compute the joint distribution")
     p.add_argument(
         "--do", action="append", default=[], metavar="VAR=VALUE",
         help="intervene before computing (repeatable)",
@@ -317,18 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marginal", help="comma-separated variables to keep")
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("audit", help="audit an abstraction's properties")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--abs", help="abstraction name when several are loaded")
+    p = sub.add_parser("audit", parents=[pick], help="audit an abstraction's properties")
     p.add_argument(
         "--require", metavar="PROPS",
         help="comma-separated properties that must hold (exit 1 otherwise)",
     )
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("classify", help="name the taxonomy types of a map")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--abs", help="abstraction name when several are loaded")
+    p = sub.add_parser("classify", parents=[pick], help="name the taxonomy types of a map")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
@@ -341,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="compare against this table file instead")
     p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("push", help="push the source distribution forward")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--abs", help="abstraction name when several are loaded")
+    p = sub.add_parser("push", parents=[pick], help="push the source distribution forward")
     p.add_argument(
         "--do", action="append", default=[], metavar="VAR=VALUE",
         help="intervene on the source first (repeatable)",

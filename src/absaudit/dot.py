@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .abstraction import Abstraction, support
+from .errors import TOL
 from .scm import Scm, underlying_graph
 
 
@@ -41,7 +42,7 @@ def abstraction_dot(abstraction: Abstraction, source: Scm, target: Scm) -> str:
     for u, row in abstraction.structure.rows.items():
         for x, w in support(row).items():
             attrs = ["style=dotted", "constraint=false"]
-            if abs(w - 1.0) > 1e-12:
+            if abs(w - 1.0) > TOL:
                 attrs.append(f"label={_q(repr(float(w)))}")
             lines.append(
                 f"  {_q('src:' + u)} -> {_q('tgt:' + x)} [{', '.join(attrs)}];"

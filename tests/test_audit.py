@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.resources
+import itertools
 import json
 import pathlib
 import random
@@ -653,18 +654,98 @@ def test_profile_flat_and_invertibility(micro, macro):
     assert "audit of a" in p.to_text()
 
 
-def test_profile_dict_equals_asdict_on_every_shipped_abstraction():
+def _shipped_profiles() -> list:
+    """The profile of every shipped abstraction: the figures and the witnesses."""
     data = pathlib.Path(str(importlib.resources.files("absaudit") / "data"))
-    seen = 0
+    out = []
     for path in sorted(data.rglob("*.abs")):
         doc = parse_path(path)
-        for a in doc.abstractions.values():
-            p = audit_abstraction(a, *doc.resolve(a))
-            as_dict = p.to_dict()
-            assert as_dict == dataclasses.asdict(p), path
-            assert list(as_dict) == list(dataclasses.asdict(p))
-            seen += 1
-    assert seen == 41
+        out += [audit_abstraction(a, *doc.resolve(a)) for a in doc.abstractions.values()]
+    return out
+
+
+def _text_verdicts(text: str) -> dict[tuple, dict]:
+    """The answers of a text profile, {(section, block): {label: verdict}},
+    where block is the target of a `map onto` line in the outcome layer and
+    None elsewhere."""
+    out: dict[tuple, dict] = {}
+    section = block = None
+    for line in text.splitlines()[1:]:
+        row = line.strip()
+        if not line.startswith("   "):
+            section, block = row.removesuffix(":"), None
+        elif row.startswith("map onto "):
+            block = row.removeprefix("map onto ").removesuffix(":")
+        elif not row.startswith("("):
+            label, answer = row.split()
+            verdict = {"yes": True, "no": False, "n/a": None}[answer]
+            out.setdefault((section, block), {})[label] = verdict
+    return out
+
+
+def test_profile_dict_equals_asdict_on_every_shipped_abstraction():
+    profiles = _shipped_profiles()
+    for p in profiles:
+        as_dict = p.to_dict()
+        assert as_dict == dataclasses.asdict(p), p.abstraction
+        assert list(as_dict) == list(dataclasses.asdict(p))
+    assert len(profiles) == 41
+
+
+def test_flat_dict_and_text_name_the_same_verdicts():
+    """On every shipped abstraction, each `--require` name of `flat()` gives
+    the verdict of its field in `to_dict()` and of its line in `to_text()`,
+    under its section; and every verdict field and line has a name."""
+    titles = {"node": "node layer", "functor": "morphism layer", "modalities": "modalities",
+              "invertibility": "invertibility", "outcome_summary": "outcome layer"}
+    profiles = _shipped_profiles()
+    assert len(profiles) == 41
+    for p in profiles:
+        as_dict, text = p.to_dict(), _text_verdicts(p.to_text())
+        summary_block = ("(all)" if len(p.outcomes) > 1
+                         else p.outcomes[0].target if p.outcomes else None)
+        fields_seen, lines_seen = set(), set()
+        for name, verdict in p.flat().items():
+            if name.startswith("outcome-"):
+                section, label = "outcome_summary", name.removeprefix("outcome-")
+            elif name.endswith("-invertible"):
+                section, label = "invertibility", name.removesuffix("-invertible")
+            else:
+                section, label = next((s, name) for s in ("node", "functor", "modalities")
+                                      if name.replace("-", "_") in as_dict[s])
+            key = label.replace("-", "_")
+            fields_seen.add((section, key))
+            assert verdict is (as_dict[section] or {}).get(key), (p.abstraction, name)
+            block = summary_block if section == "outcome_summary" else None
+            if section == "outcome_summary" and block is None:
+                assert verdict is None, (p.abstraction, name)
+                continue
+            lines_seen.add((titles[section], block, label))
+            assert verdict is text[(titles[section], block)][label], (p.abstraction, name)
+        # with no outcome map the summary is None, and its names are the node's
+        assert fields_seen == {(s, k) for s in titles for k in (as_dict[s] or as_dict["node"])
+                               if k not in ("declared", "target")}
+        shown = {(s, b, label) for (s, b), rows in text.items() for label in rows
+                 if s != "outcome layer" or b == summary_block}
+        assert lines_seen == shown, p.abstraction
+
+
+def test_outcome_summary_folds_each_verdict():
+    """The summary of one outcome audit is that audit onto `(all)`; of
+    several, each verdict is the three-valued conjunction of that verdict."""
+    audits = [a for p in _shipped_profiles() for a in p.outcomes]
+    assert len(audits) == 16
+    for a in audits:
+        assert summarize_outcomes([a]) == dataclasses.replace(a, target="(all)")
+    groups = [*itertools.combinations(audits, 2), *itertools.combinations(audits, 3), audits]
+    names = [f.name for f in dataclasses.fields(audits[0]) if f.name != "target"]
+    for group in groups:
+        s = summarize_outcomes(list(group))
+        assert s.target == "(all)"
+        for name in names:
+            assert getattr(s, name) is tri_and(*(getattr(a, name) for a in group)), name
+    assert {summarize_outcomes(list(g)).injective for g in groups} == {
+        True, False, None}
 
 
 def test_profile_modalities(micro, macro):

@@ -53,3 +53,14 @@ def test_abstraction_dot_weight_labels():
     assert '"src:S" -> "tgt:X" [style=dotted, constraint=false];' in (
         abstraction_dot(b, micro, macro)
     )
+
+
+def test_abstraction_dot_reads_weights_within_the_row_tolerance():
+    """A weight within `errors.TOL` of 1 is a weight of 1, as every other
+    reader of a row takes it: its arrow carries no label."""
+    micro = chain("m", ["S"])
+    macro = chain("n", ["X"])
+    a = abstraction("a", micro, macro, {"S": {"X": 0.9999999995}})
+    assert '"src:S" -> "tgt:X" [style=dotted, constraint=false];' in (
+        abstraction_dot(a, micro, macro)
+    )

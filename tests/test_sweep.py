@@ -84,6 +84,20 @@ def test_sweep_on_two_files():
     assert _sweep("--shuffle-dist", "1") == lines
 
 
+def test_sweep_refuses_a_require_list_that_misses_a_verdict(monkeypatch):
+    """The sweep stops before its first call when `REQUIRE` lacks a name of
+    the profile, or names one the profile lacks."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    doc = parse_document(sweep.chain_maps(["identity"]))
+    sweep.check_require(audit_abstraction, doc)
+    for names in (sweep.REQUIRE.split(",")[1:], sweep.REQUIRE.split(",") + ["no-such"]):
+        monkeypatch.setattr(sweep, "REQUIRE", ",".join(names))
+        with pytest.raises(RuntimeError, match="REQUIRE lists"):
+            sweep.check_require(audit_abstraction, doc)
+
+
 def _chain_identity_cuts(kind: str) -> list[str]:
     """The argv, in both formats, of each sweep call of `kind` (`no-edge-row`
     or `swapped-edge-row`) on a copy of the generated identity chain map."""

@@ -46,11 +46,13 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   swapped, so a key whose prefix is no key, and a non-path among 78
   entries, show;
 * per abstraction: graph --dot --abs, audit, audit --require with every
-  property name (`REQUIRE`), classify, push and push --renormalize, then
-  push --do VAR=VALUE and push --do VAR=VALUE --renormalize for each
-  variable of its source (when the file declares it) at the first value
-  of its domain; audit --require on each generated chain map too, and once
-  with an unknown property name (`UNKNOWN_REQUIRE`);
+  property name (`REQUIRE`, which the sweep checks against the profile of
+  the generated identity chain map before its first call), classify, push
+  and push --renormalize, then push --do VAR=VALUE and push --do
+  VAR=VALUE --renormalize for each variable of its source (when the file
+  declares it) at the first value of its domain; audit --require on each
+  generated chain map too, and once with an unknown property name
+  (`UNKNOWN_REQUIRE`);
 * tables with each --which, and tables --truth (the shipped tables) with
   and without --which;
 * the usage errors (unknown command, missing FILE, --format xml) and the
@@ -144,6 +146,16 @@ CAPPED = (("1", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
           ("2", ("push", "witnesses/distributional/outcome-splitting.abs")),
           ("0", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
           ("abc", ("dist", "models/chain3_micro.scm")))
+
+
+def check_require(audit_abstraction, doc) -> None:
+    """Raise RuntimeError unless `REQUIRE` lists the `--require` names of
+    the profile of the first abstraction of `doc`, so that no verdict of
+    the profile misses the `audit --require` calls."""
+    a = next(iter(doc.abstractions.values()))
+    names = ",".join(sorted(audit_abstraction(a, *doc.resolve(a)).flat()))
+    if names != REQUIRE:
+        raise RuntimeError(f"REQUIRE lists {REQUIRE}, the profile names {names}")
 
 
 def run(main, argv: list[str]) -> tuple[object, str, str]:
@@ -415,9 +427,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="shuffle the rows of every dist block of the copies first")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
+    from absaudit.audit import audit_abstraction
     from absaudit.cli import main as absaudit_main
     from absaudit.scm import mechanism_kernel
-    from absaudit.textfmt import emit_document, parse_path
+    from absaudit.textfmt import emit_document, parse_document, parse_path
+
+    check_require(audit_abstraction, parse_document(chain_maps(["identity"])))
 
     data = ROOT / "src" / "absaudit" / "data"
     files = [pathlib.Path(f).resolve() for f in args.files] or sorted(
