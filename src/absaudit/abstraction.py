@@ -78,9 +78,9 @@ class StructuralMap(_Rows):
     `edge_map` sends source paths to target paths, each a tuple of node
     names (`freecat`), and may be partial; `None` means no morphism layer
     was declared at all.
-    `pairing` optionally records which target node is the nominal
-    counterpart of each source node (used to tell identities from
-    permutations when the models use different node names).
+    `pairing` names each source node's nominal counterpart, which tells an
+    identity from a permutation; `None` pairs the k-th source and target
+    names in sorted order, whatever order the models declare them in.
     """
 
     rows: dict[str, dict[str, float]]

@@ -185,9 +185,10 @@ def _cmd_audit(args, abstraction, source, target) -> int:
     profile = audit.audit_abstraction(abstraction, source, target, non_paths=(set(), set()))
     required = [prop.strip() for prop in args.require.split(",")] if args.require else []
     flat = profile.flat() if required else {}
-    for prop in required:
-        if prop not in flat:
-            raise ModelError(f"unknown property {prop!r}; choose from {', '.join(sorted(flat))}")
+    if unknown := [prop for prop in required if prop not in flat]:
+        raise ModelError(f"unknown property {unknown[0]!r}; choose from {', '.join(sorted(flat))}."
+                         " A row under invertibility: is required as <row>-invertible, and an"
+                         " outcome-summary row as outcome-<row>")
     if args.format == "json":
         print(json.dumps(profile.to_dict(), sort_keys=True))
     else:

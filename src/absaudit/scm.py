@@ -81,6 +81,7 @@ _WORDS = {
     "mechanism-range": "mechanism for {} maps {} outside the domain: {!r}",
     "mechanism-extra": "mechanism for {} has stray input {}",
     "dist-key": "exogenous table key {!r} is out of range",
+    "dist-total": "exogenous table sums to {!r}, not 1",
 }
 
 
@@ -384,9 +385,8 @@ def validate_scm(model: Scm) -> ValidationReport:
             report.add("dist-key", _WORDS["dist-key"].format(combo))
         if p < -TOL:
             report.add("dist-negative", f"negative probability {p} at {combo!r}")
-    total = sum(model.exo_table.values())
-    if not abs(total - 1.0) <= TOL:  # also fails a NaN total
-        report.add("dist-total", f"exogenous table sums to {total!r}, not 1")
+    if not abs((total := sum(model.exo_table.values())) - 1.0) <= TOL:  # also fails a NaN total
+        report.add("dist-total", _WORDS["dist-total"].format(total))
 
     return report
 
@@ -537,12 +537,14 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     remaining exogenous variables under the joint exogenous table.  One pass
     over the ranked entries (`Scm.ranked_noise`) sums the term's marginal by value
     and the rest's by rank: the entry's rank less the term's offset.  Raises
-    ModelError, in `validate`'s words, on a noise key out of range.
+    ModelError, in `validate`'s words, on a `dist-key` or `dist-total` issue.
     """
     v = model.variable(variable)
     exo = model.exogenous_variable(v.exogenous)
     i = model._index.exo_by_name[v.exogenous][0]
     ranked = model.ranked_noise()
+    if not abs((total := sum(model.exo_table.values())) - 1.0) <= TOL:  # as `validate_scm`
+        raise ModelError(_WORDS["dist-total"].format(total))
     stride = math.prod(len(u.domain) for u in model.exogenous[i + 1 :])
     offset = {x: j * stride for j, x in enumerate(exo.domain)}  # as in the rank
 

@@ -377,10 +377,6 @@ def detect_types(
     forward = abstraction.direction is Direction.MICRO_TO_MACRO
     structural: list[str] = []
 
-    pairing = sm.pairing
-    if pairing is None and len(source.variable_names) == len(target.variable_names):
-        pairing = dict(zip(source.variable_names, target.variable_names))
-
     src_dag = underlying_graph(source)
     tgt_dag = underlying_graph(target)
 
@@ -407,8 +403,9 @@ def detect_types(
                     src_counts, counts = path_counts(src_dag, u), path_counts(tgt_dag, pi[u])
                     coarsens |= any(src_counts[v] > counts[pi[v]] >= 1 for v in src_dag.nodes)
                     embeds |= any(counts[pi[v]] > src_counts[v] >= 1 for v in src_dag.nodes)
-        if shape == "bijection" and pairing is not None:
-            respects = all(pi[u] == pairing.get(u) for u in pi)
+        if shape == "bijection":  # the declared pairs, else the k-th names in sorted order
+            twin = dict(zip(sorted(pi), sorted(pi.values()))) if sm.pairing is None else sm.pairing
+            respects = all(pi[u] == twin.get(u) for u in pi)
             edge_bijection = (
                 ends == tgt_dag.edge_set and len(src_dag.edges) == len(tgt_dag.edges)
             )

@@ -6,6 +6,7 @@ tests stay readable; nothing here duplicates library logic.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import zlib
@@ -13,7 +14,9 @@ import zlib
 from hypothesis import strategies as st
 
 from absaudit.abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
-from absaudit.scm import Exogenous, Scm, Variable
+from absaudit.freecat import hom_set
+from absaudit.scm import Exogenous, Scm, Variable, underlying_graph
+from absaudit.textfmt import Document
 
 BIN = ("0", "1")
 U2 = (("0", 0.5), ("1", 0.5))
@@ -190,3 +193,117 @@ def random_model(rng: random.Random, max_vars: int = 4, max_dom: int = 3) -> Scm
 
     spec = [(v, domains[v], parents[v], mech_for(v)) for v in names]
     return model("rnd", spec, dists)
+
+
+def random_rows(rng: random.Random, src: Scm, tgt: Scm) -> dict[str, dict[str, float]]:
+    """Random node rows: a source node unmapped, split evenly over two target
+    nodes, or sent to one."""
+    rows = {}
+    for v in src.variable_names:
+        r = rng.random()
+        if r < 0.15:
+            continue
+        if r < 0.35 and len(tgt.variable_names) >= 2:
+            a, b = rng.sample(tgt.variable_names, 2)
+            rows[v] = {a: 0.5, b: 0.5}
+        else:
+            rows[v] = {rng.choice(tgt.variable_names): 1.0}
+    return rows
+
+
+def random_edge_map(rng: random.Random, src: Scm, tgt: Scm, rows) -> dict | None:
+    """A random partial edge map over the source paths between mapped nodes:
+    mostly onto a target path between the images, else onto any target path."""
+    src_dag, tgt_dag = underlying_graph(src), underlying_graph(tgt)
+    det = {
+        u: next(iter(row))
+        for u, row in rows.items()
+        if len(row) == 1 and abs(next(iter(row.values())) - 1.0) < 1e-12
+    }
+    mapped = [u for u in src.variable_names if u in rows]
+    pool = [m for x in tgt_dag.nodes for y in tgt_dag.nodes for m in hom_set(tgt_dag, x, y)]
+    edge_map = {}
+    for u in mapped:
+        for v in mapped:
+            for m in hom_set(src_dag, u, v):
+                r = rng.random()
+                if r < 0.15:
+                    continue
+                if u in det and v in det and r < 0.85:
+                    fitting = hom_set(tgt_dag, det[u], det[v])
+                    if fitting:
+                        edge_map[m] = rng.choice(fitting)
+                        continue
+                edge_map[m] = rng.choice(pool)
+    return edge_map or None
+
+
+def random_outcome_maps(rng: random.Random, src: Scm, tgt: Scm) -> list[OutcomeMap]:
+    """Random per-variable outcome maps, each reading a random set of source
+    variables, with rows left out, split or deterministic."""
+    if rng.random() < 0.4:
+        return []
+    maps = []
+    for t in tgt.variable_names:
+        if rng.random() < 0.4:
+            continue
+        srcs = tuple(v for v in src.variable_names if rng.random() < 0.7)
+        srcs = srcs or (src.variable_names[0],)
+        rows = {}
+        for key in itertools.product(*(src.domain_of(v) for v in srcs)):
+            r = rng.random()
+            if r < 0.12:
+                continue
+            tdom = tgt.domain_of(t)
+            if r < 0.3 and len(tdom) >= 2:
+                a, b = rng.sample(tdom, 2)
+                rows[key] = {(a,): 0.5, (b,): 0.5}
+            else:
+                rows[key] = {(rng.choice(tdom),): 1.0}
+        maps.append(OutcomeMap(target=t, sources=srcs, rows=rows))
+    return maps
+
+
+def _shuffled(rng: random.Random, items) -> list:
+    items = list(items)
+    rng.shuffle(items)
+    return items
+
+
+def _in_order(names: tuple[str, ...], model: Scm) -> tuple[tuple[str, ...], list[int]]:
+    """`names` in `model`'s declaration order, and where each stood in `names`."""
+    ordered = tuple(sorted(names, key=model.variable_names.index))
+    return ordered, [names.index(v) for v in ordered]
+
+
+def permuted(doc: Document, rng: random.Random) -> Document:
+    """`doc` written down in another order, meaning the same: each model's
+    variables and exogenous terms shuffled, its noise keys and the key and
+    value columns of every outcome map rewritten to the new declaration
+    order, and the rows of every `nodes`, `edges`, `pairs` and `outcomes`
+    block shuffled."""
+    models = {}
+    for name, m in doc.models.items():
+        order = _shuffled(rng, range(len(m.exogenous)))
+        table = {tuple(key[i] for i in order): p for key, p in m.exo_table.items()}
+        models[name] = Scm(name, _shuffled(rng, m.variables), [m.exogenous[i] for i in order],
+                           dict(m.mechanisms), table)
+
+    def rows(block: dict | None) -> dict | None:
+        return None if block is None else dict(_shuffled(rng, block.items()))
+
+    maps = {}
+    for name, a in doc.abstractions.items():
+        source, target = models[a.source_ref], models[a.target_ref]
+        outcome_maps = []
+        for om in a.outcome_maps:
+            sources, keys = _in_order(om.sources, source)
+            onto, values = _in_order(om.onto, target) if om.is_global else ((), [0])
+            shuffled = {tuple(key[i] for i in keys): {tuple(val[j] for j in values): w
+                                                      for val, w in row.items()}
+                        for key, row in rows(om.rows).items()}
+            outcome_maps.append(OutcomeMap(om.target, sources, shuffled, onto))
+        sm = a.structure
+        structure = StructuralMap(rows(sm.rows), rows(sm.edge_map), rows(sm.pairing))
+        maps[name] = dataclasses.replace(a, structure=structure, outcome_maps=outcome_maps)
+    return Document(models, maps)

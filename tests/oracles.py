@@ -76,8 +76,9 @@ def structural_types(
     adjacency dicts in declaration order.  The shape of `pi` as a map of
     sets names the node labels; the edge labels compare hom-set sizes,
     counted with `path_count` for every pair of nodes of each graph.
-    `pairing` defaults to the two declaration orders zipped when the node
-    counts agree.  Labels come in the order `detect_types` lists them.
+    Without `pairing`, the k-th source node in sorted name order is paired
+    with the k-th target node in sorted name order, however the graphs are
+    declared.  Labels come in the order `detect_types` lists them.
     """
     hom_s = {(u, v): path_count(src_adj, u, v) for u in src_adj for v in src_adj}
     hom_t = {(x, y): path_count(tgt_adj, x, y) for x in tgt_adj for y in tgt_adj}
@@ -88,10 +89,10 @@ def structural_types(
     onto = set(pi.values()) == set(tgt_adj)
     one_to_one = len(set(pi.values())) == len(pi)
     bijection = total and onto and one_to_one
-    if pairing is None and len(src_adj) == len(tgt_adj):
-        pairing = dict(zip(src_adj, tgt_adj))
+    if pairing is None:
+        pairing = dict(zip(sorted(src_adj), sorted(tgt_adj)))
     labels = []
-    if bijection and pairing is not None:
+    if bijection:
         respects = all(pi[u] == pairing.get(u) for u in pi)
         if respects and set(mapped) == tgt_edges and len(src_edges) == len(tgt_edges):
             labels.append("identity")

@@ -37,7 +37,8 @@ from absaudit.scm import (
 from absaudit import taxonomy
 from absaudit.textfmt import emit_document, parse_document
 
-from helpers import BIN, U2, model as build_model, plain_scm, random_dag, random_model
+from helpers import (BIN, U2, model as build_model, plain_scm, random_dag, random_edge_map,
+                     random_model, random_outcome_maps, random_rows)
 from oracles import (
     all_paths,
     path_count,
@@ -178,69 +179,6 @@ def test_criterion_3_fixture_regressions(acceptance):
 # Criterion 4: property-lattice laws on random abstractions
 # ---------------------------------------------------------------------------
 
-def _random_rows(rng, src, tgt):
-    rows = {}
-    for v in src.variable_names:
-        r = rng.random()
-        if r < 0.15:
-            continue
-        if r < 0.35 and len(tgt.variable_names) >= 2:
-            a, b = rng.sample(tgt.variable_names, 2)
-            rows[v] = {a: 0.5, b: 0.5}
-        else:
-            rows[v] = {rng.choice(tgt.variable_names): 1.0}
-    return rows
-
-
-def _random_edge_map(rng, src, tgt, rows):
-    src_dag, tgt_dag = underlying_graph(src), underlying_graph(tgt)
-    det = {
-        u: next(iter(row))
-        for u, row in rows.items()
-        if len(row) == 1 and abs(next(iter(row.values())) - 1.0) < 1e-12
-    }
-    mapped = [u for u in src.variable_names if u in rows]
-    pool = [m for x in tgt_dag.nodes for y in tgt_dag.nodes for m in hom_set(tgt_dag, x, y)]
-    edge_map = {}
-    for u in mapped:
-        for v in mapped:
-            for m in hom_set(src_dag, u, v):
-                r = rng.random()
-                if r < 0.15:
-                    continue
-                if u in det and v in det and r < 0.85:
-                    fitting = hom_set(tgt_dag, det[u], det[v])
-                    if fitting:
-                        edge_map[m] = rng.choice(fitting)
-                        continue
-                edge_map[m] = rng.choice(pool)
-    return edge_map or None
-
-
-def _random_outcome_maps(rng, src, tgt):
-    if rng.random() < 0.4:
-        return []
-    maps = []
-    for t in tgt.variable_names:
-        if rng.random() < 0.4:
-            continue
-        srcs = tuple(v for v in src.variable_names if rng.random() < 0.7)
-        srcs = srcs or (src.variable_names[0],)
-        rows = {}
-        for key in itertools.product(*(src.domain_of(v) for v in srcs)):
-            r = rng.random()
-            if r < 0.12:
-                continue
-            tdom = tgt.domain_of(t)
-            if r < 0.3 and len(tdom) >= 2:
-                a, b = rng.sample(tdom, 2)
-                rows[key] = {(a,): 0.5, (b,): 0.5}
-            else:
-                rows[key] = {(rng.choice(tdom),): 1.0}
-        maps.append(OutcomeMap(target=t, sources=srcs, rows=rows))
-    return maps
-
-
 def _lattice_violations(profile) -> list[str]:
     out = []
     n = profile.node
@@ -272,7 +210,7 @@ def test_criterion_4_property_lattice_laws(acceptance):
     while count < 1000:
         src = random_model(rng)
         tgt = random_model(rng)
-        rows = _random_rows(rng, src, tgt)
+        rows = random_rows(rng, src, tgt)
         if not rows:
             continue
         a = Abstraction(
@@ -283,12 +221,12 @@ def test_criterion_4_property_lattice_laws(acceptance):
             structure=StructuralMap(
                 rows=rows,
                 edge_map=(
-                    _random_edge_map(rng, src, tgt, rows)
+                    random_edge_map(rng, src, tgt, rows)
                     if rng.random() < 0.5
                     else None
                 ),
             ),
-            outcome_maps=_random_outcome_maps(rng, src, tgt),
+            outcome_maps=random_outcome_maps(rng, src, tgt),
         )
         profile = audit_abstraction(a, src, tgt)
         bad = _lattice_violations(profile)

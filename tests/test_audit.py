@@ -695,7 +695,10 @@ def test_profile_dict_equals_asdict_on_every_shipped_abstraction():
 def test_flat_dict_and_text_name_the_same_verdicts():
     """On every shipped abstraction, each `--require` name of `flat()` gives
     the verdict of its field in `to_dict()` and of its line in `to_text()`,
-    under its section; and every verdict field and line has a name."""
+    under its section; and every verdict field and line has a name, the one
+    the `--require` error states: a row under `invertibility:` is required
+    as `<row>-invertible`, an outcome-summary row as `outcome-<row>`, and any
+    other row by its printed name."""
     titles = {"node": "node layer", "functor": "morphism layer", "modalities": "modalities",
               "invertibility": "invertibility", "outcome_summary": "outcome layer"}
     profiles = _shipped_profiles()
@@ -728,6 +731,8 @@ def test_flat_dict_and_text_name_the_same_verdicts():
         shown = {(s, b, label) for (s, b), rows in text.items() for label in rows
                  if s != "outcome layer" or b == summary_block}
         assert lines_seen == shown, p.abstraction
+        named = {"invertibility": "{}-invertible", "outcome layer": "outcome-{}"}
+        assert {named.get(s, "{}").format(label) for s, _, label in shown} <= p.flat().keys()
 
 
 def test_outcome_summary_folds_each_verdict():

@@ -662,11 +662,14 @@ def test_audit_require_fail(capsys):
 
 def test_audit_require_unknown(capsys):
     """Every name is checked before the profile is printed: an unknown one,
-    even after a known one, or a blank one, prints nothing on stdout."""
-    assert main(["audit", FIG9B, "--require", "shiny"]) == 1
+    even after a known one, or a blank one, prints nothing on stdout.  The
+    error says how a printed row is named when it is not named as printed."""
+    assert main(["audit", FIG9B, "--require", "perfect-node"]) == 1
     out, err = capsys.readouterr()
-    assert "unknown property 'shiny'" in err
+    assert "unknown property 'perfect-node'" in err
     assert "bijective" in err  # lists the available names
+    assert err.endswith(". A row under invertibility: is required as <row>-invertible, and an"
+                        " outcome-summary row as outcome-<row>\n")
     assert out == ""
     for fmt in ([], ["--format", "json"]):
         for names, unknown in (("functorial,shiny", "shiny"), (" ", "")):
@@ -691,6 +694,19 @@ def test_classify_json(capsys):
     assert main(["--format", "json", "classify", COARSEN]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"structural": ["node-coarsening"], "distributional": []}
+
+
+def test_classify_pairs_nodes_by_name_not_by_declaration_order(tmp_path, capsys):
+    """fig2a, with no `pairs` block, stays an identity when its target model
+    declares T' above S'."""
+    text = (DATA / "figures" / "fig2a.abs").read_text()
+    swapped = text.replace("  var S' : 0 1\n  var T' : 0 1 parents S'\n",
+                           "  var T' : 0 1 parents S'\n  var S' : 0 1\n")
+    assert swapped != text
+    path = tmp_path / "fig2a.abs"
+    path.write_text(swapped)
+    assert main(["--format", "json", "classify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["structural"] == ["identity"]
 
 
 # ---------------------------------------------------------------------------

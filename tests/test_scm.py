@@ -402,7 +402,8 @@ def test_kernel_undefined_under_dependence():
 
 
 @pytest.mark.parametrize("table", [
-    {("0", "0"): 0.25, ("0", "1"): 0.25, ("1", "0"): 0.25, ("1", "1"): 0.25 + 1e-6},
+    {("0", "0"): 0.25 + 1e-6, ("0", "1"): 0.25 - 1e-6, ("1", "0"): 0.25 - 1e-6,
+     ("1", "1"): 0.25 + 1e-6},
     {("0", "0"): 0.4, ("0", "1"): 0.1, ("1", "0"): 0.1, ("1", "1"): 0.4},
     {("0", "1"): 0.5, ("1", "0"): 0.5},
 ])
@@ -417,12 +418,29 @@ def test_kernel_undefined_wherever_the_dependence_shows(table):
 
 
 def test_kernel_checks_pairs_missing_from_the_table():
-    # Unnormalised, so each stored pair factors (1 == 1 * 1), but the
-    # missing pair (0, 1) weighs 0 where the marginals multiply to 1.
-    m = chain("m", ["A", "B"])
-    m.exo_table = {("0", "0"): 1.0, ("1", "1"): 1.0}
+    # The table sums to 1 and each stored pair factors: U_B's marginal is
+    # (1, -1, 1), U_A's is (1, 1, -1).  The missing pair (U_A, U_B) = (1, 0)
+    # weighs 0 where the marginals multiply to 1.  With a total of 1, only a
+    # negative weight, which `validate` refuses, lets a missing pair differ.
+    u3 = tuple((x, 1 / 3) for x in "012")
+    m = model("m", [("A", BIN, (), xor), ("B", BIN, ("A",), xor)], {"A": u3, "B": u3})
+    m.exo_table = {("0", "0"): 1.0, ("0", "1"): -1.0, ("0", "2"): 1.0, ("1", "2"): 1.0,
+                   ("2", "2"): -1.0}
     with pytest.raises(KernelUndefinedError):
         mechanism_kernel(m, "B")
+
+
+def test_kernel_refuses_a_total_other_than_1_in_validates_words(chain3):
+    """A noise table that does not sum to 1 has no kernel for any variable:
+    each raises a plain ModelError with `validate`'s `dist-total` words, not
+    the KernelUndefinedError of the factorisation check it would fail."""
+    chain3.exo_table[("0", "0", "0")] += 0.5
+    [words] = [i.message for i in validate_scm(chain3).issues if i.code == "dist-total"]
+    assert words == "exogenous table sums to 1.5, not 1"
+    for v in chain3.variable_names:
+        with pytest.raises(ModelError) as refused:
+            mechanism_kernel(chain3, v)
+        assert type(refused.value) is ModelError and str(refused.value) == words
 
 
 def test_kernel_composition_reproduces_joint(chain3):
@@ -678,6 +696,29 @@ def _refused_strays(m) -> bool:
     return bool(strays)
 
 
+def _kernels_match_the_oracle(m, plain) -> None:
+    """Every kernel of `m` equals `plain_kernel`, in order, or is undefined
+    where the oracle's is; on a noise table that does not sum to 1, every
+    kernel is refused in `validate`'s `dist-total` words."""
+    total = sum(m.exo_table.values())
+    for v in m.variable_names:
+        if not abs(total - 1.0) <= TOL:
+            with pytest.raises(ModelError) as refused:
+                mechanism_kernel(m, v)
+            assert str(refused.value) == f"exogenous table sums to {total!r}, not 1"
+            continue
+        try:
+            want = plain_kernel(plain, v)
+        except ValueError:
+            with pytest.raises(KernelUndefinedError):
+                mechanism_kernel(m, v)
+            continue
+        got = mechanism_kernel(m, v).rows
+        assert [(k, list(r.items())) for k, r in got.items()] == [
+            (k, list(r.items())) for k, r in want.items()
+        ]
+
+
 def _printed(dist, as_json: bool) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -694,7 +735,8 @@ def test_support_walk_matches_dense_product(seed, edits):
     """Joint, printed dist, emitted dist block and kernels are those of the
     dense walk, exactly and in the same order, whatever order the noise
     table is written in; with keys outside the domains, the joint, emit and
-    every kernel refuse the first of them in `validate`'s words."""
+    every kernel refuse the first of them in `validate`'s words, and with a
+    total other than 1 every kernel refuses the total."""
     rng = random.Random(seed)
     m = random_model(rng)
     for kind in edits:
@@ -723,18 +765,7 @@ def test_support_walk_matches_dense_product(seed, edits):
     block = [f"    {' '.join(k)} : {float(p)!r}"
              for k, p in dense_rows(plain["exo_dist"], exo_domains)]
     assert lines[start + 1 : start + 2 + len(block)] == block + ["  }"]
-
-    for v in m.variable_names:
-        try:
-            want = plain_kernel(plain, v)
-        except ValueError:
-            with pytest.raises(KernelUndefinedError):
-                mechanism_kernel(m, v)
-            continue
-        got = mechanism_kernel(m, v).rows
-        assert [(k, list(r.items())) for k, r in got.items()] == [
-            (k, list(r.items())) for k, r in want.items()
-        ]
+    _kernels_match_the_oracle(m, plain)
 
 
 def test_rows_of_zips_its_columns_also_when_there_is_none():
@@ -784,17 +815,7 @@ def _answers_match_the_oracles(m) -> None:
     """The joint and every kernel of `m` equal the dense oracles, in order."""
     plain = plain_scm(m)
     assert list(joint_distribution(m).probs.items()) == list(plain_joint(plain).items())
-    for v in m.variable_names:
-        try:
-            want = plain_kernel(plain, v)
-        except ValueError:
-            with pytest.raises(KernelUndefinedError):
-                mechanism_kernel(m, v)
-            continue
-        got = mechanism_kernel(m, v).rows
-        assert [(k, list(r.items())) for k, r in got.items()] == [
-            (k, list(r.items())) for k, r in want.items()
-        ]
+    _kernels_match_the_oracle(m, plain)
 
 
 @settings(max_examples=200, deadline=None)
@@ -803,7 +824,8 @@ def _answers_match_the_oracles(m) -> None:
 def test_kept_ranking_never_goes_stale(seed, drop, kind):
     """After one change to the table or a domain, the same model object gives
     the joint and kernels of the changed model, including which kernels are
-    undefined, or refuses a key the change put out of range; computing them
+    undefined or refused for the total, or refuses a key the change put out
+    of range; computing them
     changes neither equality nor repr."""
     rng = random.Random(seed)
     m = random_model(rng)

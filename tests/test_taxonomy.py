@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import importlib.resources
+import io
 import itertools
+import pathlib
 import random
+import tempfile
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from absaudit import taxonomy
-from absaudit.audit import audit_node_map
+from absaudit.abstraction import Abstraction, Direction, StructuralMap
+from absaudit.audit import audit_abstraction, audit_node_map
+from absaudit.cli import main
 from absaudit.errors import ModelError, ParseError
 from absaudit.freecat import path_counts
-from absaudit.textfmt import Document
+from absaudit.textfmt import Document, emit_document, parse_path
 from absaudit.taxonomy import (
     DISTRIBUTIONAL_ROWS,
     STRUCTURAL_ROWS,
@@ -31,7 +38,8 @@ from absaudit.taxonomy import (
     witness_profile,
 )
 
-from helpers import abstraction, chain, unary_chain, unary_dag
+from helpers import (abstraction, chain, det_rows, permuted, random_edge_map, random_model,
+                     random_outcome_maps, random_rows, unary_chain, unary_dag)
 from oracles import structural_types
 
 A, N, X = (
@@ -356,15 +364,19 @@ def _bits(*pairs: tuple[int, int]) -> int:
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 6), bits=st.integers(0, 2 ** len(PAIRS6) - 1),
        shape=st.sampled_from(SHAPES), relation=st.sampled_from(RELATIONS),
-       flip=st.integers(0, 20), seed=st.integers(0, 2 ** 16))
+       flip=st.integers(0, 20), seed=st.integers(0, 2 ** 16), shuffle=st.booleans())
 # the chain x0 -> ... -> x5 with the shortcut x0 -> x2; the target also has
 # y3 -> y5, below four ancestors in each graph
 @example(n=6, bits=_bits((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)),
-         shape="bijection", relation="add", flip=8, seed=0)
-def test_detect_types_matches_the_hom_set_oracle(n, bits, shape, relation, flip, seed):
+         shape="bijection", relation="add", flip=8, seed=0, shuffle=False)
+# the identity of a three-chain onto a target declared y2, y0, y1
+@example(n=3, bits=_bits((0, 1), (1, 2)), shape="bijection", relation="equal", flip=0, seed=6,
+         shuffle=True)
+def test_detect_types_matches_the_hom_set_oracle(n, bits, shape, relation, flip, seed, shuffle):
     """Random six-node DAGs: the target is the source's image, that image
     with one edge added or removed, or an independent DAG; the map is a
-    bijection, a permutation, or drops, merges or adds a node."""
+    bijection, a permutation, or drops, merges or adds a node; the target
+    declares its nodes in index order or shuffled."""
     rng = random.Random(seed)
     src_edges = [(a, b) for k, (a, b) in enumerate(PAIRS6) if b < n and bits >> k & 1]
     src_adj = {f"x{i}": [f"x{b}" for a, b in src_edges if a == i] for i in range(n)}
@@ -390,7 +402,84 @@ def test_detect_types_matches_the_hom_set_oracle(n, bits, shape, relation, flip,
     if relation == "independent":
         edges = {p for p in forward if rng.random() < 0.4}
     tgt_adj = {f"y{k}": [f"y{b}" for a, b in sorted(edges) if a == k] for k in sorted(rank)}
+    if shuffle:
+        tgt_adj = dict(rng.sample(list(tgt_adj.items()), len(tgt_adj)))
     pi = {f"x{i}": f"y{k}" for i, k in image.items()}
     src, tgt = unary_dag("src", src_adj), unary_dag("tgt", tgt_adj)
     got = detect_types(abstraction("a", src, tgt, pi), src, tgt)["structural"]
     assert got == structural_types(src_adj, tgt_adj, pi)
+
+
+# ---------------------------------------------------------------------------
+# No label or verdict reads the order in which a file declares things
+# ---------------------------------------------------------------------------
+
+SHIPPED_MAPS = sorted(pathlib.Path(str(importlib.resources.files("absaudit") / "data"))
+                      .rglob("*.abs"))
+
+
+def _labels_and_profiles(doc: Document) -> dict[str, tuple]:
+    """Each abstraction's `detect_types` labels and `audit_abstraction` profile."""
+    out = {}
+    for name, a in doc.abstractions.items():
+        source, target = doc.resolve(a)
+        out[name] = (detect_types(a, source, target),
+                     audit_abstraction(a, source, target).to_dict())
+    return out
+
+
+def _cli_json(path, names) -> list[str]:
+    """What `--format json` `audit` and `classify` print on each abstraction."""
+    out = []
+    for command, name in itertools.product(("audit", "classify"), names):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["--format", "json", command, str(path), "--abs", name]) == 0
+        out.append(stdout.getvalue())
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**30))
+def test_no_label_or_verdict_of_a_random_map_reads_a_declaration_order(seed):
+    """A random map, half of the time a bijection between models of one
+    size, keeps every label and verdict when both models declare their
+    variables and noise terms in another order and every block of the map
+    lists its rows in another order."""
+    rng = random.Random(seed)
+    src, tgt = random_model(rng), random_model(rng)
+    bijection = rng.random() < 0.5
+    while bijection and len(tgt.variables) != len(src.variables):
+        tgt = random_model(rng)
+    tgt = dataclasses.replace(tgt, name="tgt")
+    names = src.variable_names
+    rows = (det_rows(dict(zip(names, rng.sample(tgt.variable_names, len(names)))))
+            if bijection else random_rows(rng, src, tgt))
+    k = rng.randint(0, min(len(names), len(tgt.variables)))
+    pairs = (dict(zip(rng.sample(names, k), rng.sample(tgt.variable_names, k)))
+             if rng.random() < 0.3 else None)
+    edges = random_edge_map(rng, src, tgt, rows) if rows and rng.random() < 0.5 else None
+    a = Abstraction("a", "rnd", "tgt", rng.choice(list(Direction)),
+                    StructuralMap(rows, edges, pairs), random_outcome_maps(rng, src, tgt))
+    doc = Document({"rnd": src, "tgt": tgt}, {"a": a})
+    assert _labels_and_profiles(permuted(doc, rng)) == _labels_and_profiles(doc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**30))
+def test_no_label_or_verdict_of_a_shipped_map_reads_a_declaration_order(seed):
+    """Each of the 41 shipped maps, with both models' declarations and the
+    rows of every block of the map in another order, keeps every label and
+    verdict, and written back with `emit_document` it prints the same
+    `audit` and `classify` JSON as the shipped file."""
+    rng = random.Random(seed)
+    count = 0
+    with tempfile.TemporaryDirectory() as directory:
+        for path in SHIPPED_MAPS:
+            doc = parse_path(path)
+            shuffled = permuted(doc, rng)
+            assert _labels_and_profiles(shuffled) == _labels_and_profiles(doc), path.name
+            copy = pathlib.Path(directory, path.name)
+            copy.write_text(emit_document(shuffled), encoding="utf-8")
+            assert _cli_json(copy, doc.abstractions) == _cli_json(path, doc.abstractions)
+            count += len(doc.abstractions)
+    assert count == 41
