@@ -8,8 +8,10 @@ mechanism tables and a joint exogenous probability table.  Design choices:
   an explicit table;
 * all domains are finite and explicit, so the joint endogenous distribution
   is computed exactly, by walking the support of the exogenous table in
-  row-major order (never the dense product of the exogenous domains): the
-  joint one column per variable, a kernel by each entry's rank;
+  row-major order: the joint one column per variable, a kernel by each
+  entry's rank.  The dense product of the exogenous domains is stepped
+  through only alongside the table, and only while the table's keys are
+  its tuples in order, which gives their ranks without a lookup;
 * the canonical variable order is declaration order, and joint tables are
   indexed row-major over that order.
 """
@@ -20,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import contains, getitem, is_, itemgetter, ne
+from operator import contains, getitem, is_, itemgetter, lt, ne
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TOL, DEFAULT_EXO_CAP, KernelUndefinedError, ModelError, check_cap
@@ -35,13 +37,22 @@ def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> tup
 
     A key's rank is its position in that product: the sum over places j of
     the index of `key[j]` in `domains[j]` times the joint values of the
-    places after j.  Sorting on it replaces the walk.  Keys come as stored."""
+    places after j.  The leading run of keys that equal the product's tuple
+    at their position is ranked by position, stepping through the product
+    and the table side by side up to the first mismatch (none when a domain
+    repeats a value, whose rank is its last index); each key after the run
+    is ranked on its own, and the entries are sorted on rank only when one
+    of them is kept.  Keys come as stored."""
     offsets, stride = [], 1
     for d in reversed(domains):
         offsets.insert(0, {x: i * stride for i, x in enumerate(d)})
         stride *= len(d)
-    ranks, keys, values = [], [], []
-    for key, value in table.items():
+    distinct = list(map(len, offsets)) == list(map(len, domains))
+    steps = map(ne, table, itertools.product(*domains)) if distinct else ()
+    run = next(itertools.compress(itertools.count(), itertools.chain(steps, [True])))
+    ranks = list(range(run))
+    keys, values = (list(itertools.islice(column, run)) for column in (table, table.values()))
+    for key, value in itertools.islice(table.items(), run, None):
         if isinstance(key, tuple) and len(key) == len(offsets):
             try:
                 ranks.append(sum(map(getitem, offsets, key)))
@@ -49,6 +60,8 @@ def row_major(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> tup
                 continue
             keys.append(key)
             values.append(value)
+    if len(ranks) == run:
+        return tuple(ranks), tuple(keys), tuple(values)
     order = sorted(range(len(ranks)), key=ranks.__getitem__)
     return tuple(tuple(map(column.__getitem__, order)) for column in (ranks, keys, values))
 
@@ -81,6 +94,7 @@ _WORDS = {
     "mechanism-range": "mechanism for {} maps {} outside the domain: {!r}",
     "mechanism-extra": "mechanism for {} has stray input {}",
     "dist-key": "exogenous table key {!r} is out of range",
+    "dist-negative": "negative probability {} at {!r}",
     "dist-total": "exogenous table sums to {!r}, not 1",
 }
 
@@ -384,7 +398,7 @@ def validate_scm(model: Scm) -> ValidationReport:
         if combo in strays:
             report.add("dist-key", _WORDS["dist-key"].format(combo))
         if p < -TOL:
-            report.add("dist-negative", f"negative probability {p} at {combo!r}")
+            report.add("dist-negative", _WORDS["dist-negative"].format(p, combo))
     if not abs((total := sum(model.exo_table.values())) - 1.0) <= TOL:  # also fails a NaN total
         report.add("dist-total", _WORDS["dist-total"].format(total))
 
@@ -537,12 +551,16 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     remaining exogenous variables under the joint exogenous table.  One pass
     over the ranked entries (`Scm.ranked_noise`) sums the term's marginal by value
     and the rest's by rank: the entry's rank less the term's offset.  Raises
-    ModelError, in `validate`'s words, on a `dist-key` or `dist-total` issue.
+    ModelError, in `validate`'s words, on a `dist-key`, `dist-negative` (the
+    first in table order) or `dist-total` issue, in that order.
     """
     v = model.variable(variable)
     exo = model.exogenous_variable(v.exogenous)
     i = model._index.exo_by_name[v.exogenous][0]
     ranked = model.ranked_noise()
+    below = map(lt, model.exo_table.values(), itertools.repeat(-TOL))  # as `validate_scm`
+    if negative := next(itertools.compress(model.exo_table.items(), below), None):
+        raise ModelError(_WORDS["dist-negative"].format(*reversed(negative)))
     if not abs((total := sum(model.exo_table.values())) - 1.0) <= TOL:  # as `validate_scm`
         raise ModelError(_WORDS["dist-total"].format(total))
     stride = math.prod(len(u.domain) for u in model.exogenous[i + 1 :])

@@ -341,6 +341,24 @@ def dense_rows(table: Mapping[tuple, object], domains: Sequence[Sequence]) -> li
     return [(combo, table[combo]) for combo in itertools.product(*domains) if combo in table]
 
 
+def ranked_by_index(table: Mapping, domains: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """The (ranks, keys, values) columns of the entries of `table` whose keys
+    are tuples with one value per domain, each in its domain, sorted on rank
+    (ties in table order): the sum over places j of the last index of
+    `key[j]` in `domains[j]` times the product of the later domain sizes."""
+    rows = []
+    for key, value in table.items():
+        if not (isinstance(key, tuple) and len(key) == len(domains)
+                and all(x in d for x, d in zip(key, domains))):
+            continue
+        rank = 0
+        for x, d in zip(key, domains):
+            rank = rank * len(d) + max(i for i, y in enumerate(d) if y == x)
+        rows.append((rank, key, value))
+    rows.sort(key=lambda row: row[0])
+    return tuple(tuple(row[j] for row in rows) for j in range(3))
+
+
 def plain_kernel(scm: dict, v: str, tol: float = 1e-9) -> dict[tuple, dict]:
     """P(v | parents) from the marginal of v's noise term, over the dense
     product of the noise domains; ValueError when that term does not

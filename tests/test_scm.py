@@ -10,10 +10,13 @@ import itertools
 import json
 import random
 import time
+from collections.abc import Mapping
+from operator import getitem
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from absaudit import scm as scm_module
 from absaudit.cli import _print_dist
 from absaudit.errors import AbsauditError, CapacityError, KernelUndefinedError, ModelError
 from absaudit.freecat import hom_set
@@ -32,10 +35,10 @@ from absaudit.scm import (
     underlying_graph,
     validate_scm,
 )
-from absaudit.textfmt import emit_scm, parse_document
+from absaudit.textfmt import Document, emit_document, emit_scm, parse_document
 
 from helpers import BIN, U2, chain, model, plain_scm, random_model, xor
-from oracles import dense_rows, plain_joint, plain_kernel
+from oracles import dense_rows, plain_joint, plain_kernel, ranked_by_index
 
 TOL = 1e-9
 DATA = importlib.resources.files("absaudit") / "data"
@@ -418,16 +421,50 @@ def test_kernel_undefined_wherever_the_dependence_shows(table):
 
 
 def test_kernel_checks_pairs_missing_from_the_table():
-    # The table sums to 1 and each stored pair factors: U_B's marginal is
-    # (1, -1, 1), U_A's is (1, 1, -1).  The missing pair (U_A, U_B) = (1, 0)
-    # weighs 0 where the marginals multiply to 1.  With a total of 1, only a
-    # negative weight, which `validate` refuses, lets a missing pair differ.
-    u3 = tuple((x, 1 / 3) for x in "012")
-    m = model("m", [("A", BIN, (), xor), ("B", BIN, ("A",), xor)], {"A": u3, "B": u3})
-    m.exo_table = {("0", "0"): 1.0, ("0", "1"): -1.0, ("0", "2"): 1.0, ("1", "2"): 1.0,
-                   ("2", "2"): -1.0}
-    with pytest.raises(KernelUndefinedError):
-        mechanism_kernel(m, "B")
+    """A valid table on which only the pass over missing pairs finds the
+    dependence: each 5-valued term puts mass s on its last value, and the
+    product's mass s * s at the pair (4, 4) is spread evenly over the other
+    24 pairs.  Every weight is positive, the total is 1, and every stored
+    pair factors within TOL, but the missing pair's product exceeds TOL."""
+    s = 5.6e-5
+    u5 = tuple(zip("01234", [(1 - s) / 4] * 4 + [s]))
+    m = model("m", [("A", BIN, (), xor), ("B", BIN, ("A",), xor)], {"A": u5, "B": u5})
+    missing = m.exo_table.pop(("4", "4"))
+    for key in m.exo_table:
+        m.exo_table[key] += missing / 24
+    assert validate_scm(m).ok
+    table = m.exo_table
+    own = {x: sum(p for k, p in table.items() if k[0] == x) for x in "01234"}
+    rest = {y: sum(p for k, p in table.items() if k[1] == y) for y in "01234"}
+    assert all(abs(p - own[x] * rest[y]) <= TOL for (x, y), p in table.items())
+    assert own["4"] * rest["4"] > TOL
+    for v in ("A", "B"):
+        with pytest.raises(KernelUndefinedError, match="exogenous dependence"):
+            mechanism_kernel(m, v)
+
+
+def test_kernel_refuses_a_negative_weight_in_validates_words():
+    """A noise table with a negative weight has no kernel for any variable,
+    even when its total is 1: each raises a plain ModelError with the words
+    of `validate`'s first `dist-negative` issue, the first such entry in
+    table order.  A key out of range is refused before, and a total other
+    than 1 after."""
+    m = chain("m", ["A", "B"])
+    m.exo_table = {("0", "0"): 0.75, ("0", "1"): -0.25, ("1", "0"): 0.75, ("1", "1"): -0.25}
+    issues = validate_scm(m).issues
+    assert [i.code for i in issues] == ["dist-negative", "dist-negative"]
+    assert issues[0].message == "negative probability -0.25 at ('0', '1')"
+    for table, words in (
+        (m.exo_table, issues[0].message),
+        ({**m.exo_table, ("0", "1"): -0.5}, "negative probability -0.5 at ('0', '1')"),
+        ({("1", "1"): -0.25, **m.exo_table}, "negative probability -0.25 at ('1', '1')"),
+        ({**m.exo_table, ("2", "0"): -1.0}, "exogenous table key ('2', '0') is out of range"),
+    ):
+        m.exo_table = table
+        for v in ("A", "B"):
+            with pytest.raises(ModelError) as refused:
+                mechanism_kernel(m, v)
+            assert type(refused.value) is ModelError and str(refused.value) == words
 
 
 def test_kernel_refuses_a_total_other_than_1_in_validates_words(chain3):
@@ -841,6 +878,93 @@ def test_kept_ranking_never_goes_stale(seed, drop, kind):
     if not _refused_strays(m):
         _answers_match_the_oracles(m)
         assert m.ranked_noise() == row_major(m.exo_table, [u.domain for u in m.exogenous])
+
+
+class _Pairs(Mapping):
+    """A mapping kept as a list of (key, value) pairs, so a key may be a list."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+
+    def __getitem__(self, key):
+        for k, v in self.pairs:
+            if k == key:
+                return v
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+_LABELS = st.sampled_from(["0", "1", "2", 0, 1])
+_STRAYS = st.sampled_from([("9", "0"), ("0", "0", "0", "0"), "01", 1, ["0", "1"]])
+_DENSE, _SPARSE = [True] * 27, [i % 3 == 0 for i in range(27)]
+_BIN3 = [("0", "1")] * 3
+_MIXED = [("0", "1", "2"), ("0", "1")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(domains=st.lists(st.lists(_LABELS, max_size=3).map(tuple), max_size=3),
+       kept=st.lists(st.booleans(), min_size=27, max_size=27), run=st.integers(0, 27),
+       seed=st.integers(0, 2**16), stray=st.none() | _STRAYS, at=st.sampled_from([0, 0.5, 1]))
+@example(_BIN3, _DENSE, 27, 0, None, 0)  # dense, in order
+@example(_BIN3, _DENSE, 4, 1, None, 0)  # an in-order prefix, then a shuffled tail
+@example(_BIN3, _SPARSE, 27, 0, None, 0)  # sparse, in order
+@example(_MIXED, _DENSE, 27, 0, ("9", "0"), 0)  # a stray key first,
+@example(_MIXED, _DENSE, 27, 0, ("9", "0"), 0.5)  # in the middle,
+@example(_MIXED, _DENSE, 27, 0, ("9", "0"), 1)  # and last
+@example([("0", "1", "0"), ("1",)], _DENSE, 27, 0, None, 0)  # a repeated domain value
+@example([("0", "1"), ()], _DENSE, 27, 0, None, 0)  # an empty domain
+@example([(0, 1), ("0", 1)], _DENSE, 27, 0, None, 0)  # integer labels
+@example(_MIXED, _DENSE, 27, 0, ["0", "1"], 0.5)  # keys that are no tuple: a list,
+@example(_MIXED, _DENSE, 27, 0, "01", 0)  # a str
+@example(_MIXED, _DENSE, 27, 0, 1, 1)  # and an int
+def test_row_major_ranks_as_the_index_oracle(domains, kept, run, seed, stray, at):
+    """`row_major` gives the columns of `ranked_by_index` on a table whose
+    keys follow the product of the domains (all of them or some), the first
+    `run` in order and the rest shuffled, with a stray key put first, in
+    the middle or last; and `ranked_noise` gives them too, or refuses the
+    first key out of range in table order, in `validate`'s words."""
+    keys = list(dict.fromkeys(k for k, keep in zip(itertools.product(*domains), kept) if keep))
+    tail = keys[run:]
+    random.Random(seed).shuffle(tail)
+    pairs = [(key, i) for i, key in enumerate(keys[:run] + tail)]
+    if stray is not None:
+        pairs.insert(round(at * len(pairs)), (stray, -1))
+    table = _Pairs(pairs) if isinstance(stray, list) else dict(pairs)
+    want = ranked_by_index(table, domains)
+    assert row_major(table, domains) == want
+    exogenous = tuple(Exogenous(f"U{j}", d, f"X{j}") for j, d in enumerate(domains))
+    m = Scm("m", (), exogenous, {}, table)
+    if len(want[0]) == len(table):
+        assert m.ranked_noise() == want
+    else:
+        first = next(key for key in table if key not in want[1])
+        with pytest.raises(ModelError) as refused:
+            m.ranked_noise()
+        assert str(refused.value) == f"exogenous table key {first!r} is out of range"
+
+
+@pytest.mark.parametrize("tail", [0, 2, 5, 256])
+def test_ranking_ranks_each_key_after_the_in_order_run_only(monkeypatch, tail):
+    """The per-key rank, one domain lookup per noise term, runs on no key of
+    a dense table that `emit` wrote, and on exactly the keys of its last
+    `tail` rows when they are written in reverse order."""
+    m = chain("m", [f"X{i}" for i in range(8)])
+    lines = emit_document(Document({"m": m})).split("\n")
+    end = lines.index(f"  dist {' '.join(m.exogenous_names)} {{") + 1 + len(m.exo_table)
+    lines[end - tail:end] = lines[end - tail:end][::-1]
+    parsed = parse_document("\n".join(lines)).models["m"]
+    lookups = []
+    monkeypatch.setattr(scm_module, "getitem",
+                        lambda offsets, x: lookups.append(x) or getitem(offsets, x))
+    ranked = parsed.ranked_noise()
+    assert len(lookups) == 8 * tail
+    monkeypatch.undo()
+    assert ranked == ranked_by_index(parsed.exo_table, [u.domain for u in parsed.exogenous])
 
 
 _KEYS = st.one_of(

@@ -70,12 +70,16 @@ def test_sweep_on_two_files():
     # chain3_micro.scm without line 25, the row `0 0 : 0` of T's mechanism
     assert codes["validate models/chain3_micro.scm.no-mech-row-25"] == "1"
     # fig3a.abs with its source's first dist row keyed out of range, then
-    # weighing 0.5 more: every command reading that model refuses it
-    for tag in ("bad-key", "bad-total"):
+    # weighing 0.5 more, its last row keyed out of range, and its first
+    # weight negative: every command and every kernel reading that model
+    # refuses it
+    for tag in ("bad-key", "bad-total", "bad-key-last", "bad-negative"):
         copy = f"figures/fig3a.abs.{tag}-chain3_micro"
         for argv in (f"validate {copy}", f"dist {copy} --model chain3_micro",
                      f"push {copy} --abs fig3a"):
             assert codes[argv] == "1"
+        for v in ("S", "T", "C"):
+            assert codes[f"kernel {copy} --model chain3_micro {v}"] == "ModelError"
     # one kernel line per variable of chain3_micro, in declaration order
     kernels = [argv for argv in argvs if argv.startswith("kernel models/chain3_micro.scm ")]
     assert kernels == [f"kernel models/chain3_micro.scm --model chain3_micro {v}"

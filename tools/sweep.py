@@ -19,11 +19,14 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   row, so each missing-entry verdict of the morphism layer shows, and
   validate on a copy with that row's two paths swapped, so the words of
   each `edge-map-source` and `edge-map-target` issue show;
-* per model with a `dist` block: two copies of its file with invalid noise,
-  one whose first `dist` row is keyed outside the first term's domain and
-  one whose first `dist` row weighs 0.5 more; each is run through validate,
-  dist --model, and push --abs for every abstraction reading that model as
-  its source;
+* per model with a `dist` block: copies of its file with invalid noise,
+  one whose first `dist` row is keyed outside the first term's domain, one
+  whose last `dist` row is keyed so (the ranking reaches it after its
+  in-order run), one whose first `dist` row weighs 0.5 more and, when the
+  block has two rows or more, one whose first weight is -0.25 and whose
+  second row gains what the first lost; each is run through
+  validate, dist --model, and push --abs for every abstraction reading
+  that model as its source;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
   pair of its nodes; dist --do VAR=VALUE for each variable at the first
   and the last value of its domain; dist --marginal for each variable
@@ -138,6 +141,9 @@ REQUIRE = ",".join((
     "outcome-bijective", "outcome-deterministic", "outcome-functional", "outcome-injective",
     "outcome-surjective", "perfect-edge-invertible", "perfect-node-invertible",
     "set-edge-invertible", "set-node-invertible", "surjective"))
+# the kinds of invalid-noise copy shuffled with `noise_rng`; the others use `last_rng`,
+# so a kind added to `bad_noise` moves no shuffle of these
+FIRST_ROW = ("bad-key", "bad-total")
 UNKNOWN_REQUIRE = ("audit", "figures/fig3a.abs", "--require", "functorial,no-such-property")
 CAP_ENV = "ABSAUDIT_ENUM_CAP"
 # (cap, argv): each phase just over its cap, then two caps that are refused
@@ -297,26 +303,43 @@ def cuts(text: str) -> list[tuple[str, str, str]]:
 
 
 def bad_noise(text: str, doc) -> list[tuple[str, str, str]]:
-    """(tag, model, copy of `text`) for each model of `doc` with a `dist`
-    block: the first row of that block keyed with a token outside the first
-    noise term's domain (tag `bad-key-MODEL`), or weighing 0.5 more (tag
-    `bad-total-MODEL`)."""
-    lines, out, model, in_dist = text.split("\n"), [], None, False
+    """(kind, model, copy of `text`) for each model of `doc` with a `dist`
+    block: its first row keyed with a token outside the first noise term's
+    domain (kind `bad-key`) or weighing 0.5 more (`bad-total`), its last row
+    keyed so (`bad-key-last`), and, when it has two rows or more, its first
+    weight set to -0.25 and its second row gaining what the first lost
+    (`bad-negative`), so the total stays 1."""
+    lines, out, model, rows = text.split("\n"), [], None, None
+
+    def copy(kind: str, *edits: tuple[int, list[str]]) -> None:
+        new = lines[:]
+        for i, tokens in edits:
+            new[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + " ".join(tokens)
+        out.append((kind, model, "\n".join(new)))
+
+    def keyed(row: list[str]) -> list[str]:
+        domain = doc.models[model].exogenous[0].domain
+        return ["9" * (1 + max(map(len, domain))), *row[1:]]
+
     for i, line in enumerate(lines):
         row = line.split("#")[0].split()
         if opened := SCM_OPEN.match(line):
             model = opened[1]
         elif DIST_OPEN.match(line):
-            in_dist = True
-        elif in_dist and row:
-            in_dist = False
-            indent = line[: len(line) - len(line.lstrip())]
-            domain = doc.models[model].exogenous[0].domain
-            keyed = ["9" * (1 + max(map(len, domain))), *row[1:]]
-            heavy = [*row[:-1], repr(float(row[-1]) + 0.5)]
-            for tag, bad in (("bad-key", keyed), ("bad-total", heavy)):
-                copy = lines[:i] + [indent + " ".join(bad)] + lines[i + 1:]
-                out.append((f"{tag}-{model}", model, "\n".join(copy)))
+            rows = []
+        elif rows is not None and line.strip() == "}":
+            if rows:
+                copy("bad-key-last", (rows[-1][0], keyed(rows[-1][1])))
+            if len(rows) > 1:
+                (first, a), (second, b) = rows[:2]
+                copy("bad-negative", (first, [*a[:-1], "-0.25"]),
+                     (second, [*b[:-1], repr(float(b[-1]) + float(a[-1]) + 0.25)]))
+            rows = None
+        elif rows is not None and row:
+            if not rows:
+                copy("bad-key", (i, keyed(row)))
+                copy("bad-total", (i, [*row[:-1], repr(float(row[-1]) + 0.5)]))
+            rows.append((i, row))
     return out
 
 
@@ -439,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         p for p in data.rglob("*") if p.suffix in (".abs", ".scm"))
     rng = random.Random(args.shuffle_dist)
     noise_rng = random.Random(args.shuffle_dist)  # keeps `rng`'s draws as they were
+    last_rng = random.Random(args.shuffle_dist)  # keeps `noise_rng`'s draws as they were
     here = os.getcwd()
     os.environ["COLUMNS"] = "80"  # help text wraps at the terminal's width
     with tempfile.TemporaryDirectory() as scratch:
@@ -465,10 +489,10 @@ def main(argv: list[str] | None = None) -> int:
                 doc = parse_path(path)
             except Exception:  # the per-file calls report it
                 continue
-            for tag, model, bad in bad_noise(path.read_text(encoding="utf-8"), doc):
+            for kind, model, bad in bad_noise(path.read_text(encoding="utf-8"), doc):
                 if args.shuffle_dist is not None:
-                    bad = shuffle_dist(bad, noise_rng)
-                noisy.append((f"{name}.{tag}", model))
+                    bad = shuffle_dist(bad, noise_rng if kind in FIRST_ROW else last_rng)
+                noisy.append((f"{name}.{kind}-{model}", model))
                 pathlib.Path(scratch, noisy[-1][0]).write_text(bad, encoding="utf-8")
         for command, tag, trimmed in cuts(chain_maps(["identity"])):
             if "edge-row" in tag:
