@@ -19,7 +19,7 @@ from .abstraction import pushforward, validate_abstraction
 from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
 from .scm import Distribution, Scm, ValidationReport, intervene, joint_distribution, marginal
-from .scm import row_major, underlying_graph, validate_scm
+from .scm import row_major, underlying_graph, unknown_parents, validate_scm
 from .textfmt import Document, join_labels, parse_path
 
 OK, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
@@ -56,13 +56,16 @@ def _reported_ok(report: ValidationReport) -> bool:
 
 def _on_valid_abstraction(command):
     """The subcommand that runs `command(args, abstraction, source, target)`
-    on the chosen abstraction, or prints its validation issues on stderr
-    and fails when it is invalid."""
+    on the chosen abstraction, or prints issues on stderr and fails: the
+    models' unknown parents, else the abstraction's validation issues."""
     def run(args) -> int:
         doc = _load(args.files)
         abstraction = _pick(doc.abstractions, args.abs, "abstraction", "--abs")
         source, target = doc.resolve(abstraction)
-        if not _reported_ok(validate_abstraction(abstraction, source, target)):
+        models = (source,) if source is target else (source, target)
+        parents = [issue for m in models for issue in unknown_parents(m)]
+        if not (_reported_ok(ValidationReport(parents))
+                and _reported_ok(validate_abstraction(abstraction, source, target))):
             return FAIL
         return command(args, abstraction, source, target)
     return run
@@ -105,17 +108,9 @@ def _print_dist(dist: Distribution, as_json: bool) -> None:
 
 def _cmd_validate(args) -> int:
     doc = _load(args.files)
-    results = []
-    ok = True
-    for model in doc.models.values():
-        report = validate_scm(model)
-        results.append(("model", model.name, report))
-        ok &= report.ok
-    for abstraction in doc.abstractions.values():
-        source, target = doc.resolve(abstraction)
-        report = validate_abstraction(abstraction, source, target)
-        results.append(("abstraction", abstraction.name, report))
-        ok &= report.ok
+    results = [("model", model.name, validate_scm(model)) for model in doc.models.values()]
+    results += [("abstraction", a.name, validate_abstraction(a, *doc.resolve(a)))
+                for a in doc.abstractions.values()]
     if args.format == "json":
         payload = [{"kind": kind, "name": name, "ok": report.ok,
                     "issues": [vars(issue) for issue in report.issues]}
@@ -127,7 +122,7 @@ def _cmd_validate(args) -> int:
             print(f"{kind} {name}: {status}")
             for issue in report.issues:
                 print(f"  {issue}")
-    return OK if ok else FAIL
+    return OK if all(report.ok for _, _, report in results) else FAIL
 
 
 def _cmd_graph(args) -> int:

@@ -339,9 +339,7 @@ def validate_scm(model: Scm) -> ValidationReport:
             report.add("empty-domain", f"variable {v.name} has an empty domain")
         if len(set(v.domain)) != len(v.domain):
             report.add("dup-outcome", f"variable {v.name} repeats a domain value")
-        for p in v.parents:
-            if p not in by_name:
-                report.add("unknown-parent", _WORDS["unknown-parent"].format(v.name, p))
+        report.issues += unknown_parents(model, v)
         if v.name in v.parents:
             report.add("self-parent", f"{v.name} lists itself as a parent")
         if v.exogenous not in exo_by_name:
@@ -403,6 +401,20 @@ def validate_scm(model: Scm) -> ValidationReport:
         report.add("dist-total", _WORDS["dist-total"].format(total))
 
     return report
+
+
+def unknown_parents(model: Scm, *variables: Variable) -> list[ValidationIssue]:
+    """The `unknown-parent` issues of `variables` (default: all of `model`'s), in order."""
+    known = model._index.by_name
+    return [ValidationIssue("unknown-parent", _WORDS["unknown-parent"].format(v.name, p))
+            for v in variables or model.variables for p in v.parents if p not in known]
+
+
+def _refuse_negative(table: Mapping[tuple, float]) -> None:
+    """Raise ModelError, in `validate`'s words, at the first weight below -TOL in table order."""
+    below = map(lt, table.values(), itertools.repeat(-TOL))  # as `validate_scm`
+    if negative := next(itertools.compress(table.items(), below), None):
+        raise ModelError(_WORDS["dist-negative"].format(*reversed(negative)))
 
 
 def _strays(v: Variable, mechanism: Mapping[tuple, Value]) -> Iterator[str]:
@@ -475,13 +487,15 @@ def joint_distribution(model: Scm) -> Distribution:
     parents' columns and its noise column.  The outcomes zip the columns in
     declaration order and are summed in entry order, so every sum and the
     outcome order are those of a walk over the dense product of the domains.
-    Raises CapacityError, before any mechanism is read, when the supported
-    entries exceed the enumeration cap (`errors.check_cap`: 10^7 or
-    `ABSAUDIT_ENUM_CAP`), and ModelError, in `validate`'s words, on a noise
-    key out of range, an unknown exo term, an unknown parent, a mechanism
-    value outside its variable's domain (checked over the mechanism's rows
-    before its column is built) or a mechanism gap."""
+    Raises, before any mechanism is read, ModelError in `validate`'s words on
+    a noise key out of range or a negative weight (a total other than 1 is
+    summed as given), and CapacityError when the supported entries exceed
+    the enumeration cap (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`);
+    then ModelError, in `validate`'s words, on an unknown exo term, an
+    unknown parent, a mechanism value outside its variable's domain (checked
+    over the mechanism's rows before its column is built) or a mechanism gap."""
     _, keys, values = model.ranked_noise()
+    _refuse_negative(model.exo_table)
     supported = list(map(ne, values, itertools.repeat(0.0)))
     combos, weights = (list(itertools.compress(c, supported)) for c in (keys, values))
     check_cap(len(weights), DEFAULT_EXO_CAP,
@@ -491,10 +505,9 @@ def joint_distribution(model: Scm) -> Distribution:
     for v in map(index.by_name.__getitem__, topological_order(model)):
         if v.exogenous not in index.exo_by_name:
             raise ModelError(_WORDS["unknown-exogenous"].format(v.name, v.exogenous))
-        try:
-            inputs = [columns[q] for q in v.parents]
-        except KeyError as miss:
-            raise ModelError(_WORDS["unknown-parent"].format(v.name, miss.args[0])) from None
+        for issue in unknown_parents(model, v):
+            raise ModelError(issue.message)
+        inputs = [columns[q] for q in v.parents]
         inputs.append(map(itemgetter(index.exo_by_name[v.exogenous][0]), combos))
         mechanism = model.mechanisms.get(v.name, {})
         for words in _strays(v, mechanism):  # no column holds a value outside its domain
@@ -558,9 +571,7 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     exo = model.exogenous_variable(v.exogenous)
     i = model._index.exo_by_name[v.exogenous][0]
     ranked = model.ranked_noise()
-    below = map(lt, model.exo_table.values(), itertools.repeat(-TOL))  # as `validate_scm`
-    if negative := next(itertools.compress(model.exo_table.items(), below), None):
-        raise ModelError(_WORDS["dist-negative"].format(*reversed(negative)))
+    _refuse_negative(model.exo_table)
     if not abs((total := sum(model.exo_table.values())) - 1.0) <= TOL:  # as `validate_scm`
         raise ModelError(_WORDS["dist-total"].format(total))
     stride = math.prod(len(u.domain) for u in model.exogenous[i + 1 :])

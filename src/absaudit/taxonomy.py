@@ -345,46 +345,55 @@ def load_table(path) -> PropertyMatrix:
 # Type detection
 # ---------------------------------------------------------------------------
 
-def _shape(audit) -> str | None:
-    """The shape of a deterministic set-map audit: "dropping" when it is not
-    total, else "bijection", "coarsening" (onto, not one-to-one) or
-    "embedding" (one-to-one, not onto); None when it is neither."""
+def _shape(audit, forward: bool) -> str | None:
+    """The shape of a set-map audit: "reversal" for a map from macro to
+    micro, "splitting" for one that is not deterministic, "dropping" for one
+    that is not total, else "bijection", "coarsening" (onto, not one-to-one)
+    or "embedding" (one-to-one, not onto); None when it is neither."""
+    if not (forward and audit.deterministic):
+        return "splitting" if forward else "reversal"
     if not audit.functional:
         return "dropping"
     return {(True, True): "bijection", (True, False): "coarsening",
             (False, True): "embedding"}.get((audit.surjective, audit.injective))
 
 
-_OUTCOME_TYPES = {
-    "bijection": DistributionalType.IDENTITY_OR_PERMUTATION,
-    "coarsening": DistributionalType.COARSENING,
-    "embedding": DistributionalType.EMBEDDING,
-    "dropping": DistributionalType.OUTCOME_DROPPING,
+# Each shape's type on the node layer and on the outcome layer.  A node
+# bijection is an identity or a node permutation, as its pairing decides.
+_SHAPE_TYPES = {
+    "bijection": (None, DistributionalType.IDENTITY_OR_PERMUTATION),
+    "coarsening": (StructuralType.NODE_COARSENING, DistributionalType.COARSENING),
+    "embedding": (StructuralType.NODE_EMBEDDING, DistributionalType.EMBEDDING),
+    "dropping": (StructuralType.NODE_DROPPING, DistributionalType.OUTCOME_DROPPING),
+    "splitting": (StructuralType.CAUSAL_SPLITTING, DistributionalType.OUTCOME_SPLITTING),
+    "reversal": (StructuralType.ABSTRACTION_REVERSAL, DistributionalType.ABSTRACTION_REVERSAL),
 }
 
 
 def detect_types(
     abstraction: Abstraction, source: Scm, target: Scm
 ) -> dict[str, list[str]]:
-    """Name every taxonomy type the abstraction instantiates.
+    """Name every taxonomy type the abstraction instantiates, per layer.
 
-    Labels can overlap (a crossed two-node bijection is both a permutation
-    and, in effect, a causal reversal); the result lists every match, for
-    each layer separately.
-    """
+    The node map and the outcome summary each have one `_shape`, whose
+    `_SHAPE_TYPES` row names their type.  A reversed or split node map has
+    that type alone; any other is labelled in one forward branch: a
+    bijection is an identity or a node permutation, with edge coarsening or
+    embedding where hom-set sizes differ, any other shape has its node type,
+    and edge dropping and causal reversal follow.  Labels can overlap: a
+    crossed two-node bijection is both a permutation and a causal reversal."""
     node = audit_node_map(abstraction, source, target)
     sm = abstraction.structure
     forward = abstraction.direction is Direction.MICRO_TO_MACRO
+    shape = _shape(node, forward)
     structural: list[str] = []
-
-    src_dag = underlying_graph(source)
-    tgt_dag = underlying_graph(target)
-
-    if forward and node.deterministic:
+    if shape in ("splitting", "reversal"):
+        structural.append(_SHAPE_TYPES[shape][0].value)
+    else:
+        src_dag, tgt_dag = underlying_graph(source), underlying_graph(target)
         pi = sm.images()  # an all-zero row leaves its node unmapped
         if unknown := [x for x in pi.values() if x not in tgt_dag.node_set]:
             raise ModelError(f"unknown node {unknown[0]!r}")
-        shape = _shape(node)
         ends = {(pi[u], pi[v]) for u, v in src_dag.edges if u in pi and v in pi}
         # An image pair that is one node or a target edge fires no edge label.
         apart = {(x, y) for x, y in ends if x != y} - tgt_dag.edge_set
@@ -393,54 +402,35 @@ def detect_types(
             counts = path_counts(tgt_dag, x)
             tgt_hom.update(((x, y), counts[y]) for _, y in pairs)
         arrows = [(tgt_hom[x, y], tgt_hom[y, x]) for x, y in apart]
-        # Hom-set sizes differ only from nodes that reach an edge one graph lacks
-        # (the same nodes in both graphs: the edges on the way agree).
-        coarsens = embeds = False
-        if shape == "bijection" and (tails := {x for x, _ in ends ^ tgt_dag.edge_set}):
-            above = path_counts(src_dag.opposite, *(u for u, x in pi.items() if x in tails))
-            for u in src_dag.nodes:
-                if above[u]:
-                    src_counts, counts = path_counts(src_dag, u), path_counts(tgt_dag, pi[u])
-                    coarsens |= any(src_counts[v] > counts[pi[v]] >= 1 for v in src_dag.nodes)
-                    embeds |= any(counts[pi[v]] > src_counts[v] >= 1 for v in src_dag.nodes)
         if shape == "bijection":  # the declared pairs, else the k-th names in sorted order
             twin = dict(zip(sorted(pi), sorted(pi.values()))) if sm.pairing is None else sm.pairing
             respects = all(pi[u] == twin.get(u) for u in pi)
-            edge_bijection = (
-                ends == tgt_dag.edge_set and len(src_dag.edges) == len(tgt_dag.edges)
-            )
-            if respects and edge_bijection:
+            if respects and ends == tgt_dag.edge_set and len(src_dag.edges) == len(tgt_dag.edges):
                 structural.append(StructuralType.IDENTITY.value)
             if not respects:
                 structural.append(StructuralType.NODE_PERMUTATION.value)
-        if shape == "coarsening":
-            structural.append(StructuralType.NODE_COARSENING.value)
-        if shape == "embedding":
-            structural.append(StructuralType.NODE_EMBEDDING.value)
-        if coarsens:
-            structural.append(StructuralType.EDGE_COARSENING.value)
-        if embeds:
-            structural.append(StructuralType.EDGE_EMBEDDING.value)
-        if shape == "dropping":
-            structural.append(StructuralType.NODE_DROPPING.value)
+            # Hom-set sizes differ only from nodes that reach an edge one graph lacks
+            # (the same nodes in both graphs: the edges on the way agree).
+            coarsens = embeds = False
+            if tails := {x for x, _ in ends ^ tgt_dag.edge_set}:
+                above = path_counts(src_dag.opposite, *(u for u, x in pi.items() if x in tails))
+                for u in src_dag.nodes:
+                    if above[u]:
+                        src_counts, counts = path_counts(src_dag, u), path_counts(tgt_dag, pi[u])
+                        coarsens |= any(src_counts[v] > counts[pi[v]] >= 1 for v in src_dag.nodes)
+                        embeds |= any(counts[pi[v]] > src_counts[v] >= 1 for v in src_dag.nodes)
+            if coarsens:
+                structural.append(StructuralType.EDGE_COARSENING.value)
+            if embeds:
+                structural.append(StructuralType.EDGE_EMBEDDING.value)
+        elif shape is not None:
+            structural.append(_SHAPE_TYPES[shape][0].value)
         if any(fwd == 0 and bwd == 0 for fwd, bwd in arrows):
             structural.append(StructuralType.EDGE_DROPPING.value)
         if any(fwd == 0 and bwd > 0 for fwd, bwd in arrows):
             structural.append(StructuralType.CAUSAL_REVERSAL.value)
-    if forward and not node.deterministic:
-        structural.append(StructuralType.CAUSAL_SPLITTING.value)
-    if not forward:
-        structural.append(StructuralType.ABSTRACTION_REVERSAL.value)
 
-    distributional: list[str] = []
-    s = summarize_outcomes(
-        [audit_outcome_map(om, source, target) for om in abstraction.outcome_maps]
-    )
-    if s is not None:
-        if not forward:
-            distributional.append(DistributionalType.ABSTRACTION_REVERSAL.value)
-        elif not s.deterministic:
-            distributional.append(DistributionalType.OUTCOME_SPLITTING.value)
-        elif (kind := _OUTCOME_TYPES.get(_shape(s))) is not None:
-            distributional.append(kind.value)
-    return {"structural": structural, "distributional": distributional}
+    s = summarize_outcomes([audit_outcome_map(om, source, target)
+                            for om in abstraction.outcome_maps])
+    kind = None if s is None else _SHAPE_TYPES.get(_shape(s, forward))
+    return {"structural": structural, "distributional": [kind[1].value] if kind else []}

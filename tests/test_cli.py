@@ -452,6 +452,23 @@ def test_classify_validates_first(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("line, name", [("  var B : 0 1 parents A", "B"),
+                                        ("  var Y : 0 1 parents X", "Y")],
+                         ids=["source", "target"])
+@pytest.mark.parametrize("command", ["audit", "classify"])
+def test_audit_and_classify_refuse_an_unknown_parent(tmp_path, capsys, command, line, name):
+    """A parent that the map's source or target does not declare gets
+    `validate`'s `unknown-parent` issue on stderr and exit 1, no verdict."""
+    identity = DATA / "witnesses" / "structural" / "identity.abs"
+    p = tmp_path / "unknown-parent.abs"
+    p.write_text(identity.read_text().replace(line, line + " Z", 1))
+    for fmt in ([], ["--format", "json"]):
+        assert main([*fmt, command, str(p)]) == 1
+        assert capsys.readouterr() == ("", f"[unknown-parent] {name} lists unknown parent Z\n")
+    assert main(["validate", str(p)]) == 1
+    assert f"  [unknown-parent] {name} lists unknown parent Z" in capsys.readouterr().out
+
+
 def test_dist_rows_follow_the_domains_and_skip_zeros():
     dist = Distribution(
         scope=("A", "B"),

@@ -467,6 +467,27 @@ def test_kernel_refuses_a_negative_weight_in_validates_words():
             assert type(refused.value) is ModelError and str(refused.value) == words
 
 
+def test_joint_refuses_a_negative_weight_before_any_mechanism():
+    """The joint refuses a noise table with a negative weight, even one whose
+    total is 1, in the words of `validate`'s first `dist-negative` issue,
+    before it reads a mechanism; a key out of range is refused before.  An
+    unnormalised table with no negative weight is summed as given."""
+    m = chain("m", ["A", "B"])
+    table = {("0", "0"): 0.75, ("0", "1"): -0.25, ("1", "0"): 0.75, ("1", "1"): -0.25}
+    for table, words in (
+        (table, "negative probability -0.25 at ('0', '1')"),
+        ({("1", "1"): -0.25, **table}, "negative probability -0.25 at ('1', '1')"),
+        ({**table, ("2", "0"): -1.0}, "exogenous table key ('2', '0') is out of range"),
+    ):
+        m.exo_table, m.mechanisms = table, {}
+        with pytest.raises(ModelError) as refused:
+            joint_distribution(m)
+        assert type(refused.value) is ModelError and str(refused.value) == words
+    m = chain("m", ["A", "B"])
+    m.exo_table = {("0", "0"): 1.75, ("0", "1"): 0.25}
+    assert joint_distribution(m).total == 2.0
+
+
 def test_kernel_refuses_a_total_other_than_1_in_validates_words(chain3):
     """A noise table that does not sum to 1 has no kernel for any variable:
     each raises a plain ModelError with `validate`'s `dist-total` words, not

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from absaudit import taxonomy
-from absaudit.abstraction import Abstraction, Direction, StructuralMap
+from absaudit.abstraction import Abstraction, Direction, OutcomeMap, StructuralMap
 from absaudit.audit import audit_abstraction, audit_node_map
 from absaudit.cli import main
 from absaudit.errors import ModelError, ParseError
 from absaudit.freecat import path_counts
+from absaudit.scm import Scm, Variable
 from absaudit.textfmt import Document, emit_document, parse_path
 from absaudit.taxonomy import (
     DISTRIBUTIONAL_ROWS,
@@ -349,6 +350,52 @@ def test_detect_types_counts_paths_only_where_hom_sets_can_differ(monkeypatch):
         assert detect_types(abstraction("a", src, tgt, rename), src, tgt)["structural"] == [label]
         assert set().union(*calls) == above | ends
         assert len(calls) == 1 + 2 * 4 + len(ends)
+
+
+def test_each_shape_names_one_type_per_layer():
+    """The paper's two tables share their set-map columns: each shape of a
+    set map has one type on the node layer and one on the outcome layer."""
+    assert {shape: (node and node.value, outcome.value)
+            for shape, (node, outcome) in taxonomy._SHAPE_TYPES.items()} == {
+        "bijection": (None, "identity-or-permutation"),  # identity or permutation by pairing
+        "coarsening": ("node-coarsening", "coarsening"),
+        "embedding": ("node-embedding", "embedding"),
+        "dropping": ("node-dropping", "outcome-dropping"),
+        "splitting": ("causal-splitting", "outcome-splitting"),
+        "reversal": ("abstraction-reversal", "abstraction-reversal"),
+    }
+
+
+# (shape, {source index: {target index: weight}}, source size, target size)
+SET_MAPS = [
+    ("bijection", {0: {0: 1.0}}, 1, 1),
+    ("coarsening", {0: {0: 1.0}, 1: {0: 1.0}}, 2, 1),
+    ("embedding", {0: {0: 1.0}}, 1, 2),
+    ("dropping", {}, 1, 1),
+    (None, {0: {0: 1.0}, 1: {0: 1.0}}, 2, 2),  # neither onto nor one-to-one
+    ("splitting", {0: {0: 0.5, 1: 0.5}}, 1, 2),
+]
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("shape, rows, n, m", SET_MAPS)
+def test_both_layers_of_one_set_map_read_one_shape_row(shape, rows, n, m, direction):
+    """A map whose node layer and lone outcome map are the same set map, on
+    nodes and on the values of each model's first node, has the types of one
+    `_SHAPE_TYPES` row on both layers (a one-node bijection is an identity),
+    or no type on either when it is neither onto nor one-to-one.  From macro
+    to micro it is a reversal on both layers, whatever its shape."""
+    src, tgt = (Scm(name, [Variable(f"{name}{i}", tuple(map(str, range(k))), (), f"U{i}")
+                           for i in range(k)], [], {}, {}) for name, k in (("a", n), ("x", m)))
+    values = {(str(i),): {(str(j),): w for j, w in row.items()} for i, row in rows.items()}
+    a = abstraction("m", src, tgt,
+                    {f"a{i}": {f"x{j}": w for j, w in row.items()} for i, row in rows.items()},
+                    outcomes=[OutcomeMap("x0", ("a0",), values)], direction=direction)
+    forward = direction is Direction.MICRO_TO_MACRO
+    node, outcome = taxonomy._SHAPE_TYPES.get(shape if forward else "reversal", (None, None))
+    assert detect_types(a, src, tgt) == {
+        "structural": [node.value] if node else ["identity"] if outcome else [],
+        "distributional": [outcome.value] if outcome else []}
 
 
 SHAPES = ("bijection", "permutation", "dropped", "merged", "embedded")

@@ -27,6 +27,9 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   second row gains what the first lost; each is run through
   validate, dist --model, and push --abs for every abstraction reading
   that model as its source;
+* per file with an abstraction: audit and classify on a copy whose map's
+  source lists a parent that no model declares (`unknown_parent`), so the
+  refusal of an unknown parent before any verdict shows;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
   pair of its nodes; dist --do VAR=VALUE for each variable at the first
   and the last value of its domain; dist --marginal for each variable
@@ -145,6 +148,7 @@ REQUIRE = ",".join((
 # so a kind added to `bad_noise` moves no shuffle of these
 FIRST_ROW = ("bad-key", "bad-total")
 UNKNOWN_REQUIRE = ("audit", "figures/fig3a.abs", "--require", "functorial,no-such-property")
+UNKNOWN_PARENT = "undeclared"  # the parent name of the `unknown_parent` copies
 CAP_ENV = "ABSAUDIT_ENUM_CAP"
 # (cap, argv): each phase just over its cap, then two caps that are refused
 CAPPED = (("1", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
@@ -343,10 +347,27 @@ def bad_noise(text: str, doc) -> list[tuple[str, str, str]]:
     return out
 
 
-def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
+def unknown_parent(text: str, doc) -> str:
+    """A copy of `text`, whose one abstraction is that of `doc`, in which the
+    last variable of the map's source lists `UNKNOWN_PARENT` as a parent."""
+    (a,) = doc.abstractions.values()
+    lines, model, last = text.split("\n"), None, None
+    for i, line in enumerate(lines):
+        if opened := SCM_OPEN.match(line):
+            model = opened[1]
+        elif model == a.source_ref and line.split()[:1] == ["var"]:
+            last = i
+    row = lines[last].split("#")[0].split()
+    row += [UNKNOWN_PARENT] if "parents" in row else ["parents", UNKNOWN_PARENT]
+    lines[last] = lines[last][: len(lines[last]) - len(lines[last].lstrip())] + " ".join(row)
+    return "\n".join(lines)
+
+
+def calls(files: list[str], parse_path, cut: list[tuple[str, str]], unknown: list[str],
           noisy: list[tuple[str, str]]) -> list[list[str]]:
     """The argv of every sweep call on `files`, on the (command, copy) pairs
-    in `cut` whose copy lacks a line, and on the (copy, model) pairs in
+    in `cut` whose copy lacks a line, on the copies in `unknown` whose map's
+    source lists an unknown parent, and on the (copy, model) pairs in
     `noisy` with invalid noise (paths in the working dir)."""
     plain: list[list[str]] = []
     for path in files:
@@ -382,6 +403,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]],
               for command, extra in (("audit", []), ("audit", ["--require", REQUIRE]),
                                      ("classify", []))]
     plain += [[command, path] for command, path in cut]
+    plain += [[command, path] for path in unknown for command in ("audit", "classify")]
     for path, model in noisy:
         plain += [["validate", path], ["dist", path, "--model", model]]
         plain += [["push", path, "--abs", name]
@@ -472,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         complete.write_text(complete_dag(), encoding="utf-8")
         pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
         pathlib.Path(scratch, CHAIN_MAPS_FILE).write_text(chain_maps(), encoding="utf-8")
-        names, cut, noisy = [], [], []
+        names, cut, unknown, noisy = [], [], [], []
         for path in files:
             name = path.relative_to(data) if path.is_relative_to(data) else path.name
             copy = pathlib.Path(scratch, name)
@@ -489,6 +511,10 @@ def main(argv: list[str] | None = None) -> int:
                 doc = parse_path(path)
             except Exception:  # the per-file calls report it
                 continue
+            if doc.abstractions:
+                unknown.append(f"{name}.unknown-parent")
+                pathlib.Path(scratch, unknown[-1]).write_text(
+                    unknown_parent(text.decode("utf-8"), doc), encoding="utf-8")
             for kind, model, bad in bad_noise(path.read_text(encoding="utf-8"), doc):
                 if args.shuffle_dist is not None:
                     bad = shuffle_dist(bad, noise_rng if kind in FIRST_ROW else last_rng)
@@ -500,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
                 pathlib.Path(scratch, cut[-1][1]).write_text(trimmed, encoding="utf-8")
         os.chdir(scratch)
         try:
-            for line_argv in calls(names, parse_path, cut, noisy):
+            for line_argv in calls(names, parse_path, cut, unknown, noisy):
                 print(call(absaudit_main, line_argv))
             for line in library_lines(names + [path for path, _ in noisy], parse_path,
                                       emit_document, mechanism_kernel):
