@@ -10,7 +10,10 @@ import argparse
 import functools
 import gc
 import json
+import math
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 # Lazily loaded (see the package docstring): read their attributes at call
 # time, so a command runs only the modules it uses.
@@ -19,7 +22,7 @@ from .abstraction import pushforward, validate_abstraction
 from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
 from .scm import Distribution, Scm, ValidationReport, intervene, joint_distribution, marginal
-from .scm import row_major, underlying_graph, unknown_parents, validate_scm
+from .scm import cycle_issues, parent_issues, row_major, underlying_graph, validate_scm
 from .textfmt import Document, join_labels, parse_path
 
 OK, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
@@ -57,14 +60,15 @@ def _reported_ok(report: ValidationReport) -> bool:
 def _on_valid_abstraction(command):
     """The subcommand that runs `command(args, abstraction, source, target)`
     on the chosen abstraction, or prints issues on stderr and fails: the
-    models' unknown parents, else the abstraction's validation issues."""
+    models' unknown parents, self-parents and cycles (`validate`'s graph
+    issues), else the abstraction's validation issues."""
     def run(args) -> int:
         doc = _load(args.files)
         abstraction = _pick(doc.abstractions, args.abs, "abstraction", "--abs")
         source, target = doc.resolve(abstraction)
         models = (source,) if source is target else (source, target)
-        parents = [issue for m in models for issue in unknown_parents(m)]
-        if not (_reported_ok(ValidationReport(parents))
+        graph = [issue for m in models for issue in (*parent_issues(m), *cycle_issues(m))]
+        if not (_reported_ok(ValidationReport(graph))
                 and _reported_ok(validate_abstraction(abstraction, source, target))):
             return FAIL
         return command(args, abstraction, source, target)
@@ -89,13 +93,20 @@ def _dist_rows(dist: Distribution) -> list[tuple[str, float]]:
 
 def _print_dist(dist: Distribution, as_json: bool) -> None:
     """The scope, then the nonzero outcomes: in text in row-major order; in
-    JSON by `sort_keys` alone, since parsed labels join to distinct keys."""
+    JSON the bytes of `json.dumps({"probs": ..., "scope": ...}, sort_keys=True)`,
+    written one label at a time in sorted order (parsed labels join to
+    distinct keys), so no copy of the whole text is held.  A weight is its
+    `repr`, as in `json.dumps`, unless the weights do not sum to a finite
+    number: then `json.dumps` writes each (NaN, Infinity)."""
     if as_json:
-        payload = {
-            "scope": list(dist.scope),
-            "probs": {join_labels(k): p for k, p in dist.probs.items() if p != 0.0},
-        }
-        print(json.dumps(payload, sort_keys=True))
+        probs = {join_labels(k): p for k, p in dist.probs.items() if p != 0.0}
+        number = repr if math.isfinite(sum(probs.values())) else json.dumps
+        sys.stdout.write('{"probs": {')
+        sys.stdout.writelines(map("{}{}: {}".format, chain([""], repeat(", ")),
+                                  map(encode_basestring_ascii, order := sorted(probs)),
+                                  map(number, map(probs.__getitem__, order))))
+        scope = ", ".join(map(encode_basestring_ascii, dist.scope))
+        sys.stdout.write(f'}}, "scope": [{scope}]}}\n')
     else:
         print(" ".join(dist.scope))
         for key, p in _dist_rows(dist):

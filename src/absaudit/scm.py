@@ -339,9 +339,7 @@ def validate_scm(model: Scm) -> ValidationReport:
             report.add("empty-domain", f"variable {v.name} has an empty domain")
         if len(set(v.domain)) != len(v.domain):
             report.add("dup-outcome", f"variable {v.name} repeats a domain value")
-        report.issues += unknown_parents(model, v)
-        if v.name in v.parents:
-            report.add("self-parent", f"{v.name} lists itself as a parent")
+        report.issues += parent_issues(model, v)
         if v.exogenous not in exo_by_name:
             report.add("unknown-exogenous", _WORDS["unknown-exogenous"].format(v.name, v.exogenous))
 
@@ -363,10 +361,7 @@ def validate_scm(model: Scm) -> ValidationReport:
                 f"{v.name} must have exactly one attached exogenous variable",
             )
 
-    try:
-        topological_order(model)
-    except ModelError:
-        report.add("cyclic", "the parent relation has a cycle")
+    report.issues += cycle_issues(model)
 
     # Mechanism totality: exactly one row per (parent values, exo value),
     # counted: the inputs in range against the product of the domain sizes.
@@ -403,11 +398,35 @@ def validate_scm(model: Scm) -> ValidationReport:
     return report
 
 
-def unknown_parents(model: Scm, *variables: Variable) -> list[ValidationIssue]:
-    """The `unknown-parent` issues of `variables` (default: all of `model`'s), in order."""
+def parent_issues(model: Scm, *variables: Variable) -> Iterator[ValidationIssue]:
+    """The `unknown-parent` issues, then the `self-parent` issue, of each of
+    `variables` (default: all of `model`'s), in order."""
     known = model._index.by_name
-    return [ValidationIssue("unknown-parent", _WORDS["unknown-parent"].format(v.name, p))
-            for v in variables or model.variables for p in v.parents if p not in known]
+    for v in variables or model.variables:
+        for p in v.parents:
+            if p not in known:
+                yield ValidationIssue("unknown-parent", _WORDS["unknown-parent"].format(v.name, p))
+        if v.name in v.parents:
+            yield ValidationIssue("self-parent", f"{v.name} lists itself as a parent")
+
+
+def cycle_issues(model: Scm) -> list[ValidationIssue]:
+    """The `cyclic` issue, when the parent relation has a cycle (a self-parent
+    is one).  Declaration order is a topological order when every variable's
+    parents are declared above it and no name repeats, so such a model needs
+    no other."""
+    above: set[str] = set()
+    for v in model.variables:
+        if v.name in above or not above.issuperset(v.parents):
+            break
+        above.add(v.name)
+    else:
+        return []
+    try:
+        topological_order(model)
+    except ModelError:
+        return [ValidationIssue("cyclic", "the parent relation has a cycle")]
+    return []
 
 
 def _refuse_negative(table: Mapping[tuple, float]) -> None:
@@ -505,7 +524,7 @@ def joint_distribution(model: Scm) -> Distribution:
     for v in map(index.by_name.__getitem__, topological_order(model)):
         if v.exogenous not in index.exo_by_name:
             raise ModelError(_WORDS["unknown-exogenous"].format(v.name, v.exogenous))
-        for issue in unknown_parents(model, v):
+        for issue in parent_issues(model, v):  # unknown: `topological_order` refused a self-parent
             raise ModelError(issue.message)
         inputs = [columns[q] for q in v.parents]
         inputs.append(map(itemgetter(index.exo_by_name[v.exogenous][0]), combos))

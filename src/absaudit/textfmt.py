@@ -45,6 +45,8 @@ Abstraction block::
 The parser reads one stream of non-empty token rows.  Every braced body, a
 top-level block or a nested row block, is read from it by one generator that
 stops at the closing brace, so a parse error names the line it was read from.
+A long `dist` block is read in one split of its lines instead, unless that
+finds a row the generator's reader would refuse: that reader words it.
 The serializer writes blocks in a canonical order with canonical row order,
 so parsing a canonical file and emitting it again reproduces it byte for
 byte.
@@ -54,6 +56,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, count, islice, repeat
+from operator import contains
 from typing import Iterator
 
 from .abstraction import (
@@ -115,15 +119,19 @@ class _Lines:
     """The non-empty token rows of the input, comments stripped.
 
     `rows` is one generator shared by every block reader, so nested blocks
-    read on from where their parent stopped; `line_no` is the 1-based number
-    of the line last read (0 before any)."""
+    read on from where their parent stopped.  It reads the lines `raw` from
+    `numbered`, one `enumerate` that a reader of a whole block may step past
+    the lines it read, so `rows` resumes after them.  `line_no` is the
+    1-based number of the line last read (0 before any)."""
 
     def __init__(self, text: str) -> None:
         self.line_no = 0
-        self.rows = self._rows(text.splitlines())
+        self.raw = text.splitlines()
+        self.numbered = enumerate(self.raw, 1)
+        self.rows = self._rows()
 
-    def _rows(self, raw: list[str]) -> Iterator[list[str]]:
-        for self.line_no, line in enumerate(raw, 1):
+    def _rows(self) -> Iterator[list[str]]:
+        for self.line_no, line in self.numbered:
             if "#" in line:
                 line = line[: line.index("#")]
             tokens = line.split()
@@ -144,6 +152,47 @@ def _block(lines: _Lines, what: str) -> Iterator[list[str]]:
             return
         yield row
     raise lines.fail(f"{what} is missing its closing brace")
+
+
+_LONG_DIST = 24  # body lines from which one split of a dist block beats a split per row (README)
+_CHUNK = 1024  # body lines split at once, which bounds the copies a long block makes
+
+
+def _read_dist(lines: _Lines, k: int, table: dict[tuple, float]) -> bool:
+    """Add to `table` the rows of the dist block opened on the line last
+    read, each k values, ':' and a finite number, split `_CHUNK` lines at a
+    time and checked a column at a time, and step `lines` past its closing
+    brace.  Reads nothing and returns False when the body is shorter than
+    `_LONG_DIST` lines, has no closing brace, or holds a comment, a blank
+    line, a NUL, a row that the row loop would refuse or a key already
+    read: the row loop reads the block then, and words its errors."""
+    raw, start = lines.raw, lines.line_no
+    if "}" in "".join(raw[start : start + _LONG_DIST]):
+        return False  # a short block, or a brace in a token or a comment
+    braced = compress(count(start), map(contains, islice(raw, start, None), repeat("}")))
+    end = next((j for j in braced if raw[j].split("#", 1)[0].split() == _CLOSE), start)
+    width, rows = k + 3, {}  # a line: k values, ':', a number and a NUL
+    for at in range(start, end, _CHUNK):
+        n = min(_CHUNK, end - at)
+        body = " \0 ".join(raw[at : at + n]) + " \0"  # a NUL token ends each line
+        tokens = body.split()
+        if ("#" in body or body.count("\0") != n or body.count(":") != n
+                or len(tokens) != width * n or tokens[k + 2 :: width].count("\0") != n
+                or tokens[k::width].count(":") != n):
+            return False
+        try:
+            probs = list(map(float, tokens[k + 1 :: width]))
+        except ValueError:
+            return False
+        if not math.isfinite(sum(probs)):  # a weight is not, or the sum overflowed
+            return False
+        rows.update(zip(zip(*(tokens[i::width] for i in range(k))), probs))
+    if end == start or len(rows) != end - start or not table.keys().isdisjoint(rows.keys()):
+        return False
+    table.update(rows)
+    next(islice(lines.numbered, end - start, None))  # the body, then the closing brace
+    lines.line_no = end + 1
+    return True
 
 
 def _split_colon(tokens: list[str], lines: _Lines) -> tuple[list[str], list[str]]:
@@ -231,6 +280,8 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
                 )
             saw_dist = True
             k = len(declared)
+            if _read_dist(lines, k, exo_table):
+                continue
             for row in _block(lines, "dist block"):
                 if len(row) != k + 2 or row[k] != ":" or row.index(":") != k:
                     _split_colon(row, lines)  # words a row without a ':'

@@ -19,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 import absaudit
 from absaudit.abstraction import OutcomeMap, pushforward
-from absaudit.cli import _dist_rows, build_parser, main
+from absaudit.cli import _dist_rows, _print_dist, build_parser, main
 from absaudit.scm import Distribution, intervene, joint_distribution, marginal
-from absaudit.textfmt import Document, emit_document, parse_document
+from absaudit.textfmt import Document, emit_document, join_labels, parse_document
 
 from helpers import abstraction, random_model
 from oracles import block
@@ -467,6 +467,57 @@ def test_audit_and_classify_refuse_an_unknown_parent(tmp_path, capsys, command, 
         assert capsys.readouterr() == ("", f"[unknown-parent] {name} lists unknown parent Z\n")
     assert main(["validate", str(p)]) == 1
     assert f"  [unknown-parent] {name} lists unknown parent Z" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new, issues", [
+    ("  var A : 0 1\n", "  var A : 0 1 parents B\n", ["[cyclic] the parent relation has a cycle"]),
+    ("  var B : 0 1 parents A\n", "  var B : 0 1 parents A B\n",
+     ["[self-parent] B lists itself as a parent", "[cyclic] the parent relation has a cycle"]),
+    ("  var Y : 0 1 parents X\n", "  var Y : 0 1 parents Z X Y\n",
+     ["[unknown-parent] Y lists unknown parent Z", "[self-parent] Y lists itself as a parent",
+      "[cyclic] the parent relation has a cycle"]),
+], ids=["cycle", "self-parent", "target"])
+@pytest.mark.parametrize("command", ["audit", "classify", "push"])
+def test_audit_and_classify_refuse_a_self_parent_or_a_cycle(tmp_path, capsys, command, old, new,
+                                                            issues):
+    """A self-parent or a cycle in the map's source or target gets the
+    issues `validate` gives the graph, in its order, on stderr and exit 1,
+    no verdict and no traceback."""
+    identity = DATA / "witnesses" / "structural" / "identity.abs"
+    p = tmp_path / "cyclic.abs"
+    p.write_text(identity.read_text().replace(old, new, 1))
+    for fmt in ([], ["--format", "json"]):
+        assert main([*fmt, command, str(p)]) == 1
+        assert capsys.readouterr() == ("", "".join(f"{issue}\n" for issue in issues))
+    assert main(["validate", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert [line.strip() for line in out.splitlines() if line.strip() in issues] == issues
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scope=st.lists(st.text(max_size=4), max_size=3),
+    probs=st.dictionaries(
+        st.lists(st.one_of(st.text(st.sampled_from('ab" \\\x00\x1f\x7f\xe9\u2028\U0001f600'),
+                                   max_size=3), st.integers(-3, 12)),
+                 min_size=1, max_size=3).map(tuple),
+        st.one_of(st.sampled_from([5e-324, 0.1 + 0.2, 1e300, -1e300, 0.0, -0.0, 1.0,
+                                   float("inf"), float("-inf"), float("nan")]),
+                  st.floats()),
+        max_size=8),
+)
+def test_dist_json_is_json_dumps_written_a_label_at_a_time(scope, probs):
+    """`dist --format json` and `push --format json` print the bytes of
+    `json.dumps(payload, sort_keys=True)`: escapes, non-ASCII, integer
+    labels, the shortest float text and json's NaN and Infinity."""
+    dist = Distribution(scope=tuple(scope), domains=(), probs=probs)
+    want = json.dumps({"scope": scope,
+                       "probs": {join_labels(k): p for k, p in probs.items() if p != 0.0}},
+                      sort_keys=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_dist(dist, as_json=True)
+    assert out.getvalue() == want + "\n"
 
 
 def test_dist_rows_follow_the_domains_and_skip_zeros():

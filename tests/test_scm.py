@@ -116,6 +116,26 @@ def test_validate_cycle():
     assert "cyclic" in codes(validate_scm(m))
 
 
+@settings(max_examples=300, deadline=None)
+@given(parents=st.lists(st.tuples(st.sampled_from("ABCD"), st.lists(st.sampled_from("ABCDZ"),
+                                                                    max_size=3)),
+                        min_size=1, max_size=5))
+@example(parents=[("A", []), ("A", ["A"])])
+@example(parents=[("B", ["A"]), ("A", [])])
+def test_cycle_issues_follow_the_topological_order(parents):
+    """`cycle_issues` reports a cycle exactly when the topological order
+    fails, whatever the declaration order, repeated names and unknown
+    parents, which decide whether its declaration-order test passes."""
+    m = chain("m", ["A"])
+    m.variables = tuple(Variable(name, BIN, tuple(ps), "U_A") for name, ps in parents)
+    try:
+        topological_order(m)
+        want = []
+    except ModelError:
+        want = [("cyclic", "the parent relation has a cycle")]
+    assert [(i.code, i.message) for i in scm_module.cycle_issues(m)] == want
+
+
 def test_validate_mechanism_totality():
     m = chain("m", ["A", "B"])
     del m.mechanisms["B"][("0", "0")]

@@ -17,6 +17,8 @@ from absaudit.audit import audit_abstraction
 from absaudit.cli import build_parser, main
 from absaudit.freecat import hom_set
 from absaudit.scm import underlying_graph, validate_scm
+from absaudit import textfmt
+from absaudit.errors import ParseError
 from absaudit.taxonomy import detect_types
 from absaudit.textfmt import parse_document
 
@@ -268,6 +270,40 @@ def test_sweep_cuts_each_edge_row_of_the_generated_identity_chain_map():
             assert not issues and not audit_abstraction(a, *doc.resolve(a)).functor.functorial
         else:
             assert [i.code for i in issues] == ["edge-map-source", "edge-map-target"]
+
+
+def test_sweep_reads_the_generated_parity_chain_both_ways(monkeypatch):
+    """The 64-row dist block of the generated parity chain is read in one
+    split, also in each invalid-noise copy and each copy without a lone
+    brace, except the copy without its own: there the closing-brace search
+    reaches the first mech block's, the block read refuses that body, and
+    the row loop words the error at the mech line."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    reads = []
+    read = textfmt._read_dist
+    monkeypatch.setattr(textfmt, "_read_dist", lambda *args: reads.append(read(*args)) or reads[-1])
+    text = sweep.parity_chain()
+    doc = parse_document(text)
+    assert reads == [True] and len(doc.models["parity6"].exo_table) == 64
+    for _, _, copy in sweep.bad_noise(text, doc):
+        reads.clear()
+        parse_document(copy)
+        assert reads == [True]
+    braces = [(tag, copy) for _, tag, copy in sweep.cuts(text) if tag.startswith("no-brace-")]
+    assert len(braces) == 8
+    for tag, copy in braces:
+        reads.clear()
+        if tag == "no-brace-81":  # the dist block's
+            with pytest.raises(ParseError) as err:
+                parse_document(copy)
+            assert (err.value.reason, err.value.line) == ("expected a ':' separator", 81)
+            assert reads == [False]
+        else:
+            with pytest.raises(ParseError):
+                parse_document(copy)
+            assert reads == [True]
 
 
 def _differing_argvs(got: list[str], want: list[str]) -> list[str]:

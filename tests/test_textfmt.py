@@ -6,13 +6,14 @@ import importlib.resources
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from absaudit.abstraction import Direction
 from absaudit.errors import AbsauditError, ModelError, ParseError
 from absaudit.textfmt import (
     HEADER,
     Document,
+    _LONG_DIST,
     emit_abstraction,
     emit_document,
     emit_scm,
@@ -452,17 +453,14 @@ scm m {
   var B : 0 1
   exo U : 0 1 for A
   exo W : 0 1 for B
-  dist U W {
-%s
-  }
-}
+%s}
 """
 
 
-def _plain_dist_rows(rows: list[list[str]], first_line: int):
-    """The table the dist rows give, or the (reason, line) of the first bad
-    row, read plainly: split each row at its first ':'."""
-    table = {}
+def _plain_dist_rows(rows: list[list[str]], first_line: int, table: dict | None = None):
+    """The table the dist rows give, added to `table`, or the (reason, line)
+    of the first bad row, read plainly: split each row at its first ':'."""
+    table = {} if table is None else table
     for line, row in enumerate(rows, first_line):
         if not row:
             continue
@@ -483,14 +481,81 @@ def _plain_dist_rows(rows: list[list[str]], first_line: int):
     return table
 
 
-@settings(max_examples=400, deadline=None)
-@given(rows=st.lists(st.lists(st.sampled_from(["0", "1", ":", "0.5", "1e0", "x", "inf"]),
-                              max_size=5), min_size=1, max_size=6))
-def test_dist_rows_read_as_split_at_the_first_colon(rows):
-    """Every dist row gives the table, or the first bad row's error and line,
-    of the plain reading; repeated probability tokens read alike."""
-    text = TWO_TERMS % "\n".join(" ".join(row) for row in rows)
-    want = _plain_dist_rows(rows, 8)
+# every line break of `str.splitlines`
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+ODD = ["0", "1", ":", "0.5", "1e0", "x", "inf", "a}", "}:", "\0", "x\0", "\x1f"]
+LONG = [(f"    {i} {i % 3} : {0.1 * (i % 4)!r}", "\n") for i in range(2 * _LONG_DIST)]
+
+
+@st.composite
+def dist_blocks(draw) -> list[list[tuple[str, str]]]:
+    """One or two dist blocks over U W, each a list of (line, line break)
+    pairs: up to 2.5 times `_LONG_DIST` rows keyed apart, sharing a few
+    probability tokens, then edited a few times: a row replaced by odd
+    tokens or by none (a blank line), a comment added, the key of a row
+    anywhere above repeated, a NUL or a comment glued to a token."""
+    blocks, keys = [], []
+    for b in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, _LONG_DIST * 5 // 2))
+        keys += [[f"{b}k{i}", str(i % 3)] for i in range(n)]
+        rows = [[*key, ":", draw(st.sampled_from(["0.5", "1e0", "0.125", repr(0.1 + 0.2)]))]
+                for key in keys[-n:]]
+        comments = [""] * n
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, n - 1))
+            edit = draw(st.sampled_from(["odd", "comment", "repeat", "glue"]))
+            if edit == "odd":
+                rows[i] = draw(st.lists(st.sampled_from(ODD), max_size=5)
+                               .filter(lambda row: row != ["}"]))
+            elif edit == "comment":
+                comments[i] = draw(st.sampled_from(["#", " # }", "#:", " # 0 0 : 1"]))
+            elif edit == "repeat":
+                rows[i] = [*keys[draw(st.integers(0, len(keys) - n + i))], ":", "0.5"]
+            elif rows[i]:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] += draw(st.sampled_from("\0#"))
+        blocks.append([("    " + " ".join(row) + comment, draw(st.sampled_from(BREAKS)))
+                       for row, comment in zip(rows, comments)])
+    return blocks
+
+
+def _every_break(block: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    return [(line, BREAKS[i % len(BREAKS)]) for i, (line, _) in enumerate(block)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(blocks=dist_blocks())
+@example(blocks=[LONG])
+@example(blocks=[_every_break(LONG)])
+@example(blocks=[LONG, [(f"    b{i} 0 : 0.5", "\r\n") for i in range(_LONG_DIST + 1)]])
+@example(blocks=[LONG, [*LONG[:_LONG_DIST + 1]]])
+@example(blocks=[LONG[:-1] + [("    0 0 : 0.5", "\n")]])
+@example(blocks=[LONG[:_LONG_DIST + 1] + [("    a} } : 0.5", "\n")] + LONG[_LONG_DIST + 1:]])
+@example(blocks=[LONG[:_LONG_DIST + 1] + [("    x\0 0 : 0.5", "\n")] + LONG[_LONG_DIST + 1:]])
+@example(blocks=[LONG[:_LONG_DIST + 1] + [("    x 0 : 0.5 # }", "\n")] + LONG[_LONG_DIST + 1:]])
+@example(blocks=[LONG[:_LONG_DIST + 1] + [("    x#y 0 : 0.5", "\n")] + LONG[_LONG_DIST + 1:]])
+@example(blocks=[LONG[:_LONG_DIST + 1] + [("   ", "\n")] + LONG[_LONG_DIST + 1:]])
+@example(blocks=[LONG[:-1] + [("    x 0 : 1e999", "\n")]])
+@example(blocks=[LONG[:-1] + [("    x : 0 : 1", "\n")]])
+@example(blocks=[LONG[:-1] + [("    : 0 : 0.5", "\n")]])
+@example(blocks=[LONG[:-1] + [("    0 : 0 0.5", "\n")]])
+@example(blocks=[LONG[:-2] + [("    x 0 : 0.5 y", "\n"), ("    1 : 0.5", "\n")]])
+@example(blocks=[LONG[:-2] + [("    x 0 : 0.5 \0 1", "\n"), ("    : 0.5", "\n")]])
+@example(blocks=[LONG[:-2] + [("    x 0 : 0.5", "\n"), ("    y 1 : 0.5 z y 1 z 0.5", "\n")]])
+def test_dist_rows_read_as_split_at_the_first_colon(blocks):
+    """Every dist block, longer than `_LONG_DIST` rows or not, gives the
+    table, or the first bad row's error and line, of the plain reading,
+    across every line break, comment, blank line, NUL, brace inside a token
+    and repeated key, also one repeated from an earlier block; repeated
+    probability tokens read alike."""
+    text = TWO_TERMS % "".join(
+        "  dist U W {\n" + "".join(line + end for line, end in block) + "  }\n"
+        for block in blocks)
+    want, first = {}, 8
+    for block in blocks:
+        want = _plain_dist_rows([line.split("#", 1)[0].split() for line, _ in block], first, want)
+        if not isinstance(want, dict):
+            break
+        first += len(block) + 2
     if isinstance(want, dict):
         table = parse_document(text).models["m"].exo_table
         assert list(table.items()) == list(want.items())
@@ -498,6 +563,50 @@ def test_dist_rows_read_as_split_at_the_first_colon(rows):
         with pytest.raises(ParseError) as err:
             parse_document(text)
         assert (err.value.reason, err.value.line, err.value.column) == (*want, 1)
+
+
+@pytest.mark.parametrize("closing, reason, last", [
+    ("  }\n", "model 'm' is missing its closing brace", 8 + len(LONG)),
+    ("", "dist block is missing its closing brace", 7 + len(LONG)),
+], ids=["closed", "open"])
+def test_a_long_dist_block_at_the_end_of_the_text(closing, reason, last):
+    """A dist block longer than `_LONG_DIST` rows that ends the text: the
+    error names the last line, its closing brace or, without one, its last
+    row."""
+    body = "".join(line + "\n" for line, _ in LONG)
+    text = (TWO_TERMS % f"  dist U W {{\n{body}{closing}").removesuffix("}\n")
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.reason, err.value.line) == (reason, last)
+
+
+def _commented(text: str) -> str:
+    """`text` with a comment after each row of each dist block."""
+    lines, opened = text.split("\n"), False
+    for i, line in enumerate(lines):
+        if opened and line.strip() == "}":
+            opened = False
+        elif opened and line.strip():
+            lines[i] += "  # a row"
+        elif line.split()[:1] == ["dist"]:
+            opened = True
+    return "\n".join(lines)
+
+
+def test_dist_rows_read_alike_with_a_trailing_comment():
+    """Every shipped file, and a model whose dist block is longer than
+    `_LONG_DIST` rows, parse to the same document with a comment after each
+    dist row, which the block read leaves to the row loop."""
+    data = importlib.resources.files("absaudit") / "data"
+    texts = [entry.read_text() for sub in ("models", "figures", "witnesses/structural",
+                                           "witnesses/distributional")
+             for entry in (data / sub).iterdir() if entry.name.endswith((".scm", ".abs"))]
+    body = "".join(line + "\n" for line, _ in LONG)
+    texts.append(TWO_TERMS % f"  dist U W {{\n{body}  }}\n")
+    assert len(texts) == 44
+    for text in texts:
+        assert _commented(text) != text
+        assert parse_document(_commented(text)) == parse_document(text)
 
 
 ONE_MECH = """\

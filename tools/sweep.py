@@ -28,8 +28,9 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   validate, dist --model, and push --abs for every abstraction reading
   that model as its source;
 * per file with an abstraction: audit and classify on a copy whose map's
-  source lists a parent that no model declares (`unknown_parent`), so the
-  refusal of an unknown parent before any verdict shows;
+  source lists a parent that no model declares, then on one whose source
+  has a self-parent and on one whose source has a cycle (`graph_fault`),
+  so the refusal of each graph fault before any verdict shows;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
   pair of its nodes; dist --do VAR=VALUE for each variable at the first
   and the last value of its domain; dist --marginal for each variable
@@ -46,6 +47,11 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   full edge map, an identity and a coarsening of consecutive pairs
   (`chain_maps`), so the functor audit's path tests show on 78 entries: no
   shipped edge map has more than three;
+* every call on a shipped file, on one generated model more: a chain of
+  six binary variables, each the parity of its parent and its noise, whose
+  `dist` block holds all 64 rows (`parity_chain`), so the read of a `dist`
+  block in one split, its closing-brace search and its fall back to the
+  row loop show on its copies: no shipped `dist` block has more than 16;
 * per row of the edges block of the generated identity chain map alone
   (`CHAIN_IDENTITY_FILE`), the same two calls as per row of a shipped
   `edges` block: audit without the row and validate with its two paths
@@ -108,7 +114,7 @@ import shlex
 import shutil
 import sys
 import tempfile
-from itertools import combinations_with_replacement, groupby, pairwise
+from itertools import combinations_with_replacement, groupby, pairwise, product
 from typing import Iterator
 from unittest import mock
 
@@ -134,6 +140,8 @@ CHAIN = tuple(f"x{i}" for i in range(12))
 CHAIN_MAPS = {"identity": range(12), "pairs": [i // 2 for i in range(12)]}
 CHAIN_MAPS_FILE = "generated/chain-maps.abs"
 CHAIN_IDENTITY_FILE = "generated/chain-identity.abs"
+PARITY = tuple(f"v{i}" for i in range(6))
+PARITY_FILE = "generated/parity6.scm"
 # the calls whose output argparse writes: usage errors, then help
 ARGPARSE = (("no-such-command",), ("dist",), ("--format", "xml", "validate", "x.abs"),
             ("--help",), ("dist", "--help"))
@@ -148,7 +156,8 @@ REQUIRE = ",".join((
 # so a kind added to `bad_noise` moves no shuffle of these
 FIRST_ROW = ("bad-key", "bad-total")
 UNKNOWN_REQUIRE = ("audit", "figures/fig3a.abs", "--require", "functorial,no-such-property")
-UNKNOWN_PARENT = "undeclared"  # the parent name of the `unknown_parent` copies
+UNKNOWN_PARENT = "undeclared"  # the parent name of the `unknown-parent` copies
+GRAPH_FAULTS = ("unknown-parent", "self-parent", "cyclic")  # the kinds of `graph_fault` copy
 CAP_ENV = "ABSAUDIT_ENUM_CAP"
 # (cap, argv): each phase just over its cap, then two caps that are refused
 CAPPED = (("1", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
@@ -280,6 +289,25 @@ def chain_maps(names=tuple(CHAIN_MAPS)) -> str:
     return "\n".join(out + [""])
 
 
+def parity_chain() -> str:
+    """A model over `PARITY`, a chain in which each variable is the parity
+    of its parent and its noise term, with a `dist` block of all 64 noise
+    values in row-major order, the r-th weighing (2r + 1) / 4096: each sum
+    of weights is exact, so shuffled rows sum alike."""
+    out = ["absaudit-format 1", "", "scm parity6 {"]
+    out += [f"  var {v} : 0 1" + (f" parents {PARITY[i - 1]}" if i else "")
+            for i, v in enumerate(PARITY)]
+    out += [f"  exo U_{v} : 0 1 for {v}" for v in PARITY]
+    out += ["  dist " + " ".join(f"U_{v}" for v in PARITY) + " {"]
+    out += [f"    {' '.join(key)} : {(2 * r + 1) / 4096!r}"
+            for r, key in enumerate(product("01", repeat=len(PARITY)))]
+    out.append("  }")
+    for i, v in enumerate(PARITY):
+        out += [f"  mech {v} {{", *(f"    {' '.join(key)} : {key.count('1') % 2}"
+                                     for key in product("01", repeat=1 + bool(i))), "  }"]
+    return "\n".join(out + ["}", ""])
+
+
 def cuts(text: str) -> list[tuple[str, str, str]]:
     """(command, tag, copy of `text` with one line changed) for every line
     that is a lone `}` (validate without it, tag `no-brace-N`, N the line
@@ -347,28 +375,48 @@ def bad_noise(text: str, doc) -> list[tuple[str, str, str]]:
     return out
 
 
-def unknown_parent(text: str, doc) -> str:
+def graph_fault(text: str, doc, fault: str) -> str:
     """A copy of `text`, whose one abstraction is that of `doc`, in which the
-    last variable of the map's source lists `UNKNOWN_PARENT` as a parent."""
+    map's source has the graph fault `fault`: its last variable lists
+    `UNKNOWN_PARENT` (`unknown-parent`) or itself (`self-parent`) as a
+    parent, or its first variable lists the last one (`cyclic`), which
+    lists the first one too unless it did already or is the same."""
     (a,) = doc.abstractions.values()
-    lines, model, last = text.split("\n"), None, None
+    lines, model, found = text.split("\n"), None, []
     for i, line in enumerate(lines):
         if opened := SCM_OPEN.match(line):
             model = opened[1]
         elif model == a.source_ref and line.split()[:1] == ["var"]:
-            last = i
-    row = lines[last].split("#")[0].split()
-    row += [UNKNOWN_PARENT] if "parents" in row else ["parents", UNKNOWN_PARENT]
-    lines[last] = lines[last][: len(lines[last]) - len(lines[last].lstrip())] + " ".join(row)
+            found.append(i)
+    first, last = found[0], found[-1]
+
+    def name(i: int) -> str:
+        return lines[i].split()[1]
+
+    def parents(i: int) -> list[str]:
+        row = lines[i].split("#")[0].split()
+        return row[row.index("parents") + 1:] if "parents" in row else []
+
+    def add_parent(i: int, parent: str) -> None:
+        row = lines[i].split("#")[0].split()
+        row += [parent] if "parents" in row else ["parents", parent]
+        lines[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + " ".join(row)
+
+    if fault == "cyclic":
+        if first != last and name(first) not in parents(last):
+            add_parent(last, name(first))
+        add_parent(first, name(last))
+    else:
+        add_parent(last, UNKNOWN_PARENT if fault == "unknown-parent" else name(last))
     return "\n".join(lines)
 
 
-def calls(files: list[str], parse_path, cut: list[tuple[str, str]], unknown: list[str],
+def calls(files: list[str], parse_path, cut: list[tuple[str, str]], faulty: list[str],
           noisy: list[tuple[str, str]]) -> list[list[str]]:
     """The argv of every sweep call on `files`, on the (command, copy) pairs
-    in `cut` whose copy lacks a line, on the copies in `unknown` whose map's
-    source lists an unknown parent, and on the (copy, model) pairs in
-    `noisy` with invalid noise (paths in the working dir)."""
+    in `cut` whose copy lacks a line, on the copies in `faulty` whose map's
+    source has a graph fault, and on the (copy, model) pairs in `noisy` with
+    invalid noise (paths in the working dir)."""
     plain: list[list[str]] = []
     for path in files:
         plain += [[cmd, path] for cmd in ("validate", "graph", "dist", "audit",
@@ -403,7 +451,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]], unknown: lis
               for command, extra in (("audit", []), ("audit", ["--require", REQUIRE]),
                                      ("classify", []))]
     plain += [[command, path] for command, path in cut]
-    plain += [[command, path] for path in unknown for command in ("audit", "classify")]
+    plain += [[command, path] for path in faulty for command in ("audit", "classify")]
     for path, model in noisy:
         plain += [["validate", path], ["dist", path, "--model", model]]
         plain += [["push", path, "--abs", name]
@@ -494,12 +542,13 @@ def main(argv: list[str] | None = None) -> int:
         complete.write_text(complete_dag(), encoding="utf-8")
         pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
         pathlib.Path(scratch, CHAIN_MAPS_FILE).write_text(chain_maps(), encoding="utf-8")
-        names, cut, unknown, noisy = [], [], [], []
-        for path in files:
-            name = path.relative_to(data) if path.is_relative_to(data) else path.name
+        names, cut, faults, noisy = [], [], {fault: [] for fault in GRAPH_FAULTS}, []
+        sources = [(path.relative_to(data) if path.is_relative_to(data) else path.name,
+                    path.read_bytes()) for path in files]
+        for name, original in sources + [(PARITY_FILE, parity_chain().encode("utf-8"))]:
             copy = pathlib.Path(scratch, name)
             copy.parent.mkdir(parents=True, exist_ok=True)
-            text = path.read_bytes()
+            text = original
             if args.shuffle_dist is not None:
                 text = shuffle_dist(text.decode("utf-8"), rng).encode("utf-8")
             copy.write_bytes(text)
@@ -508,14 +557,14 @@ def main(argv: list[str] | None = None) -> int:
                 cut.append((command, f"{name}.{tag}"))
                 pathlib.Path(scratch, cut[-1][1]).write_text(trimmed, encoding="utf-8")
             try:
-                doc = parse_path(path)
+                doc = parse_document(original.decode("utf-8"))
             except Exception:  # the per-file calls report it
                 continue
-            if doc.abstractions:
-                unknown.append(f"{name}.unknown-parent")
-                pathlib.Path(scratch, unknown[-1]).write_text(
-                    unknown_parent(text.decode("utf-8"), doc), encoding="utf-8")
-            for kind, model, bad in bad_noise(path.read_text(encoding="utf-8"), doc):
+            for fault in GRAPH_FAULTS if doc.abstractions else ():
+                faults[fault].append(f"{name}.{fault}")
+                pathlib.Path(scratch, faults[fault][-1]).write_text(
+                    graph_fault(text.decode("utf-8"), doc, fault), encoding="utf-8")
+            for kind, model, bad in bad_noise(original.decode("utf-8"), doc):
                 if args.shuffle_dist is not None:
                     bad = shuffle_dist(bad, noise_rng if kind in FIRST_ROW else last_rng)
                 noisy.append((f"{name}.{kind}-{model}", model))
@@ -526,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
                 pathlib.Path(scratch, cut[-1][1]).write_text(trimmed, encoding="utf-8")
         os.chdir(scratch)
         try:
-            for line_argv in calls(names, parse_path, cut, unknown, noisy):
+            for line_argv in calls(names, parse_path, cut, sum(faults.values(), []), noisy):
                 print(call(absaudit_main, line_argv))
             for line in library_lines(names + [path for path, _ in noisy], parse_path,
                                       emit_document, mechanism_kernel):
