@@ -9,7 +9,8 @@ witnesses reproduce the shipped admissibility tables.
 
 `audit`, `taxonomy` and `dot` are registered in `sys.modules` at import but
 run on first attribute access, so a command that does not use them does not
-pay for them; their re-exported names below are forwarded on first use.
+pay for them.  A name of `__all__` that is not imported below is looked up
+in `audit`, then in `taxonomy`, on first use, which runs that module.
 """
 
 import sys
@@ -68,24 +69,16 @@ audit = _lazy("audit")
 dot = _lazy("dot")
 taxonomy = _lazy("taxonomy")
 
-_FORWARDED = {
-    **dict.fromkeys(("PropertyProfile", "audit_abstraction", "audit_functor",
-                     "audit_node_map", "audit_outcome_map", "tri_and"), audit),
-    **dict.fromkeys(("Admissibility", "DistributionalType", "PropertyMatrix",
-                     "StructuralType", "canonical_witness", "detect_types",
-                     "distributional_matrix", "shipped_table", "structural_matrix"),
-                    taxonomy),
-}
-
 
 def __getattr__(name: str):
-    if name in _FORWARDED:
-        return getattr(_FORWARDED[name], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A name of `__all__` not imported above: from `audit`, else from `taxonomy`."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(audit if hasattr(audit, name) else taxonomy, name)
 
 
 def __dir__():
-    return sorted({*globals(), *_FORWARDED})
+    return sorted({*globals(), *__all__})
 
 
 __version__ = "1.0.0"

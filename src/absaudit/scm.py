@@ -93,6 +93,7 @@ _WORDS = {
     "mechanism-gap": "mechanism for {} misses input {}",
     "mechanism-range": "mechanism for {} maps {} outside the domain: {!r}",
     "mechanism-extra": "mechanism for {} has stray input {}",
+    "cyclic": "the parent relation has a cycle",
     "dist-key": "exogenous table key {!r} is out of range",
     "dist-negative": "negative probability {} at {!r}",
     "dist-total": "exogenous table sums to {!r}, not 1",
@@ -425,7 +426,7 @@ def cycle_issues(model: Scm) -> list[ValidationIssue]:
     try:
         topological_order(model)
     except ModelError:
-        return [ValidationIssue("cyclic", "the parent relation has a cycle")]
+        return [ValidationIssue("cyclic", _WORDS["cyclic"])]
     return []
 
 
@@ -447,7 +448,7 @@ def topological_order(model: Scm) -> tuple[str, ...]:
     try:
         return underlying_graph(model).topological_order
     except ModelError:
-        raise ModelError(f"model {model.name!r} is cyclic") from None
+        raise ModelError(_WORDS["cyclic"]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +550,19 @@ def joint_distribution(model: Scm) -> Distribution:
 def mechanism_rows(model: Scm, v: Variable) -> Iterator[tuple[tuple, Value]]:
     """Each input of `v`'s mechanism (its parents' values, then its noise
     value) in row-major order, with the mechanism's value there.  Raises
-    ModelError, in the words of a `mechanism-gap` issue, at a missing input."""
+    ModelError, in `validate`'s words, at a missing input (`mechanism-gap`),
+    and after the last input when the mechanism holds more rows than the
+    inputs in range (its first `mechanism-extra` issue)."""
     mechanism = model.mechanisms.get(v.name, {})
-    noise = model.exogenous_variable(v.exogenous).domain
-    for key in itertools.product(*(model.variable(p).domain for p in v.parents), noise):
+    inputs = [*(model.variable(p).domain for p in v.parents),
+              model.exogenous_variable(v.exogenous).domain]
+    for key in itertools.product(*inputs):
         if key not in mechanism:
             raise ModelError(_WORDS["mechanism-gap"].format(v.name, key))
         yield key, mechanism[key]
+    if len(mechanism) > math.prod(len(set(d)) for d in inputs):  # a stray input
+        stray = min(out_of_range(mechanism, inputs), key=repr)
+        raise ModelError(_WORDS["mechanism-extra"].format(v.name, stray))
 
 
 def marginal(dist: Distribution, variables: Iterable[str]) -> Distribution:

@@ -23,11 +23,13 @@ Enforcement conventions (how verdicts become matrix cells):
   inadmissible on the distributional one (the layers treat a reversed map
   differently, and both tables keep their own convention).
 
-One function, `_matrix`, computes both tables.  A column holds a witness's
-four set-map cells (Functionality to Bijectivity, read from its node audit
-on the structural table and from its outcome summary on the distributional
-one), on the structural table the four functor cells next, and the two
-modality rows last.
+The rows form three groups: the set-map rows (Functionality to Bijectivity,
+read from a witness's node audit on the structural table and from its
+outcome summary on the distributional one), on the structural table the
+functor rows (Functoriality to Fully Faithfulness), and the two modality
+rows.  In each of the first two groups every row presupposes the first and
+the last is the conjunction of the two in between, so `_group` gives both.
+One function, `_matrix`, computes both tables, a column per witness.
 
 Type detection reads the node and outcome audits and `freecat.path_counts`
 only: it runs no functor audit and lists no path.
@@ -84,27 +86,11 @@ class DistributionalType(_Labelled):
     ABSTRACTION_REVERSAL = "abstraction-reversal", "Abstraction reversal"
 
 
-STRUCTURAL_ROWS = (
-    "Functionality",
-    "Surjectivity",
-    "Injectivity",
-    "Bijectivity",
-    "Functoriality",
-    "Fullness",
-    "Faithfulness",
-    "Fully Faithfulness",
-    "Non-Determinism",
-    "Macro-to-micro",
-)
-
-DISTRIBUTIONAL_ROWS = (
-    "Functionality",
-    "Surjectivity",
-    "Injectivity",
-    "Bijectivity",
-    "Non-Determinism",
-    "Macro-to-micro",
-)
+_SET_MAP_ROWS = ("Functionality", "Surjectivity", "Injectivity", "Bijectivity")
+_FUNCTOR_ROWS = ("Functoriality", "Fullness", "Faithfulness", "Fully Faithfulness")
+_MODALITY_ROWS = ("Non-Determinism", "Macro-to-micro")
+STRUCTURAL_ROWS = _SET_MAP_ROWS + _FUNCTOR_ROWS + _MODALITY_ROWS
+DISTRIBUTIONAL_ROWS = _SET_MAP_ROWS + _MODALITY_ROWS
 
 
 class Admissibility(enum.Enum):
@@ -273,28 +259,26 @@ def witness_profile(
 # Matrix computation
 # ---------------------------------------------------------------------------
 
-def _set_map_cells(audit) -> list[bool]:
-    """Functionality, Surjectivity, Injectivity and Bijectivity of a node
-    audit or an outcome summary."""
-    functional = audit.functional and audit.deterministic
-    surjective = functional and audit.surjective
-    injective = functional and audit.injective is True
-    return [functional, surjective, injective, surjective and injective]
+def _group(first: bool, left: bool, right: bool) -> list[bool]:
+    """A row group's four cells: its first, which the other three presuppose,
+    the two verdicts in between, and their conjunction."""
+    return [first, first and left, first and right, first and left and right]
 
 
 def _property_cells(profile: PropertyProfile, structural: bool) -> list[bool]:
-    """A witness's property rows: the set-map cells of its node audit, then
-    Functoriality, Fullness, Faithfulness and Fully Faithfulness; or the
-    set-map cells of its outcome summary."""
-    if not structural:
-        if profile.outcome_summary is None:
-            raise ModelError("a distributional witness needs an outcome layer")
-        return _set_map_cells(profile.outcome_summary)
-    cells, functor = _set_map_cells(profile.node), profile.functor
-    functorial = cells[0] and functor.functorial is True
-    full = functorial and functor.full is True
-    faithful = functorial and functor.faithful_parallel is True
-    return cells + [functorial, full, faithful, full and faithful]
+    """A witness's property rows: the set-map group of its node audit, then
+    the functor group, which presupposes Functionality; or the set-map group
+    of its outcome summary."""
+    audit = profile.node if structural else profile.outcome_summary
+    if audit is None:
+        raise ModelError("a distributional witness needs an outcome layer")
+    cells = _group(audit.functional and audit.deterministic, audit.surjective,
+                   audit.injective is True)
+    if structural:
+        f = profile.functor
+        cells += _group(cells[0] and f.functorial is True, f.full is True,
+                        f.faithful_parallel is True)
+    return cells
 
 
 def _matrix(types, rows: tuple[str, ...], reversal: Admissibility) -> PropertyMatrix:

@@ -68,7 +68,7 @@ from .abstraction import (
     StructuralMap,
 )
 from .errors import ModelError, ParseError
-from .scm import _WORDS, Exogenous, Scm, Variable, mechanism_rows, out_of_range
+from .scm import Exogenous, Scm, Variable, mechanism_rows
 
 HEADER = "absaudit-format 1"
 
@@ -115,43 +115,41 @@ class Document:
 # Parsing
 # ---------------------------------------------------------------------------
 
+_CLOSE = ["}"]  # the closing row, built once rather than per row
+
+
 class _Lines:
     """The non-empty token rows of the input, comments stripped.
 
-    `rows` is one generator shared by every block reader, so nested blocks
-    read on from where their parent stopped.  It reads the lines `raw` from
-    `numbered`, one `enumerate` that a reader of a whole block may step past
-    the lines it read, so `rows` resumes after them.  `line_no` is the
-    1-based number of the line last read (0 before any)."""
+    Every block reader, `rows` at the top level included, reads the lines
+    `raw` from `numbered`, one `enumerate` shared by all, so a nested block
+    reads on from where its parent stopped, and the parent resumes after
+    it.  A reader of a whole block may step `numbered` past the lines it
+    read too.  `line_no` is the 1-based number of the line last read (0
+    before any)."""
 
     def __init__(self, text: str) -> None:
         self.line_no = 0
         self.raw = text.splitlines()
         self.numbered = enumerate(self.raw, 1)
-        self.rows = self._rows()
+        self.rows = self.block(None)
 
-    def _rows(self) -> Iterator[list[str]]:
+    def block(self, what: str | None) -> Iterator[list[str]]:
+        """Each row up to the closing brace of block `what`, which it
+        consumes, or up to the end of the input when `what` is None."""
         for self.line_no, line in self.numbered:
             if "#" in line:
                 line = line[: line.index("#")]
             tokens = line.split()
             if tokens:
+                if tokens == _CLOSE and what is not None:
+                    return
                 yield tokens
+        if what is not None:
+            raise self.fail(f"{what} is missing its closing brace")
 
     def fail(self, reason: str) -> ParseError:
         return ParseError(reason, max(self.line_no, 1))
-
-
-_CLOSE = ["}"]  # the closing row, built once rather than per row
-
-
-def _block(lines: _Lines, what: str) -> Iterator[list[str]]:
-    """Each row of a block up to its closing brace, which it consumes."""
-    for row in lines.rows:
-        if row == _CLOSE:
-            return
-        yield row
-    raise lines.fail(f"{what} is missing its closing brace")
 
 
 _LONG_DIST = 24  # body lines from which one split of a dist block beats a split per row (README)
@@ -245,7 +243,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
     mechanisms: dict[str, dict[tuple, str]] = {}
     exo_table: dict[tuple, float] = {}
     saw_dist = False
-    for tokens in _block(lines, f"model {name!r}"):
+    for tokens in lines.block(f"model {name!r}"):
         head = tokens[0]
         if head == "var":
             if len(tokens) < 4 or tokens[2] != ":":
@@ -282,7 +280,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
             k = len(declared)
             if _read_dist(lines, k, exo_table):
                 continue
-            for row in _block(lines, "dist block"):
+            for row in lines.block("dist block"):
                 if len(row) != k + 2 or row[k] != ":" or row.index(":") != k:
                     _split_colon(row, lines)  # words a row without a ':'
                     raise lines.fail("expected 'VALUE... : PROB'")
@@ -297,7 +295,7 @@ def _parse_scm(name: str, lines: _Lines) -> Scm:
             if var in mechanisms:
                 raise lines.fail(f"duplicate mechanism for {var}")
             table: dict[tuple, str] = {}
-            for row in _block(lines, "mech block"):
+            for row in lines.block("mech block"):
                 if len(row) < 3 or row[-2] != ":" or row.index(":") != len(row) - 2:
                     _split_colon(row, lines)  # words a row without a ':'
                     raise lines.fail("expected 'VALUE... : VALUE'")
@@ -320,7 +318,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
     edge_map: dict[tuple[str, ...], tuple[str, ...]] | None = None
     pairing: dict[str, str] | None = None
     outcome_maps: list[OutcomeMap] = []
-    for tokens in _block(lines, f"abstraction {name!r}"):
+    for tokens in lines.block(f"abstraction {name!r}"):
         head = tokens[0]
         if head == "source" and len(tokens) == 2:
             source = tokens[1]
@@ -334,7 +332,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                     "direction must be micro-to-macro or macro-to-micro"
                 ) from None
         elif tokens == ["nodes", "{"]:
-            for row in _block(lines, "nodes block"):
+            for row in lines.block("nodes block"):
                 left, right = _split_colon(row, lines)
                 if len(left) != 1 or not right or len(right) % 2:
                     raise lines.fail("expected 'NAME : NAME WEIGHT...'")
@@ -346,7 +344,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                 rows[left[0]] = entry
         elif tokens == ["edges", "{"]:
             edge_map = {}
-            for row in _block(lines, "edges block"):
+            for row in lines.block("edges block"):
                 if len(row) != 3 or row[1] != ":" or row.index(":") != 1:
                     _split_colon(row, lines)  # words a row without a ':'
                     raise lines.fail("expected 'PATH : PATH'")
@@ -356,7 +354,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                 edge_map[key] = _path(row[2], lines)
         elif tokens == ["pairs", "{"]:
             pairing = {}
-            for row in _block(lines, "pairs block"):
+            for row in lines.block("pairs block"):
                 left, right = _split_colon(row, lines)
                 if len(left) != 1 or len(right) != 1:
                     raise lines.fail("expected 'NAME : NAME'")
@@ -388,7 +386,7 @@ def _parse_abs(name: str, lines: _Lines) -> Abstraction:
                 onto = ()
                 arity = 1
             om_rows: dict[tuple, dict[tuple, float]] = {}
-            for row in _block(lines, "outcomes block"):
+            for row in lines.block("outcomes block"):
                 left, right = _split_colon(row, lines)
                 if len(left) != len(sources):
                     raise lines.fail(
@@ -473,11 +471,7 @@ def emit_scm(model: Scm) -> list[str]:
             out.append(f"    {join_labels(combo)} : {_num(p)}")
         out.append("  }")
     for v in model.variables:
-        rows = [f"    {join_labels(key)} : {value}" for key, value in mechanism_rows(model, v)]
-        if len(rows) < len(table := model.mechanisms.get(v.name, {})):  # a stray input
-            noise = model.exogenous_variable(v.exogenous).domain
-            stray = min(out_of_range(table, [*map(model.domain_of, v.parents), noise]), key=repr)
-            raise ModelError(_WORDS["mechanism-extra"].format(v.name, stray))  # validate's first
+        rows = (f"    {join_labels(key)} : {value}" for key, value in mechanism_rows(model, v))
         out += [f"  mech {v.name} {{", *rows, "  }"]
     out.append("}")
     return out

@@ -432,3 +432,40 @@ def outcome_range_codes(rows: Mapping, keys: Iterable, values: Iterable) -> list
             codes.append("outcome-key")
         codes += ["outcome-range" for val in row if val not in value_set]
     return codes
+
+
+# ---------------------------------------------------------------------------
+# Admissibility cells (taxonomy oracle)
+# ---------------------------------------------------------------------------
+
+# Each property row of the admissibility tables, with the verdicts it needs
+# to be True, spelled out from the enforcement conventions of `taxonomy`:
+# Functionality asks for a total function; Surjectivity and Injectivity
+# presuppose it; Bijectivity is their conjunction.
+SET_MAP_NEEDS = {
+    "Functionality": ("functional", "deterministic"),
+    "Surjectivity": ("functional", "deterministic", "surjective"),
+    "Injectivity": ("functional", "deterministic", "injective"),
+    "Bijectivity": ("functional", "deterministic", "surjective", "injective"),
+}
+# Functoriality presupposes a function and a complete morphism layer;
+# Fullness and Faithfulness (hom-set-wise) presuppose it; Fully Faithfulness
+# is their conjunction.
+FUNCTOR_NEEDS = {
+    "Functoriality": ("functorial",),
+    "Fullness": ("functorial", "full"),
+    "Faithfulness": ("functorial", "faithful_parallel"),
+    "Fully Faithfulness": ("functorial", "full", "faithful_parallel"),
+}
+
+
+def property_cells(set_map: Mapping[str, object],
+                   functor: Mapping[str, object] | None = None) -> dict[str, bool]:
+    """The property cells of a witness, by row label: the set-map rows from
+    the verdicts `set_map` of its node audit or outcome summary, and, when
+    `functor` holds its functor verdicts, the functor rows, which also need
+    Functionality.  A row is admissible when every verdict it needs is True."""
+    cells = {row: all(set_map[v] is True for v in needs) for row, needs in SET_MAP_NEEDS.items()}
+    for row, needs in FUNCTOR_NEEDS.items() if functor is not None else ():
+        cells[row] = cells["Functionality"] and all(functor[v] is True for v in needs)
+    return cells

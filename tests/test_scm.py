@@ -572,6 +572,37 @@ def test_emit_reports_a_mechanism_gap(gap_model):
     assert str(info.value) == gap
 
 
+def test_the_joint_refuses_a_cycle_in_validate_s_words():
+    """The identity witness's source with `parents B` added to A: the
+    topological order, and through it the joint, raise the words of
+    `validate`'s `cyclic` issue."""
+    text = (DATA / "witnesses" / "structural" / "identity.abs").read_text()
+    m = parse_document(text.replace("var A : 0 1\n", "var A : 0 1 parents B\n", 1)).models["w2_micro"]
+    (cyclic,) = [i.message for i in validate_scm(m).issues if i.code == "cyclic"]
+    assert cyclic == "the parent relation has a cycle"
+    for call in (topological_order, joint_distribution):
+        with pytest.raises(ModelError) as info:
+            call(m)
+        assert str(info.value) == cyclic
+
+
+@pytest.mark.parametrize("strays", [[("9", "0")], [("9", "0"), ("10", "1")]])
+def test_a_kernel_refuses_a_stray_mechanism_input(strays):
+    """chain3_micro with stray rows in T's mechanism, such as `9 0 : 0`:
+    T's kernel and the emitter raise the words of `validate`'s first
+    `mechanism-extra` issue, and the kernels of S and C are the file's."""
+    m = parse_document((DATA / "models" / "chain3_micro.scm").read_text()).models["chain3_micro"]
+    kernels = {v: mechanism_kernel(m, v) for v in ("S", "C")}
+    m.mechanisms["T"].update(dict.fromkeys(strays, "0"))
+    first = next(i.message for i in validate_scm(m).issues if i.code == "mechanism-extra")
+    assert first == f"mechanism for T has stray input {min(strays, key=repr)}"
+    for call in (lambda: mechanism_kernel(m, "T"), lambda: emit_scm(m)):
+        with pytest.raises(ModelError) as info:
+            call()
+        assert str(info.value) == first
+    assert {v: mechanism_kernel(m, v) for v in ("S", "C")} == kernels
+
+
 def _exo_q(m):
     """T's exogenous term renamed to the undeclared U_Q."""
     m.variables = (m.variables[0], Variable("T", ("0", "1"), ("S",), "U_Q"), m.variables[2])

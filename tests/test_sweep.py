@@ -86,6 +86,17 @@ def test_sweep_on_two_files():
             assert codes[argv] == "1"
         for v in ("S", "T", "C"):
             assert codes[f"kernel {copy} --model chain3_micro {v}"] == "ModelError"
+    # chain3_micro.scm with a stray input in S's mechanism, its first mech
+    # block: validate, emit and S's kernel refuse it; T's and C's kernels
+    # are those of the file
+    lines_by_argv = {argv: (code, digest) for code, digest, argv in calls}
+    stray = "models/chain3_micro.scm.stray-row-chain3_micro"
+    assert codes[f"validate {stray}"] == codes[f"--format json validate {stray}"] == "1"
+    assert codes[f"emit {stray}"] == "ModelError"
+    assert codes[f"kernel {stray} --model chain3_micro S"] == "ModelError"
+    for v in ("T", "C"):
+        assert (lines_by_argv[f"kernel {stray} --model chain3_micro {v}"]
+                == lines_by_argv[f"kernel models/chain3_micro.scm --model chain3_micro {v}"])
     # one kernel line per variable of chain3_micro, in declaration order
     kernels = [argv for argv in argvs if argv.startswith("kernel models/chain3_micro.scm ")]
     assert kernels == [f"kernel models/chain3_micro.scm --model chain3_micro {v}"

@@ -11,6 +11,7 @@ import pathlib
 import random
 import tempfile
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,7 +42,7 @@ from absaudit.taxonomy import (
 
 from helpers import (abstraction, chain, det_rows, permuted, random_edge_map, random_model,
                      random_outcome_maps, random_rows, unary_chain, unary_dag)
-from oracles import structural_types
+from oracles import property_cells, structural_types
 
 A, N, X = (
     Admissibility.ADMISSIBLE,
@@ -122,6 +123,30 @@ def test_structural_witness_detects_itself(t):
 def test_distributional_witness_detects_itself(t):
     detected = detect_types(*canonical_witness(t))
     assert t.value in detected["distributional"]
+
+
+@pytest.mark.parametrize("structural", [True, False])
+def test_property_cells_follow_the_presupposition_rule(structural):
+    """`_property_cells` gives the oracle's cells on every combination of
+    the verdicts it reads: 648 structural profiles (functional,
+    deterministic and surjective two-valued, injective three-valued, times
+    the three-valued functorial, full and faithful_parallel) and the 24
+    outcome summaries."""
+    two, three = (True, False), (True, False, None)
+    set_maps = [dict(zip(("functional", "deterministic", "surjective", "injective"), flags))
+                for flags in itertools.product(two, two, two, three)]
+    functors = ([dict(zip(("functorial", "full", "faithful_parallel"), flags))
+                 for flags in itertools.product(three, repeat=3)] if structural else [None])
+    rows = STRUCTURAL_ROWS if structural else DISTRIBUTIONAL_ROWS
+    profiles = list(itertools.product(set_maps, functors))
+    assert len(profiles) == (648 if structural else 24)
+    for set_map, functor in profiles:
+        audit = types.SimpleNamespace(**set_map)
+        profile = types.SimpleNamespace(node=audit if structural else None,
+                                        outcome_summary=None if structural else audit,
+                                        functor=types.SimpleNamespace(**functor or {}))
+        cells = taxonomy._property_cells(profile, structural)
+        assert dict(zip(rows, cells)) == property_cells(set_map, functor), (set_map, functor)
 
 
 def test_a_witness_needs_one_abstraction_and_the_layer_its_table_reads(monkeypatch):

@@ -27,6 +27,10 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   second row gains what the first lost; each is run through
   validate, dist --model, and push --abs for every abstraction reading
   that model as its source;
+* per model whose first `mech` block has a row: a copy of its file in which
+  that block gains the row again, keyed by a label no domain of the model
+  holds (`stray_rows`), so the refusal of a stray mechanism input shows;
+  each is run through validate;
 * per file with an abstraction: audit and classify on a copy whose map's
   source lists a parent that no model declares, then on one whose source
   has a self-parent and on one whose source has a cycle (`graph_fault`),
@@ -76,10 +80,10 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   opens with `ABSAUDIT_ENUM_CAP=N`, and the call runs with that variable
   set.
 
-Last come, for each parsable file and then for each invalid-noise copy,
-one line for the library call `emit_document(parse_path(file))` and one
-line per variable of each of its models for `mechanism_kernel(model,
-variable)`:
+Last come, for each parsable file, then for each invalid-noise copy and
+then for each stray-row copy, one line for the library call
+`emit_document(parse_path(file))` and one line per variable of each of its
+models for `mechanism_kernel(model, variable)`:
 
     <0 or the error's class> <sha256> emit <file>
     <0 or the error's class> <sha256> kernel <file> --model <model> <variable>
@@ -375,6 +379,30 @@ def bad_noise(text: str, doc) -> list[tuple[str, str, str]]:
     return out
 
 
+def stray_rows(text: str, doc) -> list[tuple[str, str]]:
+    """(model, copy of `text`) for each model of `doc` whose first `mech`
+    block has a row: after that row, the block gains it again with its
+    first token replaced by a label that no domain of the model holds (9s,
+    one more than its longest label, as `bad_noise` keys a row), so the
+    mechanism holds one stray input."""
+    lines, out, model = text.split("\n"), [], None
+    for i, line in enumerate(lines):
+        if opened := SCM_OPEN.match(line):
+            model = opened[1]
+        elif model is not None and MECH_OPEN.match(line):
+            j = next((j for j in range(i + 1, len(lines)) if lines[j].split("#")[0].split()), i)
+            row = lines[j].split("#")[0].split()
+            if j > i and row != ["}"]:
+                m = doc.models[model]
+                longest = max((len(x) for t in (*m.variables, *m.exogenous) for x in t.domain),
+                              default=0)
+                indent = lines[j][: len(lines[j]) - len(lines[j].lstrip())]
+                stray = indent + " ".join(["9" * (1 + longest), *row[1:]])
+                out.append((model, "\n".join(lines[: j + 1] + [stray] + lines[j + 1 :])))
+            model = None  # the model's first mech block only
+    return out
+
+
 def graph_fault(text: str, doc, fault: str) -> str:
     """A copy of `text`, whose one abstraction is that of `doc`, in which the
     map's source has the graph fault `fault`: its last variable lists
@@ -412,11 +440,12 @@ def graph_fault(text: str, doc, fault: str) -> str:
 
 
 def calls(files: list[str], parse_path, cut: list[tuple[str, str]], faulty: list[str],
-          noisy: list[tuple[str, str]]) -> list[list[str]]:
+          noisy: list[tuple[str, str]], stray: list[str]) -> list[list[str]]:
     """The argv of every sweep call on `files`, on the (command, copy) pairs
     in `cut` whose copy lacks a line, on the copies in `faulty` whose map's
-    source has a graph fault, and on the (copy, model) pairs in `noisy` with
-    invalid noise (paths in the working dir)."""
+    source has a graph fault, on the (copy, model) pairs in `noisy` with
+    invalid noise and on the copies in `stray` whose mechanism holds a stray
+    input (paths in the working dir)."""
     plain: list[list[str]] = []
     for path in files:
         plain += [[cmd, path] for cmd in ("validate", "graph", "dist", "audit",
@@ -457,6 +486,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]], faulty: list
         plain += [["push", path, "--abs", name]
                   for name, a in parse_path(path).abstractions.items()
                   if a.source_ref == model]
+    plain += [["validate", path] for path in stray]
     plain += [["tables", "--which", w] for w in ("both", "structural", "distributional")]
     plain += [["tables", "--truth", "tables/structural.tbl"]]
     plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
@@ -542,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         complete.write_text(complete_dag(), encoding="utf-8")
         pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
         pathlib.Path(scratch, CHAIN_MAPS_FILE).write_text(chain_maps(), encoding="utf-8")
-        names, cut, faults, noisy = [], [], {fault: [] for fault in GRAPH_FAULTS}, []
+        names, cut, faults, noisy, stray = [], [], {fault: [] for fault in GRAPH_FAULTS}, [], []
         sources = [(path.relative_to(data) if path.is_relative_to(data) else path.name,
                     path.read_bytes()) for path in files]
         for name, original in sources + [(PARITY_FILE, parity_chain().encode("utf-8"))]:
@@ -569,15 +599,19 @@ def main(argv: list[str] | None = None) -> int:
                     bad = shuffle_dist(bad, noise_rng if kind in FIRST_ROW else last_rng)
                 noisy.append((f"{name}.{kind}-{model}", model))
                 pathlib.Path(scratch, noisy[-1][0]).write_text(bad, encoding="utf-8")
+            for model, extra in stray_rows(text.decode("utf-8"), doc):
+                stray.append(f"{name}.stray-row-{model}")
+                pathlib.Path(scratch, stray[-1]).write_text(extra, encoding="utf-8")
         for command, tag, trimmed in cuts(chain_maps(["identity"])):
             if "edge-row" in tag:
                 cut.append((command, f"{CHAIN_IDENTITY_FILE}.{tag}"))
                 pathlib.Path(scratch, cut[-1][1]).write_text(trimmed, encoding="utf-8")
         os.chdir(scratch)
         try:
-            for line_argv in calls(names, parse_path, cut, sum(faults.values(), []), noisy):
+            for line_argv in calls(names, parse_path, cut, sum(faults.values(), []), noisy,
+                                   stray):
                 print(call(absaudit_main, line_argv))
-            for line in library_lines(names + [path for path, _ in noisy], parse_path,
+            for line in library_lines(names + [path for path, _ in noisy] + stray, parse_path,
                                       emit_document, mechanism_kernel):
                 print(line)
         finally:
