@@ -22,7 +22,7 @@ from .abstraction import pushforward, validate_abstraction
 from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
 from .scm import Distribution, Scm, ValidationReport, intervene, joint_distribution, marginal
-from .scm import cycle_issues, parent_issues, row_major, underlying_graph, validate_scm
+from .scm import row_major, underlying_graph, validate_scm
 from .textfmt import Document, join_labels, parse_path
 
 OK, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
@@ -60,15 +60,16 @@ def _reported_ok(report: ValidationReport) -> bool:
 def _on_valid_abstraction(command):
     """The subcommand that runs `command(args, abstraction, source, target)`
     on the chosen abstraction, or prints issues on stderr and fails: the
-    models' unknown parents, self-parents and cycles (`validate`'s graph
-    issues), else the abstraction's validation issues."""
+    graph faults of its source, then of its target (`validate`'s issues
+    that read neither mechanisms nor noise, in its order), else the
+    abstraction's validation issues."""
     def run(args) -> int:
         doc = _load(args.files)
         abstraction = _pick(doc.abstractions, args.abs, "abstraction", "--abs")
         source, target = doc.resolve(abstraction)
         models = (source,) if source is target else (source, target)
-        graph = [issue for m in models for issue in (*parent_issues(m), *cycle_issues(m))]
-        if not (_reported_ok(ValidationReport(graph))
+        faults = [issue for m in models for issue in m._index.faults]
+        if not (_reported_ok(ValidationReport(faults))
                 and _reported_ok(validate_abstraction(abstraction, source, target))):
             return FAIL
         return command(args, abstraction, source, target)

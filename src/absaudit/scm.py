@@ -87,13 +87,10 @@ def rows_of(columns: Sequence[Iterable], count: int) -> Iterator[tuple]:
 
 # The words of the validation issues that the walks also raise, by code.
 _WORDS = {
-    "unknown-parent": "{} lists unknown parent {}",
-    "unknown-exogenous": "{} references unknown exogenous {}",
     "missing-mechanism": "no mechanism for {}",
     "mechanism-gap": "mechanism for {} misses input {}",
     "mechanism-range": "mechanism for {} maps {} outside the domain: {!r}",
     "mechanism-extra": "mechanism for {} has stray input {}",
-    "cyclic": "the parent relation has a cycle",
     "dist-key": "exogenous table key {!r} is out of range",
     "dist-negative": "negative probability {} at {!r}",
     "dist-total": "exogenous table sums to {!r}, not 1",
@@ -120,12 +117,15 @@ class Exogenous:
 
 
 class _Index(NamedTuple):
-    """A model's names, the first declaration of a name winning, and its graph."""
+    """A model's names, the first declaration of a name winning, its graph,
+    and its graph faults: `validate`'s issues that read neither `mechanisms`
+    nor `exo_table`, in `validate`'s order and words."""
 
     by_name: dict[str, Variable]
     exo_by_name: dict[str, tuple[int, Exogenous]]  # name -> (position, term)
     names: tuple[str, ...]
     dag: Dag
+    faults: tuple[ValidationIssue, ...]
 
 
 @dataclass
@@ -176,10 +176,11 @@ class Scm:
     def _index(self) -> _Index:
         """Built on the first lookup after `variables` or `exogenous` is set."""
         names = tuple(v.name for v in self.variables)
-        edges = tuple((p, v.name) for v in self.variables for p in v.parents)
-        return _Index({v.name: v for v in reversed(self.variables)},
-                      {u.name: (i, u) for i, u in reversed(tuple(enumerate(self.exogenous)))},
-                      names, Dag(names, edges))
+        dag = Dag(names, tuple((p, v.name) for v in self.variables for p in v.parents))
+        by_name = {v.name: v for v in reversed(self.variables)}
+        exo_by_name = {u.name: (i, u) for i, u in reversed(tuple(enumerate(self.exogenous)))}
+        return _Index(by_name, exo_by_name, names, dag,
+                      tuple(_faults(self, by_name, exo_by_name, dag)))
 
     def variable(self, name: str) -> Variable:
         v = self._index.by_name.get(name)
@@ -318,51 +319,78 @@ class Kernel:
 # Validation
 # ---------------------------------------------------------------------------
 
+def _faults(model: Scm, by_name: dict, exo_by_name: dict, dag: Dag) -> Iterator[ValidationIssue]:
+    """The graph faults of `model`, in `validate`'s order: repeated and shared
+    names, then each variable's domain, parents and exo term, each exo term's
+    domain and variable, each variable's attachment, and a cycle.  A variable
+    whose parents are all declared above it, its name not among them, has no
+    parent fault; when every variable does, declaration order is a
+    topological order, so only a model that breaks it is ordered again."""
+    if len(by_name) != len(model.variables):
+        yield ValidationIssue("dup-variable", "duplicate endogenous variable names")
+    if len(exo_by_name) != len(model.exogenous):
+        yield ValidationIssue("dup-exogenous", "duplicate exogenous variable names")
+    if overlap := by_name.keys() & exo_by_name.keys():
+        yield ValidationIssue("name-overlap", f"names used both ways: {', '.join(sorted(overlap))}")
+
+    above, ordered = set(), True
+    for v in model.variables:
+        if not v.domain:
+            yield ValidationIssue("empty-domain", f"variable {v.name} has an empty domain")
+        if len(set(v.domain)) != len(v.domain):
+            yield ValidationIssue("dup-outcome", f"variable {v.name} repeats a domain value")
+        if v.name in above or not above.issuperset(v.parents):
+            ordered = False
+            for p in v.parents:
+                if p not in by_name:
+                    yield ValidationIssue("unknown-parent", f"{v.name} lists unknown parent {p}")
+            if v.name in v.parents:
+                yield ValidationIssue("self-parent", f"{v.name} lists itself as a parent")
+        above.add(v.name)
+        if v.exogenous not in exo_by_name:
+            yield ValidationIssue("unknown-exogenous",
+                                  f"{v.name} references unknown exogenous {v.exogenous}")
+
+    attached: dict[str, list[str]] = {}
+    for u in model.exogenous:
+        if not u.domain:
+            yield ValidationIssue("empty-domain", f"exogenous {u.name} has an empty domain")
+        if len(set(u.domain)) != len(u.domain):
+            yield ValidationIssue("dup-outcome", f"exogenous {u.name} repeats a domain value")
+        if u.endogenous not in by_name:
+            yield ValidationIssue("unknown-variable",
+                                  f"exogenous {u.name} attached to unknown {u.endogenous}")
+        attached.setdefault(u.endogenous, []).append(u.name)
+    for v in model.variables:
+        if attached.get(v.name, []) != [v.exogenous]:
+            yield ValidationIssue("exogenous-attachment",
+                                  f"{v.name} must have exactly one attached exogenous variable")
+
+    if not ordered:
+        try:
+            dag.topological_order
+        except ModelError:
+            yield ValidationIssue("cyclic", "the parent relation has a cycle")
+
+
+def _checked_index(model: Scm) -> _Index:
+    """`model`'s name index; raises ModelError with its first graph fault."""
+    index = model._index
+    if index.faults:
+        raise ModelError(index.faults[0].message)
+    return index
+
+
 def validate_scm(model: Scm) -> ValidationReport:
-    """Check well-formedness: names, domains, mechanisms, acyclicity, P(U).
+    """Check well-formedness: the graph faults of the name index (names,
+    domains, parents, exo terms, acyclicity), then mechanisms and P(U).
 
     Mechanism inputs and noise keys are tested with `out_of_range`, never
     listed: a mechanism's gaps number the product of its input domain sizes
     less its inputs in range, and one `mechanism-gap` issue names the first
     missing input in row-major order and how many more there are."""
-    report = ValidationReport()
-    by_name, exo_by_name, *_ = model._index
-
-    if len(by_name) != len(model.variables):
-        report.add("dup-variable", "duplicate endogenous variable names")
-    if len(exo_by_name) != len(model.exogenous):
-        report.add("dup-exogenous", "duplicate exogenous variable names")
-    if overlap := sorted(by_name.keys() & exo_by_name.keys()):
-        report.add("name-overlap", f"names used both ways: {', '.join(overlap)}")
-
-    for v in model.variables:
-        if not v.domain:
-            report.add("empty-domain", f"variable {v.name} has an empty domain")
-        if len(set(v.domain)) != len(v.domain):
-            report.add("dup-outcome", f"variable {v.name} repeats a domain value")
-        report.issues += parent_issues(model, v)
-        if v.exogenous not in exo_by_name:
-            report.add("unknown-exogenous", _WORDS["unknown-exogenous"].format(v.name, v.exogenous))
-
-    attached = {}
-    for u in model.exogenous:
-        if not u.domain:
-            report.add("empty-domain", f"exogenous {u.name} has an empty domain")
-        if len(set(u.domain)) != len(u.domain):
-            report.add("dup-outcome", f"exogenous {u.name} repeats a domain value")
-        if u.endogenous not in by_name:
-            report.add(
-                "unknown-variable", f"exogenous {u.name} attached to unknown {u.endogenous}"
-            )
-        attached.setdefault(u.endogenous, []).append(u.name)
-    for v in model.variables:
-        if attached.get(v.name, []) != [v.exogenous]:
-            report.add(
-                "exogenous-attachment",
-                f"{v.name} must have exactly one attached exogenous variable",
-            )
-
-    report.issues += cycle_issues(model)
+    by_name, exo_by_name, _, _, faults = model._index
+    report = ValidationReport(list(faults))
 
     # Mechanism totality: exactly one row per (parent values, exo value),
     # counted: the inputs in range against the product of the domain sizes.
@@ -399,37 +427,6 @@ def validate_scm(model: Scm) -> ValidationReport:
     return report
 
 
-def parent_issues(model: Scm, *variables: Variable) -> Iterator[ValidationIssue]:
-    """The `unknown-parent` issues, then the `self-parent` issue, of each of
-    `variables` (default: all of `model`'s), in order."""
-    known = model._index.by_name
-    for v in variables or model.variables:
-        for p in v.parents:
-            if p not in known:
-                yield ValidationIssue("unknown-parent", _WORDS["unknown-parent"].format(v.name, p))
-        if v.name in v.parents:
-            yield ValidationIssue("self-parent", f"{v.name} lists itself as a parent")
-
-
-def cycle_issues(model: Scm) -> list[ValidationIssue]:
-    """The `cyclic` issue, when the parent relation has a cycle (a self-parent
-    is one).  Declaration order is a topological order when every variable's
-    parents are declared above it and no name repeats, so such a model needs
-    no other."""
-    above: set[str] = set()
-    for v in model.variables:
-        if v.name in above or not above.issuperset(v.parents):
-            break
-        above.add(v.name)
-    else:
-        return []
-    try:
-        topological_order(model)
-    except ModelError:
-        return [ValidationIssue("cyclic", _WORDS["cyclic"])]
-    return []
-
-
 def _refuse_negative(table: Mapping[tuple, float]) -> None:
     """Raise ModelError, in `validate`'s words, at the first weight below -TOL in table order."""
     below = map(lt, table.values(), itertools.repeat(-TOL))  # as `validate_scm`
@@ -445,10 +442,9 @@ def _strays(v: Variable, mechanism: Mapping[tuple, Value]) -> Iterator[str]:
 
 
 def topological_order(model: Scm) -> tuple[str, ...]:
-    try:
-        return underlying_graph(model).topological_order
-    except ModelError:
-        raise ModelError(_WORDS["cyclic"]) from None
+    """The variables layer by layer, each layer sorted; raises ModelError
+    with the model's first graph fault."""
+    return _checked_index(model).dag.topological_order
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +462,10 @@ def intervene(model: Scm, assignments: Mapping[str, Value]) -> Scm:
 
     Each targeted variable gets a constant mechanism and loses its parents;
     its exogenous variable stays attached but is ignored by the new mechanism.
-    An empty assignment returns an equal model.
+    An empty assignment returns an equal model.  Raises ModelError with the
+    model's first graph fault, in `validate`'s words, before anything else.
     """
-    by_name = model._index.by_name
+    by_name = _checked_index(model).by_name
     for name, value in assignments.items():
         if name not in by_name:
             raise ModelError(f"unknown variable {name!r} in intervention")
@@ -508,25 +505,22 @@ def joint_distribution(model: Scm) -> Distribution:
     declaration order and are summed in entry order, so every sum and the
     outcome order are those of a walk over the dense product of the domains.
     Raises, before any mechanism is read, ModelError in `validate`'s words on
-    a noise key out of range or a negative weight (a total other than 1 is
-    summed as given), and CapacityError when the supported entries exceed
-    the enumeration cap (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`);
-    then ModelError, in `validate`'s words, on an unknown exo term, an
-    unknown parent, a mechanism value outside its variable's domain (checked
-    over the mechanism's rows before its column is built) or a mechanism gap."""
+    the model's first graph fault, then on a noise key out of range or a
+    negative weight (a total other than 1 is summed as given), and
+    CapacityError when the supported entries exceed the enumeration cap
+    (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`); then ModelError, in
+    `validate`'s words, on a mechanism value outside its variable's domain
+    (checked over the mechanism's rows before its column is built) or a
+    mechanism gap."""
+    index = _checked_index(model)
     _, keys, values = model.ranked_noise()
     _refuse_negative(model.exo_table)
     supported = list(map(ne, values, itertools.repeat(0.0)))
     combos, weights = (list(itertools.compress(c, supported)) for c in (keys, values))
     check_cap(len(weights), DEFAULT_EXO_CAP,
               f"exogenous table of {model.name!r} has {len(weights)} supported assignments")
-    index = model._index
     columns: dict[str, list] = {}
-    for v in map(index.by_name.__getitem__, topological_order(model)):
-        if v.exogenous not in index.exo_by_name:
-            raise ModelError(_WORDS["unknown-exogenous"].format(v.name, v.exogenous))
-        for issue in parent_issues(model, v):  # unknown: `topological_order` refused a self-parent
-            raise ModelError(issue.message)
+    for v in map(index.by_name.__getitem__, index.dag.topological_order):
         inputs = [columns[q] for q in v.parents]
         inputs.append(map(itemgetter(index.exo_by_name[v.exogenous][0]), combos))
         mechanism = model.mechanisms.get(v.name, {})
@@ -549,7 +543,8 @@ def joint_distribution(model: Scm) -> Distribution:
 
 def mechanism_rows(model: Scm, v: Variable) -> Iterator[tuple[tuple, Value]]:
     """Each input of `v`'s mechanism (its parents' values, then its noise
-    value) in row-major order, with the mechanism's value there.  Raises
+    value) in row-major order, with the mechanism's value there, in a model
+    whose graph faults were refused, so no domain repeats a value.  Raises
     ModelError, in `validate`'s words, at a missing input (`mechanism-gap`),
     and after the last input when the mechanism holds more rows than the
     inputs in range (its first `mechanism-extra` issue)."""
@@ -560,7 +555,7 @@ def mechanism_rows(model: Scm, v: Variable) -> Iterator[tuple[tuple, Value]]:
         if key not in mechanism:
             raise ModelError(_WORDS["mechanism-gap"].format(v.name, key))
         yield key, mechanism[key]
-    if len(mechanism) > math.prod(len(set(d)) for d in inputs):  # a stray input
+    if len(mechanism) > math.prod(map(len, inputs)):  # a stray input
         stray = min(out_of_range(mechanism, inputs), key=repr)
         raise ModelError(_WORDS["mechanism-extra"].format(v.name, stray))
 
@@ -590,12 +585,13 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     remaining exogenous variables under the joint exogenous table.  One pass
     over the ranked entries (`Scm.ranked_noise`) sums the term's marginal by value
     and the rest's by rank: the entry's rank less the term's offset.  Raises
-    ModelError, in `validate`'s words, on a `dist-key`, `dist-negative` (the
-    first in table order) or `dist-total` issue, in that order.
+    ModelError, in `validate`'s words, on the model's first graph fault, then
+    on a `dist-key`, `dist-negative` (the first in table order) or
+    `dist-total` issue, in that order.
     """
+    index = _checked_index(model)
     v = model.variable(variable)
-    exo = model.exogenous_variable(v.exogenous)
-    i = model._index.exo_by_name[v.exogenous][0]
+    i, exo = index.exo_by_name[v.exogenous]
     ranked = model.ranked_noise()
     _refuse_negative(model.exo_table)
     if not abs((total := sum(model.exo_table.values())) - 1.0) <= TOL:  # as `validate_scm`

@@ -68,7 +68,7 @@ from .abstraction import (
     StructuralMap,
 )
 from .errors import ModelError, ParseError
-from .scm import Exogenous, Scm, Variable, mechanism_rows
+from .scm import Exogenous, Scm, Variable, _checked_index, mechanism_rows
 
 HEADER = "absaudit-format 1"
 
@@ -456,7 +456,8 @@ def _path_token(m: tuple[str, ...]) -> str:
 
 
 def emit_scm(model: Scm) -> list[str]:
-    _, keys, values = model.ranked_noise()  # refuses a key out of range first
+    _checked_index(model)  # refuses the first graph fault, then a noise key out of range
+    _, keys, values = model.ranked_noise()
     out = [f"scm {model.name} {{"]
     for v in model.variables:
         line = f"  var {v.name} : {join_labels(v.domain)}"

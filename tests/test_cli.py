@@ -494,6 +494,31 @@ def test_audit_and_classify_refuse_a_self_parent_or_a_cycle(tmp_path, capsys, co
     assert [line.strip() for line in out.splitlines() if line.strip() in issues] == issues
 
 
+@pytest.mark.parametrize("old, new, issues", [
+    ("  var B : 0 1 parents A\n", "  var B : 0 1 parents A\n" * 2,
+     ["[dup-variable] duplicate endogenous variable names"]),
+    ("  var A : 0 1\n  var B : 0 1 parents A\n  exo U_A : 0 1 for A\n",
+     "  exo U_A : 0 1 for A\n  var A : 0 1\n  var B : 0 1 parents A\n",
+     ["[unknown-exogenous] A references unknown exogenous ",
+      "[exogenous-attachment] A must have exactly one attached exogenous variable"]),
+], ids=["dup-variable", "exo-before-var"])
+@pytest.mark.parametrize("command", ["audit", "classify", "push"])
+def test_audit_and_classify_refuse_every_graph_fault(tmp_path, capsys, command, old, new, issues):
+    """The identity witness with its `var B` line twice, or with its first
+    `exo` line above the `var` lines, so A has no exo term: the graph faults
+    `validate` gives the source, in its order, on stderr and exit 1, with
+    nothing on stdout, where a verdict would read a malformed model."""
+    identity = DATA / "witnesses" / "structural" / "identity.abs"
+    p = tmp_path / "faulty.abs"
+    p.write_text(identity.read_text().replace(old, new, 1))
+    for fmt in ([], ["--format", "json"]):
+        assert main([*fmt, command, str(p)]) == 1
+        assert capsys.readouterr() == ("", "".join(f"{issue}\n" for issue in issues))
+    assert main(["validate", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("model w2_micro: INVALID\n" + "".join(f"  {i}\n" for i in issues))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     scope=st.lists(st.text(max_size=4), max_size=3),

@@ -122,18 +122,86 @@ def test_validate_cycle():
                         min_size=1, max_size=5))
 @example(parents=[("A", []), ("A", ["A"])])
 @example(parents=[("B", ["A"]), ("A", [])])
-def test_cycle_issues_follow_the_topological_order(parents):
-    """`cycle_issues` reports a cycle exactly when the topological order
-    fails, whatever the declaration order, repeated names and unknown
-    parents, which decide whether its declaration-order test passes."""
+def test_the_cyclic_fault_follows_the_topological_order(parents):
+    """The name index's faults hold `cyclic` exactly when the graph's
+    topological order fails, whatever the declaration order, repeated names
+    and unknown parents, which decide whether its declaration-order test
+    passes; it comes last, as in `validate`."""
     m = chain("m", ["A"])
     m.variables = tuple(Variable(name, BIN, tuple(ps), "U_A") for name, ps in parents)
     try:
-        topological_order(m)
+        underlying_graph(m).topological_order
         want = []
     except ModelError:
         want = [("cyclic", "the parent relation has a cycle")]
-    assert [(i.code, i.message) for i in scm_module.cycle_issues(m)] == want
+    faults = [(i.code, i.message) for i in m._index.faults]
+    assert [f for f in faults if f[0] == "cyclic"] == want == faults[len(faults) - len(want):]
+
+
+# `validate`'s codes that read the mechanisms or the noise table: every other
+# code is a graph fault of the name index.
+TABLE_CODES = {"missing-mechanism", "mechanism-gap", "mechanism-range", "mechanism-extra",
+               "dist-key", "dist-negative", "dist-total"}
+
+
+def _swap(items: tuple, old, new) -> tuple:
+    return tuple(new if item is old else item for item in items)
+
+
+# kind -> the fields that give a model one graph fault at its variable v and
+# exo term u; the code before the colon is among the issues it causes.
+GRAPH_FAULTS = {
+    "dup-variable": lambda m, v, u: {"variables": m.variables + (v,)},
+    "dup-exogenous": lambda m, v, u: {"exogenous": m.exogenous + (u,)},
+    "name-overlap": lambda m, v, u: {
+        "exogenous": _swap(m.exogenous, u, dataclasses.replace(u, name=v.name))},
+    "empty-domain:variable": lambda m, v, u: {
+        "variables": _swap(m.variables, v, dataclasses.replace(v, domain=()))},
+    "empty-domain:exogenous": lambda m, v, u: {
+        "exogenous": _swap(m.exogenous, u, dataclasses.replace(u, domain=()))},
+    "dup-outcome:variable": lambda m, v, u: {
+        "variables": _swap(m.variables, v, dataclasses.replace(v, domain=v.domain + v.domain[:1]))},
+    "dup-outcome:exogenous": lambda m, v, u: {
+        "exogenous": _swap(m.exogenous, u, dataclasses.replace(u, domain=u.domain[:1] + u.domain))},
+    "unknown-parent": lambda m, v, u: {
+        "variables": _swap(m.variables, v, dataclasses.replace(v, parents=v.parents + ("Z",)))},
+    "self-parent": lambda m, v, u: {
+        "variables": _swap(m.variables, v, dataclasses.replace(v, parents=(v.name, *v.parents)))},
+    "unknown-exogenous": lambda m, v, u: {
+        "variables": _swap(m.variables, v, dataclasses.replace(v, exogenous="U_Q"))},
+    "unknown-variable": lambda m, v, u: {
+        "exogenous": _swap(m.exogenous, u, dataclasses.replace(u, endogenous="Q"))},
+    "exogenous-attachment": lambda m, v, u: {
+        "exogenous": m.exogenous + (Exogenous("U_Q", BIN, v.name),)},
+    "cyclic": lambda m, v, u: {"variables": tuple(
+        dataclasses.replace(w, parents=w.parents + (m.variables[-1].name,)) if w is v
+        else dataclasses.replace(w, parents=w.parents + (v.name,)) if w is m.variables[-1]
+        else w for w in m.variables)},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(GRAPH_FAULTS)),
+       k=st.integers(0, 7))
+def test_every_reader_refuses_the_first_graph_fault(seed, kind, k):
+    """A random small model with one graph fault: `validate`'s issues before
+    its first mechanism or noise table issue are the name index's faults,
+    and the joint, every kernel, `intervene` and the emitter raise a
+    ModelError in the words of the first."""
+    m = random_model(random.Random(seed))
+    v, u = m.variables[k % len(m.variables)], m.exogenous[k % len(m.exogenous)]
+    m = dataclasses.replace(m, **GRAPH_FAULTS[kind](m, v, u))
+    faults = list(m._index.faults)
+    assert kind.split(":")[0] in {f.code for f in faults}
+    issues = validate_scm(m).issues
+    assert list(itertools.takewhile(lambda i: i.code not in TABLE_CODES, issues)) == faults
+    readers = [joint_distribution, lambda m: intervene(m, {}),
+               lambda m: emit_document(Document({m.name: m}))]
+    readers += [lambda m, name=name: mechanism_kernel(m, name) for name in m.variable_names]
+    for read in readers:
+        with pytest.raises(ModelError) as info:
+            read(m)
+        assert str(info.value) == faults[0].message
 
 
 def test_validate_mechanism_totality():
@@ -557,6 +625,21 @@ def test_joint_reports_a_mechanism_gap(gap_model):
     assert str(info.value) == gap
 
 
+def test_a_repeated_noise_value_is_refused_before_a_kernel_or_emit():
+    """A noise term whose domain repeats a value, `exo U : 0 0 1 for A`: the
+    kernel and the emitter raise `validate`'s first issue, `dup-outcome`,
+    rather than count that value's weight twice (a row summing to 1.5) or
+    write its mechanism rows twice (text that does not parse)."""
+    m = Scm("m", [Variable("A", BIN, (), "U")], [Exogenous("U", ("0", "0", "1"), "A")],
+            {"A": {("0",): "0", ("1",): "1"}}, {("0",): 0.5, ("1",): 0.5})
+    first = validate_scm(m).issues[0]
+    assert (first.code, first.message) == ("dup-outcome", "exogenous U repeats a domain value")
+    for call in (lambda: mechanism_kernel(m, "A"), lambda: emit_document(Document({"m": m}))):
+        with pytest.raises(ModelError) as info:
+            call()
+        assert str(info.value) == "exogenous U repeats a domain value"
+
+
 def test_kernel_reports_a_mechanism_gap(gap_model):
     m, gap = gap_model
     assert mechanism_kernel(m, "S").rows[()] == {"0": 0.5, "1": 0.5}
@@ -705,23 +788,28 @@ def test_intervene_on_an_unknown_exogenous_term():
     _exo_q(m)
     with pytest.raises(ModelError) as info:
         intervene(m, {"T": "0"})
-    assert str(info.value) == "unknown exogenous variable 'U_Q' in model 'chain3_micro'"
+    assert str(info.value) == "T references unknown exogenous U_Q"
 
 
 # ---------------------------------------------------------------------------
 # The name index
 # ---------------------------------------------------------------------------
 
-def test_duplicate_exogenous_names_read_the_first_term():
-    """Two exogenous terms named U on an unvalidated model: the joint and
-    the kernel both read the first declaration, as every lookup does."""
-    m = Scm("dup", [Variable("A", BIN, (), "U")], [Exogenous("U", BIN, "A")] * 2,
+def test_duplicate_exogenous_names_are_refused_by_every_reader():
+    """Two exogenous terms named U on an unvalidated model: the joint, the
+    kernel, `intervene` and the emitter refuse it with `validate`'s first
+    issue, `dup-exogenous`, while every lookup reads the first declaration."""
+    m = Scm("dup", [Variable("A", BIN, (), "U")],
+            [Exogenous("U", BIN, "A"), Exogenous("U", BIN[::-1], "A")],
             {"A": {("0",): "0", ("1",): "1"}}, {("0", "1"): 1.0})
-    assert "dup-exogenous" in codes(validate_scm(m))
-    joint = marginal(joint_distribution(m), ["A"])
-    row = mechanism_kernel(m, "A").rows[()]
-    assert all(abs(joint.prob((a,)) - p) <= TOL for a, p in row.items())
-    assert row == {"0": 1.0, "1": 0.0}
+    first = validate_scm(m).issues[0]
+    assert (first.code, first.message) == ("dup-exogenous", "duplicate exogenous variable names")
+    assert m.exogenous_variable("U").domain == BIN
+    for call in (joint_distribution, lambda m: mechanism_kernel(m, "A"),
+                 lambda m: intervene(m, {}), emit_scm):
+        with pytest.raises(ModelError) as info:
+            call(m)
+        assert str(info.value) == first.message
 
 
 def test_the_name_index_never_goes_stale():

@@ -71,10 +71,13 @@ def test_sweep_on_two_files():
     assert codes["validate models/chain3_micro.scm.no-brace-19"] == "1"
     # chain3_micro.scm without line 25, the row `0 0 : 0` of T's mechanism
     assert codes["validate models/chain3_micro.scm.no-mech-row-25"] == "1"
-    # fig3a.abs with a parent its source does not declare: audit and classify refuse it
-    for argv in ("audit figures/fig3a.abs.unknown-parent",
-                 "--format json classify figures/fig3a.abs.unknown-parent"):
-        assert codes[argv] == "1"
+    # fig3a.abs with a parent its source does not declare, with its source's
+    # last variable declared twice, and with its source's first exo term
+    # above the variables: audit and classify refuse each
+    for fault in ("unknown-parent", "dup-variable", "exo-before-var"):
+        for argv in (f"audit figures/fig3a.abs.{fault}",
+                     f"--format json classify figures/fig3a.abs.{fault}"):
+            assert codes[argv] == "1"
     # fig3a.abs with its source's first dist row keyed out of range, then
     # weighing 0.5 more, its last row keyed out of range, and its first
     # weight negative: every command and every kernel reading that model

@@ -33,8 +33,11 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   each is run through validate;
 * per file with an abstraction: audit and classify on a copy whose map's
   source lists a parent that no model declares, then on one whose source
-  has a self-parent and on one whose source has a cycle (`graph_fault`),
-  so the refusal of each graph fault before any verdict shows;
+  has a self-parent, on one whose source has a cycle, on one whose
+  source declares its last variable twice and on one whose source's
+  first `exo` line comes before its first `var` line, leaving that
+  variable without an exo term (`graph_fault`), so the refusal of each
+  graph fault before any verdict shows;
 * per model: graph, graph --dot, dist and graph --hom for every ordered
   pair of its nodes; dist --do VAR=VALUE for each variable at the first
   and the last value of its domain; dist --marginal for each variable
@@ -161,7 +164,8 @@ REQUIRE = ",".join((
 FIRST_ROW = ("bad-key", "bad-total")
 UNKNOWN_REQUIRE = ("audit", "figures/fig3a.abs", "--require", "functorial,no-such-property")
 UNKNOWN_PARENT = "undeclared"  # the parent name of the `unknown-parent` copies
-GRAPH_FAULTS = ("unknown-parent", "self-parent", "cyclic")  # the kinds of `graph_fault` copy
+# the kinds of `graph_fault` copy
+GRAPH_FAULTS = ("unknown-parent", "self-parent", "cyclic", "dup-variable", "exo-before-var")
 CAP_ENV = "ABSAUDIT_ENUM_CAP"
 # (cap, argv): each phase just over its cap, then two caps that are refused
 CAPPED = (("1", ("graph", COMPLETE_FILE, "--hom", "z", "m")),
@@ -408,15 +412,19 @@ def graph_fault(text: str, doc, fault: str) -> str:
     map's source has the graph fault `fault`: its last variable lists
     `UNKNOWN_PARENT` (`unknown-parent`) or itself (`self-parent`) as a
     parent, or its first variable lists the last one (`cyclic`), which
-    lists the first one too unless it did already or is the same."""
+    lists the first one too unless it did already or is the same; its last
+    `var` line comes twice (`dup-variable`); or its first `exo` line is
+    moved above its first `var` line (`exo-before-var`), which leaves that
+    term's variable unattached and keeps the order of the `exo` terms, so
+    the `dist` header still reads."""
     (a,) = doc.abstractions.values()
-    lines, model, found = text.split("\n"), None, []
+    lines, model, found = text.split("\n"), None, {"var": [], "exo": []}
     for i, line in enumerate(lines):
         if opened := SCM_OPEN.match(line):
             model = opened[1]
-        elif model == a.source_ref and line.split()[:1] == ["var"]:
-            found.append(i)
-    first, last = found[0], found[-1]
+        elif model == a.source_ref and line.split()[:1] in (["var"], ["exo"]):
+            found[line.split()[0]].append(i)
+    first, last = found["var"][0], found["var"][-1]
 
     def name(i: int) -> str:
         return lines[i].split()[1]
@@ -430,7 +438,11 @@ def graph_fault(text: str, doc, fault: str) -> str:
         row += [parent] if "parents" in row else ["parents", parent]
         lines[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + " ".join(row)
 
-    if fault == "cyclic":
+    if fault == "dup-variable":
+        lines.insert(last + 1, lines[last])
+    elif fault == "exo-before-var":
+        lines.insert(first, lines.pop(found["exo"][0]))
+    elif fault == "cyclic":
         if first != last and name(first) not in parents(last):
             add_parent(last, name(first))
         add_parent(first, name(last))
