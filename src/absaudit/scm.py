@@ -8,10 +8,12 @@ mechanism tables and a joint exogenous probability table.  Design choices:
   an explicit table;
 * all domains are finite and explicit, so the joint endogenous distribution
   is computed exactly, by walking the support of the exogenous table in
-  row-major order: the joint one column per variable, a kernel by each
-  entry's rank.  The dense product of the exogenous domains is stepped
-  through only alongside the table, and only while the table's keys are
-  its tuples in order, which gives their ranks without a lookup;
+  row-major order: the joint one column per variable, the kernels from the
+  noise terms' marginals, their independence shown by one test of the
+  whole table, or else term by term.  The dense product of the exogenous
+  domains is stepped through only alongside the table, and only while the
+  table's keys are its tuples in order, which gives their ranks without a
+  lookup;
 * the canonical variable order is declaration order, and joint tables are
   indexed row-major over that order.
 """
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from operator import contains, getitem, is_, itemgetter, lt, ne
+from functools import cached_property, partial, reduce
+from operator import add, contains, getitem, is_, itemgetter, lt, ne, sub
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TOL, DEFAULT_EXO_CAP, KernelUndefinedError, ModelError, check_cap
@@ -144,8 +147,8 @@ class Scm:
     exogenous: tuple[Exogenous, ...]
     mechanisms: dict[str, dict[tuple, Value]]
     exo_table: dict[tuple, float]
-    # (exogenous, table keys, table values, ranked columns) of the last `ranked_noise` call
-    _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (exogenous, table keys, table values, factors) of the last `noise_factors` call
+    _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, attr: str, value) -> None:
         if attr in ("variables", "exogenous"):
@@ -154,21 +157,40 @@ class Scm:
         object.__setattr__(self, attr, value)
 
     def ranked_noise(self) -> tuple[tuple, ...]:
-        """`row_major` of `exo_table` over the exogenous domains, ranked once
-        and kept for as long as the table holds the same key and value
-        objects in the same order and `exogenous` is not set again: any
-        insert, delete, reweight or reorder, and any new exogenous tuple,
-        ranks afresh.  Raises ModelError, in `validate`'s words, on the
-        first key out of range, which the ranking would drop."""
+        """`row_major` of `exo_table` over the exogenous domains.  Raises
+        ModelError, in `validate`'s words, on the first key out of range,
+        which the ranking would drop."""
         table = self.exo_table
-        kept = self._ranked
-        if not (kept and kept[0] is self.exogenous and len(kept[1]) == len(table)
+        ranked = row_major(table, domains := [u.domain for u in self.exogenous])
+        if len(ranked[0]) < len(table):  # a key out of range
+            raise ModelError(_WORDS["dist-key"].format(out_of_range(table, domains)[0]))
+        return ranked
+
+    def noise_factors(self) -> list[dict | None]:
+        """Each exogenous term's marginal by value, or None where the term
+        is not independent of the others: one test of the whole table
+        (`_product_marginals`) clears every term, or else each term is
+        tested alone (`_factor`).  Kept, each test run once, for as long
+        as the table holds the same key and value objects in the same
+        order and `exogenous` is not set again.  Raises ModelError, in
+        `validate`'s words, on the model's first graph fault, then on a
+        `dist-key`, `dist-negative` (the first in table order) or
+        `dist-total` issue, in that order."""
+        _checked_index(self)
+        table = self.exo_table
+        kept = self._factors
+        if (kept and kept[0] is self.exogenous and len(kept[1]) == len(table)
                 and all(map(is_, kept[1], table)) and all(map(is_, kept[2], table.values()))):
-            ranked = row_major(table, domains := [u.domain for u in self.exogenous])
-            if len(ranked[0]) < len(table):  # a key out of range
-                raise ModelError(_WORDS["dist-key"].format(out_of_range(table, domains)[0]))
-            kept = self._ranked = (self.exogenous, tuple(table), tuple(table.values()), ranked)
-        return kept[3]
+            return kept[3]
+        ranked = self.ranked_noise()
+        _refuse_negative(table)
+        if not abs((total := sum(table.values())) - 1.0) <= TOL:  # as `validate_scm`
+            raise ModelError(_WORDS["dist-total"].format(total))
+        domains = [u.domain for u in self.exogenous]
+        factors = _product_marginals(ranked[2], domains) or [
+            _factor(ranked, domains, i) for i in range(len(domains))]
+        self._factors = (self.exogenous, tuple(table), tuple(table.values()), factors)
+        return factors
 
     # -- lookups ----------------------------------------------------------
 
@@ -347,9 +369,9 @@ def _faults(model: Scm, by_name: dict, exo_by_name: dict, dag: Dag) -> Iterator[
             if v.name in v.parents:
                 yield ValidationIssue("self-parent", f"{v.name} lists itself as a parent")
         above.add(v.name)
-        if v.exogenous not in exo_by_name:
-            yield ValidationIssue("unknown-exogenous",
-                                  f"{v.name} references unknown exogenous {v.exogenous}")
+        if v.exogenous not in exo_by_name:  # "" when no `exo` line names the variable
+            yield ValidationIssue("unknown-exogenous", f"{v.name} has no exo term" if not v.exogenous
+                                  else f"{v.name} references unknown exogenous {v.exogenous}")
 
     attached: dict[str, list[str]] = {}
     for u in model.exogenous:
@@ -578,31 +600,45 @@ def marginal(dist: Distribution, variables: Iterable[str]) -> Distribution:
     )
 
 
-def mechanism_kernel(model: Scm, variable: str) -> Kernel:
-    """The Markov kernel P(X | parents(X)) of one mechanism.
+def _product_marginals(values: Sequence[float], domains: Sequence[Sequence]) -> list | None:
+    """Each noise term's marginal by value, when the table of weights
+    `values` in row-major order is dense, holds no negative weight and lies
+    within ε (`mechanism_kernel`) of the product of its marginals; else
+    None.  A term's j-th value picks runs of `stride` entries, one `block`
+    apart, added from 0.0 in row-major order, in C."""
+    if len(values) != (entries := math.prod(map(len, domains))) or not min(values) >= 0:
+        return None
+    stride, sums = entries, []
+    for d in domains:
+        block, stride = stride, stride // len(d)
+        sums.append({x: _fold(itertools.compress(values, itertools.cycle(
+                         [0] * (j * stride) + [1] * stride + [0] * (block - (j + 1) * stride))))
+                     for j, x in enumerate(d)})
+    product = [1.0]
+    for own in reversed(sums):
+        product = [w * q for w in own.values() for q in product]
+    d = max(map(len, domains), default=0)
+    a = max((abs(1.0 - sum(own.values())) for own in sums), default=0.0)
+    eps = (TOL * (1 - 4 * TOL) - 1.001 * a - 5 * (len(sums) + d) * 2.0**-53) / (1 + d)
+    return sums if max(map(abs, map(sub, values, product))) <= eps else None
 
-    Defined only when the variable's exogenous term is independent of the
-    remaining exogenous variables under the joint exogenous table.  One pass
-    over the ranked entries (`Scm.ranked_noise`) sums the term's marginal by value
-    and the rest's by rank: the entry's rank less the term's offset.  Raises
-    ModelError, in `validate`'s words, on the model's first graph fault, then
-    on a `dist-key`, `dist-negative` (the first in table order) or
-    `dist-total` issue, in that order.
-    """
-    index = _checked_index(model)
-    v = model.variable(variable)
-    i, exo = index.exo_by_name[v.exogenous]
-    ranked = model.ranked_noise()
-    _refuse_negative(model.exo_table)
-    if not abs((total := sum(model.exo_table.values())) - 1.0) <= TOL:  # as `validate_scm`
-        raise ModelError(_WORDS["dist-total"].format(total))
-    stride = math.prod(len(u.domain) for u in model.exogenous[i + 1 :])
-    offset = {x: j * stride for j, x in enumerate(exo.domain)}  # as in the rank
 
-    # Factorisation check: P(u_i, rest) == P(u_i) * P(rest) at every pair,
-    # each entry once.  A pair missing from the table weighs zero; only the
-    # rests that occur are paired (a rest that never occurs weighs zero).
-    own: dict[Value, float] = dict.fromkeys(exo.domain, 0.0)
+# `sum` adds floats left to right up to Python 3.11, with compensation from 3.12 on
+_fold = (partial(sum, start=0.0) if sys.version_info < (3, 12)
+         else lambda column: reduce(add, column, 0.0))
+
+
+def _factor(ranked: tuple[tuple, ...], domains: Sequence[Sequence], i: int) -> dict | None:
+    """Noise term i's marginal by value, or None when the term is not
+    independent of the others: P(u_i, rest) == P(u_i) * P(rest) within TOL
+    at every pair, each entry once.  One pass over the ranked entries sums
+    the term's marginal by value and the rest's by rank: the entry's rank
+    less the term's offset.  A pair missing from the table weighs zero;
+    only the rests that occur are paired (a rest that never occurs weighs
+    zero)."""
+    stride = math.prod(len(d) for d in domains[i + 1 :])
+    offset = {x: j * stride for j, x in enumerate(domains[i])}  # as in the rank
+    own: dict[Value, float] = dict.fromkeys(domains[i], 0.0)
     rest: dict[int, float] = {}
     for r, key, p in zip(*ranked):
         x = key[i]
@@ -612,13 +648,58 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
     for r, key, p in zip(*ranked):
         x = key[i]
         if abs(p - own[x] * rest[r - offset[x]]) > TOL:
-            raise KernelUndefinedError("kernel undefined under exogenous dependence")
-    if len(ranked[0]) < len(rest) * len(exo.domain):  # pairs are missing
+            return None
+    if len(ranked[0]) < len(rest) * len(own):  # pairs are missing
         present = set(ranked[0])
         if any(abs(w * q) > TOL for r, q in rest.items() for val, w in own.items()
                if r + offset[val] not in present):
-            raise KernelUndefinedError("kernel undefined under exogenous dependence")
+            return None
+    return own
 
+
+def mechanism_kernel(model: Scm, variable: str) -> Kernel:
+    """The Markov kernel P(X | parents(X)) of one mechanism, each row the
+    marginal of X's noise term (`Scm.noise_factors`) added up by the
+    mechanism's value.  Raises ModelError, in `validate`'s words, on the
+    model's first graph fault or noise table issue (as `noise_factors`);
+    KernelUndefinedError when the term is not independent of the other
+    noise terms; then ModelError on a `mechanism-range`, `mechanism-gap`
+    or `mechanism-extra` issue.
+
+    Independence is tested once for all terms: they are independent
+    exactly when the table is the product Q of its marginals m_k.  A dense
+    table with no negative weight and |p - Q| <= ε at every entry passes
+    the per-term test (`_factor`) for every term, with d the largest
+    domain, a the largest |1 - sum of m_k| as summed, and u = 2^-53:
+
+        ε = (TOL (1 - 4 TOL) - 1.001 a - 5 (n + d) u) / (1 + d).
+
+    Proof.  Take term i, an entry p at (x, y), x its value and y the rest;
+    the per-term test sums r(y) over x and compares p with m_i(x) r(y).
+    With the summed marginals taken as exact, M(y) the product of the
+    others, T the exact sum of m_i, e = p - Q and E(y) the sum of e over x:
+    Q = m_i(x) M(y), r(y) = M(y) T + E(y), so
+
+        p - m_i(x) r(y) = Q (1 - T) + e - m_i(x) E(y),
+
+    at most (1 + d) ε when T = 1.  Rounding, with γ_k = k u / (1 - k u):
+    the product is Q within γ_(n-1) Q (underflow adds n 2^-1074), so
+    |e| <= ε (1 + 2u) + γ_(n-1) Q; |1 - T| <= a + γ_d T; r(y) is summed from
+    d weights within γ_d; the test's product and difference round twice.
+    No weight is negative, so m_i(x) <= T and p, r(y) <= S, the total,
+    within TOL of 1 as summed: S, Q and T stay below 1.001 for any table
+    in memory.  The deviation the per-term test computes is then at most
+
+        (1 + u) (1.001 a + (1 + d) ε (1 + 2u) + 2 TOL d ε + 4.1 γ_(n+d)),
+
+    below TOL (1 - 2 TOL + 4u) < TOL.  Any other table, as when |1 - T| or
+    rounding uses up ε, gets the per-term test term by term.
+    """
+    index = _checked_index(model)
+    v = model.variable(variable)
+    own = model.noise_factors()[index.exo_by_name[v.exogenous][0]]
+    if own is None:
+        raise KernelUndefinedError("kernel undefined under exogenous dependence")
     for words in _strays(v, model.mechanisms.get(v.name, {})):
         raise ModelError(words)
     rows: dict[tuple, dict[Value, float]] = {}

@@ -160,16 +160,16 @@ def _read_dist(lines: _Lines, k: int, table: dict[tuple, float]) -> bool:
     """Add to `table` the rows of the dist block opened on the line last
     read, each k values, ':' and a finite number, split `_CHUNK` lines at a
     time and checked a column at a time, and step `lines` past its closing
-    brace.  Reads nothing and returns False when the body is shorter than
+    brace.  Adds nothing and returns False when the body is shorter than
     `_LONG_DIST` lines, has no closing brace, or holds a comment, a blank
     line, a NUL, a row that the row loop would refuse or a key already
     read: the row loop reads the block then, and words its errors."""
-    raw, start = lines.raw, lines.line_no
+    raw, start, before = lines.raw, lines.line_no, len(table)
     if "}" in "".join(raw[start : start + _LONG_DIST]):
         return False  # a short block, or a brace in a token or a comment
     braced = compress(count(start), map(contains, islice(raw, start, None), repeat("}")))
     end = next((j for j in braced if raw[j].split("#", 1)[0].split() == _CLOSE), start)
-    width, rows = k + 3, {}  # a line: k values, ':', a number and a NUL
+    width = k + 3  # a line: k values, ':', a number and a NUL
     for at in range(start, end, _CHUNK):
         n = min(_CHUNK, end - at)
         body = " \0 ".join(raw[at : at + n]) + " \0"  # a NUL token ends each line
@@ -177,20 +177,22 @@ def _read_dist(lines: _Lines, k: int, table: dict[tuple, float]) -> bool:
         if ("#" in body or body.count("\0") != n or body.count(":") != n
                 or len(tokens) != width * n or tokens[k + 2 :: width].count("\0") != n
                 or tokens[k::width].count(":") != n):
-            return False
+            break
         try:
             probs = list(map(float, tokens[k + 1 :: width]))
         except ValueError:
-            return False
+            break
         if not math.isfinite(sum(probs)):  # a weight is not, or the sum overflowed
-            return False
-        rows.update(zip(zip(*(tokens[i::width] for i in range(k))), probs))
-    if end == start or len(rows) != end - start or not table.keys().isdisjoint(rows.keys()):
-        return False
-    table.update(rows)
-    next(islice(lines.numbered, end - start, None))  # the body, then the closing brace
-    lines.line_no = end + 1
-    return True
+            break
+        table.update(zip(zip(*(tokens[i::width] for i in range(k))), probs))
+    else:
+        if end > start and len(table) == before + end - start:  # no key read twice
+            next(islice(lines.numbered, end - start, None))  # the body, then the closing brace
+            lines.line_no = end + 1
+            return True
+    while len(table) > before:  # the keys this block added, last first; a key it
+        table.popitem()  # read again keeps its place, and the row loop refuses it
+    return False
 
 
 def _split_colon(tokens: list[str], lines: _Lines) -> tuple[list[str], list[str]]:

@@ -8,6 +8,7 @@ meaningful.  The oracles are intentionally slow and simple.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Mapping, Sequence
 
 
@@ -382,6 +383,46 @@ def plain_kernel(scm: dict, v: str, tol: float = 1e-9) -> dict[tuple, dict]:
         for uval, w in own.items():
             row[scm["mech"][v][(pa, uval)]] += w
         rows[pa] = row
+    return rows
+
+
+def per_term_test(table: Mapping[tuple, float], domains: Sequence[Sequence], i: int
+                  ) -> tuple[dict, float]:
+    """Noise term i's marginal and its largest deviation from independence,
+    as the per-term test of `mechanism_kernel` finds them: one pass over
+    the entries in row-major order sums the term's marginal by value and
+    the rest's by rank less the term's offset; the deviation is the largest
+    |p - own * rest| over the entries, and over each rest that occurs
+    paired with a noise value missing from the table (weight 0)."""
+    ranks, keys, values = ranked_by_index(table, domains)
+    stride = math.prod(len(d) for d in domains[i + 1 :])
+    offset = {x: j * stride for j, x in enumerate(domains[i])}
+    own = dict.fromkeys(domains[i], 0.0)
+    rest: dict[int, float] = {}
+    for r, key, p in zip(ranks, keys, values):
+        own[key[i]] += p
+        rest[r - offset[key[i]]] = rest.get(r - offset[key[i]], 0.0) + p
+    worst = max((abs(p - own[key[i]] * rest[r - offset[key[i]]])
+                 for r, key, p in zip(ranks, keys, values)), default=0.0)
+    present = set(ranks)
+    missing = [abs(w * q) for r, q in rest.items() for x, w in own.items()
+               if r + offset[x] not in present]
+    return own, max([worst, *missing])
+
+
+def per_term_kernel(scm: dict, v: str, tol: float = 1e-9) -> dict[tuple, dict]:
+    """P(v | parents) from the marginal of v's noise term, as
+    `per_term_test` finds it; ValueError when that test's deviation
+    exceeds `tol`."""
+    domains = [scm["exo_domains"][u] for u in scm["exo_order"]]
+    own, worst = per_term_test(scm["exo_dist"], domains, scm["exo_order"].index(scm["exo_of"][v]))
+    if worst > tol:
+        raise ValueError(f"the noise of {v} depends on the other noise terms")
+    rows: dict[tuple, dict] = {}
+    for pa in itertools.product(*(scm["domains"][q] for q in scm["parents"][v])):
+        rows[pa] = {x: 0.0 for x in scm["domains"][v]}
+        for uval, w in own.items():
+            rows[pa][scm["mech"][v][(pa, uval)]] += w
     return rows
 
 

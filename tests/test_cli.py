@@ -82,7 +82,7 @@ def test_an_exo_line_attaches_only_to_variables_above_it(tmp_path, capsys):
                  .replace("0 : 0.6", "0 : 0.5"))
     assert main(["validate", str(p)]) == 1
     out = capsys.readouterr().out
-    assert "[unknown-exogenous] A references unknown exogenous \n" in out
+    assert "[unknown-exogenous] A has no exo term\n" in out
     assert "[exogenous-attachment] A must have exactly one attached exogenous variable" in out
 
 
@@ -499,7 +499,7 @@ def test_audit_and_classify_refuse_a_self_parent_or_a_cycle(tmp_path, capsys, co
      ["[dup-variable] duplicate endogenous variable names"]),
     ("  var A : 0 1\n  var B : 0 1 parents A\n  exo U_A : 0 1 for A\n",
      "  exo U_A : 0 1 for A\n  var A : 0 1\n  var B : 0 1 parents A\n",
-     ["[unknown-exogenous] A references unknown exogenous ",
+     ["[unknown-exogenous] A has no exo term",
       "[exogenous-attachment] A must have exactly one attached exogenous variable"]),
 ], ids=["dup-variable", "exo-before-var"])
 @pytest.mark.parametrize("command", ["audit", "classify", "push"])

@@ -38,7 +38,8 @@ from absaudit.scm import (
 from absaudit.textfmt import Document, emit_document, emit_scm, parse_document
 
 from helpers import BIN, U2, chain, model, plain_scm, random_model, xor
-from oracles import dense_rows, plain_joint, plain_kernel, ranked_by_index
+from oracles import (dense_rows, per_term_kernel, per_term_test, plain_joint, plain_kernel,
+                     ranked_by_index)
 
 TOL = 1e-9
 DATA = importlib.resources.files("absaudit") / "data"
@@ -529,6 +530,12 @@ def test_kernel_checks_pairs_missing_from_the_table():
     for v in ("A", "B"):
         with pytest.raises(KernelUndefinedError, match="exogenous dependence"):
             mechanism_kernel(m, v)
+    # the table is not dense, so the test of the whole table leaves it to
+    # the per-term test, whose oracle agrees
+    assert scm_module._product_marginals(m.ranked_noise()[2], [u.domain for u in m.exogenous]) is None
+    for v in ("A", "B"):
+        with pytest.raises(ValueError):
+            per_term_kernel(plain_scm(m), v)
 
 
 def test_kernel_refuses_a_negative_weight_in_validates_words():
@@ -976,7 +983,7 @@ def test_rows_of_zips_its_columns_also_when_there_is_none():
 
 
 # ---------------------------------------------------------------------------
-# The ranked noise table kept on the model
+# The noise factors kept on the model
 # ---------------------------------------------------------------------------
 
 TABLE_EDITS = ("reweight", "delete", "insert", "move-to-end", "rekey", "permute-domain",
@@ -1018,26 +1025,173 @@ def _answers_match_the_oracles(m) -> None:
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**30),
        drop=st.integers(min_value=0, max_value=3), kind=st.sampled_from(TABLE_EDITS))
-def test_kept_ranking_never_goes_stale(seed, drop, kind):
-    """After one change to the table or a domain, the same model object gives
-    the joint and kernels of the changed model, including which kernels are
-    undefined or refused for the total, or refuses a key the change put out
-    of range; computing them
-    changes neither equality nor repr."""
+def test_kept_factors_never_go_stale(seed, drop, kind):
+    """After one change to the table or a domain, made in place, the same
+    model object gives the joint and kernels of the changed model,
+    including which kernels are undefined or refused for the total, or
+    refuses a key the change put out of range; its noise factors are
+    computed once per table state, and computing them changes neither
+    equality nor repr.  The dropped entries' weight moves to the first
+    entry, so the table before the change sums to 1."""
     rng = random.Random(seed)
     m = random_model(rng)
-    for key in rng.sample(list(m.exo_table), min(drop, len(m.exo_table) - 1)):
-        del m.exo_table[key]
+    first = next(iter(m.exo_table))
+    for key in rng.sample(list(m.exo_table)[1:], min(drop, len(m.exo_table) - 1)):
+        m.exo_table[first] += m.exo_table.pop(key)
     fresh = Scm(m.name, m.variables, m.exogenous, m.mechanisms, m.exo_table)
     shown = repr(m)
     _answers_match_the_oracles(m)
-    assert m.ranked_noise() is m.ranked_noise()  # ranked once, then kept
+    assert m.noise_factors() is m.noise_factors()  # computed once, then kept
     assert m == fresh and repr(m) == shown
 
     _edit_kept_table(rng, m, kind)
     if not _refused_strays(m):
         _answers_match_the_oracles(m)
-        assert m.ranked_noise() == row_major(m.exo_table, [u.domain for u in m.exogenous])
+        if abs(sum(m.exo_table.values()) - 1.0) <= TOL:
+            assert m.noise_factors() is m.noise_factors()
+            copy = Scm(m.name, m.variables, m.exogenous, m.mechanisms, dict(m.exo_table))
+            assert m.noise_factors() == copy.noise_factors()
+
+
+# ---------------------------------------------------------------------------
+# One independence test of the whole noise table
+# ---------------------------------------------------------------------------
+
+NOISE_KINDS = ("product", "moved", "edge", "total", "sparse", "coupled")
+
+
+def _weights(rng: random.Random, size: int, tiny: float | None = None) -> list[float]:
+    """`size` random weights summing to about 1; with `tiny`, one value
+    takes all but `tiny` of the mass, spread over the others."""
+    if tiny is not None and size > 1:
+        w = [tiny / (size - 1)] * size
+        w[rng.randrange(size)] = 1.0 - tiny
+        return w
+    w = [rng.randint(1, 8) for _ in range(size)]
+    return [x / sum(w) for x in w]
+
+
+def _noise_table(rng: random.Random, domains: list[tuple], kind: str) -> dict[tuple, float]:
+    """A noise table over `domains` of one kind: the product of random
+    marginals (`product`); such a product with entries moved by 0.1 to 3
+    TOL, from one entry to another or from nowhere (`moved`); a product
+    whose first term is near-deterministic, moved by 0.1 to 1 TOL at the
+    first two values of two other terms in a pattern that keeps every
+    marginal (`edge`: the first term's per-term deviation is up to d - 1
+    times the move, d its domain size, so the whole-table test accepts the
+    smaller moves and the per-term test refuses some of the larger); a
+    product
+    of near-deterministic marginals scaled to a total of 1 +- 0.9 TOL
+    (`total`); a product with its zero entries, or some entries whose
+    weight moves to the first, left out (`sparse`); or the product of a
+    random joint of two terms and the marginals of the others (`coupled`)."""
+    tiny = rng.choice({"total": (0.0, 1e-12, 1e-9, 1e-6), "sparse": (None, 0.0),
+                       "edge": (1e-6,)}.get(kind, (None,)))
+    marginals = [_weights(rng, len(d), tiny if j == 0 or kind != "edge" else None)
+                 for j, d in enumerate(domains)]
+    pair = sorted(rng.sample(range(len(domains)), 2)) if kind == "coupled" else []
+    coupled = (dict(zip(itertools.product(domains[pair[0]], domains[pair[1]]),
+                        _weights(rng, len(domains[pair[0]]) * len(domains[pair[1]]))))
+               if pair else {})
+    table = {}
+    for key in itertools.product(*domains):
+        p = coupled[key[pair[0]], key[pair[1]]] if pair else 1.0
+        for j, (x, d) in enumerate(zip(key, domains)):
+            if j not in pair:
+                p *= marginals[j][d.index(x)]
+        table[key] = p
+    keys = list(table)
+    if kind == "moved":
+        for _ in range(rng.randint(1, 3)):
+            step = rng.choice((-1, 1)) * rng.uniform(0.1, 3.0) * TOL
+            table[rng.choice(keys)] += step
+            if rng.random() < 0.5:
+                table[rng.choice(keys)] -= step
+    elif kind == "edge":
+        step = rng.uniform(0.1, 1.0) * TOL
+        j, k = rng.sample(range(1, len(domains)), 2)
+        for key in keys:
+            sign = [1, -1, 0][domains[j].index(key[j])] * [1, -1, 0][domains[k].index(key[k])]
+            table[key] += sign * step
+    elif kind == "total":
+        scale = 1.0 + rng.choice((-0.9, 0.9)) * TOL
+        table = {k: p * scale for k, p in table.items()}
+    elif kind == "sparse":
+        for key in keys[1:]:
+            if table[key] == 0.0 or rng.random() < 0.2:
+                table[keys[0]] += table.pop(key)
+    return table
+
+
+def _answer(call):
+    """The rows of `call()` as ordered items, or the class and words of its
+    refusal; a ValueError of an oracle counts as KernelUndefinedError."""
+    try:
+        rows = call()
+    except (ModelError, ValueError) as refused:
+        kind = KernelUndefinedError if isinstance(refused, (KernelUndefinedError, ValueError)) \
+            else type(refused)
+        return kind.__name__, None if kind is KernelUndefinedError else str(refused)
+    return [(k, list(r.items())) for k, r in getattr(rows, "rows", rows).items()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**30), kind=st.sampled_from(NOISE_KINDS))
+def test_the_whole_table_test_gives_the_per_term_answers(seed, kind):
+    """On product tables, products moved by 0.1 to 3 TOL or to the edge of
+    the whole-table test, totals of 1 +- 0.9 TOL with near-deterministic
+    terms, sparse tables and tables with two coupled terms, every kernel, KernelUndefinedError or ModelError
+    is the one the per-term test gives (`oracles.per_term_kernel`, the
+    test `mechanism_kernel` ran on each call before) and `plain_kernel`
+    gives; and wherever the whole-table test accepts, the per-term
+    deviation of every term is within TOL."""
+    rng = random.Random(seed)
+    m = random_model(rng)
+    while len(m.exogenous) < {"coupled": 2, "edge": 3}.get(kind, 1):
+        m = random_model(rng)
+    domains = [u.domain for u in m.exogenous]
+    m.exo_table = _noise_table(rng, domains, kind)
+    plain = plain_scm(m)
+    total = sum(m.exo_table.values())
+    for v in m.variable_names:
+        got = _answer(lambda: mechanism_kernel(m, v))
+        if not abs(total - 1.0) <= TOL:
+            assert got == ("ModelError", f"exogenous table sums to {total!r}, not 1")
+            continue
+        assert got == _answer(lambda: per_term_kernel(plain, v)) == _answer(
+            lambda: plain_kernel(plain, v))
+    if abs(total - 1.0) <= TOL:
+        ranked = m.ranked_noise()
+        if scm_module._product_marginals(ranked[2], domains) is not None:
+            for i in range(len(domains)):
+                assert per_term_test(m.exo_table, domains, i)[1] <= TOL
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_each_independence_test_runs_once_per_table_state(monkeypatch, coupled):
+    """The kernels of every variable, asked twice, run the whole-table test
+    once; on a product table no per-term test runs, and on a table whose
+    first two terms are coupled each term's per-term test runs once.  A
+    reweight in place runs them again, once."""
+    m = chain("m", [f"X{i}" for i in range(6)])
+    if coupled:
+        for key in m.exo_table:
+            m.exo_table[key] *= 1.5 if key[0] == key[1] else 0.5
+    runs = []
+    for name in ("_product_marginals", "_factor"):
+        real = getattr(scm_module, name)
+        monkeypatch.setattr(scm_module, name,
+                            lambda *args, name=name, real=real: runs.append(name) or real(*args))
+    for _ in range(2):
+        answers = [_answer(lambda: mechanism_kernel(m, v)) for v in m.variable_names]
+    want = ["_product_marginals"] + ["_factor"] * 6 * coupled
+    assert runs == want
+    assert [a == ("KernelUndefinedError", None) for a in answers] == [coupled] * 2 + [False] * 4
+    key = next(iter(m.exo_table))
+    m.exo_table[key] = m.exo_table[key] * 1.0 + 0.0  # an equal weight, a new object
+    for v in m.variable_names:
+        _answer(lambda: mechanism_kernel(m, v))
+    assert runs == want * 2
 
 
 class _Pairs(Mapping):

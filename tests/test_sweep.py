@@ -100,6 +100,16 @@ def test_sweep_on_two_files():
     for v in ("T", "C"):
         assert (lines_by_argv[f"kernel {stray} --model chain3_micro {v}"]
                 == lines_by_argv[f"kernel models/chain3_micro.scm --model chain3_micro {v}"])
+    # chain3_micro.scm with 0.6 TOL of weight moved from its first dist row,
+    # noise values 0 0 0, to its second, 0 0 1: every kernel is defined, C's
+    # moves with the marginal of C's noise term, and S's and T's do not
+    near = "models/chain3_micro.scm.near-product-chain3_micro"
+    assert [argv for argv in argvs if argv.startswith(f"kernel {near} ")] == [
+        f"kernel {near} --model chain3_micro {v}" for v in ("S", "T", "C")]
+    for v in ("S", "T", "C"):
+        got = lines_by_argv[f"kernel {near} --model chain3_micro {v}"]
+        want = lines_by_argv[f"kernel models/chain3_micro.scm --model chain3_micro {v}"]
+        assert got[0] == "0" and (got == want) == (v != "C")
     # one kernel line per variable of chain3_micro, in declaration order
     kernels = [argv for argv in argvs if argv.startswith("kernel models/chain3_micro.scm ")]
     assert kernels == [f"kernel models/chain3_micro.scm --model chain3_micro {v}"

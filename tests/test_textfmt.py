@@ -13,6 +13,7 @@ from absaudit.errors import AbsauditError, ModelError, ParseError
 from absaudit.textfmt import (
     HEADER,
     Document,
+    _CHUNK,
     _LONG_DIST,
     emit_abstraction,
     emit_document,
@@ -578,6 +579,32 @@ def test_a_long_dist_block_at_the_end_of_the_text(closing, reason, last):
     with pytest.raises(ParseError) as err:
         parse_document(text)
     assert (err.value.reason, err.value.line) == (reason, last)
+
+
+@pytest.mark.parametrize("earlier", [0, 3], ids=["first-block", "after-a-block"])
+@pytest.mark.parametrize("late", ["x 0 : 0.5  # a comment", "x 0 : half", "0 0 : 0.5"],
+                         ids=["comment", "bad-number", "repeated-key"])
+def test_a_dist_block_read_in_part_falls_back_whole(earlier, late):
+    """A dist block longer than `_CHUNK` rows, alone or after a block of
+    `earlier` rows, whose second chunk holds a comment, a bad number or the
+    key of its first row: its first chunk went into the model's table,
+    which loses those rows again before the row loop reads the block, so
+    the parse gives the plain reading's table or its error, and no
+    duplicate row."""
+    blocks = [[f"e{i} 0 : 0.25" for i in range(earlier)],
+              [f"{i} {i % 3} : 0.5" for i in range(_CHUNK + 10)]]
+    blocks[1][_CHUNK + 5] = late
+    text = TWO_TERMS % "".join("  dist U W {\n" + "".join(f"    {row}\n" for row in rows)
+                               + "  }\n" for rows in blocks if rows)
+    want = _plain_dist_rows([row.split() for row in blocks[0]], 8)
+    want = _plain_dist_rows([row.split("#", 1)[0].split() for row in blocks[1]],
+                            8 + (earlier and earlier + 2), want)
+    if isinstance(want, dict):
+        assert list(parse_document(text).models["m"].exo_table.items()) == list(want.items())
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.reason, err.value.line) == want
 
 
 def _commented(text: str) -> str:

@@ -27,6 +27,12 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   second row gains what the first lost; each is run through
   validate, dist --model, and push --abs for every abstraction reading
   that model as its source;
+* per model whose `dist` block is dense (a row for every joint noise value)
+  over two noise terms or more: a copy of its file in which 0.6 TOL of
+  weight moves from the block's first row to its second, which keeps the
+  total (`near_product`), so the table lies just off the product of its
+  marginals, where the kernels' test of the whole table gives way to the
+  per-term test; each gets the library lines below;
 * per model whose first `mech` block has a row: a copy of its file in which
   that block gains the row again, keyed by a label no domain of the model
   holds (`stray_rows`), so the refusal of a stray mechanism input shows;
@@ -83,8 +89,9 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   opens with `ABSAUDIT_ENUM_CAP=N`, and the call runs with that variable
   set.
 
-Last come, for each parsable file, then for each invalid-noise copy and
-then for each stray-row copy, one line for the library call
+Last come, for each parsable file, then for each invalid-noise copy, for
+each stray-row copy and for each near-product copy, one line for the
+library call
 `emit_document(parse_path(file))` and one line per variable of each of its
 models for `mechanism_kernel(model, variable)`:
 
@@ -94,7 +101,7 @@ models for `mechanism_kernel(model, variable)`:
 where the hash is of the emitted text or the kernel's rows, or of the
 error's class and words; the variables of one model are asked in
 declaration order of one parsed model, so its later kernels reuse the
-ranked noise table.
+noise factors (`Scm.noise_factors`) that its first computed.
 
 The files are copied into a scratch directory and named by their path under
 the data directory, so the lines do not depend on where a checkout lives.
@@ -113,6 +120,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import math
 import os
 import pathlib
 import random
@@ -164,6 +172,7 @@ REQUIRE = ",".join((
 FIRST_ROW = ("bad-key", "bad-total")
 UNKNOWN_REQUIRE = ("audit", "figures/fig3a.abs", "--require", "functorial,no-such-property")
 UNKNOWN_PARENT = "undeclared"  # the parent name of the `unknown-parent` copies
+NEAR_PRODUCT = 0.6e-9  # the weight a `near_product` copy moves: 0.6 TOL
 # the kinds of `graph_fault` copy
 GRAPH_FAULTS = ("unknown-parent", "self-parent", "cyclic", "dup-variable", "exo-before-var")
 CAP_ENV = "ABSAUDIT_ENUM_CAP"
@@ -407,6 +416,32 @@ def stray_rows(text: str, doc) -> list[tuple[str, str]]:
     return out
 
 
+def near_product(text: str, doc) -> list[tuple[str, str]]:
+    """(model, copy of `text`) for each model of `doc` whose `dist` block
+    holds a row for every joint value of two noise terms or more: the
+    block's first row weighs `NEAR_PRODUCT` less and its second row that
+    much more."""
+    lines, out, model, rows = text.split("\n"), [], None, None
+    for i, line in enumerate(lines):
+        row = line.split("#")[0].split()
+        if opened := SCM_OPEN.match(line):
+            model = opened[1]
+        elif DIST_OPEN.match(line):
+            rows = []
+        elif rows is not None and line.strip() == "}":
+            noise = doc.models[model].exogenous
+            if len(noise) > 1 and len(rows) == math.prod(len(u.domain) for u in noise):
+                new = lines[:]
+                for (j, tokens), step in zip(rows, (-NEAR_PRODUCT, NEAR_PRODUCT)):
+                    indent = lines[j][: len(lines[j]) - len(lines[j].lstrip())]
+                    new[j] = indent + " ".join([*tokens[:-1], repr(float(tokens[-1]) + step)])
+                out.append((model, "\n".join(new)))
+            rows = None
+        elif rows is not None and row:
+            rows.append((i, row))
+    return out
+
+
 def graph_fault(text: str, doc, fault: str) -> str:
     """A copy of `text`, whose one abstraction is that of `doc`, in which the
     map's source has the graph fault `fault`: its last variable lists
@@ -575,6 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.shuffle_dist)
     noise_rng = random.Random(args.shuffle_dist)  # keeps `rng`'s draws as they were
     last_rng = random.Random(args.shuffle_dist)  # keeps `noise_rng`'s draws as they were
+    near_rng = random.Random(args.shuffle_dist)  # keeps `last_rng`'s draws as they were
     here = os.getcwd()
     os.environ["COLUMNS"] = "80"  # help text wraps at the terminal's width
     with tempfile.TemporaryDirectory() as scratch:
@@ -584,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
         complete.write_text(complete_dag(), encoding="utf-8")
         pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
         pathlib.Path(scratch, CHAIN_MAPS_FILE).write_text(chain_maps(), encoding="utf-8")
-        names, cut, faults, noisy, stray = [], [], {fault: [] for fault in GRAPH_FAULTS}, [], []
+        names, cut, faults, noisy, stray, near = [], [], {f: [] for f in GRAPH_FAULTS}, [], [], []
         sources = [(path.relative_to(data) if path.is_relative_to(data) else path.name,
                     path.read_bytes()) for path in files]
         for name, original in sources + [(PARITY_FILE, parity_chain().encode("utf-8"))]:
@@ -614,6 +650,11 @@ def main(argv: list[str] | None = None) -> int:
             for model, extra in stray_rows(text.decode("utf-8"), doc):
                 stray.append(f"{name}.stray-row-{model}")
                 pathlib.Path(scratch, stray[-1]).write_text(extra, encoding="utf-8")
+            for model, moved in near_product(original.decode("utf-8"), doc):
+                if args.shuffle_dist is not None:
+                    moved = shuffle_dist(moved, near_rng)
+                near.append(f"{name}.near-product-{model}")
+                pathlib.Path(scratch, near[-1]).write_text(moved, encoding="utf-8")
         for command, tag, trimmed in cuts(chain_maps(["identity"])):
             if "edge-row" in tag:
                 cut.append((command, f"{CHAIN_IDENTITY_FILE}.{tag}"))
@@ -623,8 +664,8 @@ def main(argv: list[str] | None = None) -> int:
             for line_argv in calls(names, parse_path, cut, sum(faults.values(), []), noisy,
                                    stray):
                 print(call(absaudit_main, line_argv))
-            for line in library_lines(names + [path for path, _ in noisy] + stray, parse_path,
-                                      emit_document, mechanism_kernel):
+            for line in library_lines(names + [path for path, _ in noisy] + stray + near,
+                                      parse_path, emit_document, mechanism_kernel):
                 print(line)
         finally:
             os.chdir(here)
