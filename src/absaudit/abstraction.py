@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, TypeVar
 
 from .errors import TOL, DEFAULT_EXO_CAP, ModelError, check_cap
@@ -300,6 +300,11 @@ def validate_abstraction(
 # Pushforward
 # ---------------------------------------------------------------------------
 
+def _repeated(column: list, times: list[int]) -> list:
+    """Each entry of `column` as many times in a row as `times` says."""
+    return list(chain.from_iterable(map(repeat, column, times)))
+
+
 def pushforward(
     abstraction: Abstraction,
     dist: Distribution,
@@ -314,13 +319,18 @@ def pushforward(
     variables are marginalised out.  With a global map the full joint is
     rewritten row by row.  Each map's key column (its sources' values at
     every supported outcome) looks up its supported rows, read once as
-    (value, weight) cells; each outcome walks the product of its rows, one
-    value per map with the weights multiplied left to right.  Mass landing
-    on unmapped (empty) rows is lost; that raises an error unless
-    `renormalize` is set, in which case the remaining mass is scaled back
-    to one.  Raises CapacityError, before the walk, when the cells it would
-    walk (per outcome, the product of its rows' support sizes) exceed the
-    joint's cap (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`).
+    (value, weight) cells: a per-variable map's value is its one label, the
+    global map's the whole target outcome, and one outside the target
+    domain raises ModelError in `validate`'s `outcome-range` words.  The
+    maps are walked in order on columns, the mass and one value column per
+    map; at a map with a row of 0 or several cells, every column first
+    repeats once per cell, so the cells come in `itertools.product` order,
+    the weights multiplied left to right.  Mass landing on unmapped (empty)
+    rows is lost; that raises an error unless `renormalize` is set, in which
+    case the remaining mass is scaled back to one.  Raises CapacityError,
+    before the walk, when the cells it would walk (per outcome, the product
+    of its rows' support sizes) exceed the joint's cap (`errors.check_cap`:
+    10^7 or `ABSAUDIT_ENUM_CAP`).
     """
     if dist.scope != source.variable_names:
         raise ModelError("the distribution scope must match the source model")
@@ -336,27 +346,45 @@ def pushforward(
     if None in maps:
         raise ModelError(f"no outcome map for target variable {out_scope[maps.index(None)]}")
     outcomes = [outcome for outcome, p in dist.probs.items() if p != 0.0]
-    weights = [p for p in dist.probs.values() if p != 0.0]
-    places = {name: list(map(itemgetter(i), outcomes)) for i, name in enumerate(dist.scope)}
-    row_columns = []  # the cells of the supported row each outcome picks in each map, or ()
+    mass = [p for p in dist.probs.values() if p != 0.0]
+    places = dict(zip(dist.scope, zip(*outcomes) if outcomes else repeat(())))
+    pending = []  # per map, the cells of the row each outcome picks, or ()
     for om in maps:
-        if unknown := set(om.sources) - places.keys():
+        if unknown := set(om.sources).difference(dist.scope):
             raise ModelError(f"outcome map for {om.target} reads unknown variable {min(unknown)!r}")
         if om.is_global and tuple(om.onto) != out_scope:  # its values would be mislabelled
             raise ModelError(_ONTO)
-        cells = {key: tuple(row.items()) for key, row in om.supported_rows().items()}
+        rows = om.supported_rows()
+        scope = out_domains if om.is_global else [target.domain_of(om.target)]
+        if stray := out_of_range(dict.fromkeys(chain.from_iterable(rows.values())), scope):
+            key = next(key for key, row in rows.items() if stray[0] in row)
+            raise ModelError(f"outcome row {key!r} for {om.target} hits {stray[0]!r} "
+                             "outside the target domain")
+        by_key = {key: tuple(row.items()) if om.is_global
+                  else tuple(zip(map(itemgetter(0), row), row.values()))
+                  for key, row in rows.items()}
         keys = rows_of([places[s] for s in om.sources], len(outcomes))
-        row_columns.append(list(map(cells.get, keys, repeat(()))))
-    count = sum(map(prod, rows_of([map(len, c) for c in row_columns], len(weights))))
+        pending.append(list(map(by_key.get, keys, repeat(()))))
+    del outcomes, places  # the walk reads only the picked cells
+    count = sum(map(prod, rows_of([map(len, picks) for picks in pending], len(mass))))
     check_cap(count, DEFAULT_EXO_CAP,
               f"pushforward through {abstraction.name!r} walks {count} outcome cells")
+    columns = [mass]  # the mass, then one value column per map walked
+    while pending:
+        picks, *pending = pending
+        times = list(map(len, picks))
+        if times.count(1) == len(times):  # every row picks one cell
+            cells = list(map(itemgetter(0), picks))
+        else:  # each row repeats once per cell of the row it picks, or drops out
+            columns = [_repeated(column, times) for column in columns]
+            pending = [_repeated(later, times) for later in pending]
+            cells = list(chain.from_iterable(picks))
+        columns[0] = list(map(mul, columns[0], map(itemgetter(1), cells)))
+        columns.append(list(map(itemgetter(0), cells)))
+    mass, *walked = columns
     probs: dict[tuple, float] = {}
-    for p, rows in zip(weights, rows_of(row_columns, len(weights))):
-        # the mass leads as a cell of no value, so that reading no map still walks one cell
-        for cells in product((((), p),), *rows):
-            vals, ws = zip(*cells)
-            k = tuple(chain.from_iterable(vals))
-            probs[k] = probs.get(k, 0.0) + prod(ws)
+    for k, p in zip(walked[0] if GLOBAL in by_target else rows_of(walked, len(mass)), mass):
+        probs[k] = probs.get(k, 0.0) + p
 
     total = sum(probs.values())
     if abs(total - dist.total) > TOL:

@@ -436,9 +436,11 @@ def validate_scm(model: Scm) -> ValidationReport:
         for words in _strays(v, table):
             report.add("mechanism-range", words)
 
-    # Joint exogenous table: each key by the range rule.
+    # Joint exogenous table: each key by the range rule, entry by entry only
+    # when a key is out of range or a weight below -TOL.
     strays = set(out_of_range(model.exo_table, [u.domain for u in model.exogenous]))
-    for combo, p in model.exo_table.items():
+    below = map(lt, model.exo_table.values(), itertools.repeat(-TOL))
+    for combo, p in model.exo_table.items() if strays or any(below) else ():
         if combo in strays:
             report.add("dist-key", _WORDS["dist-key"].format(combo))
         if p < -TOL:

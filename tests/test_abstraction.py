@@ -387,6 +387,35 @@ abs swap {
     assert str(refused.value) == words
 
 
+def test_pushforward_refuses_a_value_outside_the_target_domain(micro, macro):
+    """An unvalidated map whose supported row hits a value that is not a
+    target outcome (a per-variable value that is not a 1-tuple of the
+    variable's domain, a global value of the wrong length) is refused before
+    the walk, in the words of `validate`'s `outcome-range` issue; a bad
+    value of weight zero is never read."""
+    layers = []
+    for bad in (("0", "1"), "0", ("2",), ()):
+        maps = proj_outcomes()
+        maps[1].rows[("1",)] = {("0",): 0.0, bad: 1.0}
+        layers.append((maps, ("1",)))
+    rows = {key: {(key[0], key[2]): 1.0} for key in block(micro, ("S", "T", "C"))}
+    rows[("1", "0", "1")] = {("1",): 1.0}
+    whole = OutcomeMap(GLOBAL, ("S", "T", "C"), rows, onto=("S'", "C'"))
+    layers.append(([whole], ("1", "0", "1")))
+    for maps, key in layers:
+        a = collapse(micro, macro, maps)
+        words = {i.message for i in validate_abstraction(a, micro, macro).issues
+                 if i.code == "outcome-range"}
+        with pytest.raises(ModelError) as refused:
+            pushforward(a, joint_distribution(micro), micro, macro, renormalize=True)
+        assert words == {str(refused.value)}
+        assert str(refused.value).startswith(f"outcome row {key!r} for ")
+    maps = proj_outcomes()
+    maps[1].rows[("1",)] = {("1",): 1.0, ("0", "1"): 0.0}
+    pushed = pushforward(collapse(micro, macro, maps), joint_distribution(micro), micro, macro)
+    assert abs(pushed.prob(("1", "1")) - 0.25) <= TOL
+
+
 def test_pushforward_scope_mismatch(micro, macro):
     a = collapse(micro, macro, proj_outcomes())
     with pytest.raises(ModelError, match="scope"):
@@ -412,8 +441,9 @@ def test_pushforward_names_an_unknown_source_variable(micro, macro):
 
 def test_pushforward_onto_a_model_without_variables(micro):
     """A target without variables reads no map (here the unvalidated map
-    has one for an unknown variable), so every outcome walks the product of
-    no rows, one empty cell, and all the mass lands on the empty outcome."""
+    has one for an unknown variable), so the walk passes no map: each
+    outcome stays one row under the empty key, and all the mass lands on
+    the empty outcome."""
     empty = Scm("empty", [], [], {}, {(): 1.0})
     a = abstraction("a", micro, empty, {}, outcomes=[proj_outcomes()[0]])
     pushed = pushforward(a, joint_distribution(micro), micro, empty)
@@ -475,14 +505,18 @@ def test_pushforward_global_map(micro, macro):
 # Pushforward against the plain oracle
 # ---------------------------------------------------------------------------
 
-LAYERS = ("deterministic", "stochastic", "partial", "global", "cells")
+LAYERS = ("deterministic", "stochastic", "partial", "global", "cells", "spread", "empty")
 
 
-def _random_target(rng, name, prefix):
-    """A model of one to three parentless variables of two or three values."""
+def _random_target(rng, name, prefix, kind):
+    """A model of one to three parentless variables of two or three values;
+    for "spread", three variables of three values, and for "empty", none."""
+    sizes = {"spread": (3, 3, 3), "empty": ()}.get(kind)
+    if sizes is None:
+        sizes = [rng.randint(2, 3) for _ in range(rng.randint(1, 3))]
     spec = []
-    for j in range(rng.randint(1, 3)):
-        domain = tuple(str(x) for x in range(rng.randint(2, 3)))
+    for j, size in enumerate(sizes):
+        domain = tuple(str(x) for x in range(size))
         spec.append((f"{prefix}{j}", domain, (), lambda pa, u, d=domain: d[0]))
     return model(name, spec, {v: U2 for v, _, _, _ in spec})
 
@@ -516,21 +550,26 @@ def _random_layer(rng, source, target, kind):
     """Outcome maps from `source` onto `target`.  Each target variable reads
     a random block of source variables (some are read by none); "global" is
     one map between every variable of both.  "partial" and "cells" omit
-    some rows."""
+    some rows.  "spread" gives the middle of three maps rows of 0, 1 or 3
+    cells, between maps of one cell per row, so the walk repeats its columns
+    mid-way.  "empty" has one map, for a variable the target lacks."""
     if kind == "global":
         values = list(block(target, target.variable_names))
         rows = {key: _random_row(rng, values, "partial")
                 for key in block(source, source.variable_names)
                 if rng.random() < 0.9}
         return [OutcomeMap(GLOBAL, source.variable_names, rows, onto=target.variable_names)]
+    if kind == "empty":
+        return [OutcomeMap(target="Y0", sources=(), rows={(): {("0",): 1.0}})]
     owner = {v: rng.randrange(len(target.variables) + 1) for v in source.variable_names}
     maps = []
     for j, y in enumerate(target.variable_names):
         sources = tuple(v for v in source.variable_names if owner[v] == j)
         values = [(x,) for x in target.domain_of(y)]
-        rows = {key: _random_row(rng, values, kind)
+        row_kind = {"spread": "cells" if j == 1 else "deterministic"}.get(kind, kind)
+        rows = {key: _random_row(rng, values, row_kind)
                 for key in block(source, sources)
-                if kind not in ("partial", "cells") or rng.random() < 0.9}
+                if row_kind not in ("partial", "cells") or rng.random() < 0.9}
         maps.append(OutcomeMap(target=y, sources=sources, rows=rows))
     return maps
 
@@ -541,15 +580,17 @@ def test_pushforward_matches_plain_oracle(seed, kind):
     """The oracle's floats in the oracle's order, exactly, also for rows of
     0, 1 or 3 cells with integer weights; a partial layer raises without
     `renormalize` and is rescaled with it.  The cells walked are counted
-    first: a cap of one cell fewer than the oracle lists raises."""
+    first: a cap of one cell fewer than the oracle lists raises.  A target
+    without variables reads no map: every outcome's mass lands on ()."""
     rng = random.Random(seed)
     source = random_model(rng)
-    target = _random_target(rng, "tgt", "Y")
+    target = _random_target(rng, "tgt", "Y", kind)
     a = abstraction("a", source, target, {}, outcomes=_random_layer(rng, source, target, kind))
     dist = joint_distribution(source)
     dist.probs.setdefault(tuple(rng.choice(v.domain) for v in source.variables), 0.0)
     index = {v: i for i, v in enumerate(source.variable_names)}
-    maps = [([index[s] for s in om.sources], om.rows) for om in a.outcome_maps]
+    maps = [([index[s] for s in om.sources], om.rows) for om in a.outcome_maps
+            if om.is_global or om.target in target.variable_names]
     want = plain_pushforward(dist.probs, maps)
     cells = pushforward_cells(dist.probs, maps)
     words = f"^pushforward through 'a' walks {cells} outcome cells, exceeding .* of {cells - 1}$"

@@ -110,6 +110,17 @@ def test_sweep_on_two_files():
         got = lines_by_argv[f"kernel {near} --model chain3_micro {v}"]
         want = lines_by_argv[f"kernel models/chain3_micro.scm --model chain3_micro {v}"]
         assert got[0] == "0" and (got == want) == (v != "C")
+    # fig3a.abs with each row of its first outcome map, S' from S T, sent
+    # half to its value and half to the other value of S': push reads it,
+    # plain and with --renormalize, and the rows of C' are as written
+    text = (DATA / "figures" / "fig3a.abs").read_text(encoding="utf-8")
+    halved = sweep.split_rows(text, doc).split("\n")
+    assert [line.strip() for line in halved if ":" in line][-6:] == [
+        "0 0 : 0 0.5 1 0.5", "0 1 : 0 0.5 1 0.5", "1 0 : 1 0.5 0 0.5", "1 1 : 1 0.5 0 0.5",
+        "0 : 0 1.0", "1 : 1 1.0"]
+    for flag in ("", " --renormalize"):
+        for fmt in ("", "--format json "):
+            assert codes[f"{fmt}push figures/fig3a.abs.split-rows{flag}"] == "0"
     # one kernel line per variable of chain3_micro, in declaration order
     kernels = [argv for argv in argvs if argv.startswith("kernel models/chain3_micro.scm ")]
     assert kernels == [f"kernel models/chain3_micro.scm --model chain3_micro {v}"

@@ -37,6 +37,12 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   that block gains the row again, keyed by a label no domain of the model
   holds (`stray_rows`), so the refusal of a stray mechanism input shows;
   each is run through validate;
+* per file whose abstraction has per-variable outcome maps: a copy in
+  which each row of the first such map sends its key to its first value
+  and to the next value of the target variable's domain (the first after
+  the last), half each (`split_rows`), so the pushforward repeats its
+  columns at the first map and walks the later maps on the repeated rows;
+  each is run through push and push --renormalize;
 * per file with an abstraction: audit and classify on a copy whose map's
   source lists a parent that no model declares, then on one whose source
   has a self-parent, on one whose source has a cycle, on one whose
@@ -138,6 +144,7 @@ DIST_OPEN = re.compile(r"^\s*dist\b.*\{\s*$")
 MECH_OPEN = re.compile(r"^\s*mech\b.*\{\s*$")
 EDGES_OPEN = re.compile(r"^\s*edges\s+\{\s*$")
 SCM_OPEN = re.compile(r"^\s*scm\s+(\S+)\s*\{\s*$")
+OUTCOMES_OPEN = re.compile(r"^\s*outcomes\s+(\S+)\s+from\b.*\{\s*$")
 COMPLETE = ("z", "n10", "n9", "b", "n2", "a", "m")  # declaration order
 COMPLETE_FILE = "generated/complete7.scm"
 DEEP = tuple(f"p{i}" for i in range(7))
@@ -442,6 +449,31 @@ def near_product(text: str, doc) -> list[tuple[str, str]]:
     return out
 
 
+def split_rows(text: str, doc) -> str | None:
+    """A copy of `text`, whose one abstraction is that of `doc`, in which
+    each row of the first per-variable outcome map sends its key to its
+    first value at weight 0.5 and to the next value of the target
+    variable's domain (the first after the last) at 0.5; None when the
+    abstraction has no per-variable map, or its first one's target variable
+    has one value."""
+    (a,) = doc.abstractions.values()
+    lines, domain = text.split("\n"), None
+    for i, line in enumerate(lines):
+        if domain is None and (opened := OUTCOMES_OPEN.match(line)) and opened[1] != "*":
+            domain = doc.models[a.target_ref].domain_of(opened[1])
+            if len(domain) < 2:
+                return None
+        elif domain is not None and line.strip() == "}":
+            return "\n".join(lines)
+        elif domain is not None and (row := line.split("#")[0].split()):
+            colon = row.index(":")
+            first = row[colon + 1]
+            after = domain[(domain.index(first) + 1) % len(domain)]
+            indent = line[: len(line) - len(line.lstrip())]
+            lines[i] = indent + " ".join([*row[: colon + 1], first, "0.5", after, "0.5"])
+    return None
+
+
 def graph_fault(text: str, doc, fault: str) -> str:
     """A copy of `text`, whose one abstraction is that of `doc`, in which the
     map's source has the graph fault `fault`: its last variable lists
@@ -487,12 +519,13 @@ def graph_fault(text: str, doc, fault: str) -> str:
 
 
 def calls(files: list[str], parse_path, cut: list[tuple[str, str]], faulty: list[str],
-          noisy: list[tuple[str, str]], stray: list[str]) -> list[list[str]]:
+          noisy: list[tuple[str, str]], stray: list[str], split: list[str]) -> list[list[str]]:
     """The argv of every sweep call on `files`, on the (command, copy) pairs
     in `cut` whose copy lacks a line, on the copies in `faulty` whose map's
     source has a graph fault, on the (copy, model) pairs in `noisy` with
-    invalid noise and on the copies in `stray` whose mechanism holds a stray
-    input (paths in the working dir)."""
+    invalid noise, on the copies in `stray` whose mechanism holds a stray
+    input and on the copies in `split` whose first outcome map's rows are
+    split (paths in the working dir)."""
     plain: list[list[str]] = []
     for path in files:
         plain += [[cmd, path] for cmd in ("validate", "graph", "dist", "audit",
@@ -534,6 +567,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]], faulty: list
                   for name, a in parse_path(path).abstractions.items()
                   if a.source_ref == model]
     plain += [["validate", path] for path in stray]
+    plain += [["push", path, *flag] for path in split for flag in ([], ["--renormalize"])]
     plain += [["tables", "--which", w] for w in ("both", "structural", "distributional")]
     plain += [["tables", "--truth", "tables/structural.tbl"]]
     plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
@@ -620,7 +654,8 @@ def main(argv: list[str] | None = None) -> int:
         complete.write_text(complete_dag(), encoding="utf-8")
         pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
         pathlib.Path(scratch, CHAIN_MAPS_FILE).write_text(chain_maps(), encoding="utf-8")
-        names, cut, faults, noisy, stray, near = [], [], {f: [] for f in GRAPH_FAULTS}, [], [], []
+        names, cut, noisy, stray, near, split = [], [], [], [], [], []
+        faults = {f: [] for f in GRAPH_FAULTS}
         sources = [(path.relative_to(data) if path.is_relative_to(data) else path.name,
                     path.read_bytes()) for path in files]
         for name, original in sources + [(PARITY_FILE, parity_chain().encode("utf-8"))]:
@@ -650,6 +685,9 @@ def main(argv: list[str] | None = None) -> int:
             for model, extra in stray_rows(text.decode("utf-8"), doc):
                 stray.append(f"{name}.stray-row-{model}")
                 pathlib.Path(scratch, stray[-1]).write_text(extra, encoding="utf-8")
+            if doc.abstractions and (halved := split_rows(text.decode("utf-8"), doc)):
+                split.append(f"{name}.split-rows")
+                pathlib.Path(scratch, split[-1]).write_text(halved, encoding="utf-8")
             for model, moved in near_product(original.decode("utf-8"), doc):
                 if args.shuffle_dist is not None:
                     moved = shuffle_dist(moved, near_rng)
@@ -662,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
         os.chdir(scratch)
         try:
             for line_argv in calls(names, parse_path, cut, sum(faults.values(), []), noisy,
-                                   stray):
+                                   stray, split):
                 print(call(absaudit_main, line_argv))
             for line in library_lines(names + [path for path, _ in noisy] + stray + near,
                                       parse_path, emit_document, mechanism_kernel):
