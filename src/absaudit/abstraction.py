@@ -42,6 +42,8 @@ class Direction(enum.Enum):
 
 GLOBAL = "*"  # target marker for a whole-model outcome map
 _ONTO = "the global outcome map must write every target variable in declaration order"
+_RANGE = "outcome row {!r} for {} hits {!r} outside the target domain"
+_WALK = 1 << 10  # cells a pushforward walks at once, which bounds the columns it holds
 
 K = TypeVar("K")
 
@@ -277,11 +279,7 @@ def validate_abstraction(
             total = 0.0
             for val, w in row.items():
                 if val in stray_values:
-                    report.add(
-                        "outcome-range",
-                        f"outcome row {key!r} for {om.target} hits {val!r} "
-                        "outside the target domain",
-                    )
+                    report.add("outcome-range", _RANGE.format(key, om.target, val))
                 if w < -TOL:
                     report.add(
                         "outcome-negative", f"negative weight {w} in outcome row {key!r}"
@@ -305,6 +303,28 @@ def _repeated(column: list, times: list[int]) -> list:
     return list(chain.from_iterable(map(repeat, column, times)))
 
 
+def _walk(mass: list[float], pending: list[list]) -> list[list]:
+    """The mass column and one value column per map, over the cells of the
+    outcomes in `mass` in `itertools.product` order; `pending` holds, per
+    map, the cells of the row each outcome picks.  A map whose rows all hold
+    one cell appends its values and multiplies the mass by its weights; a
+    map with a row of 0 or several cells first repeats every column, and
+    the cells of the maps still to walk, once per cell of the row."""
+    columns = [mass]
+    while pending:
+        picks, *pending = pending
+        times = list(map(len, picks))
+        if times.count(1) == len(times):  # every row picks one cell
+            cells = list(map(itemgetter(0), picks))
+        else:  # each row repeats once per cell of the row it picks, or drops out
+            columns = [_repeated(column, times) for column in columns]
+            pending = [_repeated(later, times) for later in pending]
+            cells = list(chain.from_iterable(picks))
+        columns[0] = list(map(mul, columns[0], map(itemgetter(1), cells)))
+        columns.append(list(map(itemgetter(0), cells)))
+    return columns
+
+
 def pushforward(
     abstraction: Abstraction,
     dist: Distribution,
@@ -322,15 +342,14 @@ def pushforward(
     (value, weight) cells: a per-variable map's value is its one label, the
     global map's the whole target outcome, and one outside the target
     domain raises ModelError in `validate`'s `outcome-range` words.  The
-    maps are walked in order on columns, the mass and one value column per
-    map; at a map with a row of 0 or several cells, every column first
-    repeats once per cell, so the cells come in `itertools.product` order,
-    the weights multiplied left to right.  Mass landing on unmapped (empty)
-    rows is lost; that raises an error unless `renormalize` is set, in which
-    case the remaining mass is scaled back to one.  Raises CapacityError,
-    before the walk, when the cells it would walk (per outcome, the product
-    of its rows' support sizes) exceed the joint's cap (`errors.check_cap`:
-    10^7 or `ABSAUDIT_ENUM_CAP`).
+    maps are walked in order on columns (`_walk`), so the cells come in
+    `itertools.product` order, the weights multiplied left to right, a run
+    of outcomes at a time: as many as hold `_WALK` cells, or one.  Mass
+    landing on unmapped (empty) rows is lost; that raises an error unless
+    `renormalize` is set, in which case the remaining mass is scaled back
+    to one.  Raises CapacityError, before the walk, when the cells it would
+    walk (per outcome, the product of its rows' support sizes) exceed the
+    joint's cap (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`).
     """
     if dist.scope != source.variable_names:
         raise ModelError("the distribution scope must match the source model")
@@ -358,33 +377,23 @@ def pushforward(
         scope = out_domains if om.is_global else [target.domain_of(om.target)]
         if stray := out_of_range(dict.fromkeys(chain.from_iterable(rows.values())), scope):
             key = next(key for key, row in rows.items() if stray[0] in row)
-            raise ModelError(f"outcome row {key!r} for {om.target} hits {stray[0]!r} "
-                             "outside the target domain")
+            raise ModelError(_RANGE.format(key, om.target, stray[0]))
         by_key = {key: tuple(row.items()) if om.is_global
                   else tuple(zip(map(itemgetter(0), row), row.values()))
                   for key, row in rows.items()}
         keys = rows_of([places[s] for s in om.sources], len(outcomes))
         pending.append(list(map(by_key.get, keys, repeat(()))))
     del outcomes, places  # the walk reads only the picked cells
-    count = sum(map(prod, rows_of([map(len, picks) for picks in pending], len(mass))))
+    counts = list(map(prod, rows_of([map(len, picks) for picks in pending], len(mass))))
+    count = sum(counts)
     check_cap(count, DEFAULT_EXO_CAP,
               f"pushforward through {abstraction.name!r} walks {count} outcome cells")
-    columns = [mass]  # the mass, then one value column per map walked
-    while pending:
-        picks, *pending = pending
-        times = list(map(len, picks))
-        if times.count(1) == len(times):  # every row picks one cell
-            cells = list(map(itemgetter(0), picks))
-        else:  # each row repeats once per cell of the row it picks, or drops out
-            columns = [_repeated(column, times) for column in columns]
-            pending = [_repeated(later, times) for later in pending]
-            cells = list(chain.from_iterable(picks))
-        columns[0] = list(map(mul, columns[0], map(itemgetter(1), cells)))
-        columns.append(list(map(itemgetter(0), cells)))
-    mass, *walked = columns
+    step = max(1, _WALK // (max(counts, default=0) or 1))  # outcomes walked at once
     probs: dict[tuple, float] = {}
-    for k, p in zip(walked[0] if GLOBAL in by_target else rows_of(walked, len(mass)), mass):
-        probs[k] = probs.get(k, 0.0) + p
+    for at in range(0, len(mass), step):
+        part, *walked = _walk(mass[at:at + step], [picks[at:at + step] for picks in pending])
+        for k, p in zip(walked[0] if GLOBAL in by_target else rows_of(walked, len(part)), part):
+            probs[k] = probs.get(k, 0.0) + p
 
     total = sum(probs.values())
     if abs(total - dist.total) > TOL:

@@ -575,13 +575,15 @@ def _random_layer(rng, source, target, kind):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**30), kind=st.sampled_from(LAYERS))
-def test_pushforward_matches_plain_oracle(seed, kind):
+@given(seed=st.integers(min_value=0, max_value=2**30), kind=st.sampled_from(LAYERS),
+       walk=st.sampled_from((1, 3, abstraction_module._WALK)))
+def test_pushforward_matches_plain_oracle(seed, kind, walk):
     """The oracle's floats in the oracle's order, exactly, also for rows of
-    0, 1 or 3 cells with integer weights; a partial layer raises without
-    `renormalize` and is rescaled with it.  The cells walked are counted
-    first: a cap of one cell fewer than the oracle lists raises.  A target
-    without variables reads no map: every outcome's mass lands on ()."""
+    0, 1 or 3 cells with integer weights, and when the walk takes the
+    outcomes a few at a time (`walk` cells at once); a partial layer raises
+    without `renormalize` and is rescaled with it.  The cells walked are
+    counted first: a cap of one cell fewer than the oracle lists raises.  A
+    target without variables reads no map: every outcome's mass lands on ()."""
     rng = random.Random(seed)
     source = random_model(rng)
     target = _random_target(rng, "tgt", "Y", kind)
@@ -599,7 +601,8 @@ def test_pushforward_matches_plain_oracle(seed, kind):
             with pytest.raises(CapacityError, match=words):
                 pushforward(a, dist, source, target, renormalize=True)
     total = sum(want.values())
-    with mock.patch.dict(os.environ, {ENUM_CAP_ENV: str(max(cells, 1))}):
+    with mock.patch.dict(os.environ, {ENUM_CAP_ENV: str(max(cells, 1))}), \
+            mock.patch.object(abstraction_module, "_WALK", walk):
         if abs(total - dist.total) <= TOL:
             got = pushforward(a, dist, source, target)
             assert list(got.probs.items()) == list(want.items())
@@ -613,6 +616,33 @@ def test_pushforward_matches_plain_oracle(seed, kind):
             want = {k: p / total for k, p in want.items()}
         got = pushforward(a, dist, source, target, renormalize=True)
     assert list(got.probs.items()) == list(want.items())
+
+
+def test_pushforward_walks_a_bounded_number_of_cells_at_once():
+    """Four maps that split every row across two values walk 16 cells per
+    outcome of a 16-outcome joint.  Held to 40 cells at once, the walk takes
+    two outcomes at a time, and gives the floats, in their order, of one
+    walk over every outcome, which are the oracle's."""
+    micro, macro = chain("micro", list("ABCD")), chain("macro", ["A'", "B'", "C'", "D'"])
+    split = {("0",): {("0",): 0.3, ("1",): 0.7}, ("1",): {("0",): 0.1, ("1",): 0.9}}
+    maps = [OutcomeMap(f"{v}'", (v,), split) for v in "ABCD"]
+    a = abstraction("a", micro, macro, {v: f"{v}'" for v in "ABCD"}, outcomes=maps)
+    dist = joint_distribution(micro)
+    whole = pushforward(a, dist, micro, macro)
+    assert list(whole.probs.items()) == list(plain_pushforward(
+        dist.probs, [([i], om.rows) for i, om in enumerate(maps)]).items())
+    walk, walked = abstraction_module._walk, []
+
+    def counted(mass, pending):
+        columns = walk(mass, pending)
+        walked.append(len(columns[0]))
+        return columns
+
+    with mock.patch.object(abstraction_module, "_WALK", 40), \
+            mock.patch.object(abstraction_module, "_walk", counted):
+        parts = pushforward(a, dist, micro, macro)
+    assert walked == [32] * 8
+    assert list(parts.probs.items()) == list(whole.probs.items())
 
 
 # ---------------------------------------------------------------------------
