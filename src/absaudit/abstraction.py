@@ -22,14 +22,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from math import prod
 from operator import itemgetter, mul
 from typing import Mapping, TypeVar
 
 from .errors import TOL, DEFAULT_EXO_CAP, ModelError, check_cap
 from .errors import RenormalizationRequiredError
-from .scm import Dag, Distribution, Scm, ValidationReport, out_of_range, rows_of
-from .scm import underlying_graph
+from .scm import Dag, Distribution, Scm, ValidationReport, out_of_range, refuse_misshapen
+from .scm import rows_of, underlying_graph
 from . import freecat
 
 
@@ -303,20 +302,21 @@ def _repeated(column: list, times: list[int]) -> list:
     return list(chain.from_iterable(map(repeat, column, times)))
 
 
-def _walk(mass: list[float], pending: list[list]) -> list[list]:
+def _walk(mass: list[float], pending: list[list], single: list[bool]) -> list[list]:
     """The mass column and one value column per map, over the cells of the
     outcomes in `mass` in `itertools.product` order; `pending` holds, per
     map, the cells of the row each outcome picks.  A map whose rows all hold
-    one cell appends its values and multiplies the mass by its weights; a
-    map with a row of 0 or several cells first repeats every column, and
-    the cells of the maps still to walk, once per cell of the row."""
+    one cell (`single`, decided once per map over every outcome) appends its
+    values and multiplies the mass by its weights; any other map first
+    repeats every column, and the cells of the maps still to walk, once per
+    cell of the row each outcome picks, or drops the outcome."""
     columns = [mass]
     while pending:
-        picks, *pending = pending
-        times = list(map(len, picks))
-        if times.count(1) == len(times):  # every row picks one cell
+        (picks, *pending), (one, *single) = pending, single
+        if one:
             cells = list(map(itemgetter(0), picks))
-        else:  # each row repeats once per cell of the row it picks, or drops out
+        else:
+            times = list(map(len, picks))
             columns = [_repeated(column, times) for column in columns]
             pending = [_repeated(later, times) for later in pending]
             cells = list(chain.from_iterable(picks))
@@ -347,9 +347,11 @@ def pushforward(
     of outcomes at a time: as many as hold `_WALK` cells, or one.  Mass
     landing on unmapped (empty) rows is lost; that raises an error unless
     `renormalize` is set, in which case the remaining mass is scaled back
-    to one.  Raises CapacityError, before the walk, when the cells it would
-    walk (per outcome, the product of its rows' support sizes) exceed the
-    joint's cap (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`).
+    to one.  Raises, before the walk, ModelError on an outcome of `dist`
+    that is not one value per scope variable (`scm.refuse_misshapen`), and
+    CapacityError when the cells it would walk (per outcome, the product of
+    its rows' support sizes, taken once per map) exceed the joint's cap
+    (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`).
     """
     if dist.scope != source.variable_names:
         raise ModelError("the distribution scope must match the source model")
@@ -364,6 +366,7 @@ def pushforward(
     maps = [by_target[GLOBAL]] if GLOBAL in by_target else list(map(by_target.get, out_scope))
     if None in maps:
         raise ModelError(f"no outcome map for target variable {out_scope[maps.index(None)]}")
+    refuse_misshapen(dist)
     outcomes = [outcome for outcome, p in dist.probs.items() if p != 0.0]
     mass = [p for p in dist.probs.values() if p != 0.0]
     places = dict(zip(dist.scope, zip(*outcomes) if outcomes else repeat(())))
@@ -384,14 +387,18 @@ def pushforward(
         keys = rows_of([places[s] for s in om.sources], len(outcomes))
         pending.append(list(map(by_key.get, keys, repeat(()))))
     del outcomes, places  # the walk reads only the picked cells
-    counts = list(map(prod, rows_of([map(len, picks) for picks in pending], len(mass))))
+    single, counts = [], [1] * len(mass)  # whether each map picks one cell a row; cells per outcome
+    for times in (list(map(len, picks)) for picks in pending):
+        single.append(times.count(1) == len(times))
+        counts = counts if single[-1] else list(map(mul, counts, times))
     count = sum(counts)
     check_cap(count, DEFAULT_EXO_CAP,
               f"pushforward through {abstraction.name!r} walks {count} outcome cells")
     step = max(1, _WALK // (max(counts, default=0) or 1))  # outcomes walked at once
     probs: dict[tuple, float] = {}
     for at in range(0, len(mass), step):
-        part, *walked = _walk(mass[at:at + step], [picks[at:at + step] for picks in pending])
+        part, *walked = _walk(mass[at:at + step], [picks[at:at + step] for picks in pending],
+                              single)
         for k, p in zip(walked[0] if GLOBAL in by_target else rows_of(walked, len(part)), part):
             probs[k] = probs.get(k, 0.0) + p
 

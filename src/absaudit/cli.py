@@ -12,7 +12,8 @@ import gc
 import json
 import math
 import sys
-from itertools import chain, repeat
+from itertools import compress, repeat
+from operator import ne
 from json.encoder import encode_basestring_ascii
 
 # Lazily loaded (see the package docstring): read their attributes at call
@@ -23,7 +24,7 @@ from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
 from .scm import Distribution, Scm, ValidationReport, intervene, joint_distribution, marginal
 from .scm import row_major, underlying_graph, validate_scm
-from .textfmt import Document, join_labels, parse_path
+from .textfmt import Document, chunks, join_labels, join_rows, parse_path
 
 OK, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
 
@@ -89,29 +90,34 @@ def _intervened(model: Scm, items: list[str]) -> Scm:
 
 def _dist_rows(dist: Distribution) -> list[tuple[str, float]]:
     _, outcomes, probs = row_major(dist.probs, dist.domains)
-    return [(join_labels(outcome), p) for outcome, p in zip(outcomes, probs) if p != 0.0]
+    kept = list(map(ne, probs, repeat(0.0)))
+    return list(zip(join_rows(list(compress(outcomes, kept))), compress(probs, kept)))
 
 
 def _print_dist(dist: Distribution, as_json: bool) -> None:
     """The scope, then the nonzero outcomes: in text in row-major order; in
     JSON the bytes of `json.dumps({"probs": ..., "scope": ...}, sort_keys=True)`,
-    written one label at a time in sorted order (parsed labels join to
-    distinct keys), so no copy of the whole text is held.  A weight is its
-    `repr`, as in `json.dumps`, unless the weights do not sum to a finite
-    number: then `json.dumps` writes each (NaN, Infinity)."""
+    written in sorted label order (parsed labels join to distinct keys).
+    Either is formatted and written a chunk of rows at a time
+    (`textfmt.chunks`), so no copy of the whole text is held.  A weight is
+    its `repr`, as in `json.dumps`, unless the weights do not sum to a
+    finite number: then `json.dumps` writes each (NaN, Infinity)."""
     if as_json:
         probs = {join_labels(k): p for k, p in dist.probs.items() if p != 0.0}
         number = repr if math.isfinite(sum(probs.values())) else json.dumps
         sys.stdout.write('{"probs": {')
-        sys.stdout.writelines(map("{}{}: {}".format, chain([""], repeat(", ")),
-                                  map(encode_basestring_ascii, order := sorted(probs)),
-                                  map(number, map(probs.__getitem__, order))))
+        sep = ""
+        for part in chunks(sorted(probs)):
+            sys.stdout.write(sep + ", ".join(map(": ".join, zip(
+                map(encode_basestring_ascii, part), map(number, map(probs.__getitem__, part))))))
+            sep = ", "
         scope = ", ".join(map(encode_basestring_ascii, dist.scope))
         sys.stdout.write(f'}}, "scope": [{scope}]}}\n')
     else:
         print(" ".join(dist.scope))
-        for key, p in _dist_rows(dist):
-            print(f"{key} : {p!r}")
+        for part in chunks(_dist_rows(dist)):
+            labels, probs = zip(*part)
+            sys.stdout.write("\n".join(map(" : ".join, zip(labels, map(repr, probs)))) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,9 @@ class Scm:
     exogenous: tuple[Exogenous, ...]
     mechanisms: dict[str, dict[tuple, Value]]
     exo_table: dict[tuple, float]
-    # (exogenous, table keys, table values, factors) of the last `noise_factors` call
-    _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # [exogenous, table keys, table values, factors, (ranked table, domains) or None]
+    # of the last noise table tested (`Scm._tested`)
+    _factors: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, attr: str, value) -> None:
         if attr in ("variables", "exogenous"):
@@ -176,20 +177,31 @@ class Scm:
         `validate`'s words, on the model's first graph fault, then on a
         `dist-key`, `dist-negative` (the first in table order) or
         `dist-total` issue, in that order."""
+        return self._tested(range(len(self.exogenous)))
+
+    def _tested(self, terms: Iterable[int]) -> list:
+        """The kept list of `noise_factors`, after the per-term test of each
+        of `terms` that the whole-table test left untested has run; a term
+        not yet tested holds `...`."""
         _checked_index(self)
         table = self.exo_table
         kept = self._factors
-        if (kept and kept[0] is self.exogenous and len(kept[1]) == len(table)
+        if not (kept and kept[0] is self.exogenous and len(kept[1]) == len(table)
                 and all(map(is_, kept[1], table)) and all(map(is_, kept[2], table.values()))):
-            return kept[3]
-        ranked = self.ranked_noise()
-        _refuse_negative(table)
-        if not abs((total := sum(table.values())) - 1.0) <= TOL:  # as `validate_scm`
-            raise ModelError(_WORDS["dist-total"].format(total))
-        domains = [u.domain for u in self.exogenous]
-        factors = _product_marginals(ranked[2], domains) or [
-            _factor(ranked, domains, i) for i in range(len(domains))]
-        self._factors = (self.exogenous, tuple(table), tuple(table.values()), factors)
+            ranked = self.ranked_noise()
+            _refuse_negative(table)
+            if not abs((total := sum(table.values())) - 1.0) <= TOL:  # as `validate_scm`
+                raise ModelError(_WORDS["dist-total"].format(total))
+            domains = [u.domain for u in self.exogenous]
+            factors = _product_marginals(ranked[2], domains)
+            kept = self._factors = [self.exogenous, tuple(table), tuple(table.values()),
+                                    factors or [...] * len(domains), (ranked, domains)]
+        factors = kept[3]
+        for i in terms:
+            if factors[i] is ...:
+                factors[i] = _factor(*kept[4], i)
+        if ... not in factors:
+            kept[4] = None  # the ranked table is kept only while a term is untested
         return factors
 
     # -- lookups ----------------------------------------------------------
@@ -523,9 +535,11 @@ def joint_distribution(model: Scm) -> Distribution:
     """Joint endogenous distribution by enumeration of the exogenous support.
 
     Walks the nonzero entries of `exo_table` in row-major order
-    (`Scm.ranked_noise`) by columns: in topological order, each variable's
-    column holds its value at every entry, read from its mechanism with its
-    parents' columns and its noise column.  The outcomes zip the columns in
+    (`Scm.ranked_noise`) by columns: the entries' keys are transposed once
+    into one noise column per term, and in topological order each
+    variable's column holds its value at every entry, read from its
+    mechanism with its parents' columns and its noise column, which is
+    dropped then.  The outcomes zip the columns in
     declaration order and are summed in entry order, so every sum and the
     outcome order are those of a walk over the dense product of the domains.
     Raises, before any mechanism is read, ModelError in `validate`'s words on
@@ -543,10 +557,12 @@ def joint_distribution(model: Scm) -> Distribution:
     combos, weights = (list(itertools.compress(c, supported)) for c in (keys, values))
     check_cap(len(weights), DEFAULT_EXO_CAP,
               f"exogenous table of {model.name!r} has {len(weights)} supported assignments")
+    noise = dict(zip(model.exogenous_names, zip(*combos) if combos else itertools.repeat(())))
+    del combos  # each noise column is dropped once its variable has read it
     columns: dict[str, list] = {}
     for v in map(index.by_name.__getitem__, index.dag.topological_order):
         inputs = [columns[q] for q in v.parents]
-        inputs.append(map(itemgetter(index.exo_by_name[v.exogenous][0]), combos))
+        inputs.append(noise.pop(v.exogenous))
         mechanism = model.mechanisms.get(v.name, {})
         for words in _strays(v, mechanism):  # no column holds a value outside its domain
             raise ModelError(words)
@@ -584,12 +600,23 @@ def mechanism_rows(model: Scm, v: Variable) -> Iterator[tuple[tuple, Value]]:
         raise ModelError(_WORDS["mechanism-extra"].format(v.name, stray))
 
 
+def refuse_misshapen(dist: Distribution) -> None:
+    """Raise ModelError at the first outcome of `dist` that does not hold
+    one value per variable of its scope."""
+    if set(map(len, dist.probs)) - {len(dist.scope)}:
+        bad = next(k for k in dist.probs if len(k) != len(dist.scope))
+        raise ModelError(f"outcome {bad!r} has {len(bad)} values for a scope of "
+                         f"{len(dist.scope)} variables")
+
+
 def marginal(dist: Distribution, variables: Iterable[str]) -> Distribution:
-    """Marginal over a subset of the scope, kept in canonical scope order."""
+    """Marginal over a subset of the scope, kept in canonical scope order;
+    ModelError on an outcome that is not one value per scope variable."""
     wanted = set(variables)
     unknown = wanted - set(dist.scope)
     if unknown:
         raise ModelError(f"unknown variables in marginal: {sorted(unknown)}")
+    refuse_misshapen(dist)
     keep = [i for i, name in enumerate(dist.scope) if name in wanted]
     probs: dict[tuple, float] = {}
     keys = rows_of([map(itemgetter(i), dist.probs) for i in keep], len(dist.probs))
@@ -695,11 +722,13 @@ def mechanism_kernel(model: Scm, variable: str) -> Kernel:
         (1 + u) (1.001 a + (1 + d) ε (1 + 2u) + 2 TOL d ε + 4.1 γ_(n+d)),
 
     below TOL (1 - 2 TOL + 4u) < TOL.  Any other table, as when |1 - T| or
-    rounding uses up ε, gets the per-term test term by term.
+    rounding uses up ε, gets the per-term test of X's own term only, run
+    once per table state however many kernels ask for it (`Scm._tested`).
     """
     index = _checked_index(model)
     v = model.variable(variable)
-    own = model.noise_factors()[index.exo_by_name[v.exogenous][0]]
+    i = index.exo_by_name[v.exogenous][0]
+    own = model._tested([i])[i]
     if own is None:
         raise KernelUndefinedError("kernel undefined under exogenous dependence")
     for words in _strays(v, model.mechanisms.get(v.name, {})):

@@ -57,8 +57,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
-from operator import contains
-from typing import Iterator
+from operator import add, contains
+from typing import Iterator, Sequence
 
 from .abstraction import (
     GLOBAL,
@@ -153,7 +153,12 @@ class _Lines:
 
 
 _LONG_DIST = 24  # body lines from which one split of a dist block beats a split per row (README)
-_CHUNK = 1024  # body lines split at once, which bounds the copies a long block makes
+_CHUNK = 1024  # lines split or written at once, which bounds the copies a long table makes
+
+
+def chunks(rows: Sequence) -> Iterator[Sequence]:
+    """`rows` in runs of `_CHUNK`, as a writer formats them."""
+    return (rows[at : at + _CHUNK] for at in range(0, len(rows), _CHUNK))
 
 
 def _read_dist(lines: _Lines, k: int, table: dict[tuple, float]) -> bool:
@@ -453,6 +458,14 @@ def join_labels(values: tuple) -> str:
         return " ".join(map(str, values))
 
 
+def join_rows(keys: Sequence[tuple]) -> list[str]:
+    """`join_labels` of each of `keys`, in C unless a label is an integer."""
+    try:
+        return list(map(" ".join, keys))
+    except TypeError:  # an integer label
+        return list(map(join_labels, keys))
+
+
 def _path_token(m: tuple[str, ...]) -> str:
     return "^".join(m * 2 if len(m) == 1 else m)
 
@@ -470,8 +483,9 @@ def emit_scm(model: Scm) -> list[str]:
         out.append(f"  exo {u.name} : {join_labels(u.domain)} for {u.endogenous}")
     if model.exogenous:
         out.append(f"  dist {join_labels(model.exogenous_names)} {{")
-        for combo, p in zip(keys, values):
-            out.append(f"    {join_labels(combo)} : {_num(p)}")
+        for combos, weights in zip(chunks(keys), chunks(values)):  # each weight as `_num` writes it
+            out += map(add, repeat("    "), map(" : ".join, zip(
+                join_rows(combos), map(repr, map(float, weights)))))
         out.append("  }")
     for v in model.variables:
         rows = (f"    {join_labels(key)} : {value}" for key, value in mechanism_rows(model, v))

@@ -6,6 +6,7 @@ import importlib.resources
 import itertools
 import os
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -30,7 +31,7 @@ from absaudit.errors import (
     RenormalizationRequiredError,
 )
 from absaudit.audit import audit_abstraction
-from absaudit.scm import Exogenous, Scm, Variable, joint_distribution
+from absaudit.scm import Exogenous, Scm, Variable, joint_distribution, marginal
 from absaudit.textfmt import parse_document
 
 from helpers import BIN, U2, M, abstraction, chain, det_outcomes, model, random_model
@@ -422,6 +423,23 @@ def test_pushforward_scope_mismatch(micro, macro):
         pushforward(a, joint_distribution(macro), micro, macro)
 
 
+@pytest.mark.parametrize("outcome", [("1", "1"), ("1", "1", "1", "1")], ids=["short", "long"])
+@pytest.mark.parametrize("weight", [0.25, 0.0])
+def test_pushforward_and_marginal_refuse_an_outcome_off_the_scope(micro, macro, outcome, weight):
+    """The S,T,C joint with one more entry, a value short or a value over:
+    `pushforward` and `marginal` refuse it before reading any row, also at
+    weight 0, rather than raise a KeyError or IndexError or read the long
+    entry's first three values."""
+    dist = joint_distribution(micro)
+    dist.probs[outcome] = weight
+    words = rf"^outcome {re.escape(repr(outcome))} has {len(outcome)} values for a scope of 3"
+    with pytest.raises(ModelError, match=words):
+        pushforward(collapse(micro, macro, proj_outcomes()), dist, micro, macro)
+    for kept in (["C"], ["S", "T", "C"], []):
+        with pytest.raises(ModelError, match=words):
+            marginal(dist, kept)
+
+
 def test_pushforward_needs_every_target_variable(micro, macro):
     a = collapse(micro, macro, [proj_outcomes()[0]])
     with pytest.raises(ModelError, match="no outcome map for target variable C'"):
@@ -633,8 +651,8 @@ def test_pushforward_walks_a_bounded_number_of_cells_at_once():
         dist.probs, [([i], om.rows) for i, om in enumerate(maps)]).items())
     walk, walked = abstraction_module._walk, []
 
-    def counted(mass, pending):
-        columns = walk(mass, pending)
+    def counted(*args):
+        columns = walk(*args)
         walked.append(len(columns[0]))
         return columns
 

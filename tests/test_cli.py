@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import importlib.resources
 import io
+import itertools
 import json
 import os
 import random
@@ -13,11 +14,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import absaudit
+from absaudit import textfmt
 from absaudit.abstraction import OutcomeMap, pushforward
 from absaudit.cli import _dist_rows, _print_dist, build_parser, main
 from absaudit.scm import Distribution, intervene, joint_distribution, marginal
@@ -530,19 +533,50 @@ def test_audit_and_classify_refuse_every_graph_fault(tmp_path, capsys, command, 
                                    float("inf"), float("-inf"), float("nan")]),
                   st.floats()),
         max_size=8),
+    chunk=st.sampled_from((1, 3, textfmt._CHUNK)),
 )
-def test_dist_json_is_json_dumps_written_a_label_at_a_time(scope, probs):
+def test_dist_json_is_json_dumps_written_a_label_at_a_time(scope, probs, chunk):
     """`dist --format json` and `push --format json` print the bytes of
     `json.dumps(payload, sort_keys=True)`: escapes, non-ASCII, integer
-    labels, the shortest float text and json's NaN and Infinity."""
+    labels, the shortest float text and json's NaN and Infinity, also when
+    the labels are written `chunk` at a time."""
     dist = Distribution(scope=tuple(scope), domains=(), probs=probs)
     want = json.dumps({"scope": scope,
                        "probs": {join_labels(k): p for k, p in probs.items() if p != 0.0}},
                       sort_keys=True)
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), mock.patch.object(textfmt, "_CHUNK", chunk):
         _print_dist(dist, as_json=True)
     assert out.getvalue() == want + "\n"
+
+
+_LABEL = st.one_of(st.text(st.sampled_from("ab1 \u2028"), max_size=2), st.integers(-3, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(domains=st.lists(st.lists(_LABEL, min_size=1, max_size=3, unique=True).map(tuple),
+                        max_size=3),
+       data=st.data(), chunk=st.sampled_from((1, 3, textfmt._CHUNK)))
+def test_dist_text_is_printed_a_row_at_a_time(domains, data, chunk):
+    """`dist` and `push` in text print the bytes of `print` of the scope,
+    then of `label : repr(weight)` per nonzero outcome in row-major order,
+    an outcome outside the domains left out, also when the rows are
+    written `chunk` at a time: integer labels, zeros, NaN and the shortest
+    float text."""
+    outcomes = list(itertools.product(*domains)) + [("x",) * len(domains)]
+    weights = st.sampled_from([0.0, -0.0, 0.25, 0.1 + 0.2, 5e-324, -1.0, float("nan"), 1])
+    probs = data.draw(st.dictionaries(st.sampled_from(outcomes), weights))
+    dist = Distribution(tuple(f"V{i}" for i in range(len(domains))), tuple(domains), probs)
+    want = io.StringIO()
+    with contextlib.redirect_stdout(want):
+        print(" ".join(dist.scope))
+        for outcome in itertools.product(*domains):
+            if probs.get(outcome, 0.0) != 0.0:
+                print(f"{join_labels(outcome)} : {probs[outcome]!r}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(textfmt, "_CHUNK", chunk):
+        _print_dist(dist, as_json=False)
+    assert out.getvalue() == want.getvalue()
 
 
 def test_dist_rows_follow_the_domains_and_skip_zeros():

@@ -12,11 +12,11 @@ import sys
 
 import pytest
 
-from absaudit.abstraction import validate_abstraction
+from absaudit.abstraction import pushforward, validate_abstraction
 from absaudit.audit import audit_abstraction
 from absaudit.cli import build_parser, main
 from absaudit.freecat import hom_set
-from absaudit.scm import underlying_graph, validate_scm
+from absaudit.scm import joint_distribution, underlying_graph, validate_scm
 from absaudit import textfmt
 from absaudit.errors import ParseError
 from absaudit.taxonomy import detect_types
@@ -339,6 +339,28 @@ def test_sweep_reads_the_generated_parity_chain_both_ways(monkeypatch):
             with pytest.raises(ParseError):
                 parse_document(copy)
             assert reads == [True]
+
+
+def test_sweep_runs_a_generated_dense_file_past_a_chunk(monkeypatch):
+    """The generated dense file's 2048-row dist block is read in one split
+    of two chunks, its map is valid, and its joint and pushforward each hold
+    more rows than a writer formats at once; every sweep call on it exits 0."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    reads = []
+    read = textfmt._read_dist
+    monkeypatch.setattr(textfmt, "_read_dist", lambda *args: reads.append(read(*args)) or reads[-1])
+    doc = parse_document(sweep.dense_pairs())
+    assert reads == [True, False]  # the one-row block of the target is read row by row
+    source, target = doc.resolve(a := doc.abstractions["pairs"])
+    assert len(source.exo_table) == 2048 > textfmt._CHUNK
+    assert validate_scm(source).ok and validate_abstraction(a, source, target).ok
+    dist = joint_distribution(source)
+    assert len(dist.probs) == len(pushforward(a, dist, source, target).probs) == 2048
+    golden = [line.split(" ", 2) for line in GOLDEN.read_text(encoding="utf-8").splitlines()
+              if sweep.DENSE_FILE in line and " kernel " not in f" {line}"]
+    assert len(golden) == 11 and {code for code, _, _ in golden} == {"0"}
 
 
 def _differing_argvs(got: list[str], want: list[str]) -> list[str]:

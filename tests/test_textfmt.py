@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from absaudit import textfmt
 from absaudit.abstraction import Direction
 from absaudit.errors import AbsauditError, ModelError, ParseError
 from absaudit.textfmt import (
@@ -22,7 +25,7 @@ from absaudit.textfmt import (
     parse_document,
     parse_path,
 )
-from absaudit.scm import validate_scm
+from absaudit.scm import Exogenous, Scm, Variable, validate_scm
 from absaudit.taxonomy import load_table
 
 from helpers import M, abstraction, chain, det_outcomes, random_model
@@ -246,6 +249,30 @@ def test_document_resolve_unknown_reference():
 def test_emit_scm_matches_reference():
     doc = parse_document(MINI)
     assert "\n".join(emit_scm(doc.models["mini"])) + "\n" == MINI.split("\n", 2)[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(noise=st.lists(st.lists(st.sampled_from(["0", "1", "b", 0, 1, 7]), min_size=1, max_size=3,
+                               unique=True), min_size=1, max_size=3),
+       data=st.data(), chunk=st.sampled_from((1, 3, textfmt._CHUNK)))
+def test_emit_scm_writes_each_dist_row_as_a_row_at_a_time(noise, data, chunk):
+    """The `dist` block of `emit_scm`, its rows written `chunk` at a time,
+    holds per noise entry in row-major order `join_labels` of its key, ':'
+    and the `repr` of its weight as a float, as a row at a time wrote it:
+    integer labels, integer weights and zeros too."""
+    terms = [(f"V{i}", tuple(d)) for i, d in enumerate(noise)]
+    keys = data.draw(st.permutations(list(itertools.product(*noise))))
+    weights = st.sampled_from([0.25, 0.0, 1, 0.1 + 0.2, 5e-324])
+    table = {key: data.draw(weights) for key in keys[: data.draw(st.integers(0, len(keys)))]}
+    model = Scm("m", [Variable(v, ("0",), (), f"U{v}") for v, _ in terms],
+                [Exogenous(f"U{v}", d, v) for v, d in terms],
+                {v: {(u,): "0" for u in d} for v, d in terms}, table)
+    ranked = [key for key in itertools.product(*noise) if key in table]
+    want = [f"    {join_labels(key)} : {float(table[key])!r}" for key in ranked]
+    with mock.patch.object(textfmt, "_CHUNK", chunk):
+        lines = emit_scm(model)
+    opened = lines.index("  dist " + " ".join(f"UV{i}" for i in range(len(noise))) + " {")
+    assert lines[opened + 1 : opened + 1 + len(want) + 1] == [*want, "  }"]
 
 
 def test_emit_document_round_trip():

@@ -71,6 +71,13 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   `dist` block holds all 64 rows (`parity_chain`), so the read of a `dist`
   block in one split, its closing-brace search and its fall back to the
   row loop show on its copies: no shipped `dist` block has more than 16;
+* on one generated dense file more (`DENSE_FILE`, `dense_pairs`): the
+  parity chain over eleven variables, whose `dist` block holds all 2048
+  rows, and a map from it onto the pairs of its consecutive variables:
+  dist, dist --marginal of every variable in reverse order, dist --do,
+  push and push --do, and its emit and kernel lines, so the read of a
+  `dist` block in more than one split and the writers' rows past their
+  first chunk show: no shipped `dist` block has more than 16 rows;
 * per row of the edges block of the generated identity chain map alone
   (`CHAIN_IDENTITY_FILE`), the same two calls as per row of a shipped
   `edges` block: audit without the row and validate with its two paths
@@ -95,7 +102,8 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   opens with `ABSAUDIT_ENUM_CAP=N`, and the call runs with that variable
   set.
 
-Last come, for each parsable file, then for each invalid-noise copy, for
+Last come, for each parsable file, then for the generated dense file,
+for each invalid-noise copy, for
 each stray-row copy and for each near-product copy, one line for the
 library call
 `emit_document(parse_path(file))` and one line per variable of each of its
@@ -164,6 +172,8 @@ CHAIN_MAPS_FILE = "generated/chain-maps.abs"
 CHAIN_IDENTITY_FILE = "generated/chain-identity.abs"
 PARITY = tuple(f"v{i}" for i in range(6))
 PARITY_FILE = "generated/parity6.scm"
+DENSE = tuple(f"v{i}" for i in range(11))  # 2048 dist rows, more than a writer's chunk
+DENSE_FILE = "generated/parity11-pairs.abs"
 # the calls whose output argparse writes: usage errors, then help
 ARGPARSE = (("no-such-command",), ("dist",), ("--format", "xml", "validate", "x.abs"),
             ("--help",), ("dist", "--help"))
@@ -313,22 +323,49 @@ def chain_maps(names=tuple(CHAIN_MAPS)) -> str:
     return "\n".join(out + [""])
 
 
-def parity_chain() -> str:
-    """A model over `PARITY`, a chain in which each variable is the parity
-    of its parent and its noise term, with a `dist` block of all 64 noise
-    values in row-major order, the r-th weighing (2r + 1) / 4096: each sum
-    of weights is exact, so shuffled rows sum alike."""
-    out = ["absaudit-format 1", "", "scm parity6 {"]
-    out += [f"  var {v} : 0 1" + (f" parents {PARITY[i - 1]}" if i else "")
-            for i, v in enumerate(PARITY)]
-    out += [f"  exo U_{v} : 0 1 for {v}" for v in PARITY]
-    out += ["  dist " + " ".join(f"U_{v}" for v in PARITY) + " {"]
-    out += [f"    {' '.join(key)} : {(2 * r + 1) / 4096!r}"
-            for r, key in enumerate(product("01", repeat=len(PARITY)))]
+def parity_chain(nodes: tuple[str, ...] = PARITY, name: str = "parity6") -> str:
+    """A model over `nodes` (`PARITY`), a chain in which each variable is
+    the parity of its parent and its noise term, with a `dist` block of all
+    2^n noise values in row-major order, the r-th weighing (2r + 1) / 4^n:
+    each sum of weights is exact, so shuffled rows sum alike."""
+    out = ["absaudit-format 1", "", f"scm {name} {{"]
+    out += [f"  var {v} : 0 1" + (f" parents {nodes[i - 1]}" if i else "")
+            for i, v in enumerate(nodes)]
+    out += [f"  exo U_{v} : 0 1 for {v}" for v in nodes]
+    out += ["  dist " + " ".join(f"U_{v}" for v in nodes) + " {"]
+    out += [f"    {' '.join(key)} : {(2 * r + 1) / 4 ** len(nodes)!r}"
+            for r, key in enumerate(product("01", repeat=len(nodes)))]
     out.append("  }")
-    for i, v in enumerate(PARITY):
+    for i, v in enumerate(nodes):
         out += [f"  mech {v} {{", *(f"    {' '.join(key)} : {key.count('1') % 2}"
                                      for key in product("01", repeat=1 + bool(i))), "  }"]
+    return "\n".join(out + ["}", ""])
+
+
+def dense_pairs() -> str:
+    """The parity chain over `DENSE` (`parity11`, 2048 `dist` rows) and a
+    map onto a model `pairs11` whose k-th variable takes the values of the
+    k-th pair of consecutive variables (the last variable alone), each
+    outcome row sending a pair to its two labels written as one: its
+    joint, its marginals, its interventions and its pushforward hold more
+    rows than a writer formats at once."""
+    blocks = [DENSE[i : i + 2] for i in range(0, len(DENSE), 2)]
+    pairs = {f"w{k}": ["".join(key) for key in product("01", repeat=len(block))]
+             for k, block in enumerate(blocks)}
+    out = [parity_chain(DENSE, "parity11").rstrip("\n"), "", "scm pairs11 {"]
+    out += [f"  var {w} : {' '.join(values)}" for w, values in pairs.items()]
+    out += [f"  exo U_{w} : {' '.join(values)} for {w}" for w, values in pairs.items()]
+    out += ["  dist " + " ".join(f"U_{w}" for w in pairs) + " {",
+            "    " + " ".join(values[0] for values in pairs.values()) + " : 1.0", "  }"]
+    for w, values in pairs.items():
+        out += [f"  mech {w} {{", *(f"    {x} : {x}" for x in values), "  }"]
+    out += ["}", "", "abs pairs {", "  source parity11", "  target pairs11",
+            "  direction micro-to-macro", "  nodes {"]
+    out += [f"    {v} : w{i // 2} 1.0" for i, v in enumerate(DENSE)]
+    out.append("  }")
+    for (w, values), block in zip(pairs.items(), blocks):
+        out += [f"  outcomes {w} from {' '.join(block)} {{",
+                *(f"    {' '.join(x)} : {x} 1.0" for x in values), "  }"]
     return "\n".join(out + ["}", ""])
 
 
@@ -559,6 +596,10 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]], faulty: list
     plain += [[command, CHAIN_MAPS_FILE, "--abs", name, *extra] for name in CHAIN_MAPS
               for command, extra in (("audit", []), ("audit", ["--require", REQUIRE]),
                                      ("classify", []))]
+    dense = ["--model", "parity11"]
+    plain += [["dist", DENSE_FILE, *dense, *extra] for extra in (
+        [], ["--marginal", ",".join(DENSE[::-1])], ["--do", f"{DENSE[5]}=1"])]
+    plain += [["push", DENSE_FILE], ["push", DENSE_FILE, "--do", f"{DENSE[0]}=1"]]
     plain += [[command, path] for command, path in cut]
     plain += [[command, path] for path in faulty for command in ("audit", "classify")]
     for path, model in noisy:
@@ -654,6 +695,7 @@ def main(argv: list[str] | None = None) -> int:
         complete.write_text(complete_dag(), encoding="utf-8")
         pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
         pathlib.Path(scratch, CHAIN_MAPS_FILE).write_text(chain_maps(), encoding="utf-8")
+        pathlib.Path(scratch, DENSE_FILE).write_text(dense_pairs(), encoding="utf-8")
         names, cut, noisy, stray, near, split = [], [], [], [], [], []
         faults = {f: [] for f in GRAPH_FAULTS}
         sources = [(path.relative_to(data) if path.is_relative_to(data) else path.name,
@@ -702,7 +744,8 @@ def main(argv: list[str] | None = None) -> int:
             for line_argv in calls(names, parse_path, cut, sum(faults.values(), []), noisy,
                                    stray, split):
                 print(call(absaudit_main, line_argv))
-            for line in library_lines(names + [path for path, _ in noisy] + stray + near,
+            for line in library_lines(names + [DENSE_FILE] + [path for path, _ in noisy]
+                                      + stray + near,
                                       parse_path, emit_document, mechanism_kernel):
                 print(line)
         finally:
