@@ -366,11 +366,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _table() -> dict:
+    """`build_parser()` as `_read` reads it: the main parser under None and
+    each command's under its name, as (parser, the defaults `parse_args`
+    starts a namespace with, `{option string: action}` of the store,
+    `store_true` and `append` options with no `type` and a fixed number of
+    values, [its positional], which is the command on the main parser)."""
+    main = build_parser()
+    commands = next(a for a in main._actions if isinstance(a, argparse._SubParsersAction))
+    kinds = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+    table = {}
+    for name, parser in [(None, main), *commands.choices.items()]:
+        defaults = {a.dest: a.default for a in parser._actions
+                    if argparse.SUPPRESS not in (a.dest, a.default)}
+        defaults |= {k: v for k, v in parser._defaults.items() if k not in defaults}
+        options = {s: a for a in parser._actions for s in a.option_strings
+                   if type(a) in kinds and a.type is None and type(a.nargs) in (int, type(None))}
+        table[name] = parser, defaults, options, [a for a in parser._actions if not a.option_strings]
+    return table
+
+
+def _fits(action: argparse.Action, token) -> bool:
+    """Whether `parse_args` reads `token` as a value of `action` as it is."""
+    return type(token) is str and token[:1] != "-" and (
+        action.choices is None or token in action.choices)
+
+
+def _read(argv: list) -> argparse.Namespace | None:
+    """The namespace of `build_parser().parse_args(argv)`, read in one pass
+    with `_table()`, each option applied by its own action; or None, for
+    argparse to read `argv` and word its usage errors and help, at a token
+    that is not a `str`, an option not in the table as spelled (abbreviated,
+    `--opt=value`, `--`, `-h`) or without values that `_fits`, an unknown
+    command, or no run of positionals or a second one."""
+    table = _table()
+    parser, defaults, options, plain = table[None]
+    args = argparse.Namespace(**defaults)
+    i, end, command = 0, len(argv), None
+    while i < end:
+        token = argv[i]
+        if type(token) is not str:
+            return None
+        if token[:1] == "-":
+            if (action := options.get(token)) is None:
+                return None
+            n = 1 if action.nargs is None else action.nargs
+            values = argv[i + 1:i + 1 + n]
+            if len(values) < n or not all(_fits(action, v) for v in values):
+                return None
+            action(parser, args, values[0] if action.nargs is None else values, token)
+            i += 1 + n
+        elif not plain or command is None and token not in table:
+            return None
+        elif command is None:
+            setattr(args, plain[0].dest, token)
+            parser, defaults, options, plain = table[command := token]
+            vars(args).update(defaults)
+            i += 1
+        else:
+            j = i + 1
+            while j < end and _fits(plain[0], argv[j]):
+                j += 1
+            plain[0](parser, args, argv[i:j])
+            i, plain = j, []
+    return None if plain else args
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code, with the cyclic garbage
-    collector paused meanwhile: a command leaves no cyclic garbage to find."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    collector paused meanwhile: a command leaves no cyclic garbage to find.
+    The command line (`sys.argv[1:]` when `argv` is None) is read by
+    `_read`, or by the parser where `_read` hands it over."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:

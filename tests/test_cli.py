@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import absaudit
 from absaudit import textfmt
@@ -28,6 +28,7 @@ from absaudit.textfmt import Document, emit_document, join_labels, parse_documen
 
 from helpers import abstraction, random_model
 from oracles import block
+from test_collector import SHIPPED, _commands
 
 DATA = importlib.resources.files("absaudit") / "data"
 CHAIN = str(DATA / "models" / "chain3_micro.scm")
@@ -995,3 +996,154 @@ def test_push_counts_its_cells_before_the_walk(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("ABSAUDIT_ENUM_CAP")
     assert main(["push", str(path)]) == 3
     assert f"walks {2 ** 40} outcome cells" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# reading the command line
+# ---------------------------------------------------------------------------
+
+# values for an option without choices, and tokens that argparse reads,
+# refuses or helps on but the reader hands over (or must read exactly)
+VALUES = ["S", "C", "S=1", "T,S", "chain3_micro", "chain2_macro", "fig3a", "functorial",
+          "structural", "json", ""]
+ODD = ["--form", "--mod", "--format=json", "--model=chain3_micro", "--", "-h", "--help",
+       "-1", "", "-", "x"]
+
+
+def _outcome(run, argv) -> tuple:
+    """The exit code, stdout and stderr of `run(argv)`; the code of a
+    `SystemExit` too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _command_lines(draw):
+    """Options of the main parser, a command, then pieces in any order:
+    the command's options with values (a choice or not), runs of files and
+    odd tokens (help, a command, an option without its values); so options
+    repeat and positionals are split by an option."""
+    def option(parser) -> list[str]:
+        actions = [a for a in parser._actions if a.option_strings and "-h" not in a.option_strings]
+        if not actions:
+            return []
+        action = draw(st.sampled_from(actions))
+        n = 1 if action.nargs is None else action.nargs
+        values = st.sampled_from(list(action.choices or VALUES)) | st.sampled_from(VALUES)
+        return [draw(st.sampled_from(action.option_strings)), *(draw(values) for _ in range(n))]
+
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    name = draw(st.sampled_from([*commands, "x", "-h"]))
+    command = commands.get(name, parser)
+    kinds = draw(st.lists(st.sampled_from(["option"] * 3 + ["odd"]), max_size=4))
+    kinds.insert(draw(st.integers(0, len(kinds))), "files")
+    pieces = [option(parser) for _ in range(draw(st.integers(0, 2)))] + [[name]]
+    for kind in kinds:
+        if kind == "option":
+            pieces.append(option(command))
+        elif kind == "files":
+            pieces.append(draw(st.lists(st.sampled_from([CHAIN, FIG3A]), max_size=2)))
+        else:
+            pieces.append([draw(st.sampled_from([*ODD, *commands, *command._option_string_actions]))])
+    return [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_command_lines())
+@example(["dist", CHAIN, "--model"])
+@example(["graph", CHAIN, "--hom", "S"])
+def test_the_reader_reads_as_argparse_does_or_hands_over(argv):
+    """Where `_read` reads a command line, its namespace is argparse's; and
+    `main` answers every line as it does when argparse reads them all."""
+    args = absaudit.cli._read(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser.__wrapped__().parse_args(argv))
+    with mock.patch.object(absaudit.cli, "_read", return_value=None):
+        want = _outcome(main, argv)
+    assert _outcome(main, argv) == want
+
+
+def test_the_reader_reads_every_command_of_the_collector_test(monkeypatch):
+    """The fast path does not go dead unseen: `_read` reads, not hands over,
+    every command line of `test_collector._commands` on every shipped
+    file, in text and JSON, and the `sys.argv` of a `main()` call; it hands
+    over a token that is not a `str`."""
+    assert absaudit.cli._read(["validate", b"x"]) is None
+    for argv in [line for path in SHIPPED for line in _commands(path)]:
+        for line in (argv, ["--format", "json", *argv]):
+            args = absaudit.cli._read(line)
+            assert args is not None, line
+            assert vars(args) == vars(build_parser().parse_args(line))
+    read, results = absaudit.cli._read, []
+    monkeypatch.setattr(absaudit.cli, "_read", lambda argv: results.append(read(argv)) or results[-1])
+    monkeypatch.setattr(sys, "argv", ["absaudit", "--format", "json", "validate", CHAIN])
+    code, out, err = _outcome(lambda _: main(), None)
+    assert (code, err) == (0, "") and json.loads(out)[0]["ok"]
+    assert len(results) == 1 and vars(results[0]) == vars(
+        build_parser().parse_args(["--format", "json", "validate", CHAIN]))
+
+
+FUZZ_TOKENS = ["{", "}", ":", "0", "1", "2", "0.5", "-1", "nan", "inf", "1e309", "var", "exo",
+               "dist", "mech", "scm", "abs", "for", "parents", "source", "target", "nodes",
+               "edges", "outcomes", "from", "direction", "pairs", "^", "S", "S^T", "X", ""]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_files_and_command_lines_exit_with_a_code(fuzz_dir, data):
+    """A shipped file mutated token by token (a token replaced, inserted or
+    deleted, or a line doubled) through every command but `tables`, in text
+    and JSON, and one of its valid command lines mutated the same way: each
+    `main` call returns 0-3 or stops with `SystemExit` 0 or 2, and raises
+    nothing else."""
+    path = data.draw(st.sampled_from(SHIPPED))
+    lines = [line.split() for line in Path(path).read_text(encoding="utf-8").split("\n")]
+    vocab = FUZZ_TOKENS + [token for line in lines for token in line]
+
+    def mutate(tokens: list[str], pool: list[str]) -> None:
+        how = data.draw(st.sampled_from(["replace", "insert", "delete"] if tokens else ["insert"]))
+        at = data.draw(st.integers(0, len(tokens) - (how != "insert")))
+        if how == "insert":
+            tokens.insert(at, data.draw(st.sampled_from(pool)))
+        elif how == "replace":
+            tokens[at] = data.draw(st.sampled_from(pool))
+        else:
+            del tokens[at]
+
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = data.draw(st.integers(0, len(lines) - 1))
+        if data.draw(st.booleans()):
+            lines.insert(row, list(lines[row]))
+        else:
+            mutate(lines[row], vocab)
+    mutated = fuzz_dir / Path(path).name
+    mutated.write_text("\n".join(map(" ".join, lines)), encoding="utf-8")
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    argvs = [[*fmt, command, str(mutated)] for fmt in ([], ["--format", "json"])
+             for command in ("validate", "audit", "classify", "push", "dist", "graph")]
+    argv = [str(mutated) if token == path else token
+            for token in data.draw(st.sampled_from(_commands(path)))]
+    pool = [*VALUES, *ODD, *commands, *(s for p in (parser, *commands.values())
+                                         for s in p._option_string_actions), str(mutated)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(argv, pool)
+    for line in [*argvs, argv]:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(line)
+        except SystemExit as stop:
+            assert stop.code in (0, 2), line
+        else:
+            assert code in (0, 1, 2, 3), line

@@ -93,6 +93,10 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   (`UNKNOWN_REQUIRE`);
 * tables with each --which, and tables --truth (the shipped tables) with
   and without --which;
+* on figures/fig3a.abs, one call per command in a spelling that argparse
+  accepts but the CLI's one-pass reader hands over to it (`SPELLINGS`):
+  `--format=json`, an abbreviated option, the options before the file, a
+  repeated `--model`, and `--` before the file;
 * the usage errors (unknown command, missing FILE, --format xml) and the
   help of the program and of dist (`ARGPARSE`); argparse writes their
   bytes, and its wording differs between Python versions;
@@ -188,6 +192,14 @@ REQUIRE = ",".join((
 # so a kind added to `bad_noise` moves no shuffle of these
 FIRST_ROW = ("bad-key", "bad-total")
 UNKNOWN_REQUIRE = ("audit", "figures/fig3a.abs", "--require", "functorial,no-such-property")
+# the spellings of a command line that argparse reads and the CLI's one-pass reader hands over
+SPELLINGS = (("--format=json", "validate", "figures/fig3a.abs"),
+             ("graph", "--mod", "chain3_micro", "--hom", "S", "C", "figures/fig3a.abs"),
+             ("dist", "--model", "chain2_macro", "--model", "chain3_micro", "--",
+              "figures/fig3a.abs"),
+             ("--form", "json", "audit", "--abs", "fig3a", "figures/fig3a.abs"),
+             ("classify", "--abs", "fig3a", "--", "figures/fig3a.abs"),
+             ("push", "--ren", "--abs", "fig3a", "figures/fig3a.abs"))
 UNKNOWN_PARENT = "undeclared"  # the parent name of the `unknown-parent` copies
 NEAR_PRODUCT = 0.6e-9  # the weight a `near_product` copy moves: 0.6 TOL
 # the kinds of `graph_fault` copy
@@ -614,6 +626,7 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]], faulty: list
     plain += [["tables", "--which", w, "--truth", f"tables/{w}.tbl"]
               for w in ("structural", "distributional")]
     plain += [list(UNKNOWN_REQUIRE)] if UNKNOWN_REQUIRE[1] in files else []
+    plain += [list(argv) for argv in SPELLINGS if argv[-1] in files]
     plain += [list(argv) for argv in ARGPARSE]
     plain += [[f"{CAP_ENV}={cap}", *argv] for cap, argv in CAPPED
               if argv[1] in (COMPLETE_FILE, *files)]
