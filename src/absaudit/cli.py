@@ -11,6 +11,7 @@ import functools
 import gc
 import json
 import math
+import os
 import sys
 from itertools import compress, repeat
 from operator import ne
@@ -24,7 +25,7 @@ from .errors import AbsauditError, CapacityError, ModelError, ParseError
 from .freecat import hom_set
 from .scm import Distribution, Scm, ValidationReport, intervene, joint_distribution, marginal
 from .scm import row_major, underlying_graph, validate_scm
-from .textfmt import Document, chunks, join_labels, join_rows, parse_path
+from .textfmt import Document, chunks, join_labels, join_rows, parse_path, weight_texts
 
 OK, FAIL, USAGE, CAPACITY = 0, 1, 2, 3
 
@@ -99,17 +100,18 @@ def _print_dist(dist: Distribution, as_json: bool) -> None:
     JSON the bytes of `json.dumps({"probs": ..., "scope": ...}, sort_keys=True)`,
     written in sorted label order (parsed labels join to distinct keys).
     Either is formatted and written a chunk of rows at a time
-    (`textfmt.chunks`), so no copy of the whole text is held.  A weight is
-    its `repr`, as in `json.dumps`, unless the weights do not sum to a
-    finite number: then `json.dumps` writes each (NaN, Infinity)."""
+    (`textfmt.chunks`), so no copy of the whole text is held, each distinct
+    weight of a chunk once (`textfmt.weight_texts`).  A weight is its
+    `repr`, as in `json.dumps`, unless the weights do not sum to a finite
+    number: then `json.dumps` writes each (NaN, Infinity)."""
     if as_json:
         probs = {join_labels(k): p for k, p in dist.probs.items() if p != 0.0}
         number = repr if math.isfinite(sum(probs.values())) else json.dumps
         sys.stdout.write('{"probs": {')
         sep = ""
         for part in chunks(sorted(probs)):
-            sys.stdout.write(sep + ", ".join(map(": ".join, zip(
-                map(encode_basestring_ascii, part), map(number, map(probs.__getitem__, part))))))
+            sys.stdout.write(sep + ", ".join(map(": ".join, zip(map(encode_basestring_ascii, part),
+                weight_texts(list(map(probs.__getitem__, part)), number)))))
             sep = ", "
         scope = ", ".join(map(encode_basestring_ascii, dist.scope))
         sys.stdout.write(f'}}, "scope": [{scope}]}}\n')
@@ -117,7 +119,7 @@ def _print_dist(dist: Distribution, as_json: bool) -> None:
         print(" ".join(dist.scope))
         for part in chunks(_dist_rows(dist)):
             labels, probs = zip(*part)
-            sys.stdout.write("\n".join(map(" : ".join, zip(labels, map(repr, probs)))) + "\n")
+            sys.stdout.write("\n".join(map(" : ".join, zip(labels, weight_texts(probs)))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +439,15 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code, with the cyclic garbage
     collector paused meanwhile: a command leaves no cyclic garbage to find.
     The command line (`sys.argv[1:]` when `argv` is None) is read by
-    `_read`, or by the parser where `_read` hands it over."""
+    `_read`, or by the parser where `_read` hands it over; a path token is
+    read as its `os.fspath`, and any other token that is not a `str` is a
+    usage error."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    for i, token in enumerate(argv):
+        if type(token) is not str:
+            argv[i] = token = os.fspath(token) if isinstance(token, os.PathLike) else token
+            if not isinstance(token, str):
+                build_parser().error(f"a token must be a str or a path, not {type(token).__name__}")
     args = _read(argv) or build_parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()

@@ -161,6 +161,20 @@ def chunks(rows: Sequence) -> Iterator[Sequence]:
     return (rows[at : at + _CHUNK] for at in range(0, len(rows), _CHUNK))
 
 
+def weight_texts(weights: Sequence, number=repr) -> list[str]:
+    """`number` of each of `weights`, one chunk of a writer's rows, called
+    once per distinct weight and looked up for its repeats (README).  Equal
+    weights get one text, so `number` must write equal weights alike, as
+    `repr` does floats; a NaN is a key of its own, found by identity.  But
+    0.0 and -0.0 are one key and two texts, so a chunk holding a zero, or
+    one in which no weight repeats, gets `number` of each weight."""
+    distinct = set(weights)
+    if 0.0 in distinct or len(distinct) == len(weights):
+        return list(map(number, weights))
+    texts = dict(zip(distinct, map(number, distinct)))
+    return list(map(texts.__getitem__, weights))
+
+
 def _read_dist(lines: _Lines, k: int, table: dict[tuple, float]) -> bool:
     """Add to `table` the rows of the dist block opened on the line last
     read, each k values, ':' and a finite number, split `_CHUNK` lines at a
@@ -485,7 +499,7 @@ def emit_scm(model: Scm) -> list[str]:
         out.append(f"  dist {join_labels(model.exogenous_names)} {{")
         for combos, weights in zip(chunks(keys), chunks(values)):  # each weight as `_num` writes it
             out += map(add, repeat("    "), map(" : ".join, zip(
-                join_rows(combos), map(repr, map(float, weights)))))
+                join_rows(combos), weight_texts(list(map(float, weights))))))
         out.append("  }")
     for v in model.variables:
         rows = (f"    {join_labels(key)} : {value}" for key, value in mechanism_rows(model, v))

@@ -8,6 +8,7 @@ meaningful.  The oracles are intentionally slow and simple.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -330,6 +331,39 @@ def pushforward_cells(
                      for positions, rows in maps]
             cells += sum(1 for _ in itertools.product(*picks))
     return cells
+
+
+# ---------------------------------------------------------------------------
+# Writers of 2^n rows, a row at a time
+# ---------------------------------------------------------------------------
+
+def weight_text(w, finite: bool = True) -> str:
+    """One weight as the writers write it: `repr` of it as a float, or, in
+    a JSON table whose weights do not sum to a finite number, `json.dumps`
+    of it (NaN, Infinity)."""
+    return repr(float(w)) if finite else json.dumps(float(w))
+
+
+def printed_dist(scope: Sequence[str], domains: Sequence[Sequence],
+                 probs: Mapping[tuple, float], as_json: bool) -> str:
+    """The text of `dist` and `push`, one row at a time: the scope, then
+    `labels : weight` per nonzero outcome in row-major order; in JSON the
+    nonzero outcomes keyed by their labels in sorted order, then the scope."""
+    if not as_json:
+        rows = [f"{' '.join(map(str, k))} : {weight_text(p)}"
+                for k, p in dense_rows(probs, domains) if p != 0.0]
+        return "".join(f"{line}\n" for line in [" ".join(scope), *rows])
+    nonzero = {" ".join(map(str, k)): p for k, p in probs.items() if p != 0.0}
+    finite = math.isfinite(sum(nonzero.values()))
+    entries = [f"{json.dumps(label)}: {weight_text(nonzero[label], finite)}"
+               for label in sorted(nonzero)]
+    return f'{{"probs": {{{", ".join(entries)}}}, "scope": {json.dumps(list(scope))}}}\n'
+
+
+def emitted_dist_block(table: Mapping[tuple, float], domains: Sequence[Sequence]) -> list[str]:
+    """The rows of the `dist` block of `emit_scm`, one row at a time: every
+    entry of the noise table, zeros too, in row-major order."""
+    return [f"    {' '.join(map(str, k))} : {weight_text(p)}" for k, p in dense_rows(table, domains)]
 
 
 # ---------------------------------------------------------------------------

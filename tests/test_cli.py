@@ -1089,6 +1089,21 @@ def test_the_reader_reads_every_command_of_the_collector_test(monkeypatch):
         build_parser().parse_args(["--format", "json", "validate", CHAIN]))
 
 
+def test_a_path_token_reads_as_its_str_and_another_token_is_a_usage_error():
+    """A `Path` token gives the exit code, stdout and stderr of its `str`
+    spelling; a `bytes` or `int` token exits 2 through argparse's usage
+    error, which names its type, rather than raise from argparse."""
+    for argv in (["validate", CHAIN], ["--format", "json", "dist", FIG3A, "--model", "chain2_macro"],
+                 ["push", FIG3A, "--abs", "fig3a"], ["validate", "no-such-file.abs"]):
+        paths = [Path(token) if token.endswith((".abs", ".scm")) else token for token in argv]
+        assert _outcome(main, paths) == _outcome(main, argv)
+    for token in (b"x", 3):
+        code, out, err = _outcome(main, ["validate", token])
+        assert (code, out) == (2, "") and err.startswith("usage: absaudit ")
+        assert err.splitlines()[-1] == (
+            f"absaudit: error: a token must be a str or a path, not {type(token).__name__}")
+
+
 FUZZ_TOKENS = ["{", "}", ":", "0", "1", "2", "0.5", "-1", "nan", "inf", "1e309", "var", "exo",
                "dist", "mech", "scm", "abs", "for", "parents", "source", "target", "nodes",
                "edges", "outcomes", "from", "direction", "pairs", "^", "S", "S^T", "X", ""]

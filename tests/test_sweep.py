@@ -363,6 +363,25 @@ def test_sweep_runs_a_generated_dense_file_past_a_chunk(monkeypatch):
     assert len(golden) == 11 and {code for code, _, _ in golden} == {"0"}
 
 
+def test_sweep_generates_repeated_weights_and_signed_zeros():
+    """The product-noise copy of the dense file has 2048 noise rows with 49
+    distinct weights, summing to 0.999999999999993; the signed-zero copy of
+    fig3a.abs keeps its total and emits its -0.0 and 0.0 rows as written."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    import sweep
+
+    weights = list(parse_document(sweep.dense_pairs(sweep.PRODUCT)).models["parity11"]
+                   .exo_table.values())
+    assert len(weights) == 2048 and len(set(weights)) == 49 and sum(weights) == 0.999999999999993
+    text = (DATA / sweep.SIGNED_ZERO_SOURCE).read_text(encoding="utf-8")
+    zeros = sweep.signed_zeros(text)
+    tables = [parse_document(t).models["chain3_micro"].exo_table for t in (text, zeros)]
+    assert sum(tables[0].values()) == sum(tables[1].values()) == 1.0
+    assert list(tables[1].values())[:3] == [0.0, 0.0, 0.375]
+    emitted = textfmt.emit_document(parse_document(zeros))
+    assert "    0 0 0 : -0.0\n    0 0 1 : 0.0\n    0 1 0 : 0.375\n" in emitted
+
+
 def _differing_argvs(got: list[str], want: list[str]) -> list[str]:
     """The argv of each sweep line that is in one list and not in the other."""
     old = {line.split(" ", 2)[2]: line for line in want}

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
+import io
 import itertools
+import json
 import math
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import absaudit.cli
 from absaudit import textfmt
 from absaudit.abstraction import Direction
 from absaudit.errors import AbsauditError, ModelError, ParseError
@@ -24,11 +29,13 @@ from absaudit.textfmt import (
     join_labels,
     parse_document,
     parse_path,
+    weight_texts,
 )
-from absaudit.scm import Exogenous, Scm, Variable, validate_scm
+from absaudit.scm import Distribution, Exogenous, Scm, Variable, validate_scm
 from absaudit.taxonomy import load_table
 
 from helpers import M, abstraction, chain, det_outcomes, random_model
+from oracles import emitted_dist_block, printed_dist, weight_text
 
 MINI = """\
 absaudit-format 1
@@ -273,6 +280,93 @@ def test_emit_scm_writes_each_dist_row_as_a_row_at_a_time(noise, data, chunk):
         lines = emit_scm(model)
     opened = lines.index("  dist " + " ".join(f"UV{i}" for i in range(len(noise))) + " {")
     assert lines[opened + 1 : opened + 1 + len(want) + 1] == [*want, "  }"]
+
+
+WEIGHT_KINDS = ("pool", "fresh", "signed-zeros", "integers", "non-finite")
+
+
+def _weights(kind: str, n: int, rng: random.Random) -> list:
+    """n weights of one kind: drawn from a pool of three, so they repeat;
+    fresh floats; 0.0, -0.0 and two more; integers; NaN (one object that
+    repeats, and fresh ones) and +-inf among finite weights."""
+    nan = float("nan")
+    pools = {"pool": [rng.random() for _ in range(3)], "signed-zeros": [0.0, -0.0, 0.25, 0.5],
+             "integers": [1, 2, 1.0, 3], "non-finite": [nan, nan, math.inf, -math.inf, 0.5]}
+    if kind == "fresh":
+        return [rng.random() for _ in range(n)]
+    if kind == "non-finite":
+        return [float("nan") if rng.random() < 0.1 else rng.choice(pools[kind]) for _ in range(n)]
+    return [rng.choice(pools[kind]) for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(WEIGHT_KINDS), n=st.sampled_from((1, 1023, 1024, 1025, 2049)),
+       seed=st.integers(0, 2**32), number=st.sampled_from((repr, json.dumps, textfmt._num)))
+def test_weight_texts_write_each_weight_as_a_row_at_a_time(kind, n, seed, number):
+    """`weight_texts` gives `number` of each weight, as the row-at-a-time
+    oracle writes it (`oracles.weight_text`), calling `number` once per
+    distinct weight where a weight repeats and the chunk holds no zero,
+    else once per weight; a NaN found again by identity, and 0.0 and -0.0
+    written apart.  A second call formats again: no text is kept.  Equal
+    weights share a text, so integers go with a `number` that floats them."""
+    ws = _weights(kind, n, random.Random(seed))
+    number = textfmt._num if kind == "integers" else number
+    distinct = len({w if w == w else id(w) for w in ws})  # a NaN is equal only to itself
+    formatted = n if 0 in ws or distinct == n else distinct
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return number(w)
+
+    for _ in range(2):
+        calls.clear()
+        assert weight_texts(ws, counted) == [weight_text(w, number is not json.dumps) for w in ws]
+        assert len(calls) == formatted
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(WEIGHT_KINDS), n=st.sampled_from((1, 1023, 1024, 1025, 2049)),
+       seed=st.integers(0, 2**32))
+def test_writers_of_weights_match_a_row_by_row_oracle(kind, n, seed):
+    """The text and JSON rows of `dist` and `push` and the `dist` block of
+    `emit_scm` are the row-at-a-time oracle's (`oracles.printed_dist`,
+    `oracles.emitted_dist_block`), across chunk ends, each chunk's weights
+    formatted by one `weight_texts` call: repeated and fresh weights,
+    0.0 and -0.0, integer weights of a library table (emit) and NaN and
+    +-inf (dist, whose JSON then writes `json.dumps` of each)."""
+    rng = random.Random(seed)
+    labels = tuple(f"x{i}" for i in range(n))
+    keys = [(x,) for x in labels]
+    ws = _weights(kind, n, rng)
+    table = dict(zip(keys, ws))
+    shuffled = list(table.items())
+    rng.shuffle(shuffled)
+    chunked = []
+
+    def spy(weights, number=repr):
+        chunked.append(len(weights))
+        return weight_texts(weights, number)
+
+    with mock.patch.object(textfmt, "weight_texts", spy), \
+            mock.patch.object(absaudit.cli, "weight_texts", spy):
+        if kind != "non-finite":
+            model = Scm("m", [Variable("A", ("0",), (), "U")], [Exogenous("U", labels, "A")],
+                        {"A": {key: "0" for key in keys}}, dict(shuffled))
+            lines = emit_scm(model)
+            opened = lines.index("  dist U {")
+            assert lines[opened + 1 : opened + 2 + n] == [
+                *emitted_dist_block(table, [labels]), "  }"]
+            assert sum(chunked) == n and max(chunked) <= _CHUNK
+        if kind != "integers":  # the CLI's weights are floats
+            dist = Distribution(("A",), (labels,), dict(shuffled))
+            for as_json in (False, True):
+                chunked.clear()
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    absaudit.cli._print_dist(dist, as_json)
+                assert out.getvalue() == printed_dist(("A",), [labels], table, as_json)
+                assert sum(chunked) == sum(w != 0 for w in ws) and max(chunked, default=0) <= _CHUNK
 
 
 def test_emit_document_round_trip():

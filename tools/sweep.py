@@ -78,6 +78,14 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   push and push --do, and its emit and kernel lines, so the read of a
   `dist` block in more than one split and the writers' rows past their
   first chunk show: no shipped `dist` block has more than 16 rows;
+* on a product-noise copy of that file (`PRODUCT_FILE`): every noise
+  term's marginal is 0.3/0.7 (`PRODUCT`), so its 2048 weights take 49
+  values that repeat in classes; and on a copy of figures/fig3a.abs whose
+  first two `dist` rows weigh -0.0 and 0.0, their weight moved onto the
+  third (`SIGNED_ZERO_FILE`, `signed_zeros`): dist, dist --marginal of
+  every variable in reverse order and push, and their emit and kernel
+  lines, so the writers' one text per distinct weight of a chunk shows,
+  and that two equal zeros print apart;
 * per row of the edges block of the generated identity chain map alone
   (`CHAIN_IDENTITY_FILE`), the same two calls as per row of a shipped
   `edges` block: audit without the row and validate with its two paths
@@ -106,8 +114,9 @@ same bytes and exits the same way.  The calls are, in text and in JSON:
   opens with `ABSAUDIT_ENUM_CAP=N`, and the call runs with that variable
   set.
 
-Last come, for each parsable file, then for the generated dense file,
-for each invalid-noise copy, for
+Last come, for each parsable file, then for the generated dense file and
+its product-noise copy, for the signed-zero copy, for each invalid-noise
+copy, for
 each stray-row copy and for each near-product copy, one line for the
 library call
 `emit_document(parse_path(file))` and one line per variable of each of its
@@ -147,7 +156,9 @@ import shlex
 import shutil
 import sys
 import tempfile
+from functools import reduce
 from itertools import combinations_with_replacement, groupby, pairwise, product
+from operator import mul
 from typing import Iterator
 from unittest import mock
 
@@ -178,6 +189,12 @@ PARITY = tuple(f"v{i}" for i in range(6))
 PARITY_FILE = "generated/parity6.scm"
 DENSE = tuple(f"v{i}" for i in range(11))  # 2048 dist rows, more than a writer's chunk
 DENSE_FILE = "generated/parity11-pairs.abs"
+# each noise term's marginal in the product-noise copy of the dense file: its 2048
+# weights take 49 values, which repeat in classes, summing to 0.999999999999993
+PRODUCT = {"0": 0.3, "1": 0.7}
+PRODUCT_FILE = "generated/product11-pairs.abs"
+SIGNED_ZERO_SOURCE = "figures/fig3a.abs"  # the file of the `signed_zeros` copy
+SIGNED_ZERO_FILE = "figures/fig3a.abs.signed-zeros"
 # the calls whose output argparse writes: usage errors, then help
 ARGPARSE = (("no-such-command",), ("dist",), ("--format", "xml", "validate", "x.abs"),
             ("--help",), ("dist", "--help"))
@@ -335,17 +352,21 @@ def chain_maps(names=tuple(CHAIN_MAPS)) -> str:
     return "\n".join(out + [""])
 
 
-def parity_chain(nodes: tuple[str, ...] = PARITY, name: str = "parity6") -> str:
+def parity_chain(nodes: tuple[str, ...] = PARITY, name: str = "parity6",
+                 marginal: dict[str, float] | None = None) -> str:
     """A model over `nodes` (`PARITY`), a chain in which each variable is
     the parity of its parent and its noise term, with a `dist` block of all
     2^n noise values in row-major order, the r-th weighing (2r + 1) / 4^n:
-    each sum of weights is exact, so shuffled rows sum alike."""
+    each sum of weights is exact, so shuffled rows sum alike.  With
+    `marginal`, each row weighs instead the product, taken left to right,
+    of `marginal` of each of its noise values: product noise."""
     out = ["absaudit-format 1", "", f"scm {name} {{"]
     out += [f"  var {v} : 0 1" + (f" parents {nodes[i - 1]}" if i else "")
             for i, v in enumerate(nodes)]
     out += [f"  exo U_{v} : 0 1 for {v}" for v in nodes]
     out += ["  dist " + " ".join(f"U_{v}" for v in nodes) + " {"]
-    out += [f"    {' '.join(key)} : {(2 * r + 1) / 4 ** len(nodes)!r}"
+    out += [f"    {' '.join(key)} : "
+            f"{reduce(mul, map(marginal.get, key)) if marginal else (2 * r + 1) / 4 ** len(nodes)!r}"
             for r, key in enumerate(product("01", repeat=len(nodes)))]
     out.append("  }")
     for i, v in enumerate(nodes):
@@ -354,17 +375,18 @@ def parity_chain(nodes: tuple[str, ...] = PARITY, name: str = "parity6") -> str:
     return "\n".join(out + ["}", ""])
 
 
-def dense_pairs() -> str:
-    """The parity chain over `DENSE` (`parity11`, 2048 `dist` rows) and a
-    map onto a model `pairs11` whose k-th variable takes the values of the
-    k-th pair of consecutive variables (the last variable alone), each
-    outcome row sending a pair to its two labels written as one: its
-    joint, its marginals, its interventions and its pushforward hold more
-    rows than a writer formats at once."""
+def dense_pairs(marginal: dict[str, float] | None = None) -> str:
+    """The parity chain over `DENSE` (`parity11`, 2048 `dist` rows, weighed
+    by `marginal` as `parity_chain` does) and a map onto a model `pairs11`
+    whose k-th variable takes the values of the k-th pair of consecutive
+    variables (the last variable alone), each outcome row sending a pair to
+    its two labels written as one: its joint, its marginals, its
+    interventions and its pushforward hold more rows than a writer formats
+    at once."""
     blocks = [DENSE[i : i + 2] for i in range(0, len(DENSE), 2)]
     pairs = {f"w{k}": ["".join(key) for key in product("01", repeat=len(block))]
              for k, block in enumerate(blocks)}
-    out = [parity_chain(DENSE, "parity11").rstrip("\n"), "", "scm pairs11 {"]
+    out = [parity_chain(DENSE, "parity11", marginal).rstrip("\n"), "", "scm pairs11 {"]
     out += [f"  var {w} : {' '.join(values)}" for w, values in pairs.items()]
     out += [f"  exo U_{w} : {' '.join(values)} for {w}" for w, values in pairs.items()]
     out += ["  dist " + " ".join(f"U_{w}" for w in pairs) + " {",
@@ -379,6 +401,19 @@ def dense_pairs() -> str:
         out += [f"  outcomes {w} from {' '.join(block)} {{",
                 *(f"    {' '.join(x)} : {x} 1.0" for x in values), "  }"]
     return "\n".join(out + ["}", ""])
+
+
+def signed_zeros(text: str) -> str:
+    """`text` with the weights of the first two rows of its first `dist`
+    block written `-0.0` and `0.0`, their weight moved onto its third row,
+    so the total stays; 0.0 and -0.0 are equal but print apart."""
+    lines = text.split("\n")
+    at = next(i for i, line in enumerate(lines) if DIST_OPEN.match(line)) + 1
+    rows = [lines[i].rsplit(" ", 1) for i in range(at, at + 3)]
+    moved = sum(float(weight) for _, weight in rows)
+    for i, ((key, _), weight) in enumerate(zip(rows, ("-0.0", "0.0", repr(moved))), at):
+        lines[i] = f"{key} {weight}"
+    return "\n".join(lines)
 
 
 def cuts(text: str) -> list[tuple[str, str, str]]:
@@ -612,6 +647,12 @@ def calls(files: list[str], parse_path, cut: list[tuple[str, str]], faulty: list
     plain += [["dist", DENSE_FILE, *dense, *extra] for extra in (
         [], ["--marginal", ",".join(DENSE[::-1])], ["--do", f"{DENSE[5]}=1"])]
     plain += [["push", DENSE_FILE], ["push", DENSE_FILE, "--do", f"{DENSE[0]}=1"]]
+    for path, model in ((PRODUCT_FILE, "parity11"), (SIGNED_ZERO_FILE, "chain3_micro")):
+        if path == PRODUCT_FILE or SIGNED_ZERO_SOURCE in files:
+            nodes = parse_path(path).models[model].variable_names
+            plain += [["dist", path, "--model", model, *extra] for extra in (
+                [], ["--marginal", ",".join(nodes[::-1])])]
+            plain += [["push", path]]
     plain += [[command, path] for command, path in cut]
     plain += [[command, path] for path in faulty for command in ("audit", "classify")]
     for path, model in noisy:
@@ -709,6 +750,7 @@ def main(argv: list[str] | None = None) -> int:
         pathlib.Path(scratch, BIJECTIONS_FILE).write_text(bijections(), encoding="utf-8")
         pathlib.Path(scratch, CHAIN_MAPS_FILE).write_text(chain_maps(), encoding="utf-8")
         pathlib.Path(scratch, DENSE_FILE).write_text(dense_pairs(), encoding="utf-8")
+        pathlib.Path(scratch, PRODUCT_FILE).write_text(dense_pairs(PRODUCT), encoding="utf-8")
         names, cut, noisy, stray, near, split = [], [], [], [], [], []
         faults = {f: [] for f in GRAPH_FAULTS}
         sources = [(path.relative_to(data) if path.is_relative_to(data) else path.name,
@@ -721,6 +763,11 @@ def main(argv: list[str] | None = None) -> int:
                 text = shuffle_dist(text.decode("utf-8"), rng).encode("utf-8")
             copy.write_bytes(text)
             names.append(str(name))
+            if str(name) == SIGNED_ZERO_SOURCE:
+                zeros = signed_zeros(original.decode("utf-8"))
+                if args.shuffle_dist is not None:
+                    zeros = shuffle_dist(zeros, random.Random(args.shuffle_dist))
+                pathlib.Path(scratch, SIGNED_ZERO_FILE).write_text(zeros, encoding="utf-8")
             for command, tag, trimmed in cuts(text.decode("utf-8")):
                 cut.append((command, f"{name}.{tag}"))
                 pathlib.Path(scratch, cut[-1][1]).write_text(trimmed, encoding="utf-8")
@@ -757,7 +804,8 @@ def main(argv: list[str] | None = None) -> int:
             for line_argv in calls(names, parse_path, cut, sum(faults.values(), []), noisy,
                                    stray, split):
                 print(call(absaudit_main, line_argv))
-            for line in library_lines(names + [DENSE_FILE] + [path for path, _ in noisy]
+            generated = [PRODUCT_FILE] + [SIGNED_ZERO_FILE] * (SIGNED_ZERO_SOURCE in names)
+            for line in library_lines(names + [DENSE_FILE] + generated + [path for path, _ in noisy]
                                       + stray + near,
                                       parse_path, emit_document, mechanism_kernel):
                 print(line)
