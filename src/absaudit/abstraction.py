@@ -188,8 +188,8 @@ def validate_abstraction(
     sm = abstraction.structure
     images = sm.images()
     blocks = None if images is None else _blocks(images, source)
-    src_nodes = set(source.variable_names)
-    tgt_nodes = set(target.variable_names)
+    src_nodes = underlying_graph(source).node_set
+    tgt_nodes = underlying_graph(target).node_set
 
     for u, row in sm.rows.items():
         if u not in src_nodes:
@@ -351,7 +351,7 @@ def pushforward(
     that is not one value per scope variable (`scm.refuse_misshapen`), and
     CapacityError when the cells it would walk (per outcome, the product of
     its rows' support sizes, taken once per map) exceed the joint's cap
-    (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`).
+    (`errors.check_cap`: 5 x 10^6 or `ABSAUDIT_ENUM_CAP`).
     """
     if dist.scope != source.variable_names:
         raise ModelError("the distribution scope must match the source model")

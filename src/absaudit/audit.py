@@ -135,7 +135,7 @@ def _counted(names: Sequence[str], model: Scm) -> tuple[Callable[[Collection], i
 
 
 def audit_node_map(abstraction: Abstraction, source: Scm, target: Scm) -> MapAudit:
-    src, tgt = set(source.variable_names), set(target.variable_names)
+    src, tgt = underlying_graph(source).node_set, underlying_graph(target).node_set
     return MapAudit.of(abstraction.structure, lambda keys: len(src.intersection(keys)), len(src),
                        lambda keys: len(tgt.intersection(keys)), len(tgt))
 

@@ -70,7 +70,7 @@ def _on_valid_abstraction(command):
         abstraction = _pick(doc.abstractions, args.abs, "abstraction", "--abs")
         source, target = doc.resolve(abstraction)
         models = (source,) if source is target else (source, target)
-        faults = [issue for m in models for issue in m._index.faults]
+        faults = [issue for m in models for issue in m._graph_faults]
         if not (_reported_ok(ValidationReport(faults))
                 and _reported_ok(validate_abstraction(abstraction, source, target))):
             return FAIL

@@ -10,8 +10,8 @@ TOL = 1e-9
 #: Default ceiling on morphisms enumerated per hom-set query.
 DEFAULT_HOM_CAP = 10 ** 5
 
-#: Default ceiling on joint exogenous assignments enumerated.
-DEFAULT_EXO_CAP = 10 ** 7
+#: Default ceiling on joint exogenous assignments enumerated (README, "Capacity limits").
+DEFAULT_EXO_CAP = 5 * 10 ** 6
 
 #: Environment variable overriding both enumeration caps.
 ENUM_CAP_ENV = "ABSAUDIT_ENUM_CAP"

@@ -120,15 +120,12 @@ class Exogenous:
 
 
 class _Index(NamedTuple):
-    """A model's names, the first declaration of a name winning, its graph,
-    and its graph faults: `validate`'s issues that read neither `mechanisms`
-    nor `exo_table`, in `validate`'s order and words."""
+    """A model's names, the first declaration of a name winning, and its
+    graph, whose nodes are the variables' names in declaration order."""
 
     by_name: dict[str, Variable]
     exo_by_name: dict[str, tuple[int, Exogenous]]  # name -> (position, term)
-    names: tuple[str, ...]
     dag: Dag
-    faults: tuple[ValidationIssue, ...]
 
 
 @dataclass
@@ -139,7 +136,8 @@ class Scm:
     value) — one flat tuple — to the produced value.  `exo_table` is sparse:
     missing joint exogenous assignments have probability zero.  `variables`
     and `exogenous` are stored as tuples, and setting either drops the name
-    index, which holds the model's one `Dag`, so lookups never go stale.
+    index, which holds the model's one `Dag`, and the graph faults, so
+    lookups never go stale.
     """
 
     name: str
@@ -155,6 +153,7 @@ class Scm:
         if attr in ("variables", "exogenous"):
             value = tuple(value)
             self.__dict__.pop("_index", None)
+            self.__dict__.pop("_graph_faults", None)
         object.__setattr__(self, attr, value)
 
     def ranked_noise(self) -> tuple[tuple, ...]:
@@ -209,12 +208,16 @@ class Scm:
     @cached_property
     def _index(self) -> _Index:
         """Built on the first lookup after `variables` or `exogenous` is set."""
-        names = tuple(v.name for v in self.variables)
-        dag = Dag(names, tuple((p, v.name) for v in self.variables for p in v.parents))
         by_name = {v.name: v for v in reversed(self.variables)}
         exo_by_name = {u.name: (i, u) for i, u in reversed(tuple(enumerate(self.exogenous)))}
-        return _Index(by_name, exo_by_name, names, dag,
-                      tuple(_faults(self, by_name, exo_by_name, dag)))
+        edges = tuple([(p, v.name) for v in self.variables for p in v.parents])
+        return _Index(by_name, exo_by_name, Dag(tuple([v.name for v in self.variables]), edges))
+
+    @cached_property
+    def _graph_faults(self) -> tuple[ValidationIssue, ...]:
+        """The graph faults: `validate`'s issues that read neither `mechanisms`
+        nor `exo_table`, in its order and words (`_faults`)."""
+        return tuple(_faults(self, *self._index))
 
     def variable(self, name: str) -> Variable:
         v = self._index.by_name.get(name)
@@ -230,7 +233,7 @@ class Scm:
 
     @property
     def variable_names(self) -> tuple[str, ...]:
-        return self._index.names
+        return self._index.dag.nodes
 
     @property
     def exogenous_names(self) -> tuple[str, ...]:
@@ -240,54 +243,46 @@ class Scm:
         return self.variable(name).domain
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)  # hashed on its fields: nothing sets them once it is made
 class Dag:
-    """A directed acyclic graph with a fixed node order; lookups are cached."""
+    """A directed graph with a fixed node order, built whole when it is made:
+    its node and edge sets, the successors along the edges whose endpoints
+    are both nodes, and its order (layer by layer, each sorted) or a cycle."""
 
+    __slots__ = ("nodes", "edges", "node_set", "edge_set", "_successors", "_order")
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    @cached_property
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.nodes)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def _successors(self) -> dict[str, tuple[str, ...]]:
-        """Successors along the edges whose endpoints are both nodes."""
+    def __post_init__(self) -> None:
+        self.node_set, self.edge_set = frozenset(self.nodes), frozenset(self.edges)
+        waiting = dict.fromkeys(self.nodes, 0)
         out: dict[str, list[str]] = {}
         for u, v in self.edges:
-            if u in self.node_set and v in self.node_set:
+            if u in waiting and v in waiting:
                 out.setdefault(u, []).append(v)
-        return {u: tuple(vs) for u, vs in out.items()}
-
-    @cached_property
-    def topological_order(self) -> tuple[str, ...]:
-        """The nodes layer by layer, each layer sorted; ModelError on a cycle."""
-        waiting = dict.fromkeys(self.nodes, 0)
-        for vs in self._successors.values():
-            for v in vs:
                 waiting[v] += 1
-        order: list[str] = []
-        layer = sorted(n for n, k in waiting.items() if k == 0)
+        order, layer = [], sorted([n for n, k in waiting.items() if not k])
         while layer:
             order += layer
             ready = []
             for u in layer:
-                for v in self.successors(u):
+                for v in out.get(u, ()):
                     waiting[v] -= 1
-                    if waiting[v] == 0:
+                    if not waiting[v]:
                         ready.append(v)
             layer = sorted(ready)
-        if len(order) < len(waiting):
-            raise ModelError("the graph has a cycle")
-        return tuple(order)
+        self._successors = {u: tuple(vs) for u, vs in out.items()}
+        self._order = tuple(order) if len(order) == len(waiting) else None  # None on a cycle
 
-    @cached_property
-    def opposite(self) -> "Dag":
+    @property
+    def topological_order(self) -> tuple[str, ...]:
+        """The nodes layer by layer, each layer sorted; ModelError on a cycle."""
+        if self._order is None:
+            raise ModelError("the graph has a cycle")
+        return self._order
+
+    @property
+    def opposite(self) -> Dag:
         return Dag(self.nodes, tuple((v, u) for u, v in self.edges))
 
     def successors(self, node: str) -> tuple[str, ...]:
@@ -356,10 +351,7 @@ class Kernel:
 def _faults(model: Scm, by_name: dict, exo_by_name: dict, dag: Dag) -> Iterator[ValidationIssue]:
     """The graph faults of `model`, in `validate`'s order: repeated and shared
     names, then each variable's domain, parents and exo term, each exo term's
-    domain and variable, each variable's attachment, and a cycle.  A variable
-    whose parents are all declared above it, its name not among them, has no
-    parent fault; when every variable does, declaration order is a
-    topological order, so only a model that breaks it is ordered again."""
+    domain and variable, each variable's attachment, and a cycle."""
     if len(by_name) != len(model.variables):
         yield ValidationIssue("dup-variable", "duplicate endogenous variable names")
     if len(exo_by_name) != len(model.exogenous):
@@ -367,20 +359,16 @@ def _faults(model: Scm, by_name: dict, exo_by_name: dict, dag: Dag) -> Iterator[
     if overlap := by_name.keys() & exo_by_name.keys():
         yield ValidationIssue("name-overlap", f"names used both ways: {', '.join(sorted(overlap))}")
 
-    above, ordered = set(), True
     for v in model.variables:
         if not v.domain:
             yield ValidationIssue("empty-domain", f"variable {v.name} has an empty domain")
         if len(set(v.domain)) != len(v.domain):
             yield ValidationIssue("dup-outcome", f"variable {v.name} repeats a domain value")
-        if v.name in above or not above.issuperset(v.parents):
-            ordered = False
-            for p in v.parents:
-                if p not in by_name:
-                    yield ValidationIssue("unknown-parent", f"{v.name} lists unknown parent {p}")
-            if v.name in v.parents:
-                yield ValidationIssue("self-parent", f"{v.name} lists itself as a parent")
-        above.add(v.name)
+        for p in v.parents:
+            if p not in by_name:
+                yield ValidationIssue("unknown-parent", f"{v.name} lists unknown parent {p}")
+        if v.name in v.parents:
+            yield ValidationIssue("self-parent", f"{v.name} lists itself as a parent")
         if v.exogenous not in exo_by_name:  # "" when no `exo` line names the variable
             yield ValidationIssue("unknown-exogenous", f"{v.name} has no exo term" if not v.exogenous
                                   else f"{v.name} references unknown exogenous {v.exogenous}")
@@ -396,35 +384,31 @@ def _faults(model: Scm, by_name: dict, exo_by_name: dict, dag: Dag) -> Iterator[
                                   f"exogenous {u.name} attached to unknown {u.endogenous}")
         attached.setdefault(u.endogenous, []).append(u.name)
     for v in model.variables:
-        if attached.get(v.name, []) != [v.exogenous]:
+        if attached.get(v.name) != [v.exogenous]:
             yield ValidationIssue("exogenous-attachment",
                                   f"{v.name} must have exactly one attached exogenous variable")
 
-    if not ordered:
-        try:
-            dag.topological_order
-        except ModelError:
-            yield ValidationIssue("cyclic", "the parent relation has a cycle")
+    if dag._order is None:
+        yield ValidationIssue("cyclic", "the parent relation has a cycle")
 
 
 def _checked_index(model: Scm) -> _Index:
     """`model`'s name index; raises ModelError with its first graph fault."""
-    index = model._index
-    if index.faults:
-        raise ModelError(index.faults[0].message)
-    return index
+    if faults := model._graph_faults:
+        raise ModelError(faults[0].message)
+    return model._index
 
 
 def validate_scm(model: Scm) -> ValidationReport:
-    """Check well-formedness: the graph faults of the name index (names,
-    domains, parents, exo terms, acyclicity), then mechanisms and P(U).
+    """Check well-formedness: the model's graph faults (names, domains,
+    parents, exo terms, acyclicity), then mechanisms and P(U).
 
     Mechanism inputs and noise keys are tested with `out_of_range`, never
     listed: a mechanism's gaps number the product of its input domain sizes
     less its inputs in range, and one `mechanism-gap` issue names the first
     missing input in row-major order and how many more there are."""
-    by_name, exo_by_name, _, _, faults = model._index
-    report = ValidationReport(list(faults))
+    by_name, exo_by_name, _ = model._index
+    report = ValidationReport(list(model._graph_faults))
 
     # Mechanism totality: exactly one row per (parent values, exo value),
     # counted: the inputs in range against the product of the domain sizes.
@@ -433,9 +417,10 @@ def validate_scm(model: Scm) -> ValidationReport:
         if table is None:
             report.add("missing-mechanism", _WORDS["missing-mechanism"].format(v.name))
             continue
-        if any(p not in by_name for p in v.parents) or v.exogenous not in exo_by_name:
-            continue  # already reported above
-        inputs = [by_name[p].domain for p in v.parents] + [exo_by_name[v.exogenous][1].domain]
+        try:
+            inputs = [by_name[p].domain for p in v.parents] + [exo_by_name[v.exogenous][1].domain]
+        except KeyError:
+            continue  # an unknown parent or exo term: already reported above
         extra = sorted(out_of_range(table, inputs), key=repr)
         gaps = math.prod(len(set(d)) for d in inputs) - (len(table) - len(extra))
         if gaps:
@@ -546,7 +531,7 @@ def joint_distribution(model: Scm) -> Distribution:
     the model's first graph fault, then on a noise key out of range or a
     negative weight (a total other than 1 is summed as given), and
     CapacityError when the supported entries exceed the enumeration cap
-    (`errors.check_cap`: 10^7 or `ABSAUDIT_ENUM_CAP`); then ModelError, in
+    (`errors.check_cap`: 5 x 10^6 or `ABSAUDIT_ENUM_CAP`); then ModelError, in
     `validate`'s words, on a mechanism value outside its variable's domain
     (checked over the mechanism's rows before its column is built) or a
     mechanism gap."""
@@ -571,11 +556,11 @@ def joint_distribution(model: Scm) -> Distribution:
         except KeyError as miss:
             raise ModelError(_WORDS["mechanism-gap"].format(v.name, miss.args[0])) from None
     probs: dict[tuple, float] = {}
-    outcomes = rows_of([columns[name] for name in index.names], len(weights))
+    outcomes = rows_of([columns[name] for name in index.dag.nodes], len(weights))
     for p, outcome in zip(weights, outcomes):
         probs[outcome] = probs.get(outcome, 0.0) + p
     return Distribution(
-        scope=index.names,
+        scope=index.dag.nodes,
         domains=tuple(v.domain for v in model.variables),
         probs=probs,
     )

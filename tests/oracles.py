@@ -229,6 +229,21 @@ def toposort(scm: dict) -> list[str]:
     return done
 
 
+def layered_order(nodes: Sequence[str], edges: Sequence[tuple[str, str]]
+                  ) -> tuple[list[str], set[str]]:
+    """A graph's order by sorted layers: again and again, the sorted set of
+    the nodes not yet taken whose predecessors (along the edges between two
+    nodes) are all taken.  Returns the order and the nodes a cycle leaves
+    behind."""
+    left = set(nodes)
+    preds = {v: {u for u, w in edges if w == v and u in left} for v in left}
+    order: list[str] = []
+    while layer := sorted(v for v in left if preds[v] <= set(order)):
+        order += layer
+        left -= set(layer)
+    return order, left
+
+
 def plain_joint_via_kernels(scm: dict) -> dict[tuple, float]:
     """Joint distribution as a product of per-variable Markov kernels.
 

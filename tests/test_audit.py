@@ -384,11 +384,11 @@ def _constant_chain(name: str, nodes: list[str]):
 
 
 def _count_edge_tests(monkeypatch) -> tuple[list, list]:
-    """Count the work of the path tests: every `Dag`'s `edge_set` lists the
-    pairs it is asked about, as the source's when its first node is named
-    `X…` and the target's otherwise, and `freecat.is_path`, the per-path
-    check, is counted too.  Returns the (side, pairs asked) of each
-    edge-set test and the per-path checks."""
+    """Count the work of the path tests: the `edge_set` of every `Dag` built
+    from here on lists the pairs it is asked about, as the source's when its
+    first node is named `X…` and the target's otherwise, and
+    `freecat.is_path`, the per-path check, is counted too.  Returns the
+    (side, pairs asked) of each edge-set test and the per-path checks."""
     tests, per_path = [], []
 
     class Edges(frozenset):
@@ -397,12 +397,14 @@ def _count_edge_tests(monkeypatch) -> tuple[list, list]:
             tests.append((self.side, len(pairs)))
             return frozenset.issuperset(self, pairs)
 
-    def edge_set(dag):
-        edges = Edges(dag.edges)
-        edges.side = "source" if dag.nodes[0].startswith("X") else "target"
-        return edges
+    built = Dag.__init__
 
-    monkeypatch.setattr(Dag, "edge_set", property(edge_set))
+    def counted(dag, *args, **kwargs):
+        built(dag, *args, **kwargs)
+        dag.edge_set = edges = Edges(dag.edges)
+        edges.side = "source" if dag.nodes[0].startswith("X") else "target"
+
+    monkeypatch.setattr(Dag, "__init__", counted)
     monkeypatch.setattr(freecat, "is_path",
                         lambda dag, nodes: per_path.append(nodes) or is_path(dag, nodes))
     return tests, per_path

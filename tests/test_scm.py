@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from absaudit import scm as scm_module
-from absaudit.cli import _print_dist
+from absaudit.cli import _print_dist, main
 from absaudit.errors import AbsauditError, CapacityError, KernelUndefinedError, ModelError
 from absaudit.freecat import hom_set
 from absaudit.scm import (
+    Dag,
     Exogenous,
     Scm,
     Variable,
@@ -35,11 +36,11 @@ from absaudit.scm import (
     underlying_graph,
     validate_scm,
 )
-from absaudit.textfmt import Document, emit_document, emit_scm, parse_document
+from absaudit.textfmt import Document, emit_document, emit_scm, parse_document, parse_path
 
 from helpers import BIN, U2, chain, model, plain_scm, random_model, xor
-from oracles import (dense_rows, per_term_kernel, per_term_test, plain_joint, plain_kernel,
-                     ranked_by_index)
+from oracles import (dense_rows, layered_order, per_term_kernel, per_term_test, plain_joint,
+                     plain_kernel, ranked_by_index)
 
 TOL = 1e-9
 DATA = importlib.resources.files("absaudit") / "data"
@@ -124,10 +125,9 @@ def test_validate_cycle():
 @example(parents=[("A", []), ("A", ["A"])])
 @example(parents=[("B", ["A"]), ("A", [])])
 def test_the_cyclic_fault_follows_the_topological_order(parents):
-    """The name index's faults hold `cyclic` exactly when the graph's
+    """The model's graph faults hold `cyclic` exactly when the graph's
     topological order fails, whatever the declaration order, repeated names
-    and unknown parents, which decide whether its declaration-order test
-    passes; it comes last, as in `validate`."""
+    and unknown parents; it comes last, as in `validate`."""
     m = chain("m", ["A"])
     m.variables = tuple(Variable(name, BIN, tuple(ps), "U_A") for name, ps in parents)
     try:
@@ -135,7 +135,7 @@ def test_the_cyclic_fault_follows_the_topological_order(parents):
         want = []
     except ModelError:
         want = [("cyclic", "the parent relation has a cycle")]
-    faults = [(i.code, i.message) for i in m._index.faults]
+    faults = [(i.code, i.message) for i in m._graph_faults]
     assert [f for f in faults if f[0] == "cyclic"] == want == faults[len(faults) - len(want):]
 
 
@@ -186,13 +186,13 @@ GRAPH_FAULTS = {
        k=st.integers(0, 7))
 def test_every_reader_refuses_the_first_graph_fault(seed, kind, k):
     """A random small model with one graph fault: `validate`'s issues before
-    its first mechanism or noise table issue are the name index's faults,
+    its first mechanism or noise table issue are the model's graph faults,
     and the joint, every kernel, `intervene` and the emitter raise a
     ModelError in the words of the first."""
     m = random_model(random.Random(seed))
     v, u = m.variables[k % len(m.variables)], m.exogenous[k % len(m.exogenous)]
     m = dataclasses.replace(m, **GRAPH_FAULTS[kind](m, v, u))
-    faults = list(m._index.faults)
+    faults = list(m._graph_faults)
     assert kind.split(":")[0] in {f.code for f in faults}
     issues = validate_scm(m).issues
     assert list(itertools.takewhile(lambda i: i.code not in TABLE_CODES, issues)) == faults
@@ -203,6 +203,44 @@ def test_every_reader_refuses_the_first_graph_fault(seed, kind, k):
         with pytest.raises(ModelError) as info:
             read(m)
         assert str(info.value) == faults[0].message
+
+
+def test_graph_faults_are_built_only_for_their_readers(monkeypatch):
+    """No form of `graph` builds a model's graph faults, on any shipped
+    file; `validate` builds them once per model, a second `validate_scm` of
+    the same model builds none, and once `variables` is set the next read
+    builds them again."""
+    built = []
+    faults = scm_module._faults
+    monkeypatch.setattr(scm_module, "_faults",
+                        lambda model, *index: built.append(model.name) or faults(model, *index))
+    shipped = sorted(str(p) for p in DATA.rglob("*") if p.suffix in (".abs", ".scm"))
+    for path in shipped:
+        doc = parse_path(path)
+        runs = [["graph", path]]
+        for name, m in doc.models.items():
+            first, last = m.variable_names[0], m.variable_names[-1]
+            runs += [["graph", path, "--model", name], ["graph", path, "--dot", "--model", name],
+                     ["graph", path, "--model", name, "--hom", first, last]]
+        runs += [["graph", path, "--dot", "--abs", name] for name in doc.abstractions]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+        assert built == [], (path, built)
+        for m in doc.models.values():
+            validate_scm(m)
+            assert built == [m.name]
+            validate_scm(m)
+            assert built == [m.name]
+            m.variables = m.variables
+            validate_scm(m)
+            assert built == [m.name] * 2
+            built.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(["validate", path])
+        assert built == list(doc.models), (path, built)
+        built.clear()
 
 
 def test_validate_mechanism_totality():
@@ -290,6 +328,44 @@ def test_underlying_graph(chain3):
     assert ("S", "T") in dag.edge_set and ("T", "S") not in dag.edge_set
     assert dag.successors("S") == ("T",)
     assert [u for u, v in dag.edges if v == "C"] == ["T"]
+
+
+_NAMES = ("A", "B", "C", "D", "E")  # "E" is never a node: an edge may name it
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=st.permutations(_NAMES[:4]).flatmap(  # every name, then repeats
+           lambda names: st.lists(st.sampled_from(names), max_size=2).map(names.__add__)),
+       edges=st.lists(st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)), max_size=8))
+@example(nodes=["A", "A", "B"], edges=[("A", "B"), ("A", "B"), ("B", "E")])
+@example(nodes=["A", "B"], edges=[("A", "A")])
+@example(nodes=["C", "B", "A"], edges=[("A", "B"), ("B", "C"), ("C", "A")])
+@example(nodes=["A", "D", "C"], edges=[("A", "D"), ("A", "C")])
+def test_a_built_dag_agrees_with_the_layered_oracle(nodes, edges):
+    """Whatever the graph (repeated nodes, self-loops, repeated edges, edges
+    to a name that is no node, cycles), a `Dag` holds its node and edge
+    sets, the successors along the edges between two nodes, its opposite,
+    equality and hash on `(nodes, edges)`, and the order of sorted layers,
+    or refuses it when a cycle leaves nodes behind.  The drawn graph is
+    mostly cyclic, so its edges that follow name order, which never close
+    a cycle, are checked too."""
+    nodes = tuple(nodes)
+    for edges in (tuple(edges), tuple((u, v) for u, v in edges if u < v)):
+        dag = Dag(nodes, edges)
+        assert dag.node_set == frozenset(nodes) and dag.edge_set == frozenset(edges)
+        for u in _NAMES:
+            assert dag.successors(u) == tuple(v for w, v in edges
+                                              if w == u and {u, v} <= set(nodes))
+        assert dag.opposite == Dag(nodes=nodes, edges=tuple((v, u) for u, v in edges))
+        assert dag == Dag(nodes=nodes, edges=edges) and hash(dag) == hash(Dag(nodes, edges))
+        assert dag != Dag(nodes, edges + (("A", "B"),)) and dag != Dag(nodes + ("E",), edges)
+        assert dag != (nodes, edges)
+        order, left = layered_order(nodes, edges)
+        if left:
+            with pytest.raises(ModelError, match="^the graph has a cycle$"):
+                dag.topological_order
+        else:
+            assert dag.topological_order == tuple(order)
 
 
 # ---------------------------------------------------------------------------
