@@ -389,27 +389,24 @@ def _table() -> dict:
     return table
 
 
-def _fits(action: argparse.Action, token) -> bool:
+def _fits(action: argparse.Action, token: str) -> bool:
     """Whether `parse_args` reads `token` as a value of `action` as it is."""
-    return type(token) is str and token[:1] != "-" and (
-        action.choices is None or token in action.choices)
+    return token[:1] != "-" and (action.choices is None or token in action.choices)
 
 
-def _read(argv: list) -> argparse.Namespace | None:
+def _read(argv: list[str]) -> argparse.Namespace | None:
     """The namespace of `build_parser().parse_args(argv)`, read in one pass
     with `_table()`, each option applied by its own action; or None, for
-    argparse to read `argv` and word its usage errors and help, at a token
-    that is not a `str`, an option not in the table as spelled (abbreviated,
-    `--opt=value`, `--`, `-h`) or without values that `_fits`, an unknown
-    command, or no run of positionals or a second one."""
+    argparse to read `argv` and word its usage errors and help, at an option
+    not in the table as spelled (abbreviated, `--opt=value`, `--`, `-h`) or
+    without values that `_fits`, an unknown command, or no run of
+    positionals or a second one."""
     table = _table()
     parser, defaults, options, plain = table[None]
     args = argparse.Namespace(**defaults)
     i, end, command = 0, len(argv), None
     while i < end:
         token = argv[i]
-        if type(token) is not str:
-            return None
         if token[:1] == "-":
             if (action := options.get(token)) is None:
                 return None

@@ -249,7 +249,6 @@ class Dag:
     its node and edge sets, the successors along the edges whose endpoints
     are both nodes, and its order (layer by layer, each sorted) or a cycle."""
 
-    __slots__ = ("nodes", "edges", "node_set", "edge_set", "_successors", "_order")
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
@@ -281,8 +280,9 @@ class Dag:
             raise ModelError("the graph has a cycle")
         return self._order
 
-    @property
+    @cached_property
     def opposite(self) -> Dag:
+        """The reversed graph, built on the first read and kept."""
         return Dag(self.nodes, tuple((v, u) for u, v in self.edges))
 
     def successors(self, node: str) -> tuple[str, ...]:
@@ -536,7 +536,7 @@ def joint_distribution(model: Scm) -> Distribution:
     (checked over the mechanism's rows before its column is built) or a
     mechanism gap."""
     index = _checked_index(model)
-    _, keys, values = model.ranked_noise()
+    keys, values = model.ranked_noise()[1:]
     _refuse_negative(model.exo_table)
     supported = list(map(ne, values, itertools.repeat(0.0)))
     combos, weights = (list(itertools.compress(c, supported)) for c in (keys, values))

@@ -486,7 +486,7 @@ def _path_token(m: tuple[str, ...]) -> str:
 
 def emit_scm(model: Scm) -> list[str]:
     _checked_index(model)  # refuses the first graph fault, then a noise key out of range
-    _, keys, values = model.ranked_noise()
+    keys, values = model.ranked_noise()[1:]
     out = [f"scm {model.name} {{"]
     for v in model.variables:
         line = f"  var {v.name} : {join_labels(v.domain)}"

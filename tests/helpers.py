@@ -32,6 +32,39 @@ JUNK = st.one_of(HASHABLE_JUNK, st.lists(st.sampled_from(JUNK_NAMES), max_size=3
                  st.lists(st.sampled_from(JUNK_NAMES), min_size=1, max_size=2).map(
                      lambda xs: (xs,)))
 
+# Tokens of the text format, and odd numbers and names, that the fuzz tests
+# insert into shipped files besides the file's own tokens.
+FUZZ_TOKENS = ["{", "}", ":", "0", "1", "2", "0.5", "-1", "nan", "inf", "1e309", "var", "exo",
+               "dist", "mech", "scm", "abs", "for", "parents", "source", "target", "nodes",
+               "edges", "outcomes", "from", "direction", "pairs", "^", "S", "S^T", "X", ""]
+
+
+def mutate(data, tokens: list[str], pool: list[str]) -> None:
+    """Replace a token of `tokens` by one drawn from `pool`, insert one, or
+    delete one."""
+    how = data.draw(st.sampled_from(["replace", "insert", "delete"] if tokens else ["insert"]))
+    at = data.draw(st.integers(0, len(tokens) - (how != "insert")))
+    if how == "insert":
+        tokens.insert(at, data.draw(st.sampled_from(pool)))
+    elif how == "replace":
+        tokens[at] = data.draw(st.sampled_from(pool))
+    else:
+        del tokens[at]
+
+
+def mutated_text(data, text: str) -> str:
+    """`text` with one to three of its rows doubled or mutated token by token
+    (`mutate`), from `FUZZ_TOKENS` and the text's own tokens."""
+    lines = [line.split() for line in text.split("\n")]
+    vocab = FUZZ_TOKENS + [token for line in lines for token in line]
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = data.draw(st.integers(0, len(lines) - 1))
+        if data.draw(st.booleans()):
+            lines.insert(row, list(lines[row]))
+        else:
+            mutate(data, lines[row], vocab)
+    return "\n".join(map(" ".join, lines))
+
 
 def xor(parents: tuple[str, ...], u: str) -> str:
     return str((sum(int(p) for p in parents) + int(u)) % 2)

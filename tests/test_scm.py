@@ -368,6 +368,23 @@ def test_a_built_dag_agrees_with_the_layered_oracle(nodes, edges):
             assert dag.topological_order == tuple(order)
 
 
+def test_the_opposite_graph_is_built_once_and_kept(monkeypatch):
+    """`opposite` is built on its first read and kept: it is the same object
+    on every read, equal to a freshly built reversed `Dag`, and 20 hom-sets
+    listed on one complete 10-DAG build one `Dag`, the opposite, between
+    them."""
+    names = tuple(f"X{i}" for i in range(10))
+    edges = tuple(itertools.combinations(names, 2))
+    dag, complete = Dag(names, edges), Dag(names, edges)
+    assert dag.opposite is dag.opposite
+    assert dag.opposite == Dag(names, tuple((v, u) for u, v in edges))
+    built, init = [], Dag.__init__
+    monkeypatch.setattr(Dag, "__init__", lambda d, *a, **k: built.append(d) or init(d, *a, **k))
+    for i in range(20):
+        assert len(hom_set(complete, names[i % 5], names[5 + i % 5])) == 2 ** 4
+    assert built == [complete.opposite]
+
+
 # ---------------------------------------------------------------------------
 # Interventions
 # ---------------------------------------------------------------------------
